@@ -5,11 +5,11 @@ __version__ = "0.1.0"
 
 from .hilbert import (
     DensityMatrix,
+    Generator,
     HilbertSpace,
     Operator,
     StateVector,
     coherent_state,
-    create,
     destroy,
     embed,
     expectation,
@@ -29,10 +29,12 @@ from .model import (
     dark_state,
     envelope,
     hamiltonian_at,
+    hamiltonian_generator,
     mixing_angle,
 )
 from .dynamics import (
     IntegratorConfig,
+    IntegratorStats,
     LindbladModel,
     Trajectory,
     evolve,

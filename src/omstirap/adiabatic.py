@@ -180,18 +180,9 @@ def dark_gap_spectrum(
         )
     space = HilbertSpace(tuple(dims))
     h = _resonant_hamiltonian(space, g11, g22)
-    if manifold_only:
-        keep = [
-            i
-            for i in range(space.total_dim)
-            if sum(space.multi_index(i)) == excitation_cap
-        ]
-    else:
-        keep = [
-            i
-            for i in range(space.total_dim)
-            if sum(space.multi_index(i)) <= excitation_cap
-        ]
+    levels = [sum(space.multi_index(i)) for i in range(space.total_dim)]
+    keep = [i for i, n in enumerate(levels)
+            if n == excitation_cap or (n < excitation_cap and not manifold_only)]
     sub = h[np.ix_(keep, keep)]
     evals = np.sort(np.linalg.eigvalsh(sub))
     omega = 2.0 * math.hypot(g11, g22)
@@ -201,13 +192,11 @@ def dark_gap_spectrum(
 
 
 def _resonant_hamiltonian(space, g11, g22) -> np.ndarray:
-    from .hilbert import destroy
+    from .hilbert import Generator, destroy
 
-    a = destroy(space, 0).matrix
-    b1 = destroy(space, 1).matrix
-    b2 = destroy(space, 2).matrix
-    m = g11 * (a.conj().T @ b1) + g22 * (a.conj().T @ b2)
-    return m + m.conj().T
+    a, b1, b2 = (destroy(space, m).matrix for m in range(3))
+    ops = [a.conj().T @ b1, a.conj().T @ b2]
+    return Generator(space, None, ops, lambda t: [g11, g22]).dense(0.0)
 
 
 def resonance_check(

@@ -29,9 +29,6 @@ class BipartiteSplit:
             raise InvalidArgumentError("kept mode set must be non-empty")
         object.__setattr__(self, "kept_modes", tuple(sorted(set(self.kept_modes))))
 
-    def traced_modes(self, n_modes: int) -> tuple[int, ...]:
-        return tuple(i for i in range(n_modes) if i not in self.kept_modes)
-
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept modes.

@@ -344,7 +344,8 @@ def cmd_sweep(args) -> int:
     ]
     payload["metrics"] = list(metrics)
     payload["failures"] = [
-        {"cell": list(idx), "error": kind} for idx, kind in result.failures
+        {"cell": list(idx), "error": kind, "message": message}
+        for idx, kind, message in result.failures
     ]
     if block.get("contour_levels") and len(axes) == 2:
         fieldname = block.get("contour_field", metrics[0])

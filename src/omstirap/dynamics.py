@@ -9,21 +9,22 @@ with the cavity decaying at rate kappa through C = a and each mechanical
 mode thermalizing through the pair (b_i, Gamma_i (nbar_i + 1)) and
 (b_i^+, Gamma_i nbar_i).
 
-Density matrices are integrated directly as complex matrices with an
-embedded Dormand-Prince 5(4) pair; hermiticity is restored by symmetrization
-after every accepted step and the trace is monitored for divergence.  A
-dense-superoperator propagator based on the matrix exponential serves as an
-independent validation oracle for frozen generators.
+Every path derives from one :class:`~omstirap.hilbert.Generator`: the
+integrator steps the row-major vec(rho) under sparse superoperators (pure
+states under the Hilbert-space terms) with an embedded Dormand-Prince 5(4)
+pair, restoring hermiticity after every accepted step and monitoring the
+trace; the same pieces, densified, feed a matrix-exponential oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import (
     IntegrationDivergedError,
@@ -32,7 +33,8 @@ from .errors import (
     OracleTooLargeError,
     StiffnessError,
 )
-from .hilbert import DensityMatrix, HilbertSpace, Operator
+from .hilbert import DensityMatrix, Generator, HilbertSpace, Operator, StateVector, _as_csr, destroy
+from .model import bose_occupancy
 
 TRACE_SAMPLE_TOL = 1e-6
 TRACE_DIVERGENCE_TOL = 1e-4
@@ -41,34 +43,25 @@ ORACLE_DIM_CAP = 4096  # on total_dim^2; the oracle scales as dim^6
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian provider plus weighted collapse operators on one space."""
+    """Hamiltonian (stored as a :class:`Generator`) plus weighted collapse operators."""
 
     space: HilbertSpace
-    hamiltonian: Callable[[float], np.ndarray] | np.ndarray | Operator | None
+    hamiltonian: Generator | np.ndarray | Operator | None
     collapse_terms: tuple = ()
 
     def __post_init__(self):
+        d = self.space.total_dim
         terms = []
         for op, rate in self.collapse_terms:
-            mat = op.matrix if isinstance(op, Operator) else np.asarray(op, dtype=complex)
-            if mat.shape != (self.space.total_dim,) * 2:
-                raise InvalidDimensionError("collapse operator shape mismatch")
             if rate < 0:
                 raise InvalidArgumentError(f"negative collapse rate {rate}")
-            terms.append((mat, float(rate)))
+            terms.append((_as_csr(op, d, "collapse operator"), float(rate)))
         object.__setattr__(self, "collapse_terms", tuple(terms))
-
-    def hamiltonian_of_t(self) -> Callable[[float], np.ndarray]:
         h = self.hamiltonian
-        if h is None:
-            zero = np.zeros((self.space.total_dim,) * 2, dtype=complex)
-            return lambda t: zero
-        if isinstance(h, Operator):
-            hm = h.matrix
-            return lambda t: hm
-        if isinstance(h, np.ndarray):
-            return lambda t: h
-        return h
+        gen = h if isinstance(h, Generator) else Generator(self.space, h)
+        if gen.space != self.space:
+            raise InvalidDimensionError("generator lives on a different space")
+        object.__setattr__(self, "hamiltonian", gen)
 
 
 @dataclass(frozen=True)
@@ -94,60 +87,87 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
+class IntegratorStats:
+    """What one integration did: steps, rhs evaluations, step-size range."""
+
+    accepted: int
+    rejected: int
+    rhs_evals: int
+    h_min: float
+    h_max: float
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Sampled density matrices with named derived observables."""
 
     times: np.ndarray
     states: tuple
     observables: dict = field(default_factory=dict)
+    stats: IntegratorStats | None = None
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise InvalidArgumentError("times and states length mismatch")
 
     def with_observables(self, observables: dict) -> "Trajectory":
-        merged = dict(self.observables)
-        merged.update(observables)
-        return replace(self, observables=merged)
+        return replace(self, observables={**self.observables, **observables})
 
 
-def _rhs_factory(model: LindbladModel) -> Callable[[float, np.ndarray], np.ndarray]:
-    h_of_t = model.hamiltonian_of_t()
-    jumps = []
-    for c, rate in model.collapse_terms:
-        if rate > 0.0:
-            jumps.append(math.sqrt(rate) * c)
-    if jumps:
-        half_anti = 0.5 * sum(c.conj().T @ c for c in jumps)
-        jump_dags = [c.conj().T for c in jumps]
+def _linear_rhs(const, parts, coefficients):
+    """(t, v) -> const v + sum_k (c_k parts[2k] v + conj(c_k) parts[2k+1] v).
 
-        def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-            h = h_of_t(t)
-            out = -1j * (h @ rho - rho @ h)
-            out -= half_anti @ rho + rho @ half_anti
-            for c, cd in zip(jumps, jump_dags):
-                out += c @ rho @ cd
-            return out
+    One stacked sparse product plus elementwise sums: nothing here may call
+    BLAS, whose thread pools oversubscribe the cores under sweep workers.
+    """
+    stack = scipy.sparse.vstack([const, *parts], format="csr")
+    n, m = 1 + len(parts), const.shape[0]
 
-    else:
-
-        def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-            h = h_of_t(t)
-            return -1j * (h @ rho - rho @ h)
+    def rhs(t: float, v: np.ndarray) -> np.ndarray:
+        blocks = (stack @ v).reshape(n, m)
+        out = blocks[0]
+        for k, c in enumerate(coefficients(t)):
+            out += c * blocks[2 * k + 1]
+            out += c.conjugate() * blocks[2 * k + 2]
+        return out
 
     return rhs
 
 
+def _commutator_superop(a, eye):
+    """-i (A x I - I x A^T): the row-major superoperator of rho -> -i[A, rho]."""
+    return -1j * (scipy.sparse.kron(a, eye) - scipy.sparse.kron(eye, a.T))
+
+
+def _superoperator_pieces(model: LindbladModel):
+    """(L0, [K_1, K'_1, K_2, K'_2, ...]) as CSR matrices on vec(rho)."""
+    eye = scipy.sparse.identity(model.space.total_dim, dtype=complex, format="csr")
+    l0 = _commutator_superop(model.hamiltonian.h0, eye)
+    for c, rate in model.collapse_terms:
+        if rate > 0.0:
+            cd_c = c.conj().T @ c
+            l0 = l0 + rate * (scipy.sparse.kron(c, c.conj()) - 0.5 * (
+                scipy.sparse.kron(cd_c, eye) + scipy.sparse.kron(eye, cd_c.T)))
+    parts = [_commutator_superop(op, eye) for a in model.hamiltonian.ops
+             for op in (a, a.conj().T)]
+    return l0.tocsr(), parts
+
+
+def _density_rhs(model: LindbladModel):
+    return _linear_rhs(*_superoperator_pieces(model), model.hamiltonian.coefficients)
+
+
 def lindblad_rhs(model: LindbladModel, t: float, rho) -> np.ndarray:
-    """d rho/dt of the Lindblad generator at time t.
+    """d rho/dt of the Lindblad generator at time t, via the integrator's rhs.
 
     Trace-free to numerical precision and maps Hermitian input to Hermitian
     output for any Hermitian matrix, not only physical states.
     """
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if mat.shape != (model.space.total_dim,) * 2:
+    d = model.space.total_dim
+    if mat.shape != (d, d):
         raise InvalidDimensionError("state dimension does not match model space")
-    return _rhs_factory(model)(t, mat)
+    return _density_rhs(model)(t, mat.reshape(-1)).reshape(d, d)
 
 
 # Dormand-Prince 5(4) tableau
@@ -206,6 +226,7 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
     ``on_accept(t, y)`` may repair invariants of the accepted state (and
     raises on divergence); ``on_sample(t, y)`` converts a sampled state into
     its stored form.  Steps are clamped so sample times are hit exactly.
+    Returns a :class:`Trajectory` carrying the :class:`IntegratorStats`.
     """
     ts = np.asarray(config.sample_times, dtype=float)
     t0, t_end = float(ts[0]), float(ts[-1])
@@ -218,6 +239,9 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
     k = [None] * 7
     k[0] = f0
     hmin_scale = 16.0 * np.finfo(float).eps
+    accepted = rejected = 0
+    rhs_evals = 2  # by _initial_step
+    h_min, h_max = math.inf, 0.0
 
     while t < t_end:
         h = min(h, config.max_step, t_end - t)
@@ -232,6 +256,7 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
             k[i] = rhs(t + _C[i] * h, yi)
         y5 = y + h * sum(_B5[j] * k[j] for j in range(6))
         k[6] = rhs(t + h, y5)
+        rhs_evals += 6
         err_mat = h * sum(_E[j] * k[j] for j in range(7))
         err = _error_norm(err_mat, y, y5, config.rel_tol, config.abs_tol)
 
@@ -239,6 +264,8 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
             t = t + h
             y = on_accept(t, y5)
             k[0] = k[6]  # first-same-as-last
+            accepted += 1
+            h_min, h_max = min(h_min, float(h)), max(h_max, float(h))
             if abs(t - ts[next_sample]) <= 1e-12 * max(abs(t), span):
                 stored.append(on_sample(t, y))
                 next_sample += 1
@@ -247,42 +274,45 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
             factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
             h = h * max(_MIN_FACTOR, factor)
         else:
+            rejected += 1
             h = h * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
 
-    return ts, stored
+    stats = IntegratorStats(accepted, rejected, rhs_evals, h_min, h_max)
+    return Trajectory(times=ts.copy(), states=tuple(stored), stats=stats)
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, config: IntegratorConfig) -> Trajectory:
     """Integrate the master equation and sample at the configured times.
 
-    Adaptive Dormand-Prince 5(4).  Steps never overshoot a sample time,
-    accepted states are symmetrized, and sampled states are renormalized by
-    their trace (drift beyond 1e-6 at a sample, or 1e-4 anywhere, aborts
-    with an error carrying the time).
+    Adaptive Dormand-Prince 5(4) on the row-major vec(rho).  Steps never
+    overshoot a sample time, accepted states are symmetrized, and sampled
+    states are renormalized by their trace (drift beyond 1e-6 at a sample,
+    or 1e-4 anywhere, aborts with an error carrying the time).
     """
     if rho0.space != model.space:
         raise InvalidDimensionError("initial state lives on a different space")
-    rhs = _rhs_factory(model)
+    d = model.space.total_dim
+    rhs = _density_rhs(model)
+
+    def symmetrized(t, y, tol):
+        m = 0.5 * (y.reshape(d, d) + y.reshape(d, d).conj().T)
+        drift = abs(np.trace(m).real - 1.0)
+        if drift > tol:
+            raise IntegrationDivergedError(t, drift)
+        return m
 
     def on_accept(t, y):
-        y = 0.5 * (y + y.conj().T)
-        drift = abs(np.trace(y).real - 1.0)
-        if drift > TRACE_DIVERGENCE_TOL:
-            raise IntegrationDivergedError(t, drift)
-        return y
+        return symmetrized(t, y, TRACE_DIVERGENCE_TOL).reshape(-1)
 
     def on_sample(t, y):
-        drift = abs(np.trace(y).real - 1.0)
-        if drift > TRACE_SAMPLE_TOL:
-            raise IntegrationDivergedError(t, drift)
-        return _snapshot(model.space, y, t)
+        m = symmetrized(t, y, TRACE_SAMPLE_TOL)
+        return DensityMatrix(model.space, m / np.trace(m).real, validate=False)
 
-    ts, states = _integrate_dp45(rhs, rho0.matrix, config, on_accept, on_sample)
-    return Trajectory(times=ts.copy(), states=tuple(states))
+    return _integrate_dp45(rhs, rho0.matrix.reshape(-1), config, on_accept, on_sample)
 
 
 def evolve_pure(
-    hamiltonian: Callable[[float], np.ndarray] | np.ndarray,
+    hamiltonian: Generator | np.ndarray | Operator,
     psi0,
     space: HilbertSpace,
     config: IntegratorConfig,
@@ -290,18 +320,16 @@ def evolve_pure(
     """Schroedinger evolution of a pure state under H(t), no dissipation.
 
     Equivalent to :func:`evolve` with an empty collapse set and a pure
-    initial state, at vector instead of matrix cost; sampled states are
-    returned as density matrices so downstream analytics are uniform.
+    initial state, at vector instead of matrix cost; the generator's terms
+    act on the Hilbert space and no superoperator is built.  Sampled states
+    are returned as density matrices so downstream analytics are uniform.
     """
-    from .hilbert import StateVector
-
     amps = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
     if amps.shape != (space.total_dim,):
         raise InvalidDimensionError("initial amplitudes do not match the space")
-    h_of_t = hamiltonian if callable(hamiltonian) else (lambda t: hamiltonian)
-
-    def rhs(t, psi):
-        return -1j * (h_of_t(t) @ psi)
+    gen = LindbladModel(space, hamiltonian).hamiltonian
+    parts = [-1j * op for a in gen.ops for op in (a, a.conj().T)]
+    rhs = _linear_rhs(-1j * gen.h0, parts, gen.coefficients)
 
     def on_accept(t, y):
         nrm = np.linalg.norm(y)
@@ -313,33 +341,19 @@ def evolve_pure(
         v = y / np.linalg.norm(y)
         return DensityMatrix(space, np.outer(v, v.conj()), validate=False)
 
-    ts, states = _integrate_dp45(rhs, amps, config, on_accept, on_sample)
-    return Trajectory(times=ts.copy(), states=tuple(states))
-
-
-def _snapshot(space: HilbertSpace, y: np.ndarray, t: float) -> DensityMatrix:
-    m = 0.5 * (y + y.conj().T)
-    tr = np.trace(m).real
-    return DensityMatrix(space, m / tr, validate=False)
+    return _integrate_dp45(rhs, amps, config, on_accept, on_sample)
 
 
 def liouvillian_matrix(model: LindbladModel, t: float = 0.0) -> np.ndarray:
     """Dense superoperator of the generator frozen at time t.
 
-    Row-major vectorization: vec(A rho B) = (A kron B^T) vec(rho).
+    Row-major vectorization: vec(A rho B) = (A kron B^T) vec(rho).  It is
+    the integrator's L0 + sum_k (c_k K_k + conj(c_k) K'_k), densified.
     """
-    d = model.space.total_dim
-    eye = np.eye(d)
-    h = model.hamiltonian_of_t()(t)
-    liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for c, rate in model.collapse_terms:
-        if rate == 0.0:
-            continue
-        cd_c = c.conj().T @ c
-        liou += rate * (
-            np.kron(c, c.conj())
-            - 0.5 * (np.kron(cd_c, eye) + np.kron(eye, cd_c.T))
-        )
+    l0, parts = _superoperator_pieces(model)
+    liou = l0.toarray()
+    for k, c in enumerate(model.hamiltonian.coefficients(t)):
+        liou += (c * parts[2 * k] + c.conjugate() * parts[2 * k + 1]).toarray()
     return liou
 
 
@@ -363,17 +377,13 @@ def propagator_oracle(
     if dt == 0.0:
         return DensityMatrix(model.space, rho0.matrix.copy(), validate=False)
     liou = liouvillian_matrix(model, t)
-    vec = rho0.matrix.reshape(-1)
-    out = (scipy.linalg.expm(liou * dt) @ vec).reshape(d, d)
+    out = (scipy.linalg.expm(liou * dt) @ rho0.matrix.reshape(-1)).reshape(d, d)
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(model.space, out, validate=False)
 
 
 def thermal_collapse_terms(space: HilbertSpace, params) -> list:
     """Standard collapse set: cavity decay plus two thermal mechanical baths."""
-    from .hilbert import destroy
-    from .model import bose_occupancy
-
     a = destroy(space, 0).matrix
     terms = [(a, params.kappa)]
     for mode, (omega, gamma) in enumerate(

@@ -1,51 +1,55 @@
 """Exception and warning types shared across the package."""
 
 
-class InvalidDimensionError(ValueError):
+class OmstirapError(Exception):
+    """Base of every domain and integration error the package raises."""
+
+
+class InvalidDimensionError(OmstirapError, ValueError):
     """Operator/state dimensions are inconsistent or below the minimum."""
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(OmstirapError, ValueError):
     """An occupation number or index lies outside the truncated space."""
 
 
-class InvalidArgumentError(ValueError):
+class InvalidArgumentError(OmstirapError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class InvalidStateError(ValueError):
+class InvalidStateError(OmstirapError, ValueError):
     """A density matrix or state vector violates its invariants."""
 
 
-class UndefinedModeError(ValueError):
+class UndefinedModeError(OmstirapError, ValueError):
     """Collective mode is undefined (all couplings vanish)."""
 
 
-class DegenerateAngleError(ValueError):
+class DegenerateAngleError(OmstirapError, ValueError):
     """Mixing angle makes the requested analysis degenerate."""
 
 
-class DomainError(ValueError):
+class DomainError(OmstirapError, ValueError):
     """Input outside the mathematical domain of a closed-form expression."""
 
 
-class TruncationError(ValueError):
+class TruncationError(OmstirapError, ValueError):
     """Truncated representation would drop too much probability mass."""
 
 
-class OracleTooLargeError(ValueError):
+class OracleTooLargeError(OmstirapError, ValueError):
     """Dense-superoperator oracle requested above its dimension cap."""
 
 
-class UndefinedSteadyStateError(ValueError):
+class UndefinedSteadyStateError(OmstirapError, ValueError):
     """Steady-state formulas are undefined for the given rates."""
 
 
-class ConfigError(ValueError):
+class ConfigError(OmstirapError, ValueError):
     """Run configuration failed validation."""
 
 
-class StiffnessError(RuntimeError):
+class StiffnessError(OmstirapError, RuntimeError):
     """Adaptive step size underflowed; carries the last good time."""
 
     def __init__(self, last_good_time: float, message: str | None = None):
@@ -55,7 +59,7 @@ class StiffnessError(RuntimeError):
         )
 
 
-class IntegrationDivergedError(RuntimeError):
+class IntegrationDivergedError(OmstirapError, RuntimeError):
     """Trace drift exceeded the divergence threshold during integration."""
 
     def __init__(self, time: float, drift: float):

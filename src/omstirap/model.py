@@ -29,12 +29,14 @@ ordinary frequencies (cycles/s) and convert once.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 from scipy.constants import hbar as HBAR, k as K_B
 
 from .errors import (
@@ -43,7 +45,7 @@ from .errors import (
     SidebandResolutionWarning,
     UndefinedModeError,
 )
-from .hilbert import HilbertSpace, Operator, destroy
+from .hilbert import Generator, HilbertSpace, Operator, destroy
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,10 +170,9 @@ class DriveSchedule:
             raise InvalidArgumentError("theta must lie in [0, pi/2]")
 
 
-def _gaussian(t, amplitude: float, center: float, sigma: float):
-    u = (np.asarray(t, dtype=float) - center) / sigma
-    out = np.where(np.abs(u) > ENVELOPE_CUTOFF_SIGMAS, 0.0, amplitude * np.exp(-(u**2)))
-    return out
+def _gaussian(t: float, amplitude: float, center: float, sigma: float) -> float:
+    u = (t - center) / sigma
+    return 0.0 if abs(u) > ENVELOPE_CUTOFF_SIGMAS else amplitude * math.exp(-(u * u))
 
 
 def _components(schedule: DriveSchedule, pump_index: int):
@@ -212,10 +213,13 @@ def envelope(schedule: DriveSchedule, pump_index: int, t):
     if pump_index not in (1, 2):
         raise InvalidArgumentError("pump_index must be 1 or 2")
     comps = _components(schedule, pump_index)
-    if comps is None:
-        return np.full_like(np.asarray(t, dtype=float), schedule.alpha0) if np.ndim(t) else schedule.alpha0
-    out = sum(_gaussian(t, *c) for c in comps)
-    return float(out) if np.ndim(t) == 0 else out
+    if np.ndim(t) == 0:
+        return _envelope(comps, schedule.alpha0, t)
+    return np.reshape([_envelope(comps, schedule.alpha0, x) for x in np.ravel(t)], np.shape(t))
+
+
+def _envelope(comps, alpha0: float, t: float) -> float:
+    return alpha0 if comps is None else sum(_gaussian(t, *c) for c in comps)
 
 
 def total_envelope(schedules, pump_index: int, t):
@@ -232,14 +236,21 @@ def _as_schedule_list(schedules) -> list[DriveSchedule]:
     return out
 
 
-def _complex_amplitudes(schedules, t):
-    """Pump amplitudes with their constant drive phases applied."""
-    z1 = 0.0 + 0.0j
-    z2 = 0.0 + 0.0j
-    for s in _as_schedule_list(schedules):
-        z1 += envelope(s, 1, t) * complex(math.cos(s.phase1), math.sin(s.phase1))
-        z2 += envelope(s, 2, t) * complex(math.cos(s.phase2), math.sin(s.phase2))
-    return z1, z2
+def _amplitude_function(schedules):
+    """t -> [z1, z2], the summed pump amplitudes with drive phases, in scalar math."""
+    pumps = [
+        (i, _components(s, i + 1), s.alpha0, complex(math.cos(phase), math.sin(phase)))
+        for s in _as_schedule_list(schedules)
+        for i, phase in ((0, s.phase1), (1, s.phase2))
+    ]
+
+    def amplitudes(t: float) -> list:
+        z = [0j, 0j]
+        for i, comps, alpha0, phase in pumps:
+            z[i] += _envelope(comps, alpha0, t) * phase
+        return z
+
+    return amplitudes
 
 
 def mixing_angle(schedule: DriveSchedule, params: SystemParams, t: float) -> float:
@@ -284,53 +295,36 @@ class HamiltonianSpec:
             raise InvalidArgumentError(f"unknown picture {self.picture!r}")
 
 
-def hamiltonian_builder(spec: HamiltonianSpec) -> Callable[[float], np.ndarray]:
-    """Compiled H(t) evaluator returning a Hermitian ndarray.
+def hamiltonian_generator(spec: HamiltonianSpec) -> Generator:
+    """H(t) as sparse operators A_k with scalar coefficients c_k(t).
 
-    This is the hot path of the integrator: the operator products are built
-    once and each call only combines them with scalar coefficients.
+    ``rwa`` and ``bs`` have the two terms a^+ b_j; ``bs`` sums both pumps'
+    detuning phases into each c_j.  ``full`` adds the two terms a^+ b_j^+.
     """
-    space = spec.space
     p = spec.params
-    schedules = _as_schedule_list(spec.schedule)
-    a = destroy(space, 0).matrix
-    b = [destroy(space, 1).matrix, destroy(space, 2).matrix]
+    amplitudes = _amplitude_function(spec.schedule)
+    a, b1, b2 = (scipy.sparse.csr_matrix(destroy(spec.space, m).matrix) for m in range(3))
     adag = a.conj().T
-    P = [np.ascontiguousarray(adag @ b[j]) for j in range(2)]      # a^+ b_j
-    Q = [np.ascontiguousarray(adag @ b[j].conj().T) for j in range(2)]  # a^+ b_j^+
-    g = (p.g1, p.g2)
-    deltas = (p.delta1, p.delta2)
-    omegas = (p.omega1, p.omega2)
-    picture = spec.picture
+    ops = [adag @ b1, adag @ b2]
+    g, deltas, omegas = (p.g1, p.g2), (p.delta1, p.delta2), (p.omega1, p.omega2)
+    # per term: its coupling g_j and the (pump i, phase rate) pairs it sums
+    pumps = [(0,), (1,)] if spec.picture == "rwa" else [(0, 1), (0, 1)]
+    terms = [(g[j], [(i, deltas[i] - omegas[j]) for i in pumps[j]]) for j in (0, 1)]
+    if spec.picture == "full":
+        ops += [adag @ b1.conj().T, adag @ b2.conj().T]
+        terms += [(g[j], [(i, deltas[i] + omegas[j]) for i in (0, 1)]) for j in (0, 1)]
 
-    def build(t: float) -> np.ndarray:
-        z = _complex_amplitudes(schedules, t)
-        if picture == "rwa":
-            c = [g[j] * z[j] * np.exp(1j * (deltas[j] - omegas[j]) * t) for j in range(2)]
-            m = c[0] * P[0] + c[1] * P[1]
-        else:
-            m = None
-            for j in range(2):
-                cj = sum(
-                    g[j] * z[i] * np.exp(1j * (deltas[i] - omegas[j]) * t)
-                    for i in range(2)
-                )
-                term = cj * P[j]
-                if picture == "full":
-                    dj = sum(
-                        g[j] * z[i] * np.exp(1j * (deltas[i] + omegas[j]) * t)
-                        for i in range(2)
-                    )
-                    term = term + dj * Q[j]
-                m = term if m is None else m + term
-        return m + m.conj().T
+    def coefficients(t: float) -> list:
+        z = amplitudes(t)
+        return [sum(gj * z[i] * cmath.exp(1j * rate * t) for i, rate in pairs)
+                for gj, pairs in terms]
 
-    return build
+    return Generator(spec.space, None, ops, coefficients)
 
 
 def hamiltonian_at(spec: HamiltonianSpec, t: float) -> Operator:
     """H(t) as an :class:`Operator`; Hermitian by construction."""
-    return Operator(spec.space, hamiltonian_builder(spec)(t))
+    return Operator(spec.space, hamiltonian_generator(spec).dense(t))
 
 
 def collective_operators(
@@ -371,7 +365,7 @@ def collective_operators(
         raise InvalidArgumentError(f"unknown convention {convention!r}")
     if schedule is None:
         raise InvalidArgumentError("rwa_phased convention needs a schedule")
-    z1, z2 = _complex_amplitudes(schedule, t)
+    z1, z2 = _amplitude_function(schedule)(t)
     g11 = params.g1 * abs(z1)
     g22 = params.g2 * abs(z2)
     norm = math.hypot(g11, g22)

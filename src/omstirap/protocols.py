@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ from .model import (
     HamiltonianSpec,
     SystemParams,
     dark_state,
-    hamiltonian_builder,
+    hamiltonian_generator,
     total_envelope,
 )
 
@@ -150,10 +150,6 @@ class TargetSpec:
         if self.reduction not in self.REDUCTIONS:
             raise InvalidArgumentError(f"unknown reduction {self.reduction!r}")
 
-    def reduce(self, rho: DensityMatrix) -> DensityMatrix:
-        keep = self.REDUCTIONS[self.reduction]
-        return rho if keep is None else analysis.partial_trace(rho, keep)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -224,15 +220,15 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     space = HilbertSpace(scenario.dims)
     rho0 = build_initial_state(space, scenario.initial)
     spec = HamiltonianSpec(scenario.params, scenario.schedules(), space, scenario.picture)
-    h = hamiltonian_builder(spec)
+    h = hamiltonian_generator(spec)
     config = IntegratorConfig(
         sample_times=_sample_times(scenario),
         rel_tol=scenario.rel_tol,
         abs_tol=scenario.abs_tol,
         max_step=scenario.max_step or _default_max_step(scenario),
     )
-    if scenario.lossless and _is_pure(rho0):
-        psi0 = _pure_amplitudes(rho0)
+    psi0 = _pure_amplitudes(rho0) if scenario.lossless else None
+    if psi0 is not None:
         traj = evolve_pure(h, psi0, space, config)
     else:
         collapse = () if scenario.lossless else tuple(thermal_collapse_terms(space, scenario.params))
@@ -242,18 +238,16 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     obs = _observables(scenario, space, traj)
     traj = traj.with_observables(obs)
     summary = _summary(scenario, traj, obs)
+    summary["integrator"] = asdict(traj.stats)
     summary["wall_time_s"] = time.perf_counter() - t_start
     return ScenarioResult(trajectory=traj, summary=summary)
 
 
-def _is_pure(rho: DensityMatrix) -> bool:
-    purity = float(np.real(np.sum(rho.matrix * rho.matrix.T)))
-    return purity > 1.0 - 1e-12
-
-
-def _pure_amplitudes(rho: DensityMatrix) -> np.ndarray:
-    w, v = np.linalg.eigh(rho.matrix)
-    return v[:, -1]
+def _pure_amplitudes(rho: DensityMatrix) -> np.ndarray | None:
+    """The state vector of a pure rho, or None for a mixed one."""
+    if float(np.real(np.sum(rho.matrix * rho.matrix.T))) <= 1.0 - 1e-12:
+        return None
+    return np.linalg.eigh(rho.matrix)[1][:, -1]
 
 
 def _observables(scenario: Scenario, space: HilbertSpace, traj: Trajectory) -> dict:
@@ -397,11 +391,6 @@ class FringeResult:
     amplitude: float
     visibility: float
     phase: float
-
-    def fringe_model(self, phi2) -> np.ndarray:
-        return self.amplitude * (
-            1.0 + self.visibility * np.cos(self.phase - np.asarray(phi2))
-        )
 
 
 def _fringe_scenario(

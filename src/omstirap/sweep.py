@@ -2,8 +2,9 @@
 
 Each grid cell runs an independent scenario; results land in preallocated
 slots keyed by cell index, so the aggregated grids are bitwise identical
-for any worker count.  Failed cells record their error kind and leave NaN
-in the grids instead of aborting the sweep.
+for any worker count.  A cell that fails with one of the package's own
+errors records the error class and message and leaves NaN in the grids;
+any other exception is a bug and aborts the sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError, OmstirapError
 from .model import DriveSchedule, SystemParams, TWO_PI
 from .protocols import Scenario, run_scenario
 from .adiabatic import resonance_check
@@ -62,6 +63,8 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Grids per metric; ``failures`` holds (cell, error class, message)."""
+
     axes: tuple[SweepAxis, ...]
     fields: dict
     failures: tuple = ()
@@ -151,9 +154,6 @@ def pick_picture(scenario: Scenario) -> str:
     return "rwa"
 
 
-_BLAS_LIMITER = None
-
-
 def _limit_blas_threads():
     """Pin worker BLAS pools to one thread.
 
@@ -161,11 +161,10 @@ def _limit_blas_threads():
     letting each worker spin a full BLAS pool multiplies CPU time without
     reducing wall time.
     """
-    global _BLAS_LIMITER
     try:
         import threadpoolctl
 
-        _BLAS_LIMITER = threadpoolctl.threadpool_limits(1)
+        threadpoolctl.threadpool_limits(1)
     except ImportError:
         pass
 
@@ -180,8 +179,8 @@ def _run_cell(args):
             scenario = replace(scenario, picture=pick_picture(scenario))
         summary = run_scenario(scenario).summary
         return idx, {m: summary.get(m, math.nan) for m in metrics}, None
-    except Exception as exc:  # failed cells are recorded, not fatal
-        return idx, None, type(exc).__name__
+    except OmstirapError as exc:  # domain and integration failures are per-cell results
+        return idx, None, (idx, type(exc).__name__, str(exc))
 
 
 def run_sweep(
@@ -222,9 +221,9 @@ def run_sweep(
             outcomes = list(pool.map(_run_cell, jobs, chunksize=chunk))
     else:
         outcomes = [_run_cell(j) for j in jobs]
-    for idx, values, error in outcomes:
-        if error is not None:
-            failures.append((idx, error))
+    for idx, values, failure in outcomes:
+        if failure is not None:
+            failures.append(failure)
             continue
         for m in metrics:
             grids[m][idx] = values[m]

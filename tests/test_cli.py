@@ -51,6 +51,18 @@ def test_simulate_emits_csv_and_summary(tmp_path):
     assert summary["effective_config"]["dims"] == [2, 3, 3]
 
 
+def test_simulate_summary_reports_integrator_stats(tmp_path):
+    cfg = _write(tmp_path, dict(FAST_SIM, lossless=False))
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "bell-lossless", "--config", cfg,
+                 "--out", str(out)]) == 0
+    stats = json.loads((out / "summary.json").read_text())["summary"]["integrator"]
+    assert set(stats) == {"accepted", "rejected", "rhs_evals", "h_min", "h_max"}
+    assert stats["accepted"] >= 8  # at least one step per sample interval
+    assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+    assert 0.0 < stats["h_min"] <= stats["h_max"]
+
+
 def test_simulate_roundtrip_reproducible(tmp_path):
     cfg = _write(tmp_path, FAST_SIM)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -197,12 +197,12 @@ def test_liouvillian_reproduces_rhs():
 
 
 def test_evolve_pure_matches_density_path():
-    from omstirap.model import DriveSchedule, HamiltonianSpec, SystemParams, hamiltonian_builder
+    from omstirap.model import DriveSchedule, HamiltonianSpec, SystemParams, hamiltonian_generator
 
     p = SystemParams.from_ordinary()
     s = DriveSchedule("stirap", 2000.0, 0.42e-3, 0.6e-3, 0.6e-3)
     sp = HilbertSpace((2, 3, 3))
-    h = hamiltonian_builder(HamiltonianSpec(p, s, sp, "rwa"))
+    h = hamiltonian_generator(HamiltonianSpec(p, s, sp, "rwa"))
     psi0 = fock_state(sp, 0, 1, 0)
     cfg = IntegratorConfig(sample_times=np.linspace(-2e-3, 2e-3, 9), max_step=0.6e-3 / 50)
     tp = evolve_pure(h, psi0, sp, cfg)
@@ -243,3 +243,128 @@ def test_thermal_collapse_terms_layout():
     nb1 = bose_occupancy(p.omega1, 0.05)
     assert np.isclose(rates[1], p.gamma1 * (nb1 + 1))
     assert np.isclose(rates[2], p.gamma1 * nb1)
+
+
+# ------------------------------------------------- sparse generator vs dense
+
+def _equivalence_spec(picture):
+    from omstirap.model import DriveSchedule, HamiltonianSpec, SystemParams
+
+    # detuned pumps, drive phases and a two-schedule train, so every
+    # coefficient carries a nontrivial phase and a summed amplitude
+    p = SystemParams.from_ordinary(temperature_k=0.01, omega2_hz=1.203e6,
+                                   delta1_hz=1.2e6 + 3e3)
+    fwd = DriveSchedule("fractional", 2000.0, 0.42e-3, 0.6e-3, 0.5e-3,
+                        theta=math.pi / 3, phase1=0.3, phase2=-0.7)
+    rev = DriveSchedule("reversed_fractional", 1500.0, 0.42e-3, 0.6e-3, 0.6e-3,
+                        theta=math.pi / 3, phase2=1.1, t0=1.2e-3)
+    return HamiltonianSpec(p, (fwd, rev), HilbertSpace((2, 3, 3)), picture)
+
+
+def _parent_dense_hamiltonian(spec, t):
+    """The dense H(t) formula of the model docstring, term by term."""
+    from omstirap.model import envelope
+
+    sp, p = spec.space, spec.params
+    a = destroy(sp, 0).matrix
+    b = [destroy(sp, 1).matrix, destroy(sp, 2).matrix]
+    adag = a.conj().T
+    z = [0j, 0j]
+    for s in spec.schedule:
+        z[0] += envelope(s, 1, t) * np.exp(1j * s.phase1)
+        z[1] += envelope(s, 2, t) * np.exp(1j * s.phase2)
+    g, deltas, omegas = (p.g1, p.g2), (p.delta1, p.delta2), (p.omega1, p.omega2)
+    m = np.zeros_like(a)
+    for j in range(2):
+        if spec.picture == "rwa":
+            cj = g[j] * z[j] * np.exp(1j * (deltas[j] - omegas[j]) * t)
+        else:
+            cj = sum(g[j] * z[i] * np.exp(1j * (deltas[i] - omegas[j]) * t) for i in range(2))
+        m = m + cj * (adag @ b[j])
+        if spec.picture == "full":
+            dj = sum(g[j] * z[i] * np.exp(1j * (deltas[i] + omegas[j]) * t) for i in range(2))
+            m = m + dj * (adag @ b[j].conj().T)
+    return m + m.conj().T
+
+
+def _dense_lindblad_rhs(h, collapse, rho):
+    out = -1j * (h @ rho - rho @ h)
+    for c, rate in collapse:
+        cd_c = c.conj().T @ c
+        out += rate * (c @ rho @ c.conj().T - 0.5 * (cd_c @ rho + rho @ cd_c))
+    return out
+
+
+EQUIVALENCE_TIMES = (-0.9e-3, -0.2e-3, 0.0, 0.35e-3, 1.1e-3, 1.7e-3)
+
+
+@pytest.mark.parametrize("picture", ["rwa", "bs", "full"])
+def test_generator_densifies_to_dense_formula(picture):
+    from omstirap.model import hamiltonian_generator
+
+    spec = _equivalence_spec(picture)
+    gen = hamiltonian_generator(spec)
+    assert len(gen.ops) == (4 if picture == "full" else 2)
+    for t in EQUIVALENCE_TIMES:
+        ref = _parent_dense_hamiltonian(spec, t)
+        assert np.max(np.abs(ref)) > 0.0
+        np.testing.assert_allclose(gen.dense(t), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("picture", ["rwa", "bs", "full"])
+def test_sparse_rhs_matches_liouvillian_and_dense_formula(picture):
+    from omstirap.model import hamiltonian_generator
+
+    spec = _equivalence_spec(picture)
+    sp = spec.space
+    collapse = thermal_collapse_terms(sp, spec.params)
+    model = LindbladModel(sp, hamiltonian_generator(spec), collapse)
+    d = sp.total_dim
+    for seed, t in enumerate(EQUIVALENCE_TIMES):
+        rho = _random_density(sp, seed).matrix
+        sparse_rhs = lindblad_rhs(model, t, rho)
+        scale = np.max(np.abs(sparse_rhs))
+        via_liou = (liouvillian_matrix(model, t) @ rho.reshape(-1)).reshape(d, d)
+        np.testing.assert_allclose(sparse_rhs, via_liou, rtol=0, atol=1e-12 * scale)
+        dense = _dense_lindblad_rhs(_parent_dense_hamiltonian(spec, t), collapse, rho)
+        np.testing.assert_allclose(sparse_rhs, dense, rtol=0, atol=1e-12 * scale)
+
+
+def test_constant_dense_inputs_run_through_generator():
+    from omstirap.hilbert import Generator
+
+    rng = np.random.default_rng(8)
+    d = SPACE.total_dim
+    h = _random_hermitian(d, rng)
+    cs = tuple(
+        (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 0.4) for _ in range(2)
+    )
+    model = LindbladModel(SPACE, h, cs)
+    assert isinstance(model.hamiltonian, Generator)
+    assert model.hamiltonian.ops == ()
+    np.testing.assert_array_equal(model.hamiltonian.dense(0.3), h)
+    rho = _random_density(SPACE, 3).matrix
+    direct = lindblad_rhs(model, 0.3, rho)
+    dense = _dense_lindblad_rhs(h, cs, rho)
+    np.testing.assert_allclose(direct, dense, rtol=0, atol=1e-12 * np.max(np.abs(dense)))
+    via_liou = (liouvillian_matrix(model, 0.3) @ rho.reshape(-1)).reshape(d, d)
+    np.testing.assert_allclose(direct, via_liou, rtol=0, atol=1e-12 * np.max(np.abs(dense)))
+    # the pure-state path takes the same constant matrix
+    psi0 = fock_state(SPACE, 0, 1, 0)
+    cfg = IntegratorConfig(sample_times=np.linspace(0.0, 0.5, 3))
+    tp = evolve_pure(h, psi0, SPACE, cfg)
+    td = evolve(LindbladModel(SPACE, h, ()), psi0.density_matrix(), cfg)
+    for a, b in zip(tp.states, td.states):
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7
+
+
+def test_integrator_stats_count_the_work():
+    a = destroy(SPACE, 0).matrix
+    model = LindbladModel(SPACE, None, ((a, KAPPA),))
+    rho0 = fock_state(SPACE, 1, 0, 0).density_matrix()
+    ts = np.linspace(0.0, 3.0 / KAPPA, 4)
+    stats = evolve(model, rho0, IntegratorConfig(sample_times=ts, max_step=0.2 / KAPPA)).stats
+    assert stats.accepted >= 15  # the step cap alone forces 15 steps
+    # two evaluations choose the first step, six more per attempted step
+    assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
+    assert 0.0 < stats.h_min <= stats.h_max <= 0.2 / KAPPA * (1 + 1e-12)

@@ -96,8 +96,22 @@ def test_failed_cells_recorded_not_fatal():
     res = run_sweep(scen, axes, metrics=("final_n2",), worker_count=1)
     assert len(res.failures) == 1
     assert res.failures[0][0] == (0,)
+    assert res.failures[0][1] == "InvalidArgumentError"
+    assert "pulse widths" in res.failures[0][2]
     assert math.isnan(res.fields["final_n2"][0])
     assert not math.isnan(res.fields["final_n2"][1])
+
+
+def test_programming_error_in_cell_propagates(monkeypatch):
+    import omstirap.sweep as sweep
+
+    def broken(scenario):
+        raise TypeError("bug in a cell")
+
+    monkeypatch.setattr(sweep, "run_scenario", broken)
+    axes = [SweepAxis("alpha0", (1500.0, 2000.0))]
+    with pytest.raises(TypeError, match="bug in a cell"):
+        run_sweep(_fast_scenario(), axes, metrics=("final_n2",), worker_count=1)
 
 
 def test_omega_swap_symmetry():
