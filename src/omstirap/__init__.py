@@ -44,7 +44,6 @@ from .dynamics import (
     thermal_collapse_terms,
 )
 from .analysis import (
-    BipartiteSplit,
     fidelity,
     negativity,
     partial_trace,

@@ -93,7 +93,7 @@ def adiabaticity_bounds(
     sigma: float,
     tau: float,
     omega0: float,
-    n_o: float,
+    n_o: float = 5.0,
     exact_pulse_width: bool = False,
 ) -> AdiabaticityReport:
     """Timing window on 2 tau / sigma for adiabatic fractional transfer.

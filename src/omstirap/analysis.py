@@ -6,7 +6,6 @@ Mode indices follow the global convention cavity = 0, mech1 = 1, mech2 = 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -18,31 +17,13 @@ from .model import SystemParams, collective_operators
 MODE_NAMES = {"cavity": 0, "mech1": 1, "mech2": 2}
 
 
-@dataclass(frozen=True)
-class BipartiteSplit:
-    """Partition of the mode set into kept and traced modes."""
-
-    kept_modes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.kept_modes) == 0:
-            raise InvalidArgumentError("kept mode set must be non-empty")
-        object.__setattr__(self, "kept_modes", tuple(sorted(set(self.kept_modes))))
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept modes.
 
-    ``keep`` is a :class:`BipartiteSplit`, a sequence of mode indices, or a
-    sequence of mode names from ``cavity``/``mech1``/``mech2``.
+    ``keep`` is a sequence of mode indices or of mode names from
+    ``cavity``/``mech1``/``mech2``.
     """
-    if isinstance(keep, BipartiteSplit):
-        kept = keep.kept_modes
-    else:
-        kept = tuple(
-            MODE_NAMES[k] if isinstance(k, str) else int(k) for k in keep
-        )
-        kept = tuple(sorted(set(kept)))
+    kept = tuple(sorted({MODE_NAMES[k] if isinstance(k, str) else int(k) for k in keep}))
     if len(kept) == 0:
         raise InvalidArgumentError("kept mode set must be non-empty")
     space = rho.space

@@ -1,28 +1,35 @@
 """Command-line entry point: config parsing, dispatch, data emission.
 
 Commands: ``simulate``, ``sweep``, ``adiabaticity``, ``verify``, ``plan``.
-Config files are JSON in ordinary units (``*_hz`` frequencies as f = w/2pi,
-``*_s`` seconds, ``*_k`` kelvin, ``*_rad`` angles); the conversion to
-angular rates happens once, here.  Unknown keys are rejected.  Exit codes:
-0 success, 2 configuration error, 3 integration failure.
+Config files are JSON.  The ``system``, ``schedule``, ``initial``, ``plan``,
+``adiabaticity`` and ``verify`` blocks take the parameters of the constructor
+they feed as keys, with its defaults and annotated scalar types.  A key names
+a parameter exactly or after one unit suffix: ``_hz`` (f = w/2pi) is
+multiplied by 2pi; ``_rads``, ``_rad``, ``_s`` and ``_k`` pass through.
+Sweep axes on ``delta`` or on a ``params.`` field that the system block sets
+in ``_hz`` are in Hz too.  Unknown and repeated keys are rejected.  Exit
+codes: 0 success, 2 configuration or domain error, 3 integration failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import inspect
 import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .adiabatic import adiabaticity_bounds
-from .errors import ConfigError, IntegrationDivergedError, StiffnessError
-from .hilbert import HilbertSpace, StateVector, coherent_state, fock_state
+from .errors import ConfigError, IntegrationDivergedError, OmstirapError, StiffnessError
+from .hilbert import DensityMatrix, HilbertSpace, StateVector, coherent_state, fock_state
 from .model import TWO_PI, DriveSchedule, SystemParams
 from .presets import preset_config, preset_names
 from .protocols import (
@@ -36,44 +43,21 @@ from .protocols import (
     run_scenario,
     visibility_model,
 )
-from .sweep import SweepAxis, extract_contours, run_sweep
+from .sweep import SweepAxis, extract_contours, resolve_path, run_sweep
 
-_SYSTEM_KEYS = {
-    "omega1_hz", "omega2_hz", "kappa_hz", "g1_hz", "g2_hz", "q1", "q2",
-    "temperature_k", "delta1_hz", "delta2_hz", "omega_c_hz",
-}
-_SCHEDULE_KEYS = {
-    "kind", "alpha0", "tau_s", "sigma1_s", "sigma2_s", "theta_rad",
-    "phase1_rad", "phase2_rad", "t0_s",
-}
-_INITIAL_KEYS = {
-    "kind", "n", "alpha", "nbar", "weights", "signal_rate_hz", "dcr_hz", "mode2",
-}
 _TARGET_KEYS = {"kind", "weights", "n", "alpha", "theta_rad"}
 _INTEGRATOR_KEYS = {"rel_tol", "abs_tol", "max_step_s"}
 _AXIS_KEYS = {"path", "start", "stop", "count", "values", "scale", "tau_sigma_ratio"}
 _SWEEP_KEYS = {"axes", "metrics", "workers", "auto_picture", "contour_levels",
                "contour_field"}
-_VERIFY_KEYS = {"phi1_rad", "phi2_count", "phi2_span_rad", "phi2_values", "wait_s",
-                "workers", "include_forward"}
-_PLAN_KEYS = {
-    "g_hz", "kappa_hz", "delta_hz", "omega_m_hz", "gamma_m_rads", "gamma_m_hz",
-    "n_th", "cool_duration_s", "blue_duration_s", "readout_duration_s",
-    "readout_g_hz", "eta_d", "eta_r", "dcr_hz", "stokes_probability", "rho00",
-    "wait_s",
-}
-_ADIABATICITY_KEYS = {"theta_rad", "sigma_s", "tau_s", "alpha0", "g_hz",
-                      "omega0_rads", "n_o", "exact_pulse_width"}
-_TOP_KEYS = {
-    "system", "schedule", "schedules", "dims", "initial", "horizon",
-    "sample_count", "eval_time_s", "picture", "lossless", "integrator",
-    "target", "metrics", "sweep", "verify", "plan", "adiabaticity",
-}
+_TOP_KEYS = {"system", "schedule", "schedules", "dims", "initial", "horizon",
+             "sample_count", "eval_time_s", "picture", "lossless", "integrator",
+             "target", "metrics", "sweep", "verify", "plan", "adiabaticity"}
 
-#: axis paths whose config values are ordinary frequencies
-_HZ_PATHS = {"kappa", "delta", "omega1", "omega2", "params.kappa",
-             "params.omega1", "params.omega2", "params.delta1", "params.delta2",
-             "params.g1", "params.g2"}
+#: unit suffix of a config key -> factor from the config unit to the parameter's
+_UNITS = {"_hz": TWO_PI, "_rads": 1.0, "_rad": 1.0, "_s": 1.0, "_k": 1.0}
+_SCALARS = {t.__name__: t for t in (float, int, complex, bool, str)}
+_ORDINARY = inspect.signature(SystemParams.from_ordinary).parameters
 
 
 def _check_keys(block: dict, allowed: set, where: str):
@@ -82,6 +66,59 @@ def _check_keys(block: dict, allowed: set, where: str):
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
         )
+
+
+@contextmanager
+def _invalid(where: str):
+    """Report a malformed value inside ``where`` as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc} in {where}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+@functools.cache
+def _schema(fn) -> tuple:
+    """Per parameter of ``fn``: (scalar type or None, optional); per key: (parameter, factor)."""
+    types = {}
+    for name, param in inspect.signature(fn).parameters.items():
+        ann = param.annotation
+        ann = ann if isinstance(ann, str) else getattr(ann, "__name__", "")
+        types[name] = (_SCALARS.get(ann.removesuffix(" | None")), ann.endswith(" | None"))
+    keys = {name + unit: (name, factor) for name in types for unit, factor in _UNITS.items()}
+    keys.update((name, (name, 1.0)) for name in types)
+    return types, keys
+
+
+def _build(fn, block: dict, where: str, **fixed):
+    """Call ``fn`` with ``block`` read by the module's key rule, plus ``fixed``.
+
+    The parameters in ``fixed`` are set by the caller and are not keys.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    types, keys = _schema(fn)
+    kwargs, seen = {}, {}
+    with _invalid(where):
+        for key, value in block.items():
+            name, factor = keys.get(key, (None, None))
+            if name is None or name in fixed:
+                raise ConfigError(f"unknown key {key!r} in {where}; keys are "
+                                  f"{sorted(set(types) - set(fixed))}, each with an "
+                                  f"optional unit suffix {list(_UNITS)}")
+            if name in seen:
+                raise ConfigError(f"repeated key {key!r} in {where}: "
+                                  f"{seen[name]!r} already sets {name}")
+            seen[name] = key
+            scalar, optional = types[name]
+            if scalar is not None and not (optional and value is None):
+                value = scalar(value)
+            kwargs[name] = value if factor == 1.0 else factor * value
+        return fn(**kwargs, **fixed)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -116,95 +153,59 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
     return cfg
 
 
-def build_system(block: dict) -> SystemParams:
-    _check_keys(block, _SYSTEM_KEYS, "system")
-    try:
-        return SystemParams.from_ordinary(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid system block: {exc}") from exc
-
-
-def build_schedule(block: dict) -> DriveSchedule:
-    _check_keys(block, _SCHEDULE_KEYS, "schedule")
-    try:
-        return DriveSchedule(
-            kind=block.get("kind", "stirap"),
-            alpha0=float(block.get("alpha0", 2000.0)),
-            tau=float(block["tau_s"]),
-            sigma1=float(block["sigma1_s"]),
-            sigma2=float(block["sigma2_s"]),
-            theta=float(block.get("theta_rad", math.pi / 2)),
-            phase1=float(block.get("phase1_rad", 0.0)),
-            phase2=float(block.get("phase2_rad", 0.0)),
-            t0=float(block.get("t0_s", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid schedule block: {exc}") from exc
-
-
-def build_initial(block: dict) -> InitialStateSpec:
-    _check_keys(block, _INITIAL_KEYS, "initial")
-    mode2 = block.get("mode2")
-    try:
-        return InitialStateSpec(
-            kind=block.get("kind", "fock"),
-            n=int(block.get("n", 0)),
-            alpha=complex(block.get("alpha", 0.0)),
-            nbar=float(block.get("nbar", 0.0)),
-            weights=block.get("weights"),
-            signal_rate=float(block.get("signal_rate_hz", 0.0)),
-            dcr=float(block.get("dcr_hz", 0.0)),
-            mode2=build_initial(mode2) if mode2 else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid initial block: {exc}") from exc
+def build_initial(block: dict, where: str = "initial") -> InitialStateSpec:
+    rest = dict(block)
+    mode2 = rest.pop("mode2", None)
+    return _build(InitialStateSpec, {"kind": "fock", **rest}, where,
+                  mode2=build_initial(mode2, f"{where}.mode2") if mode2 else None)
 
 
 def build_target(block: dict, dims) -> TargetSpec:
     _check_keys(block, _TARGET_KEYS, "target")
-    kind = block.get("kind")
-    d1, d2 = dims[1], dims[2]
-    pair = HilbertSpace((d1, d2))
-    if kind == "psi_minus":
-        amps = np.zeros(pair.total_dim, dtype=complex)
-        amps[pair.index((1, 0))] = 1 / math.sqrt(2)
-        amps[pair.index((0, 1))] = -1 / math.sqrt(2)
-        return TargetSpec("mech12", StateVector(pair, amps))
-    if kind == "superposition_minus_mode2":
-        amps = np.zeros(pair.total_dim, dtype=complex)
-        amps[pair.index((0, 0))] = 1 / math.sqrt(2)
-        amps[pair.index((0, 1))] = -1 / math.sqrt(2)
-        return TargetSpec("mech12", StateVector(pair, amps))
-    if kind == "weights_mode2":
-        w = np.zeros(d2)
-        for i, v in enumerate(block["weights"]):
-            w[i] = v
-        from .hilbert import DensityMatrix
-
-        state = DensityMatrix(HilbertSpace((d2,)), np.diag((w / w.sum()).astype(complex)))
-        return TargetSpec("mech2", state)
-    if kind == "fock_mode1":
-        return TargetSpec("mech12", fock_state(pair, int(block.get("n", 1)), 0))
-    if kind == "fock_mode2":
-        return TargetSpec("mech12", fock_state(pair, 0, int(block.get("n", 1))))
-    if kind == "product_coherent":
-        alpha = complex(block.get("alpha", 1.0))
-        theta = float(block.get("theta_rad", math.pi / 4))
-        c1 = coherent_state(d1, alpha * math.cos(theta)).amplitudes
-        c2 = coherent_state(d2, -alpha * math.sin(theta)).amplitudes
-        return TargetSpec("mech12", StateVector(pair, np.kron(c1, c2)))
-    raise ConfigError(f"unknown target kind {kind!r}")
+    with _invalid("target"):
+        kind = block.get("kind")
+        d1, d2 = dims[1], dims[2]
+        pair = HilbertSpace((d1, d2))
+        if kind == "psi_minus":
+            amps = np.zeros(pair.total_dim, dtype=complex)
+            amps[pair.index((1, 0))] = 1 / math.sqrt(2)
+            amps[pair.index((0, 1))] = -1 / math.sqrt(2)
+            return TargetSpec("mech12", StateVector(pair, amps))
+        if kind == "superposition_minus_mode2":
+            amps = np.zeros(pair.total_dim, dtype=complex)
+            amps[pair.index((0, 0))] = 1 / math.sqrt(2)
+            amps[pair.index((0, 1))] = -1 / math.sqrt(2)
+            return TargetSpec("mech12", StateVector(pair, amps))
+        if kind == "weights_mode2":
+            w = np.zeros(d2)
+            for i, v in enumerate(block["weights"]):
+                w[i] = v
+            state = DensityMatrix(HilbertSpace((d2,)), np.diag((w / w.sum()).astype(complex)))
+            return TargetSpec("mech2", state)
+        if kind == "fock_mode1":
+            return TargetSpec("mech12", fock_state(pair, int(block.get("n", 1)), 0))
+        if kind == "fock_mode2":
+            return TargetSpec("mech12", fock_state(pair, 0, int(block.get("n", 1))))
+        if kind == "product_coherent":
+            alpha = complex(block.get("alpha", 1.0))
+            theta = float(block.get("theta_rad", math.pi / 4))
+            c1 = coherent_state(d1, alpha * math.cos(theta)).amplitudes
+            c2 = coherent_state(d2, -alpha * math.sin(theta)).amplitudes
+            return TargetSpec("mech12", StateVector(pair, np.kron(c1, c2)))
+        raise ConfigError(f"unknown target kind {kind!r}")
 
 
 def build_scenario(cfg: dict, picture_override: str | None = None) -> Scenario:
-    params = build_system(cfg.get("system", {}))
+    params = _build(SystemParams.from_ordinary, cfg.get("system", {}), "system")
     if "schedules" in cfg and "schedule" in cfg:
         raise ConfigError("give either 'schedule' or 'schedules', not both")
-    if "schedules" in cfg:
-        schedule = tuple(build_schedule(b) for b in cfg["schedules"])
-    else:
-        schedule = build_schedule(cfg.get("schedule", {}))
-    dims = tuple(int(d) for d in cfg.get("dims", [2, 5, 5]))
+    blocks = cfg["schedules"] if "schedules" in cfg else [cfg.get("schedule", {})]
+    schedules = tuple(
+        _build(DriveSchedule, {"kind": "stirap", "alpha0": 2000.0, **b}, "schedule")
+        for b in blocks
+    )
+    with _invalid("dims"):
+        dims = tuple(int(d) for d in cfg.get("dims", [2, 5, 5]))
     if len(dims) != 3:
         raise ConfigError("dims must list exactly three mode dimensions")
     horizon_block = cfg.get("horizon", {"start_s": -2e-3, "end_s": 2e-3})
@@ -215,11 +216,12 @@ def build_scenario(cfg: dict, picture_override: str | None = None) -> Scenario:
     target = build_target(cfg["target"], dims) if "target" in cfg else None
     if target is None:
         metrics = tuple(m for m in metrics if m != "fidelity")
-    try:
+    initial = build_initial(cfg.get("initial", {"kind": "fock", "n": 1}))
+    with _invalid("scenario"):
         return Scenario(
             params=params,
-            schedule=schedule,
-            initial=build_initial(cfg.get("initial", {"kind": "fock", "n": 1})),
+            schedule=schedules if "schedules" in cfg else schedules[0],
+            initial=initial,
             dims=dims,
             horizon=(float(horizon_block["start_s"]), float(horizon_block["end_s"])),
             sample_count=int(cfg.get("sample_count", 81)),
@@ -232,34 +234,39 @@ def build_scenario(cfg: dict, picture_override: str | None = None) -> Scenario:
             abs_tol=float(integ.get("abs_tol", 1e-10)),
             max_step=integ.get("max_step_s"),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
+
+
+def _axis_unit(path: str) -> float:
+    """Config-to-internal factor of a sweep axis: frequencies are quoted in Hz."""
+    kind, name = resolve_path(path)
+    if kind == "delta" or kind == "params" and f"{name}_hz" in _ORDINARY:
+        return _UNITS["_hz"]
+    return 1.0
 
 
 def _axis_from_config(block: dict) -> SweepAxis:
     _check_keys(block, _AXIS_KEYS, "sweep axis")
-    path = block["path"]
-    if "values" in block:
-        values = [float(v) for v in block["values"]]
-    else:
-        start, stop, count = float(block["start"]), float(block["stop"]), int(block["count"])
-        if block.get("scale") == "log":
-            values = list(np.geomspace(start, stop, count))
+    with _invalid("sweep axis"):
+        path = block["path"]
+        if "values" in block:
+            values = [float(v) for v in block["values"]]
         else:
-            values = list(np.linspace(start, stop, count))
-    if path in _HZ_PATHS:
-        values = [TWO_PI * v for v in values]
-    return SweepAxis(
-        path=path,
-        values=tuple(values),
-        scale=block.get("scale", "linear"),
-        tau_sigma_ratio=block.get("tau_sigma_ratio"),
-    )
+            start, stop, count = float(block["start"]), float(block["stop"]), int(block["count"])
+            if block.get("scale") == "log":
+                values = list(np.geomspace(start, stop, count))
+            else:
+                values = list(np.linspace(start, stop, count))
+        unit = _axis_unit(path)
+        return SweepAxis(
+            path=path,
+            values=tuple(unit * v for v in values),
+            scale=block.get("scale", "linear"),
+            tau_sigma_ratio=block.get("tau_sigma_ratio"),
+        )
 
 
 def _axis_output_values(axis: SweepAxis) -> np.ndarray:
-    vals = np.asarray(axis.values, dtype=float)
-    return vals / TWO_PI if axis.path in _HZ_PATHS else vals
+    return np.asarray(axis.values, dtype=float) / _axis_unit(axis.path)
 
 
 def _json_dump(path: Path, payload: dict):
@@ -364,24 +371,13 @@ def cmd_adiabaticity(args) -> int:
     block = cfg.get("adiabaticity")
     if not block:
         raise ConfigError("adiabaticity command needs an 'adiabaticity' block")
-    _check_keys(block, _ADIABATICITY_KEYS, "adiabaticity")
-    try:
-        if "omega0_rads" in block:
-            omega0 = float(block["omega0_rads"])
-        else:
-            omega0 = 2.0 * TWO_PI * float(block.get("g_hz", 2.5)) * float(
-                block.get("alpha0", 2000.0)
-            )
-        report = adiabaticity_bounds(
-            theta=float(block["theta_rad"]),
-            sigma=float(block["sigma_s"]),
-            tau=float(block["tau_s"]),
-            omega0=omega0,
-            n_o=float(block.get("n_o", 5.0)),
-            exact_pulse_width=bool(block.get("exact_pulse_width", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid adiabaticity block: {exc}") from exc
+    block = dict(block)
+    g_hz, alpha0 = block.pop("g_hz", 2.5), block.pop("alpha0", 2000.0)
+    fixed = {}
+    if "omega0_rads" not in block:
+        with _invalid("adiabaticity"):  # peak Rabi rate Omega_0 = 2 g alpha0
+            fixed["omega0"] = 2.0 * TWO_PI * float(g_hz) * float(alpha0)
+    report = _build(adiabaticity_bounds, block, "adiabaticity", **fixed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = _provenance(cfg, args)
@@ -404,25 +400,20 @@ def cmd_verify(args) -> int:
     block = cfg.get("verify")
     if not block:
         raise ConfigError("verify command needs a 'verify' block")
-    _check_keys(block, _VERIFY_KEYS, "verify")
     base = build_scenario(cfg, picture_override=args.picture)
-    phi1 = float(block.get("phi1_rad", 0.0))
-    if "phi2_values" in block:
-        phi2 = np.asarray([float(v) for v in block["phi2_values"]])
-    else:
-        span = float(block.get("phi2_span_rad", 4 * math.pi))
-        count = int(block.get("phi2_count", 17))
-        phi2 = np.linspace(-span / 2, span / 2, count)
-    workers = args.workers or int(block.get("workers", 1))
+    block = dict(block)
+    grid = {k: block.pop(k) for k in ("phi2_values", "phi2_span_rad", "phi2_count")
+            if k in block}
+    with _invalid("verify"):
+        if "phi2_values" in grid:
+            phi2 = np.asarray([float(v) for v in grid["phi2_values"]])
+        else:
+            span = float(grid.get("phi2_span_rad", 4 * math.pi))
+            phi2 = np.linspace(-span / 2, span / 2, int(grid.get("phi2_count", 17)))
+    if args.workers:
+        block["workers"] = args.workers
     t0 = time.perf_counter()
-    fringe = run_interferometry(
-        base,
-        phi2,
-        phi1=phi1,
-        wait=float(block.get("wait_s", 4e-3)),
-        workers=workers,
-        include_forward=bool(block.get("include_forward", True)),
-    )
+    fringe = _build(run_interferometry, block, "verify", base=base, phi2_grid=phi2)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "fringe.csv", "w", newline="", encoding="utf-8") as fh:
@@ -446,30 +437,9 @@ def cmd_plan(args) -> int:
     block = cfg.get("plan")
     if not block:
         raise ConfigError("plan command needs a 'plan' block")
-    _check_keys(block, _PLAN_KEYS, "plan")
-    if "gamma_m_rads" in block and "gamma_m_hz" in block:
-        raise ConfigError("give gamma_m_rads or gamma_m_hz, not both")
-    gamma_m = float(block.get("gamma_m_rads", TWO_PI * block.get("gamma_m_hz", 0.0)))
-    try:
-        inputs = PlannerInputs(
-            g=TWO_PI * float(block["g_hz"]),
-            kappa=TWO_PI * float(block["kappa_hz"]),
-            delta=TWO_PI * float(block["delta_hz"]),
-            omega_m=TWO_PI * float(block["omega_m_hz"]),
-            gamma_m=gamma_m,
-            n_th=float(block["n_th"]),
-            cool_duration=float(block.get("cool_duration_s", 5e-3)),
-            blue_duration=float(block.get("blue_duration_s", 1e-4)),
-            readout_duration=float(block.get("readout_duration_s", 5e-4)),
-            readout_g=TWO_PI * float(block.get("readout_g_hz", 0.0)),
-            eta_d=float(block.get("eta_d", 1.0)),
-            eta_r=float(block.get("eta_r", 1.0)),
-            dcr=float(block.get("dcr_hz", 0.0)),
-            stokes_probability=float(block.get("stokes_probability", 0.1)),
-            rho00=float(block.get("rho00", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid plan block: {exc}") from exc
+    block = dict(block)
+    wait = {"wait_s": block.pop("wait_s", 0.0)}
+    inputs = _build(PlannerInputs, block, "plan")
     gamma_opt, nbar_min, nbar_f = cooling_steady_state(inputs)
     t_herald, p_final, t_readout, readout_success = detection_budget(inputs)
     out = Path(args.out)
@@ -483,7 +453,7 @@ def cmd_plan(args) -> int:
         "p_final": p_final,
         "t_readout_s": t_readout,
         "readout_success": readout_success,
-        "visibility": visibility_model(inputs, float(block.get("wait_s", 0.0))),
+        "visibility": _build(visibility_model, wait, "plan", inputs=inputs),
     }
     _json_dump(out / "plan.json", payload)
     return 0
@@ -515,12 +485,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (StiffnessError, IntegrationDivergedError) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 3
+    except OmstirapError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

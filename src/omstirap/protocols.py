@@ -64,7 +64,9 @@ class InitialStateSpec:
     mode; the cavity always starts in vacuum.  ``explicit`` takes either
     diagonal ``weights`` or a full single-mode ``matrix``; ``heralded``
     builds the dark-count-weighted mixture of a blue-pumped thermal state
-    and its click-projected counterpart.
+    and its click-projected counterpart.  ``signal_rate`` and ``dcr`` are the
+    herald and dark-count rates as angular rates (rad/s); only their ratio
+    enters the mixture.
     """
 
     kind: str
@@ -418,6 +420,36 @@ def _fringe_scenario(
     )
 
 
+def _limit_blas_threads():
+    """Pin a worker's BLAS pool to one thread.
+
+    Each job multiplies matrices far too small for intra-op threading;
+    letting each worker spin a full BLAS pool multiplies CPU time without
+    reducing wall time.
+    """
+    try:
+        import threadpoolctl
+
+        threadpoolctl.threadpool_limits(1)
+    except ImportError:
+        pass
+
+
+def parallel_map(fn, jobs: list, workers: int | None) -> list:
+    """``[fn(job) for job in jobs]``, in order, on up to ``workers`` processes.
+
+    The worker count is capped at the CPU count; one worker runs in this
+    process.  Results are returned in job order whatever the scheduling, so
+    they do not depend on the worker count.
+    """
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    chunk = max(1, len(jobs) // (8 * workers))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_limit_blas_threads) as pool:
+        return list(pool.map(fn, jobs, chunksize=chunk))
+
+
 def _fringe_point(args) -> float:
     base, phi1, phi2, wait, include_forward = args
     scen = _fringe_scenario(base, phi1, phi2, wait, include_forward)
@@ -453,16 +485,7 @@ def run_interferometry(
     if phi2s.size < 3:
         raise InvalidArgumentError("need at least 3 phase points to fit a fringe")
     jobs = [(base, phi1, float(p2), wait, include_forward) for p2 in phi2s]
-    workers = min(workers or 1, os.cpu_count() or 1)
-    if workers > 1:
-        from .sweep import _limit_blas_threads
-
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_limit_blas_threads
-        ) as pool:
-            p1 = np.array(list(pool.map(_fringe_point, jobs)))
-    else:
-        p1 = np.array([_fringe_point(j) for j in jobs])
+    p1 = np.array(parallel_map(_fringe_point, jobs, workers))
     design = np.column_stack([np.ones_like(phi2s), np.cos(phi2s), np.sin(phi2s)])
     c0, cc, cs = np.linalg.lstsq(design, p1, rcond=None)[0]
     amplitude = float(c0)
@@ -486,8 +509,8 @@ class PlannerInputs:
     kappa: float
     delta: float
     omega_m: float
-    gamma_m: float
     n_th: float
+    gamma_m: float = 0.0
     cool_duration: float = 5e-3
     blue_duration: float = 1e-4
     readout_duration: float = 5e-4

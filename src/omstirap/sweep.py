@@ -10,8 +10,6 @@ any other exception is a bug and aborts the sweep.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, OmstirapError
 from .model import DriveSchedule, SystemParams, TWO_PI
-from .protocols import Scenario, run_scenario
+from .protocols import Scenario, parallel_map, run_scenario
 from .adiabatic import resonance_check
 
 #: frequency-difference band (rad/s) below which the co-rotating cross
@@ -93,47 +91,44 @@ def _retuned(params: SystemParams, **updates) -> SystemParams:
     return replace(new, **relock) if relock else new
 
 
+_PATH_BLOCKS = {"params": SystemParams, "schedule": DriveSchedule}
+
+
+def resolve_path(path: str) -> tuple[str, str | None]:
+    """An axis path as (``'sigma'``/``'delta'``, None) or (``'params'``/``'schedule'``, field).
+
+    Shorthands are expanded; a path that names nothing sweepable is a
+    ConfigError.
+    """
+    resolved = _SHORTHAND.get(path, path)
+    if resolved in ("sigma", "delta"):
+        return resolved, None
+    block, _, name = resolved.partition(".")
+    if block in _PATH_BLOCKS and name in _PATH_BLOCKS[block].__dataclass_fields__:
+        return block, name
+    raise ConfigError(f"unknown parameter path {path!r}")
+
+
 def apply_axis_value(scenario: Scenario, axis: SweepAxis, value: float) -> Scenario:
     """Bind one axis value onto a scenario, applying linked-parameter rules."""
-    path = _SHORTHAND.get(axis.path, axis.path)
-    if path == "sigma":
+    kind, name = resolve_path(axis.path)
+    if kind == "sigma":
         updates = {"sigma1": value, "sigma2": value}
         if axis.tau_sigma_ratio is not None:
             updates["tau"] = value / axis.tau_sigma_ratio
         return replace(scenario, schedule=_update_schedules(scenario, updates))
-    if path == "delta":
+    if kind == "delta":
         params = _retuned(scenario.params, omega2=scenario.params.omega1 + value)
         return replace(scenario, params=params)
-    if path.startswith("params."):
-        name = path.split(".", 1)[1]
-        if name not in SystemParams.__dataclass_fields__:
-            raise ConfigError(f"unknown parameter path {axis.path!r}")
+    if kind == "params":
         return replace(scenario, params=_retuned(scenario.params, **{name: value}))
-    if path.startswith("schedule."):
-        name = path.split(".", 1)[1]
-        if name not in DriveSchedule.__dataclass_fields__:
-            raise ConfigError(f"unknown parameter path {axis.path!r}")
-        return replace(scenario, schedule=_update_schedules(scenario, {name: value}))
-    raise ConfigError(f"unknown parameter path {axis.path!r}")
+    return replace(scenario, schedule=_update_schedules(scenario, {name: value}))
 
 
 def _update_schedules(scenario: Scenario, updates: dict):
     scheds = scenario.schedules()
     new = tuple(replace(s, **updates) for s in scheds)
     return new[0] if len(new) == 1 else new
-
-
-def _validate_path(path: str) -> None:
-    resolved = _SHORTHAND.get(path, path)
-    if resolved in ("sigma", "delta"):
-        return
-    if resolved.startswith("params."):
-        if resolved.split(".", 1)[1] in SystemParams.__dataclass_fields__:
-            return
-    if resolved.startswith("schedule."):
-        if resolved.split(".", 1)[1] in DriveSchedule.__dataclass_fields__:
-            return
-    raise ConfigError(f"unknown parameter path {path!r}")
 
 
 def pick_picture(scenario: Scenario) -> str:
@@ -152,21 +147,6 @@ def pick_picture(scenario: Scenario) -> str:
     if abs(p.omega1 - p.omega2) < NEAR_DEGENERATE_BAND:
         return "bs"
     return "rwa"
-
-
-def _limit_blas_threads():
-    """Pin worker BLAS pools to one thread.
-
-    Sweep cells multiply matrices far too small for intra-op threading;
-    letting each worker spin a full BLAS pool multiplies CPU time without
-    reducing wall time.
-    """
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(1)
-    except ImportError:
-        pass
 
 
 def _run_cell(args):
@@ -203,7 +183,7 @@ def run_sweep(
     for axis in axes:
         # unknown parameter paths are config errors up front; value errors
         # inside a cell are recorded per-cell instead
-        _validate_path(axis.path)
+        resolve_path(axis.path)
     shape = tuple(len(a.values) for a in axes)
     jobs = []
     for idx in np.ndindex(*shape):
@@ -212,16 +192,7 @@ def run_sweep(
 
     grids = {m: np.full(shape, np.nan) for m in metrics}
     failures = []
-    workers = min(worker_count, os.cpu_count() or 1)
-    if workers > 1:
-        chunk = max(1, len(jobs) // (8 * workers))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_limit_blas_threads
-        ) as pool:
-            outcomes = list(pool.map(_run_cell, jobs, chunksize=chunk))
-    else:
-        outcomes = [_run_cell(j) for j in jobs]
-    for idx, values, failure in outcomes:
+    for idx, values, failure in parallel_map(_run_cell, jobs, worker_count):
         if failure is not None:
             failures.append(failure)
             continue

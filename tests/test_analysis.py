@@ -7,7 +7,6 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from omstirap.analysis import (
-    BipartiteSplit,
     antisymmetric_mode_state,
     collective_populations,
     fidelity,
@@ -110,8 +109,6 @@ def test_partial_trace_against_brute_force(seed):
 def test_partial_trace_empty_keep_rejected():
     with pytest.raises(InvalidArgumentError):
         partial_trace(_psi_minus(), ())
-    with pytest.raises(InvalidArgumentError):
-        BipartiteSplit(())
 
 
 # --------------------------------------------------------------- negativity

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 from pathlib import Path
@@ -6,8 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from omstirap import cli
 from omstirap.cli import main
+from omstirap.errors import ConfigError
+from omstirap.hilbert import HilbertSpace
+from omstirap.model import TWO_PI
 from omstirap.presets import ALIASES, PRESETS, preset_config, preset_names
+from omstirap.protocols import FringeResult, Scenario, build_initial_state, run_interferometry
+from omstirap.sweep import SweepAxis
 
 FAST_SIM = {
     "system": {"temperature_k": 0.0},
@@ -199,3 +206,138 @@ def test_axis_units_converted(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     meta = json.loads((out / "sweep.json").read_text())
     np.testing.assert_allclose(meta["axes"][0]["values"], [1000.0, 4000.0], rtol=1e-12)
+
+
+# ------------------------------------------------- config schema and exit codes
+
+def _run(tmp_path, command, preset, override):
+    cfg = _write(tmp_path, override)
+    return main([command, "--preset", preset, "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+
+
+BAD_INPUT = {
+    "dims-not-integers": ("simulate", "bell-lossless", {"dims": ["a", 3, 3]}),
+    "fock-above-dim": ("simulate", "bell-lossless",
+                       {"dims": [2, 3, 3], "initial": {"kind": "fock", "n": 7}}),
+    "target-weights-missing": ("simulate", "bell-lossless",
+                               {"target": {"kind": "weights_mode2"}}),
+    "axis-without-count": ("sweep", "sweep-kappa-alpha",
+                           {"sweep": {"axes": [{"path": "kappa", "start": 1e3,
+                                                "stop": 2e3}]}}),
+    "coherent-truncated": ("simulate", "bell-lossless",
+                           {"initial": {"kind": "coherent", "alpha": 3}}),
+    "verify-two-phases": ("verify", "verify-lossless", {"verify": {"phi2_count": 2}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_2(tmp_path, case):
+    command, preset, override = BAD_INPUT[case]
+    assert _run(tmp_path, command, preset, override) == 2
+
+
+UNKNOWN_KEY = {
+    "system": ("simulate", "bell-lossless", "omega3_hz", {"system": {"omega3_hz": 1.0}}),
+    "schedule": ("simulate", "bell-lossless", "sigma_s", {"schedule": {"sigma_s": 1e-4}}),
+    "initial": ("simulate", "bell-lossless", "occupation",
+                {"initial": {"occupation": 1}}),
+    "initial.mode2": ("simulate", "bell-lossless", "temperature_k",
+                      {"initial": {"mode2": {"kind": "thermal", "temperature_k": 0.1}}}),
+    "integrator": ("simulate", "bell-lossless", "atol", {"integrator": {"atol": 1e-9}}),
+    "horizon": ("simulate", "bell-lossless", "mid_s", {"horizon": {"mid_s": 0.0}}),
+    "target": ("simulate", "bell-lossless", "nbar", {"target": {"nbar": 0.1}}),
+    "plan": ("plan", "plan-heralding", "gamma_c_hz", {"plan": {"gamma_c_hz": 1.0}}),
+    "adiabaticity": ("adiabaticity", "adiabaticity-stirap", "omega1_rads",
+                     {"adiabaticity": {"omega1_rads": 1.0}}),
+    "verify": ("verify", "verify-lossless", "base", {"verify": {"base": 1}}),
+    "sweep": ("sweep", "sweep-kappa-alpha", "cells", {"sweep": {"cells": 4}}),
+    "sweep axis": ("sweep", "sweep-kappa-alpha", "unit",
+                   {"sweep": {"axes": [{"path": "kappa", "values": [1e3, 2e3],
+                                        "unit": "Hz"}]}}),
+}
+
+
+@pytest.mark.parametrize("block", sorted(UNKNOWN_KEY))
+def test_unknown_key_in_each_block_exits_2_and_is_named(tmp_path, capsys, block):
+    command, preset, key, override = UNKNOWN_KEY[block]
+    assert _run(tmp_path, command, preset, override) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_repeated_parameter_rejected(tmp_path, capsys):
+    # the preset already gives gamma_m_rads
+    assert _run(tmp_path, "plan", "plan-heralding", {"plan": {"gamma_m_hz": 0.3}}) == 2
+    err = capsys.readouterr().err
+    assert "'gamma_m_hz'" in err and "'gamma_m_rads'" in err
+
+
+def test_build_reads_keys_by_the_unit_rule():
+    def toy(freq: float, width: float, count: int, phase: complex = 0j, flag: bool = False):
+        return dict(freq=freq, width=width, count=count, phase=phase, flag=flag)
+
+    got = cli._build(toy, {"freq_hz": "2", "width_s": 1e-3, "count": "3", "phase_rad": 1},
+                     "toy")
+    assert got == {"freq": 2 * TWO_PI, "width": 1e-3, "count": 3, "phase": 1 + 0j,
+                   "flag": False}
+    assert type(got["phase"]) is complex
+    assert cli._build(toy, {"freq": 5, "width": 1, "count": 2}, "toy")["freq"] == 5.0
+    with pytest.raises(ConfigError, match="invalid toy"):
+        cli._build(toy, {"freq_hz": "abc", "width_s": 1.0, "count": 1}, "toy")
+    with pytest.raises(ConfigError, match="invalid toy"):  # a required parameter is missing
+        cli._build(toy, {"freq_hz": 1.0}, "toy")
+    with pytest.raises(ConfigError, match="toy must be a JSON object"):
+        cli._build(toy, [], "toy")
+    with pytest.raises(ConfigError, match="unknown key 'count'"):  # fixed is not a key
+        cli._build(toy, {"freq_hz": 1.0, "width_s": 1.0, "count": 1}, "toy", count=2)
+
+
+@pytest.mark.parametrize("path, unit", [
+    ("delta", TWO_PI), ("kappa", TWO_PI), ("omega2", TWO_PI), ("params.g1", TWO_PI),
+    ("params.delta2", TWO_PI), ("alpha0", 1.0), ("sigma", 1.0), ("tau", 1.0),
+    ("temperature", 1.0), ("params.q1", 1.0), ("schedule.theta", 1.0),
+])
+def test_axis_frequencies_are_quoted_in_hz(path, unit):
+    axis = cli._axis_from_config({"path": path, "values": [1.0, 2.0]})
+    assert axis.values == (unit * 1.0, unit * 2.0)
+    np.testing.assert_array_equal(cli._axis_output_values(axis), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_every_preset_builds_through_its_command(tmp_path, monkeypatch, name):
+    cfg = preset_config(name)
+    for command in ("plan", "adiabaticity"):
+        if command in cfg:
+            assert main([command, "--preset", name, "--out", str(tmp_path)]) == 0
+            return
+    assert isinstance(cli.build_scenario(cfg), Scenario)
+    for block in cfg.get("sweep", {}).get("axes", []):
+        assert isinstance(cli._axis_from_config(block), SweepAxis)
+    if "verify" in cfg:
+        calls = []
+
+        @functools.wraps(run_interferometry)
+        def fake(base, phi2_grid, **kwargs):
+            calls.append((base, phi2_grid, kwargs))
+            zeros = np.zeros(len(phi2_grid))
+            return FringeResult(np.asarray(phi2_grid), zeros, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(cli, "run_interferometry", fake)
+        assert main(["verify", "--preset", name, "--out", str(tmp_path)]) == 0
+        (base, phi2, kwargs), = calls
+        block = cfg["verify"]
+        assert base == cli.build_scenario(cfg)
+        assert len(phi2) == block["phi2_count"]
+        assert kwargs["wait"] == block["wait_s"] and kwargs["workers"] == block["workers"]
+        assert kwargs.get("include_forward", True) == block.get("include_forward", True)
+
+
+def test_initial_matrix_matches_weights():
+    cfg = preset_config("table2-stirap-50mK")
+    weights = cfg["initial"]["weights"]
+    by_matrix = dict(cfg, initial={"kind": "explicit",
+                                   "matrix": np.diag(weights + [0.0]).tolist()})
+    space = HilbertSpace(tuple(cfg["dims"]))
+    rho_w = build_initial_state(space, cli.build_scenario(cfg).initial)
+    rho_m = build_initial_state(space, cli.build_scenario(by_matrix).initial)
+    np.testing.assert_allclose(rho_m.matrix, rho_w.matrix, rtol=0, atol=1e-15)

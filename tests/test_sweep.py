@@ -13,6 +13,7 @@ from omstirap.sweep import (
     degenerate_mode_diagnostics,
     extract_contours,
     pick_picture,
+    resolve_path,
     run_sweep,
 )
 
@@ -56,6 +57,17 @@ def test_apply_axis_paths():
     assert out.params.delta2 == out.params.omega2  # resonant retune
     with pytest.raises(ConfigError):
         apply_axis_value(scen, SweepAxis("params.bogus", (1.0, 2.0)), 1.0)
+
+
+def test_resolve_path_expands_shorthands_and_rejects_unknown_paths():
+    assert resolve_path("kappa") == ("params", "kappa")
+    assert resolve_path("tau") == ("schedule", "tau")
+    assert resolve_path("schedule.theta") == ("schedule", "theta")
+    assert resolve_path("delta") == ("delta", None)
+    assert resolve_path("sigma") == ("sigma", None)
+    for bad in ("params.bogus", "schedule.", "bogus", "system.kappa"):
+        with pytest.raises(ConfigError, match="unknown parameter path"):
+            resolve_path(bad)
 
 
 def test_picture_selection_rules():
