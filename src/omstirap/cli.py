@@ -7,8 +7,10 @@ they feed as keys, with its defaults and annotated scalar types.  A key names
 a parameter exactly or after one unit suffix: ``_hz`` (f = w/2pi) is
 multiplied by 2pi; ``_rads``, ``_rad``, ``_s`` and ``_k`` pass through.
 Sweep axes on ``delta`` or on a ``params.`` field that the system block sets
-in ``_hz`` are in Hz too.  Unknown and repeated keys are rejected.  Exit
-codes: 0 success, 2 configuration or domain error, 3 integration failure.
+in ``_hz`` are in Hz too.  Unknown and repeated keys, a block that is not a
+JSON object and a boolean key set to anything but ``true``/``false`` are
+rejected.  Exit codes: 0 success, 2 configuration or domain error, 3
+integration failure.
 """
 
 from __future__ import annotations
@@ -46,10 +48,9 @@ from .protocols import (
 from .sweep import SweepAxis, extract_contours, resolve_path, run_sweep
 
 _TARGET_KEYS = {"kind", "weights", "n", "alpha", "theta_rad"}
-_INTEGRATOR_KEYS = {"rel_tol", "abs_tol", "max_step_s"}
+_INTEGRATOR_KEYS = {"rel_tol", "abs_tol"}
 _AXIS_KEYS = {"path", "start", "stop", "count", "values", "scale", "tau_sigma_ratio"}
-_SWEEP_KEYS = {"axes", "metrics", "workers", "auto_picture", "contour_levels",
-               "contour_field"}
+_SWEEP_KEYS = {"axes", "metrics", "workers", "contour_levels", "contour_field"}
 _TOP_KEYS = {"system", "schedule", "schedules", "dims", "initial", "horizon",
              "sample_count", "eval_time_s", "picture", "lossless", "integrator",
              "target", "metrics", "sweep", "verify", "plan", "adiabaticity"}
@@ -60,8 +61,14 @@ _SCALARS = {t.__name__: t for t in (float, int, complex, bool, str)}
 _ORDINARY = inspect.signature(SystemParams.from_ordinary).parameters
 
 
-def _check_keys(block: dict, allowed: set, where: str):
-    unknown = set(block) - allowed
+def _check_keys(block: dict, allowed: set | None, where: str):
+    """Reject a ``block`` that is not a JSON object or has a key outside ``allowed``.
+
+    ``allowed=None`` checks only that it is an object.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {block!r}")
+    unknown = set() if allowed is None else set(block) - allowed
     if unknown:
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
@@ -94,13 +101,19 @@ def _schema(fn) -> tuple:
     return types, keys
 
 
+def _flag(value, where: str) -> bool:
+    """A JSON boolean; anything else (the string "false", 0, null) is an error."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, not {value!r}")
+    return value
+
+
 def _build(fn, block: dict, where: str, **fixed):
     """Call ``fn`` with ``block`` read by the module's key rule, plus ``fixed``.
 
     The parameters in ``fixed`` are set by the caller and are not keys.
     """
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+    _check_keys(block, None, where)
     types, keys = _schema(fn)
     kwargs, seen = {}, {}
     with _invalid(where):
@@ -115,7 +128,9 @@ def _build(fn, block: dict, where: str, **fixed):
                                   f"{seen[name]!r} already sets {name}")
             seen[name] = key
             scalar, optional = types[name]
-            if scalar is not None and not (optional and value is None):
+            if scalar is bool:
+                value = _flag(value, f"{where}.{key}")
+            elif scalar is not None and not (optional and value is None):
                 value = scalar(value)
             kwargs[name] = value if factor == 1.0 else factor * value
         return fn(**kwargs, **fixed)
@@ -154,6 +169,7 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
 
 
 def build_initial(block: dict, where: str = "initial") -> InitialStateSpec:
+    _check_keys(block, None, where)
     rest = dict(block)
     mode2 = rest.pop("mode2", None)
     return _build(InitialStateSpec, {"kind": "fock", **rest}, where,
@@ -200,6 +216,10 @@ def build_scenario(cfg: dict, picture_override: str | None = None) -> Scenario:
     if "schedules" in cfg and "schedule" in cfg:
         raise ConfigError("give either 'schedule' or 'schedules', not both")
     blocks = cfg["schedules"] if "schedules" in cfg else [cfg.get("schedule", {})]
+    if not isinstance(blocks, list):
+        raise ConfigError(f"schedules must be a JSON list, not {blocks!r}")
+    for b in blocks:
+        _check_keys(b, None, "schedule")
     schedules = tuple(
         _build(DriveSchedule, {"kind": "stirap", "alpha0": 2000.0, **b}, "schedule")
         for b in blocks
@@ -229,10 +249,9 @@ def build_scenario(cfg: dict, picture_override: str | None = None) -> Scenario:
             target=target,
             eval_time=cfg.get("eval_time_s"),
             picture=picture_override or cfg.get("picture", "rwa"),
-            lossless=bool(cfg.get("lossless", False)),
+            lossless=_flag(cfg.get("lossless", False), "lossless"),
             rel_tol=float(integ.get("rel_tol", 1e-8)),
             abs_tol=float(integ.get("abs_tol", 1e-10)),
-            max_step=integ.get("max_step_s"),
         )
 
 
@@ -326,13 +345,7 @@ def cmd_sweep(args) -> int:
     metrics = tuple(block.get("metrics", ["final_n2"]))
     workers = args.workers or int(block.get("workers", 1))
     t0 = time.perf_counter()
-    result = run_sweep(
-        base,
-        axes,
-        metrics=metrics,
-        worker_count=workers,
-        auto_picture=bool(block.get("auto_picture", True)),
-    )
+    result = run_sweep(base, axes, metrics=metrics, worker_count=workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     axis_vals = [_axis_output_values(a) for a in result.axes]
@@ -371,6 +384,7 @@ def cmd_adiabaticity(args) -> int:
     block = cfg.get("adiabaticity")
     if not block:
         raise ConfigError("adiabaticity command needs an 'adiabaticity' block")
+    _check_keys(block, None, "adiabaticity")
     block = dict(block)
     g_hz, alpha0 = block.pop("g_hz", 2.5), block.pop("alpha0", 2000.0)
     fixed = {}
@@ -401,6 +415,7 @@ def cmd_verify(args) -> int:
     if not block:
         raise ConfigError("verify command needs a 'verify' block")
     base = build_scenario(cfg, picture_override=args.picture)
+    _check_keys(block, None, "verify")
     block = dict(block)
     grid = {k: block.pop(k) for k in ("phi2_values", "phi2_span_rad", "phi2_count")
             if k in block}
@@ -437,6 +452,7 @@ def cmd_plan(args) -> int:
     block = cfg.get("plan")
     if not block:
         raise ConfigError("plan command needs a 'plan' block")
+    _check_keys(block, None, "plan")
     block = dict(block)
     wait = {"wait_s": block.pop("wait_s", 0.0)}
     inputs = _build(PlannerInputs, block, "plan")

@@ -14,6 +14,8 @@ integrator steps the row-major vec(rho) under sparse superoperators (pure
 states under the Hilbert-space terms) with an embedded Dormand-Prince 5(4)
 pair, restoring hermiticity after every accepted step and monitoring the
 trace; the same pieces, densified, feed a matrix-exponential oracle.
+The error controller sets each step size, but every step ends on the next sample
+time or stop: ``run_scenario`` stops at each pulse centre, so no step skips a pulse.
 """
 
 from __future__ import annotations
@@ -66,12 +68,13 @@ class LindbladModel:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances, step bound and sampling grid for :func:`evolve`."""
+    """Sample times, tolerances and ``stops``, such as pulse centres: the error controller
+    sets each step, but every step ends on a sample time or stop; stops store no state."""
 
     sample_times: Sequence[float]
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float = math.inf
+    stops: Sequence[float] = ()
 
     def __post_init__(self):
         ts = np.asarray(self.sample_times, dtype=float)
@@ -81,8 +84,6 @@ class IntegratorConfig:
             raise InvalidArgumentError("sample times must be strictly increasing")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise InvalidArgumentError("tolerances must be > 0")
-        if self.max_step <= 0:
-            raise InvalidArgumentError("max_step must be > 0")
         object.__setattr__(self, "sample_times", ts)
 
 
@@ -204,7 +205,7 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, at
     return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
 
-def _initial_step(rhs, t0, y0, rtol, atol, max_step, span):
+def _initial_step(rhs, t0, y0, rtol, atol, span):
     f0 = rhs(t0, y0)
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
@@ -217,7 +218,16 @@ def _initial_step(rhs, t0, y0, rtol, atol, max_step, span):
         h1 = max(1e-6 * span, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, max_step, span), f0
+    return min(100 * h0, h1), f0
+
+
+def distinct_times(grid, extra) -> list[float]:
+    """Sorted ``extra`` less float twins of ``grid`` or each other, which a step cannot resolve."""
+    tol, kept = 1e-9 * (grid[-1] - grid[0]), []
+    for x in sorted(extra):
+        if min(abs(x - g) for g in (*grid, *kept)) > tol:
+            kept.append(x)
+    return kept
 
 
 def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
@@ -225,17 +235,19 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
 
     ``on_accept(t, y)`` may repair invariants of the accepted state (and
     raises on divergence); ``on_sample(t, y)`` converts a sampled state into
-    its stored form.  Steps are clamped so sample times are hit exactly.
-    Returns a :class:`Trajectory` carrying the :class:`IntegratorStats`.
+    its stored form.  Steps are clamped so sample times and stops are hit
+    exactly.  Returns a :class:`Trajectory` carrying the :class:`IntegratorStats`.
     """
     ts = np.asarray(config.sample_times, dtype=float)
     t0, t_end = float(ts[0]), float(ts[-1])
     span = t_end - t0
+    stops = {x for x in distinct_times(ts, config.stops) if t0 < x < t_end}
+    grid = np.sort(np.concatenate((ts, list(stops))))
     y = np.array(y0, dtype=complex)
     t = t0
     stored = [on_sample(t, y)]
-    h, f0 = _initial_step(rhs, t0, y, config.rel_tol, config.abs_tol, config.max_step, span)
-    next_sample = 1
+    h, f0 = _initial_step(rhs, t0, y, config.rel_tol, config.abs_tol, span)
+    next_point = 1
     k = [None] * 7
     k[0] = f0
     hmin_scale = 16.0 * np.finfo(float).eps
@@ -244,8 +256,7 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
     h_min, h_max = math.inf, 0.0
 
     while t < t_end:
-        h = min(h, config.max_step, t_end - t)
-        target = ts[next_sample]
+        target = grid[next_point]
         if t + h >= target - 1e-14 * max(abs(target), span):
             h = target - t
         if h < hmin_scale * max(abs(t), span):
@@ -266,10 +277,11 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
             k[0] = k[6]  # first-same-as-last
             accepted += 1
             h_min, h_max = min(h_min, float(h)), max(h_max, float(h))
-            if abs(t - ts[next_sample]) <= 1e-12 * max(abs(t), span):
-                stored.append(on_sample(t, y))
-                next_sample += 1
-                if next_sample >= len(ts):
+            if abs(t - grid[next_point]) <= 1e-12 * max(abs(t), span):
+                if grid[next_point] not in stops:
+                    stored.append(on_sample(t, y))
+                next_point += 1
+                if next_point >= len(grid):
                     break
             factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
             h = h * max(_MIN_FACTOR, factor)

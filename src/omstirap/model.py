@@ -227,6 +227,12 @@ def total_envelope(schedules, pump_index: int, t):
     return sum(envelope(s, pump_index, t) for s in _as_schedule_list(schedules))
 
 
+def pulse_centres(schedules) -> list[float]:
+    """Sorted centre times of every Gaussian pulse of a schedule or sequence of schedules."""
+    return sorted({c for s in _as_schedule_list(schedules) for i in (1, 2)
+                   for _, c, _ in _components(s, i) or ()})
+
+
 def _as_schedule_list(schedules) -> list[DriveSchedule]:
     if isinstance(schedules, DriveSchedule):
         return [schedules]

@@ -25,6 +25,7 @@ from .dynamics import (
     IntegratorConfig,
     LindbladModel,
     Trajectory,
+    distinct_times,
     evolve,
     evolve_pure,
     thermal_collapse_terms,
@@ -50,6 +51,7 @@ from .model import (
     SystemParams,
     dark_state,
     hamiltonian_generator,
+    pulse_centres,
     total_envelope,
 )
 
@@ -170,7 +172,6 @@ class Scenario:
     lossless: bool = False
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float | None = None
 
     def __post_init__(self):
         if self.horizon[0] >= self.horizon[1]:
@@ -196,19 +197,8 @@ class ScenarioResult:
 
 def _sample_times(scenario: Scenario) -> np.ndarray:
     ts = np.linspace(scenario.horizon[0], scenario.horizon[1], scenario.sample_count)
-    if scenario.eval_time is not None:
-        span = scenario.horizon[1] - scenario.horizon[0]
-        gap = np.min(np.abs(ts - scenario.eval_time))
-        # only insert when no grid point already sits there (a float twin a
-        # rounding error away would starve the step-size controller)
-        if gap > 1e-9 * span:
-            ts = np.sort(np.append(ts, scenario.eval_time))
-    return ts
-
-
-def _default_max_step(scenario: Scenario) -> float:
-    sig = min(min(s.sigma1, s.sigma2) for s in scenario.schedules())
-    return sig / 50.0
+    extra = () if scenario.eval_time is None else distinct_times(ts, [scenario.eval_time])
+    return np.sort(np.append(ts, extra))
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
@@ -227,7 +217,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         sample_times=_sample_times(scenario),
         rel_tol=scenario.rel_tol,
         abs_tol=scenario.abs_tol,
-        max_step=scenario.max_step or _default_max_step(scenario),
+        stops=pulse_centres(scenario.schedules()),
     )
     psi0 = _pure_amplitudes(rho0) if scenario.lossless else None
     if psi0 is not None:

@@ -150,13 +150,12 @@ def pick_picture(scenario: Scenario) -> str:
 
 
 def _run_cell(args):
-    idx, base, bindings, metrics, auto_picture = args
+    idx, base, bindings, metrics = args
     try:
         scenario = base
         for axis, value in bindings:
             scenario = apply_axis_value(scenario, axis, value)
-        if auto_picture:
-            scenario = replace(scenario, picture=pick_picture(scenario))
+        scenario = replace(scenario, picture=pick_picture(scenario))
         summary = run_scenario(scenario).summary
         return idx, {m: summary.get(m, math.nan) for m in metrics}, None
     except OmstirapError as exc:  # domain and integration failures are per-cell results
@@ -168,7 +167,6 @@ def run_sweep(
     axes: Sequence[SweepAxis],
     metrics: Sequence[str] = ("final_n2",),
     worker_count: int = 1,
-    auto_picture: bool = True,
 ) -> SweepResult:
     """Run a scenario grid over one or two axes.
 
@@ -188,7 +186,7 @@ def run_sweep(
     jobs = []
     for idx in np.ndindex(*shape):
         bindings = tuple((axis, axis.values[i]) for axis, i in zip(axes, idx))
-        jobs.append((idx, base, bindings, tuple(metrics), auto_picture))
+        jobs.append((idx, base, bindings, tuple(metrics)))
 
     grids = {m: np.full(shape, np.nan) for m in metrics}
     failures = []

@@ -228,6 +228,27 @@ BAD_INPUT = {
     "coherent-truncated": ("simulate", "bell-lossless",
                            {"initial": {"kind": "coherent", "alpha": 3}}),
     "verify-two-phases": ("verify", "verify-lossless", {"verify": {"phi2_count": 2}}),
+    # boolean keys take only JSON booleans: the string "false" is no flag
+    "lossless-string": ("simulate", "bell-lossless", {"lossless": "false"}),
+    "lossless-integer": ("simulate", "bell-lossless", {"lossless": 0}),
+    "include-forward-string": ("verify", "verify-lossless",
+                               {"verify": {"include_forward": "false"}}),
+    "exact-pulse-width-null": ("adiabaticity", "adiabaticity-stirap",
+                               {"adiabaticity": {"exact_pulse_width": None}}),
+    # every block must be a JSON object, and schedules a list of them
+    "schedule-not-object": ("simulate", "bell-lossless", {"schedule": 5}),
+    "schedules-not-list": ("simulate", "fstirap-reverse-10mK", {"schedules": 5}),
+    "schedules-item-not-object": ("simulate", "fstirap-reverse-10mK", {"schedules": [5]}),
+    "initial-not-object": ("simulate", "bell-lossless", {"initial": "fock"}),
+    "initial.mode2-not-object": ("simulate", "bell-lossless", {"initial": {"mode2": [1]}}),
+    "target-not-object": ("simulate", "bell-lossless", {"target": 5}),
+    "horizon-not-object": ("simulate", "bell-lossless", {"horizon": 5}),
+    "integrator-not-object": ("simulate", "bell-lossless", {"integrator": [1e-8]}),
+    "system-not-object": ("simulate", "bell-lossless", {"system": 5}),
+    "sweep-not-object": ("sweep", "sweep-kappa-alpha", {"sweep": 5}),
+    "plan-not-object": ("plan", "plan-heralding", {"plan": [1]}),
+    "adiabaticity-not-object": ("adiabaticity", "adiabaticity-stirap", {"adiabaticity": "x"}),
+    "verify-not-object": ("verify", "verify-lossless", {"verify": [1]}),
 }
 
 
@@ -245,6 +266,8 @@ UNKNOWN_KEY = {
     "initial.mode2": ("simulate", "bell-lossless", "temperature_k",
                       {"initial": {"mode2": {"kind": "thermal", "temperature_k": 0.1}}}),
     "integrator": ("simulate", "bell-lossless", "atol", {"integrator": {"atol": 1e-9}}),
+    "integrator.max_step_s": ("simulate", "bell-lossless", "max_step_s",
+                              {"integrator": {"max_step_s": 1e-6}}),
     "horizon": ("simulate", "bell-lossless", "mid_s", {"horizon": {"mid_s": 0.0}}),
     "target": ("simulate", "bell-lossless", "nbar", {"target": {"nbar": 0.1}}),
     "plan": ("plan", "plan-heralding", "gamma_c_hz", {"plan": {"gamma_c_hz": 1.0}}),
@@ -252,6 +275,8 @@ UNKNOWN_KEY = {
                      {"adiabaticity": {"omega1_rads": 1.0}}),
     "verify": ("verify", "verify-lossless", "base", {"verify": {"base": 1}}),
     "sweep": ("sweep", "sweep-kappa-alpha", "cells", {"sweep": {"cells": 4}}),
+    "sweep.auto_picture": ("sweep", "sweep-kappa-alpha", "auto_picture",
+                           {"sweep": {"auto_picture": False}}),
     "sweep axis": ("sweep", "sweep-kappa-alpha", "unit",
                    {"sweep": {"axes": [{"path": "kappa", "values": [1e3, 2e3],
                                         "unit": "Hz"}]}}),

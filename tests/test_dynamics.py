@@ -204,7 +204,7 @@ def test_evolve_pure_matches_density_path():
     sp = HilbertSpace((2, 3, 3))
     h = hamiltonian_generator(HamiltonianSpec(p, s, sp, "rwa"))
     psi0 = fock_state(sp, 0, 1, 0)
-    cfg = IntegratorConfig(sample_times=np.linspace(-2e-3, 2e-3, 9), max_step=0.6e-3 / 50)
+    cfg = IntegratorConfig(sample_times=np.linspace(-2e-3, 2e-3, 9))
     tp = evolve_pure(h, psi0, sp, cfg)
     td = evolve(LindbladModel(sp, h, ()), psi0.density_matrix(), cfg)
     for a, b in zip(tp.states, td.states):
@@ -363,8 +363,28 @@ def test_integrator_stats_count_the_work():
     model = LindbladModel(SPACE, None, ((a, KAPPA),))
     rho0 = fock_state(SPACE, 1, 0, 0).density_matrix()
     ts = np.linspace(0.0, 3.0 / KAPPA, 4)
-    stats = evolve(model, rho0, IntegratorConfig(sample_times=ts, max_step=0.2 / KAPPA)).stats
-    assert stats.accepted >= 15  # the step cap alone forces 15 steps
+    stops = np.arange(1, 15) * 0.2 / KAPPA  # with the samples, 15 intervals of 0.2/KAPPA
+    stats = evolve(model, rho0, IntegratorConfig(sample_times=ts, stops=stops)).stats
+    assert stats.accepted >= 15
     # two evaluations choose the first step, six more per attempted step
     assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
     assert 0.0 < stats.h_min <= stats.h_max <= 0.2 / KAPPA * (1 + 1e-12)
+
+
+def test_stop_on_a_float_twin_of_a_sample_is_dropped():
+    a = destroy(SPACE, 0).matrix
+    model = LindbladModel(SPACE, None, ((a, KAPPA),))
+    rho0 = fock_state(SPACE, 1, 0, 0).density_matrix()
+    ts = np.linspace(0.0, 1.0 / KAPPA, 5)
+    # stops one ulp either side of the inner samples, as another linspace of
+    # the same times gives; stepping between twins would underflow the step
+    twins = [*np.nextafter(ts[1:4], np.inf), *np.nextafter(ts[1:4], -np.inf)]
+    stops = [*twins, 0.6 / KAPPA, -1.0 / KAPPA, 5.0 / KAPPA]  # one real stop, two outside
+    traj = evolve(model, rho0, IntegratorConfig(sample_times=ts, stops=stops))
+    plain = evolve(model, rho0, IntegratorConfig(sample_times=ts))
+    np.testing.assert_array_equal(traj.times, ts)
+    assert len(traj.states) == len(ts)
+    n_c = number_operator(SPACE, 0)
+    for st, ref, t in zip(traj.states, plain.states, ts):
+        assert abs(expectation(n_c, st).real - math.exp(-KAPPA * t)) < 1e-7
+        assert np.max(np.abs(st.matrix - ref.matrix)) < 1e-7

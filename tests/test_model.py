@@ -19,6 +19,7 @@ from omstirap.model import (
     envelope,
     hamiltonian_at,
     mixing_angle,
+    pulse_centres,
 )
 
 TWO_PI = 2 * math.pi
@@ -71,6 +72,15 @@ def test_stirap_envelope_peaks(stirap):
 def test_envelope_cutoff(stirap):
     assert envelope(stirap, 1, stirap.tau + 8.01 * stirap.sigma1) == 0.0
     assert envelope(stirap, 1, stirap.tau + 7.99 * stirap.sigma1) > 0.0
+
+
+def test_pulse_centres_of_schedules():
+    fs = DriveSchedule("fractional", 2000.0, 0.4e-3, 0.6e-3, 0.6e-3, theta=math.pi / 4, t0=1e-3)
+    assert pulse_centres(fs) == pytest.approx([0.6e-3, 1.4e-3], abs=1e-18)
+    train = [DriveSchedule("stirap", 2000.0, 0.4e-3, 0.6e-3, 0.6e-3),
+             DriveSchedule("reversed_fractional", 2000.0, 0.4e-3, 0.6e-3, 0.6e-3, t0=4e-3),
+             DriveSchedule("constant", 2000.0, 0.4e-3, 0.6e-3, 0.6e-3)]
+    assert pulse_centres(train) == pytest.approx([-0.4e-3, 0.4e-3, 3.6e-3, 4.4e-3], abs=1e-18)
 
 
 def test_fractional_second_pump_at_center():

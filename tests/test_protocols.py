@@ -201,6 +201,20 @@ def test_scenario_eval_time_injected_into_grid():
     assert 0.3141e-3 in res.trajectory.times
 
 
+def test_steps_cannot_jump_over_a_late_pulse():
+    # a 50 us STIRAP pair 10 ms into an idle horizon with only its two ends
+    # sampled: unless a step lands on each pulse centre, the error controller
+    # sees a constant generator and steps over the pulses, reporting no transfer
+    s = DriveSchedule("stirap", 6000.0, 35e-6, 50e-6, 50e-6, t0=10e-3)
+    scen = Scenario(
+        params=_params(0.0), schedule=s, initial=InitialStateSpec("fock", n=1),
+        dims=(2, 3, 3), horizon=(0.0, 11e-3), sample_count=2,
+    )
+    res = run_scenario(scen)
+    assert res.summary["final_n2"] > 0.8
+    np.testing.assert_array_equal(res.trajectory.times, [0.0, 11e-3])
+
+
 def test_unknown_metric_rejected():
     p = _params(0.0)
     s = DriveSchedule("stirap", 2000.0, SIGMA / 1.43, SIGMA, SIGMA)
