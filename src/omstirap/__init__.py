@@ -7,7 +7,6 @@ from .hilbert import (
     DensityMatrix,
     Generator,
     HilbertSpace,
-    Operator,
     StateVector,
     coherent_state,
     destroy,
@@ -28,7 +27,6 @@ from .model import (
     collective_operators,
     dark_state,
     envelope,
-    hamiltonian_at,
     hamiltonian_generator,
     mixing_angle,
 )

@@ -21,7 +21,7 @@ from .errors import (
     InvalidArgumentError,
     TruncationError,
 )
-from .hilbert import HilbertSpace
+from .hilbert import Generator, HilbertSpace, destroy
 from .model import DriveSchedule, SystemParams, envelope
 
 
@@ -192,9 +192,7 @@ def dark_gap_spectrum(
 
 
 def _resonant_hamiltonian(space, g11, g22) -> np.ndarray:
-    from .hilbert import Generator, destroy
-
-    a, b1, b2 = (destroy(space, m).matrix for m in range(3))
+    a, b1, b2 = (destroy(space, m) for m in range(3))
     ops = [a.conj().T @ b1, a.conj().T @ b2]
     return Generator(space, None, ops, lambda t: [g11, g22]).dense(0.0)
 

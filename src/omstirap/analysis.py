@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidArgumentError, InvalidDimensionError, InvalidStateError
-from .hilbert import DensityMatrix, HilbertSpace, StateVector, destroy
+from .hilbert import DensityMatrix, HilbertSpace, StateVector, destroy, expectation
 from .model import SystemParams, collective_operators
 
 MODE_NAMES = {"cavity": 0, "mech1": 1, "mech2": 2}
@@ -155,9 +155,7 @@ def collective_populations(
 ) -> tuple[float, float]:
     """Expectation values (<n_plus>, <n_minus>) of the collective modes."""
     bm, bp = collective_operators(rho.space, params, schedule, t, convention)
-    n_plus = np.real(np.sum((bp.matrix.conj().T @ bp.matrix) * rho.matrix.T))
-    n_minus = np.real(np.sum((bm.matrix.conj().T @ bm.matrix) * rho.matrix.T))
-    return float(n_plus), float(n_minus)
+    return tuple(expectation(b.conj().T @ b, rho).real for b in (bp, bm))
 
 
 def antisymmetric_mode_state(rho12: DensityMatrix, invert: bool = False) -> DensityMatrix:
@@ -173,12 +171,11 @@ def antisymmetric_mode_state(rho12: DensityMatrix, invert: bool = False) -> Dens
     if rho12.space.n_modes != 2:
         raise InvalidDimensionError("expects a two-mode state")
     space = rho12.space
-    b1 = destroy(space, 0).matrix
-    b2 = destroy(space, 1).matrix
+    b1, b2 = destroy(space, 0), destroy(space, 1)
     sign = -1.0 if invert else 1.0
     # R a R^+ with R = exp(xi (b2^+ b1 - b1^+ b2)) rotates b1 -> cos b1 - sin b2
     gen = (math.pi / 4.0) * sign * (b2.conj().T @ b1 - b1.conj().T @ b2)
-    r = scipy.linalg.expm(gen)
+    r = scipy.linalg.expm(gen.toarray())
     rotated = r @ rho12.matrix @ r.conj().T
     rot_dm = DensityMatrix(space, 0.5 * (rotated + rotated.conj().T), validate=False)
     return partial_trace(rot_dm, (0,))

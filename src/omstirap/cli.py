@@ -44,6 +44,7 @@ from .protocols import (
     run_interferometry,
     run_scenario,
     visibility_model,
+    _single_mode,
 )
 from .sweep import SweepAxis, extract_contours, resolve_path, run_sweep
 
@@ -73,6 +74,14 @@ def _check_keys(block: dict, allowed: set | None, where: str):
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
         )
+
+
+def _list(block: dict, key: str, default, where: str) -> list:
+    """``block[key]``, or ``default`` when absent, which must be a JSON list."""
+    value = block.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a JSON list, not {value!r}")
+    return value
 
 
 @contextmanager
@@ -193,11 +202,8 @@ def build_target(block: dict, dims) -> TargetSpec:
             amps[pair.index((0, 1))] = -1 / math.sqrt(2)
             return TargetSpec("mech12", StateVector(pair, amps))
         if kind == "weights_mode2":
-            w = np.zeros(d2)
-            for i, v in enumerate(block["weights"]):
-                w[i] = v
-            state = DensityMatrix(HilbertSpace((d2,)), np.diag((w / w.sum()).astype(complex)))
-            return TargetSpec("mech2", state)
+            weights = _single_mode(InitialStateSpec("explicit", weights=block["weights"]), d2)
+            return TargetSpec("mech2", DensityMatrix(HilbertSpace((d2,)), weights))
         if kind == "fock_mode1":
             return TargetSpec("mech12", fock_state(pair, int(block.get("n", 1)), 0))
         if kind == "fock_mode2":
@@ -211,13 +217,11 @@ def build_target(block: dict, dims) -> TargetSpec:
         raise ConfigError(f"unknown target kind {kind!r}")
 
 
-def build_scenario(cfg: dict, picture_override: str | None = None) -> Scenario:
+def build_scenario(cfg: dict) -> Scenario:
     params = _build(SystemParams.from_ordinary, cfg.get("system", {}), "system")
     if "schedules" in cfg and "schedule" in cfg:
         raise ConfigError("give either 'schedule' or 'schedules', not both")
-    blocks = cfg["schedules"] if "schedules" in cfg else [cfg.get("schedule", {})]
-    if not isinstance(blocks, list):
-        raise ConfigError(f"schedules must be a JSON list, not {blocks!r}")
+    blocks = _list(cfg, "schedules", [cfg.get("schedule", {})], "schedules")
     for b in blocks:
         _check_keys(b, None, "schedule")
     schedules = tuple(
@@ -232,7 +236,8 @@ def build_scenario(cfg: dict, picture_override: str | None = None) -> Scenario:
     _check_keys(horizon_block, {"start_s", "end_s"}, "horizon")
     integ = cfg.get("integrator", {})
     _check_keys(integ, _INTEGRATOR_KEYS, "integrator")
-    metrics = tuple(cfg.get("metrics", ("n1", "n2", "nc", "negativity", "fidelity")))
+    metrics = tuple(_list(cfg, "metrics", ["n1", "n2", "nc", "negativity", "fidelity"],
+                          "metrics"))
     target = build_target(cfg["target"], dims) if "target" in cfg else None
     if target is None:
         metrics = tuple(m for m in metrics if m != "fidelity")
@@ -247,8 +252,8 @@ def build_scenario(cfg: dict, picture_override: str | None = None) -> Scenario:
             sample_count=int(cfg.get("sample_count", 81)),
             metrics=metrics,
             target=target,
-            eval_time=cfg.get("eval_time_s"),
-            picture=picture_override or cfg.get("picture", "rwa"),
+            eval_time=None if cfg.get("eval_time_s") is None else float(cfg["eval_time_s"]),
+            picture=cfg.get("picture", "rwa"),
             lossless=_flag(cfg.get("lossless", False), "lossless"),
             rel_tol=float(integ.get("rel_tol", 1e-8)),
             abs_tol=float(integ.get("abs_tol", 1e-10)),
@@ -306,7 +311,7 @@ def cmd_simulate(args) -> int:
         cfg.pop(key, None)
     # the trajectory CSV has a fixed column contract
     cfg["metrics"] = ["n1", "n2", "nc", "negativity", "fidelity"]
-    scenario = build_scenario(cfg, picture_override=args.picture)
+    scenario = build_scenario(cfg)
     if scenario.target is None:
         raise ConfigError("simulate needs a target block (fidelity column)")
     t0 = time.perf_counter()
@@ -338,11 +343,14 @@ def cmd_sweep(args) -> int:
     if not block:
         raise ConfigError("sweep command needs a 'sweep' block")
     _check_keys(block, _SWEEP_KEYS, "sweep")
-    base = build_scenario(cfg, picture_override=args.picture)
-    axes = [_axis_from_config(a) for a in block.get("axes", [])]
+    base = build_scenario(cfg)
+    axes = [_axis_from_config(a) for a in _list(block, "axes", [], "sweep.axes")]
     if not axes:
         raise ConfigError("sweep block needs at least one axis")
-    metrics = tuple(block.get("metrics", ["final_n2"]))
+    metrics = tuple(_list(block, "metrics", ["final_n2"], "sweep.metrics"))
+    levels = _list(block, "contour_levels", [], "sweep.contour_levels")
+    if not all(isinstance(v, (int, float)) for v in levels):
+        raise ConfigError(f"sweep.contour_levels must list numbers, not {levels!r}")
     workers = args.workers or int(block.get("workers", 1))
     t0 = time.perf_counter()
     result = run_sweep(base, axes, metrics=metrics, worker_count=workers)
@@ -367,9 +375,9 @@ def cmd_sweep(args) -> int:
         {"cell": list(idx), "error": kind, "message": message}
         for idx, kind, message in result.failures
     ]
-    if block.get("contour_levels") and len(axes) == 2:
+    if levels and len(axes) == 2:
         fieldname = block.get("contour_field", metrics[0])
-        contours = extract_contours(result, fieldname, block["contour_levels"])
+        contours = extract_contours(result, fieldname, levels)
         payload["contours"] = {
             str(level): [line.tolist() for line in lines]
             for level, lines in contours.items()
@@ -414,7 +422,7 @@ def cmd_verify(args) -> int:
     block = cfg.get("verify")
     if not block:
         raise ConfigError("verify command needs a 'verify' block")
-    base = build_scenario(cfg, picture_override=args.picture)
+    base = build_scenario(cfg)
     _check_keys(block, None, "verify")
     block = dict(block)
     grid = {k: block.pop(k) for k in ("phi2_values", "phi2_span_rad", "phi2_count")
@@ -497,7 +505,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--preset", help=f"one of: {', '.join(preset_names())}")
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--picture", choices=("full", "rwa", "bs"), default=None)
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

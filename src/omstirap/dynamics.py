@@ -35,7 +35,7 @@ from .errors import (
     OracleTooLargeError,
     StiffnessError,
 )
-from .hilbert import DensityMatrix, Generator, HilbertSpace, Operator, StateVector, _as_csr, destroy
+from .hilbert import DensityMatrix, Generator, HilbertSpace, StateVector, _as_csr, destroy
 from .model import bose_occupancy
 
 TRACE_SAMPLE_TOL = 1e-6
@@ -48,7 +48,7 @@ class LindbladModel:
     """Hamiltonian (stored as a :class:`Generator`) plus weighted collapse operators."""
 
     space: HilbertSpace
-    hamiltonian: Generator | np.ndarray | Operator | None
+    hamiltonian: Generator | np.ndarray | scipy.sparse.csr_matrix | None
     collapse_terms: tuple = ()
 
     def __post_init__(self):
@@ -324,7 +324,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config: IntegratorConfig) 
 
 
 def evolve_pure(
-    hamiltonian: Generator | np.ndarray | Operator,
+    hamiltonian: Generator | np.ndarray | scipy.sparse.csr_matrix,
     psi0,
     space: HilbertSpace,
     config: IntegratorConfig,
@@ -396,13 +396,12 @@ def propagator_oracle(
 
 def thermal_collapse_terms(space: HilbertSpace, params) -> list:
     """Standard collapse set: cavity decay plus two thermal mechanical baths."""
-    a = destroy(space, 0).matrix
-    terms = [(a, params.kappa)]
+    terms = [(destroy(space, 0), params.kappa)]
     for mode, (omega, gamma) in enumerate(
         ((params.omega1, params.gamma1), (params.omega2, params.gamma2)), start=1
     ):
         nbar = bose_occupancy(omega, params.temperature)
-        b = destroy(space, mode).matrix
+        b = destroy(space, mode)
         terms.append((b, gamma * (nbar + 1.0)))
         terms.append((b.conj().T, gamma * nbar))
     return terms

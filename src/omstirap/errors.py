@@ -6,7 +6,7 @@ class OmstirapError(Exception):
 
 
 class InvalidDimensionError(OmstirapError, ValueError):
-    """Operator/state dimensions are inconsistent or below the minimum."""
+    """The dimensions of an operator and a state disagree, or fall below the minimum."""
 
 
 class OutOfRangeError(OmstirapError, ValueError):

@@ -2,10 +2,11 @@
 
 The composite space is an ordered tensor product of truncated single-mode
 Fock spaces, cavity first, in row-major basis ordering: the flat basis index
-of ``|n_c, n_1, n_2>`` is ``(n_c * d1 + n_1) * d2 + n_2``.  States and
-operators are dense complex128; a :class:`Generator` keeps H(t) as sparse
-(CSR) pieces, since at total dimension 50 one sparse Lindblad application
-takes tens of microseconds against about 500 for the dense commutator.
+of ``|n_c, n_1, n_2>`` is ``(n_c * d1 + n_1) * d2 + n_2``.  States are
+dense complex128; operators, and the pieces of H(t) a :class:`Generator`
+holds, are sparse (CSR) complex128 from construction, since at total
+dimension 50 one sparse Lindblad application takes tens of microseconds
+against about 500 for the dense commutator.
 """
 
 from __future__ import annotations
@@ -90,20 +91,8 @@ def _as_square_complex(matrix, dim: int, what: str) -> np.ndarray:
     return m
 
 
-class Operator:
-    """A dense complex matrix acting on a :class:`HilbertSpace`."""
-
-    __slots__ = ("space", "matrix")
-
-    def __init__(self, space: HilbertSpace, matrix):
-        self.space = space
-        self.matrix = _as_square_complex(matrix, space.total_dim, "operator matrix")
-        self.matrix.flags.writeable = False
-
-
 def _as_csr(matrix, dim: int, what: str) -> scipy.sparse.csr_matrix:
-    m = scipy.sparse.csr_matrix(matrix.matrix if isinstance(matrix, Operator) else matrix,
-                                dtype=complex)
+    m = scipy.sparse.csr_matrix(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise InvalidDimensionError(f"{what} must be {dim}x{dim}, got {m.shape}")
     return m
@@ -112,8 +101,8 @@ def _as_csr(matrix, dim: int, what: str) -> scipy.sparse.csr_matrix:
 class Generator:
     """Hermitian H(t) = H0 + sum_k (c_k(t) A_k + conj(c_k(t)) A_k^+).
 
-    ``h0`` is the constant Hermitian part (``None`` for zero, a matrix or an
-    :class:`Operator`), ``ops`` the operators A_k, and ``coefficients(t)``
+    ``h0`` is the constant Hermitian part (``None`` for zero, or a dense or
+    sparse matrix), ``ops`` the operators A_k, and ``coefficients(t)``
     returns every c_k(t) at once, in the order of ``ops``.  All pieces are
     stored as CSR matrices.
     """
@@ -206,8 +195,8 @@ def ladder(dim: int, kind: str = "lower") -> np.ndarray:
     return a if kind == "lower" else a.conj().T
 
 
-def embed(space: HilbertSpace, mode_index: int, local) -> Operator:
-    """Lift a single-mode operator to the composite space: I x ... x A x ... x I."""
+def embed(space: HilbertSpace, mode_index: int, local) -> scipy.sparse.csr_matrix:
+    """Lift a single-mode operator to the composite space: I x ... x A x ... x I, as CSR."""
     if not 0 <= mode_index < space.n_modes:
         raise InvalidDimensionError(f"mode index {mode_index} out of range")
     loc = np.asarray(local, dtype=complex)
@@ -216,18 +205,25 @@ def embed(space: HilbertSpace, mode_index: int, local) -> Operator:
         raise InvalidDimensionError(
             f"local operator is {loc.shape}, mode {mode_index} has dim {d}"
         )
-    left = math.prod(space.dims[:mode_index]) if mode_index > 0 else 1
-    right = math.prod(space.dims[mode_index + 1:]) if mode_index + 1 < space.n_modes else 1
-    out = np.kron(np.kron(np.eye(left), loc), np.eye(right))
-    return Operator(space, out)
+    left = math.prod(space.dims[:mode_index])
+    right = math.prod(space.dims[mode_index + 1:])
+    # entry (i, j) of A lands at row (l, i, r) and column (l, j, r) for every outer
+    # index l and inner index r; built from indices, as the Python overhead of
+    # scipy.sparse.kron outweighs the arithmetic at these sizes
+    i, j = np.nonzero(loc)
+    outer = np.arange(left)[:, None, None] * d
+    rows, cols = (((outer + k[:, None]) * right + np.arange(right)).ravel() for k in (i, j))
+    vals = np.broadcast_to(loc[i, j][:, None], (left, i.size, right)).ravel()
+    n = space.total_dim
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def destroy(space: HilbertSpace, mode_index: int) -> Operator:
+def destroy(space: HilbertSpace, mode_index: int) -> scipy.sparse.csr_matrix:
     """Annihilation operator of one mode on the composite space."""
     return embed(space, mode_index, ladder(space.dims[mode_index], "lower"))
 
 
-def number_operator(space: HilbertSpace, mode_index: int) -> Operator:
+def number_operator(space: HilbertSpace, mode_index: int) -> scipy.sparse.csr_matrix:
     """Number operator n = a^+ a of one mode on the composite space."""
     a = ladder(space.dims[mode_index], "lower")
     return embed(space, mode_index, a.conj().T @ a)
@@ -298,30 +294,32 @@ def thermal_state(dim: int, nbar: float) -> DensityMatrix:
     return DensityMatrix(space, np.diag(diag.astype(complex)), validate=False)
 
 
-def expectation(op: Operator, state) -> complex:
-    """Tr(op rho) for a density matrix, or <psi|op|psi> for a state vector."""
+def expectation(op, state) -> complex:
+    """Tr(op rho) for a density matrix, or <psi|op|psi> for a state vector.
+
+    ``op`` is a sparse or dense matrix on the state's space.
+    """
+    if not isinstance(state, (DensityMatrix, StateVector)):
+        raise InvalidArgumentError(f"unsupported state type {type(state)!r}")
+    d = state.space.total_dim
+    if op.shape != (d, d):
+        raise InvalidDimensionError(f"operator is {op.shape}, state has dimension {d}")
     if isinstance(state, DensityMatrix):
-        if state.space != op.space:
-            raise InvalidDimensionError("operator and state live on different spaces")
-        # trace of a product without forming it
-        return complex(np.sum(op.matrix * state.matrix.T))
-    if isinstance(state, StateVector):
-        if state.space != op.space:
-            raise InvalidDimensionError("operator and state live on different spaces")
-        return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    raise InvalidArgumentError(f"unsupported state type {type(state)!r}")
+        return complex((op @ state.matrix).trace())
+    return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
 
 
 def product_density(space: HilbertSpace, factors: Iterable) -> DensityMatrix:
-    """Tensor product of single-mode states (DensityMatrix/StateVector/ndarray)."""
+    """Tensor product of single-mode states.
+
+    A factor is a DensityMatrix, a StateVector, a matrix, or a 1-D array of
+    pure-state amplitudes.
+    """
     mats = []
     for f in factors:
-        if isinstance(f, DensityMatrix):
-            mats.append(f.matrix)
-        elif isinstance(f, StateVector):
-            mats.append(np.outer(f.amplitudes, f.amplitudes.conj()))
-        else:
-            mats.append(np.asarray(f, dtype=complex))
+        f = f.amplitudes if isinstance(f, StateVector) else f
+        f = f.matrix if isinstance(f, DensityMatrix) else np.asarray(f, dtype=complex)
+        mats.append(np.outer(f, f.conj()) if f.ndim == 1 else f)
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)

@@ -45,7 +45,7 @@ from .errors import (
     SidebandResolutionWarning,
     UndefinedModeError,
 )
-from .hilbert import Generator, HilbertSpace, Operator, destroy
+from .hilbert import Generator, HilbertSpace, destroy
 
 TWO_PI = 2.0 * math.pi
 
@@ -309,7 +309,7 @@ def hamiltonian_generator(spec: HamiltonianSpec) -> Generator:
     """
     p = spec.params
     amplitudes = _amplitude_function(spec.schedule)
-    a, b1, b2 = (scipy.sparse.csr_matrix(destroy(spec.space, m).matrix) for m in range(3))
+    a, b1, b2 = (destroy(spec.space, m) for m in range(3))
     adag = a.conj().T
     ops = [adag @ b1, adag @ b2]
     g, deltas, omegas = (p.g1, p.g2), (p.delta1, p.delta2), (p.omega1, p.omega2)
@@ -328,19 +328,14 @@ def hamiltonian_generator(spec: HamiltonianSpec) -> Generator:
     return Generator(spec.space, None, ops, coefficients)
 
 
-def hamiltonian_at(spec: HamiltonianSpec, t: float) -> Operator:
-    """H(t) as an :class:`Operator`; Hermitian by construction."""
-    return Operator(spec.space, hamiltonian_generator(spec).dense(t))
-
-
 def collective_operators(
     space: HilbertSpace,
     params: SystemParams,
     schedule: DriveSchedule | Sequence[DriveSchedule] | None,
     t: float = 0.0,
     convention: str = "static",
-) -> tuple[Operator, Operator]:
-    """Collective mechanical annihilation operators (b_minus, b_plus).
+) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+    """Collective mechanical annihilation operators (b_minus, b_plus), as CSR.
 
     ``static`` uses the drive-independent combinations
 
@@ -357,8 +352,7 @@ def collective_operators(
     """
     if space.n_modes != 3:
         raise InvalidDimensionError("collective operators need a 3-mode space")
-    b1 = destroy(space, 1).matrix
-    b2 = destroy(space, 2).matrix
+    b1, b2 = destroy(space, 1), destroy(space, 2)
     if convention == "static":
         g1, g2 = params.g1, params.g2
         norm = math.hypot(g1, g2)
@@ -366,7 +360,7 @@ def collective_operators(
             raise UndefinedModeError("g1 = g2 = 0 leaves the collective modes undefined")
         bp = (g1 * b1 + g2 * b2) / norm
         bm = (g2 * b1 - g1 * b2) / norm
-        return Operator(space, bm), Operator(space, bp)
+        return bm, bp
     if convention != "rwa_phased":
         raise InvalidArgumentError(f"unknown convention {convention!r}")
     if schedule is None:
@@ -381,7 +375,7 @@ def collective_operators(
     ph2 = np.exp(1j * ((params.delta2 - params.omega2) * t + np.angle(z2)))
     bm = (g22 * b1 * ph1 - g11 * b2 * ph2) / norm
     bp = (g11 * b1 * ph1 + g22 * b2 * ph2) / norm
-    return Operator(space, bm), Operator(space, bp)
+    return bm, bp
 
 
 def dark_state(

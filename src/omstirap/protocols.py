@@ -11,6 +11,7 @@ readout live at the bottom.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -90,20 +91,20 @@ class InitialStateSpec:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
 
-def _single_mode_matrix(spec: InitialStateSpec, dim: int) -> np.ndarray:
+def _single_mode(spec: InitialStateSpec, dim: int) -> np.ndarray:
+    """One mode's state: amplitudes for a pure kind, a density matrix for a mixed one."""
     if spec.kind == "fock":
         if not 0 <= spec.n < dim:
             raise InvalidArgumentError(f"fock occupation {spec.n} outside dim {dim}")
-        m = np.zeros((dim, dim), dtype=complex)
-        m[spec.n, spec.n] = 1.0
-        return m
+        amps = np.zeros(dim, dtype=complex)
+        amps[spec.n] = 1.0
+        return amps
     if spec.kind == "superposition_01":
         amps = np.zeros(dim, dtype=complex)
         amps[0] = amps[1] = 1.0 / math.sqrt(2.0)
-        return np.outer(amps, amps.conj())
+        return amps
     if spec.kind == "coherent":
-        c = coherent_state(dim, spec.alpha)
-        return np.outer(c.amplitudes, c.amplitudes.conj())
+        return coherent_state(dim, spec.alpha).amplitudes
     if spec.kind == "thermal":
         return thermal_state(dim, spec.nbar).matrix
     if spec.kind == "heralded":
@@ -127,17 +128,18 @@ def _single_mode_matrix(spec: InitialStateSpec, dim: int) -> np.ndarray:
     return np.diag((w / w.sum()).astype(complex))
 
 
-def build_initial_state(space: HilbertSpace, spec: InitialStateSpec) -> DensityMatrix:
-    """Composite initial state: cavity vacuum x mode-1 recipe x mode-2 recipe."""
-    vac_c = np.zeros((space.dims[0], space.dims[0]), dtype=complex)
-    vac_c[0, 0] = 1.0
-    m1 = _single_mode_matrix(spec, space.dims[1])
-    if spec.mode2 is not None:
-        m2 = _single_mode_matrix(spec.mode2, space.dims[2])
-    else:
-        m2 = np.zeros((space.dims[2], space.dims[2]), dtype=complex)
-        m2[0, 0] = 1.0
-    return product_density(space, [vac_c, m1, m2])
+def build_initial_state(space: HilbertSpace, spec: InitialStateSpec) -> StateVector | DensityMatrix:
+    """Composite initial state: cavity vacuum x mode-1 recipe x mode-2 recipe.
+
+    A :class:`StateVector` when both recipes are pure kinds, else a
+    :class:`DensityMatrix`.
+    """
+    vacuum = InitialStateSpec("fock")
+    factors = [_single_mode(vacuum, space.dims[0]), _single_mode(spec, space.dims[1]),
+               _single_mode(spec.mode2 or vacuum, space.dims[2])]
+    if all(f.ndim == 1 for f in factors):
+        return StateVector(space, functools.reduce(np.kron, factors), validate=False)
+    return product_density(space, factors)
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     """
     t_start = time.perf_counter()
     space = HilbertSpace(scenario.dims)
-    rho0 = build_initial_state(space, scenario.initial)
+    state0 = build_initial_state(space, scenario.initial)
     spec = HamiltonianSpec(scenario.params, scenario.schedules(), space, scenario.picture)
     h = hamiltonian_generator(spec)
     config = IntegratorConfig(
@@ -219,10 +221,10 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         abs_tol=scenario.abs_tol,
         stops=pulse_centres(scenario.schedules()),
     )
-    psi0 = _pure_amplitudes(rho0) if scenario.lossless else None
-    if psi0 is not None:
-        traj = evolve_pure(h, psi0, space, config)
+    if scenario.lossless and isinstance(state0, StateVector):
+        traj = evolve_pure(h, state0, space, config)
     else:
+        rho0 = state0.density_matrix() if isinstance(state0, StateVector) else state0
         collapse = () if scenario.lossless else tuple(thermal_collapse_terms(space, scenario.params))
         model = LindbladModel(space, h, collapse)
         traj = evolve(model, rho0, config)
@@ -233,13 +235,6 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     summary["integrator"] = asdict(traj.stats)
     summary["wall_time_s"] = time.perf_counter() - t_start
     return ScenarioResult(trajectory=traj, summary=summary)
-
-
-def _pure_amplitudes(rho: DensityMatrix) -> np.ndarray | None:
-    """The state vector of a pure rho, or None for a mixed one."""
-    if float(np.real(np.sum(rho.matrix * rho.matrix.T))) <= 1.0 - 1e-12:
-        return None
-    return np.linalg.eigh(rho.matrix)[1][:, -1]
 
 
 def _observables(scenario: Scenario, space: HilbertSpace, traj: Trajectory) -> dict:

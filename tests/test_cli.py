@@ -249,13 +249,36 @@ BAD_INPUT = {
     "plan-not-object": ("plan", "plan-heralding", {"plan": [1]}),
     "adiabaticity-not-object": ("adiabaticity", "adiabaticity-stirap", {"adiabaticity": "x"}),
     "verify-not-object": ("verify", "verify-lossless", {"verify": [1]}),
+    # a list key given a scalar is named, and a sweep rejects it before any cell runs
+    "sweep-axes-scalar": ("sweep", "sweep-kappa-alpha", {"sweep": {"axes": 5}}, "sweep.axes"),
+    "metrics-scalar": ("sweep", "sweep-kappa-alpha", {"metrics": 5}, "metrics must"),
+    "sweep-metrics-scalar": ("sweep", "sweep-kappa-alpha", {"sweep": {"metrics": 5}},
+                             "sweep.metrics"),
+    "contour-levels-scalar": ("sweep", "sweep-kappa-alpha", {"sweep": {"contour_levels": 5}},
+                              "sweep.contour_levels"),
+    "contour-levels-not-numbers": ("sweep", "sweep-kappa-alpha",
+                                   {"sweep": {"contour_levels": ["a"]}}, "sweep.contour_levels"),
+    # target weights go through the explicit-weights recipe
+    "target-weights-too-long": ("simulate", "bell-lossless",
+                                {"target": {"kind": "weights_mode2", "weights": [0, 1, 0, 0]}},
+                                "explicit weights exceed"),
+    "target-weights-zero": ("simulate", "bell-lossless",
+                            {"target": {"kind": "weights_mode2", "weights": [0, 0]}},
+                            "explicit weights must have positive mass"),
+    "eval-time-string": ("simulate", "bell-lossless", {"eval_time_s": "x"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_bad_input_exits_2(tmp_path, case):
-    command, preset, override = BAD_INPUT[case]
+def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, case):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("bad input must be rejected before any sweep cell runs")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    command, preset, override, *named = BAD_INPUT[case]
     assert _run(tmp_path, command, preset, override) == 2
+    err = capsys.readouterr().err
+    assert all(text in err for text in named)
 
 
 UNKNOWN_KEY = {

@@ -52,7 +52,7 @@ def test_rhs_zero_without_terms():
 
 
 def test_rhs_pure_cavity_decay():
-    a = destroy(SPACE, 0).matrix
+    a = destroy(SPACE, 0).toarray()
     model = LindbladModel(SPACE, None, ((a, KAPPA),))
     rho = fock_state(SPACE, 1, 0, 0).density_matrix()
     deriv = lindblad_rhs(model, 0.0, rho)
@@ -87,7 +87,7 @@ def test_evolve_frozen_without_generator():
 
 
 def test_evolve_cavity_decay_closed_form():
-    a = destroy(SPACE, 0).matrix
+    a = destroy(SPACE, 0).toarray()
     model = LindbladModel(SPACE, None, ((a, KAPPA),))
     rho0 = fock_state(SPACE, 1, 0, 0).density_matrix()
     ts = np.linspace(0.0, 3.0 / KAPPA, 16)
@@ -100,7 +100,7 @@ def test_evolve_cavity_decay_closed_form():
 def test_evolve_thermal_contact_closed_form():
     gamma, nbar = 40.0, 0.6
     space = HilbertSpace((2, 18, 2))
-    b = destroy(space, 1).matrix
+    b = destroy(space, 1).toarray()
     model = LindbladModel(
         space, None, ((b, gamma * (nbar + 1)), (b.conj().T, gamma * nbar))
     )
@@ -149,7 +149,7 @@ def test_oracle_identity_at_dt0():
 
 
 def test_oracle_cavity_decay_exact():
-    a = destroy(SPACE, 0).matrix
+    a = destroy(SPACE, 0).toarray()
     model = LindbladModel(SPACE, None, ((a, KAPPA),))
     rho0 = fock_state(SPACE, 1, 0, 0).density_matrix()
     out = propagator_oracle(model, rho0, 1.0 / KAPPA)
@@ -212,7 +212,7 @@ def test_evolve_pure_matches_density_path():
 
 
 def test_collapse_rate_validation():
-    a = destroy(SPACE, 0).matrix
+    a = destroy(SPACE, 0).toarray()
     with pytest.raises(InvalidArgumentError):
         LindbladModel(SPACE, None, ((a, -1.0),))
 
@@ -266,8 +266,8 @@ def _parent_dense_hamiltonian(spec, t):
     from omstirap.model import envelope
 
     sp, p = spec.space, spec.params
-    a = destroy(sp, 0).matrix
-    b = [destroy(sp, 1).matrix, destroy(sp, 2).matrix]
+    a = destroy(sp, 0).toarray()
+    b = [destroy(sp, 1).toarray(), destroy(sp, 2).toarray()]
     adag = a.conj().T
     z = [0j, 0j]
     for s in spec.schedule:
@@ -359,7 +359,7 @@ def test_constant_dense_inputs_run_through_generator():
 
 
 def test_integrator_stats_count_the_work():
-    a = destroy(SPACE, 0).matrix
+    a = destroy(SPACE, 0).toarray()
     model = LindbladModel(SPACE, None, ((a, KAPPA),))
     rho0 = fock_state(SPACE, 1, 0, 0).density_matrix()
     ts = np.linspace(0.0, 3.0 / KAPPA, 4)
@@ -372,7 +372,7 @@ def test_integrator_stats_count_the_work():
 
 
 def test_stop_on_a_float_twin_of_a_sample_is_dropped():
-    a = destroy(SPACE, 0).matrix
+    a = destroy(SPACE, 0).toarray()
     model = LindbladModel(SPACE, None, ((a, KAPPA),))
     rho0 = fock_state(SPACE, 1, 0, 0).density_matrix()
     ts = np.linspace(0.0, 1.0 / KAPPA, 5)

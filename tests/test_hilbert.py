@@ -61,20 +61,20 @@ def test_ladder_rejects_dim_1():
 def test_embed_cavity_lower_traceless():
     sp = HilbertSpace((2, 2, 2))
     op = embed(sp, 0, ladder(2, "lower"))
-    assert op.matrix.shape == (8, 8)
-    assert abs(np.trace(op.matrix)) == 0.0
+    assert op.shape == (8, 8)
+    assert abs(op.diagonal().sum()) == 0.0
 
 
 def test_embed_identity():
     sp = HilbertSpace((2, 3, 3))
     op = embed(sp, 1, np.eye(3))
-    np.testing.assert_allclose(op.matrix, np.eye(18))
+    np.testing.assert_allclose(op.toarray(), np.eye(18))
 
 
 def test_embed_distinct_modes_commute():
     sp = HilbertSpace((2, 3, 3))
-    b1 = embed(sp, 1, ladder(3, "lower")).matrix
-    b2 = embed(sp, 2, ladder(3, "lower")).matrix
+    b1 = embed(sp, 1, ladder(3, "lower")).toarray()
+    b2 = embed(sp, 2, ladder(3, "lower")).toarray()
     np.testing.assert_allclose(b1 @ b2 - b2 @ b1, np.zeros((18, 18)), atol=0.0)
 
 
@@ -88,12 +88,17 @@ def test_embed_dimension_mismatch():
 @settings(max_examples=30)
 def test_embed_preserves_norm_and_roundtrip(dims):
     sp = HilbertSpace(tuple(dims))
+    rng = np.random.default_rng(len(dims))
     for mode, d in enumerate(dims):
         local = ladder(d, "lower")
-        lifted = embed(sp, mode, local).matrix
+        lifted = embed(sp, mode, local).toarray()
         assert np.isclose(
             np.linalg.norm(lifted, 2), np.linalg.norm(local, 2), atol=1e-12
         )
+        left, right = np.eye(math.prod(dims[:mode])), np.eye(math.prod(dims[mode + 1:]))
+        dense = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        np.testing.assert_array_equal(embed(sp, mode, dense).toarray(),
+                                      np.kron(np.kron(left, dense), right))
     for i in range(sp.total_dim):
         assert sp.index(sp.multi_index(i)) == i
 
@@ -172,6 +177,20 @@ def test_expectation_examples():
     assert np.isclose(expectation(n2, StateVector(sp, amps)).real, 0.5, atol=1e-12)
 
 
+def test_expectation_of_sparse_operator_matches_dense_trace():
+    sp = HilbertSpace((2, 3, 3))
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=sp.total_dim) + 1j * rng.normal(size=sp.total_dim)
+    psi = StateVector(sp, psi / np.linalg.norm(psi))
+    m = rng.normal(size=(sp.total_dim,) * 2) + 1j * rng.normal(size=(sp.total_dim,) * 2)
+    rho = DensityMatrix(sp, m @ m.conj().T / np.trace(m @ m.conj().T))
+    a = embed(sp, 1, ladder(3, "lower"))
+    for op in (a, a.conj().T @ a + embed(sp, 0, ladder(2, "raise"))):
+        dense = op.toarray()
+        assert abs(expectation(op, rho) - np.sum(dense * rho.matrix.T)) < 1e-14
+        assert abs(expectation(op, psi) - np.vdot(psi.amplitudes, dense @ psi.amplitudes)) < 1e-14
+
+
 def test_expectation_space_mismatch():
     sp = HilbertSpace((2, 3, 3))
     other = HilbertSpace((3, 3, 3))
@@ -200,6 +219,9 @@ def test_product_density_matches_kron():
 
 def test_immutability():
     sp = HilbertSpace((2, 2, 2))
-    op = number_operator(sp, 0)
+    psi = fock_state(sp, 0, 1, 0)
     with pytest.raises(ValueError):
-        op.matrix[0, 0] = 5.0
+        psi.amplitudes[0] = 1.0
+    rho = psi.density_matrix()
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 5.0

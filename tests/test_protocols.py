@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def test_heralded_affine_and_trace_preserving():
 
 def test_initial_state_builders():
     sp = HilbertSpace((2, 5, 5))
-    rho = build_initial_state(sp, InitialStateSpec("superposition_01"))
+    rho = build_initial_state(sp, InitialStateSpec("superposition_01")).density_matrix()
     i = sp.index((0, 0, 0))
     j = sp.index((0, 1, 0))
     assert np.isclose(rho.matrix[i, j], 0.5)
@@ -139,6 +140,80 @@ def test_initial_state_builders():
     assert np.isclose(np.trace(rho2.matrix).real, 1.0, atol=1e-12)
     m2 = partial_trace(rho2, (2,))
     assert np.isclose(m2.matrix[0, 0].real, 1 / 1.1198, atol=1e-3)
+
+
+RECIPES = {
+    "fock": InitialStateSpec("fock", n=1),
+    "superposition_01": InitialStateSpec("superposition_01"),
+    "coherent": InitialStateSpec("coherent", alpha=0.4 + 0.2j),
+    "thermal": InitialStateSpec("thermal", nbar=0.1),
+    "heralded": InitialStateSpec("heralded", nbar=0.1, signal_rate=75.0, dcr=10.0),
+    "explicit": InitialStateSpec("explicit", weights=(0.2, 0.8)),
+}
+PURE_KINDS = ("fock", "superposition_01", "coherent")
+
+
+def _mode_density(spec, dim):
+    """One mode's density matrix, formed from its outer product where pure."""
+    if spec is None:
+        spec = InitialStateSpec("fock")
+    if spec.kind in PURE_KINDS:
+        if spec.kind == "coherent":
+            psi = coherent_state(dim, spec.alpha).amplitudes
+        else:
+            psi = np.zeros(dim, dtype=complex)
+            occupied = [spec.n] if spec.kind == "fock" else [0, 1]
+            psi[occupied] = 1 / math.sqrt(len(occupied))
+        return np.outer(psi, psi.conj())
+    if spec.kind == "thermal":
+        return thermal_state(dim, spec.nbar).matrix
+    if spec.kind == "heralded":
+        return heralded_initial_state(thermal_state(dim, spec.nbar), spec.signal_rate,
+                                      spec.dcr).matrix
+    w = np.zeros(dim)
+    w[:len(spec.weights)] = spec.weights
+    return np.diag(w / w.sum()).astype(complex)
+
+
+@pytest.mark.parametrize("kind2", [None, "superposition_01", "explicit"])
+@pytest.mark.parametrize("kind", sorted(RECIPES))
+def test_build_initial_state_vector_for_pure_recipes(kind, kind2):
+    sp = HilbertSpace((2, 4, 5))
+    mode2 = None if kind2 is None else RECIPES[kind2]
+    spec = replace(RECIPES[kind], mode2=mode2)
+    state = build_initial_state(sp, spec)
+    expected = np.kron(np.kron(_mode_density(None, 2), _mode_density(spec, 4)),
+                       _mode_density(mode2, 5))
+    if kind in PURE_KINDS and kind2 in (None, *PURE_KINDS):
+        assert isinstance(state, StateVector)
+        state = state.density_matrix()
+    else:
+        assert isinstance(state, DensityMatrix)
+    np.testing.assert_allclose(state.matrix, expected, rtol=0, atol=1e-15)
+
+
+def test_lossless_pure_recipe_takes_the_state_vector_path(monkeypatch):
+    import omstirap.protocols as protocols
+
+    def refuse(*args):
+        raise AssertionError("this run took the wrong path")
+
+    scen = Scenario(
+        params=_params(0.0), schedule=DriveSchedule("stirap", 2000.0, SIGMA / 1.43, SIGMA, SIGMA),
+        initial=InitialStateSpec("coherent", alpha=0.5), dims=(2, 5, 5),
+        horizon=(-2.4e-3, 2.4e-3), sample_count=5, metrics=("n1", "n2"), lossless=True,
+    )
+    with monkeypatch.context() as m:
+        m.setattr(protocols, "evolve", refuse)
+        coherent = run_scenario(scen).summary
+        fock = run_scenario(replace(scen, initial=InitialStateSpec("fock", n=1))).summary
+    assert coherent["final_n2"] > 0.249 and coherent["final_n1"] < 1e-4
+    # a mixed kind takes the density path, even when it is rank 1, with the same result
+    one_hot = replace(scen, initial=InitialStateSpec("explicit", weights=(0.0, 1.0)))
+    monkeypatch.setattr(protocols, "evolve_pure", refuse)
+    mixed = run_scenario(one_hot).summary
+    for key in ("final_n1", "final_n2"):
+        assert abs(mixed[key] - fock[key]) < 1e-7
 
 
 def test_lossless_parity_small():
