@@ -348,9 +348,15 @@ def cmd_sweep(args) -> int:
     if not axes:
         raise ConfigError("sweep block needs at least one axis")
     metrics = tuple(_list(block, "metrics", ["final_n2"], "sweep.metrics"))
+    if not metrics:
+        raise ConfigError("sweep.metrics must name at least one summary key")
     levels = _list(block, "contour_levels", [], "sweep.contour_levels")
     if not all(isinstance(v, (int, float)) for v in levels):
         raise ConfigError(f"sweep.contour_levels must list numbers, not {levels!r}")
+    contour_field = block.get("contour_field", metrics[0])
+    if contour_field not in metrics:
+        raise ConfigError(f"sweep.contour_field {contour_field!r} is not one of the "
+                          f"sweep's metrics {list(metrics)}")
     workers = args.workers or int(block.get("workers", 1))
     t0 = time.perf_counter()
     result = run_sweep(base, axes, metrics=metrics, worker_count=workers)
@@ -372,12 +378,11 @@ def cmd_sweep(args) -> int:
     ]
     payload["metrics"] = list(metrics)
     payload["failures"] = [
-        {"cell": list(idx), "error": kind, "message": message}
-        for idx, kind, message in result.failures
+        {"cell": list(idx), "error": kind, "message": message, "time_s": time_s}
+        for idx, kind, message, time_s in result.failures
     ]
     if levels and len(axes) == 2:
-        fieldname = block.get("contour_field", metrics[0])
-        contours = extract_contours(result, fieldname, levels)
+        contours = extract_contours(result, contour_field, levels)
         payload["contours"] = {
             str(level): [line.tolist() for line in lines]
             for level, lines in contours.items()

@@ -16,6 +16,17 @@ pair, restoring hermiticity after every accepted step and monitoring the
 trace; the same pieces, densified, feed a matrix-exponential oracle.
 The error controller sets each step size, but every step ends on the next sample
 time or stop: ``run_scenario`` stops at each pulse centre, so no step skips a pulse.
+
+The integrator works only on the *support* of the initial state: the entries
+of vec(rho0) (or psi0) that the sparsity graph of the pieces can ever reach,
+closed under rho -> rho^+.  Every other entry is exactly zero at all times, so
+each piece is cut to the support's rows and columns once per run and states
+are scattered back to full size only at sample times.  Where the generator
+conserves the total excitation number (``rwa``, ``bs``), an input diagonal in
+it stays in the coherence-order sector k = N_left - N_right = 0; the ``full``
+picture keeps every even k.  The error norm still divides by the full length
+(d^2, or d for a pure state), so the step sequence, and with it every result,
+is that of the unreduced integration.
 """
 
 from __future__ import annotations
@@ -89,13 +100,15 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class IntegratorStats:
-    """What one integration did: steps, rhs evaluations, step-size range."""
+    """What one integration did: steps, rhs evaluations, step-size range, sizes."""
 
     accepted: int
     rejected: int
     rhs_evals: int
     h_min: float
     h_max: float
+    state_size: int  # entries integrated: the support of the initial state
+    norm_size: int  # entries the error norm averages over: d^2, or d for a pure state
 
 
 @dataclass(frozen=True)
@@ -115,14 +128,35 @@ class Trajectory:
         return replace(self, observables={**self.observables, **observables})
 
 
-def _linear_rhs(const, parts, coefficients):
+def _support(pieces, start: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
+    """Sorted indices that the boolean mask ``start`` reaches through the sparsity
+    graph of ``pieces``, closed under the index permutation ``mirror`` if given.
+
+    Outside this set every linear combination of the pieces keeps a state
+    that starts on ``start`` exactly zero.  Absolute values cannot cancel,
+    so an entry is reached when any piece couples it to a reached one.
+    """
+    graph = abs(scipy.sparse.vstack(pieces, format="csr"))
+    m = start.size
+    reached = start
+    while True:
+        grown = reached | (graph @ reached).reshape(-1, m).any(axis=0)
+        if mirror is not None:
+            grown |= grown[mirror]
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def _linear_rhs(const, parts, coefficients, keep=slice(None)):
     """(t, v) -> const v + sum_k (c_k parts[2k] v + conj(c_k) parts[2k+1] v).
 
-    One stacked sparse product plus elementwise sums: nothing here may call
-    BLAS, whose thread pools oversubscribe the cores under sweep workers.
+    Every piece is cut to the rows and columns ``keep`` first.  One stacked
+    sparse product plus elementwise sums: nothing here calls BLAS.
     """
-    stack = scipy.sparse.vstack([const, *parts], format="csr")
-    n, m = 1 + len(parts), const.shape[0]
+    stack = scipy.sparse.vstack([p[keep][:, keep] for p in (const, *parts)], format="csr")
+    n = 1 + len(parts)
+    m = stack.shape[0] // n
 
     def rhs(t: float, v: np.ndarray) -> np.ndarray:
         blocks = (stack @ v).reshape(n, m)
@@ -154,10 +188,6 @@ def _superoperator_pieces(model: LindbladModel):
     return l0.tocsr(), parts
 
 
-def _density_rhs(model: LindbladModel):
-    return _linear_rhs(*_superoperator_pieces(model), model.hamiltonian.coefficients)
-
-
 def lindblad_rhs(model: LindbladModel, t: float, rho) -> np.ndarray:
     """d rho/dt of the Lindblad generator at time t, via the integrator's rhs.
 
@@ -168,7 +198,8 @@ def lindblad_rhs(model: LindbladModel, t: float, rho) -> np.ndarray:
     d = model.space.total_dim
     if mat.shape != (d, d):
         raise InvalidDimensionError("state dimension does not match model space")
-    return _density_rhs(model)(t, mat.reshape(-1)).reshape(d, d)
+    rhs = _linear_rhs(*_superoperator_pieces(model), model.hamiltonian.coefficients)
+    return rhs(t, mat.reshape(-1)).reshape(d, d)
 
 
 # Dormand-Prince 5(4) tableau
@@ -200,20 +231,26 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
+def _rms(x: np.ndarray, size: int) -> float:
+    """RMS of ``x`` padded with zeros to ``size`` entries: the off-support entries
+    of the unreduced state, which are exactly zero."""
+    return float(np.sqrt(np.sum(np.abs(x) ** 2) / size))
+
+
+def _error_norm(err, y0, y1, rtol: float, atol: float, size: int) -> float:
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    return _rms(err / scale, size)
 
 
-def _initial_step(rhs, t0, y0, rtol, atol, span):
+def _initial_step(rhs, t0, y0, rtol, atol, span, size):
     f0 = rhs(t0, y0)
     scale = atol + rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
+    d0 = _rms(y0 / scale, size)
+    d1 = _rms(f0 / scale, size)
     h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
-    d2 = np.sqrt(np.mean(np.abs((f1 - f0) / scale) ** 2)) / h0
+    d2 = _rms((f1 - f0) / scale, size) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6 * span, h0 * 1e-3)
     else:
@@ -230,13 +267,15 @@ def distinct_times(grid, extra) -> list[float]:
     return kept
 
 
-def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
+def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample, norm_size):
     """Shared embedded RK 5(4) driver over the configured sample grid.
 
     ``on_accept(t, y)`` may repair invariants of the accepted state (and
     raises on divergence); ``on_sample(t, y)`` converts a sampled state into
-    its stored form.  Steps are clamped so sample times and stops are hit
-    exactly.  Returns a :class:`Trajectory` carrying the :class:`IntegratorStats`.
+    its stored form.  The error norm averages over ``norm_size`` entries, of
+    which ``y0`` holds the ones that can be nonzero.  Steps are clamped so
+    sample times and stops are hit exactly.  Returns a :class:`Trajectory`
+    carrying the :class:`IntegratorStats`.
     """
     ts = np.asarray(config.sample_times, dtype=float)
     t0, t_end = float(ts[0]), float(ts[-1])
@@ -246,7 +285,7 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
     y = np.array(y0, dtype=complex)
     t = t0
     stored = [on_sample(t, y)]
-    h, f0 = _initial_step(rhs, t0, y, config.rel_tol, config.abs_tol, span)
+    h, f0 = _initial_step(rhs, t0, y, config.rel_tol, config.abs_tol, span, norm_size)
     next_point = 1
     k = [None] * 7
     k[0] = f0
@@ -269,7 +308,7 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
         k[6] = rhs(t + h, y5)
         rhs_evals += 6
         err_mat = h * sum(_E[j] * k[j] for j in range(7))
-        err = _error_norm(err_mat, y, y5, config.rel_tol, config.abs_tol)
+        err = _error_norm(err_mat, y, y5, config.rel_tol, config.abs_tol, norm_size)
 
         if err <= 1.0:
             t = t + h
@@ -289,38 +328,46 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample):
             rejected += 1
             h = h * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
 
-    stats = IntegratorStats(accepted, rejected, rhs_evals, h_min, h_max)
+    stats = IntegratorStats(accepted, rejected, rhs_evals, h_min, h_max, y.size, norm_size)
     return Trajectory(times=ts.copy(), states=tuple(stored), stats=stats)
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, config: IntegratorConfig) -> Trajectory:
     """Integrate the master equation and sample at the configured times.
 
-    Adaptive Dormand-Prince 5(4) on the row-major vec(rho).  Steps never
-    overshoot a sample time, accepted states are symmetrized, and sampled
-    states are renormalized by their trace (drift beyond 1e-6 at a sample,
-    or 1e-4 anywhere, aborts with an error carrying the time).
+    Adaptive Dormand-Prince 5(4) on the support of the row-major vec(rho0).
+    Steps never overshoot a sample time, accepted states are symmetrized, and
+    sampled states are renormalized by their trace (drift beyond 1e-6 at a
+    sample, or 1e-4 anywhere, aborts with an error carrying the time).
     """
     if rho0.space != model.space:
         raise InvalidDimensionError("initial state lives on a different space")
     d = model.space.total_dim
-    rhs = _density_rhs(model)
+    y0 = rho0.matrix.reshape(-1)
+    l0, parts = _superoperator_pieces(model)
+    transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    keep = _support((l0, *parts), y0 != 0, transpose)
+    rhs = _linear_rhs(l0, parts, model.hamiltonian.coefficients, keep)
+    mirror = np.searchsorted(keep, transpose[keep])  # position of rho_ji for rho_ij
+    diagonal = keep % (d + 1) == 0
 
     def symmetrized(t, y, tol):
-        m = 0.5 * (y.reshape(d, d) + y.reshape(d, d).conj().T)
-        drift = abs(np.trace(m).real - 1.0)
+        y = 0.5 * (y + y[mirror].conj())
+        drift = abs(y[diagonal].sum().real - 1.0)
         if drift > tol:
             raise IntegrationDivergedError(t, drift)
-        return m
+        return y
 
     def on_accept(t, y):
-        return symmetrized(t, y, TRACE_DIVERGENCE_TOL).reshape(-1)
+        return symmetrized(t, y, TRACE_DIVERGENCE_TOL)
 
     def on_sample(t, y):
-        m = symmetrized(t, y, TRACE_SAMPLE_TOL)
-        return DensityMatrix(model.space, m / np.trace(m).real, validate=False)
+        y = symmetrized(t, y, TRACE_SAMPLE_TOL)
+        m = np.zeros(d * d, dtype=complex)
+        m[keep] = y / y[diagonal].sum().real
+        return DensityMatrix(model.space, m.reshape(d, d), validate=False)
 
-    return _integrate_dp45(rhs, rho0.matrix.reshape(-1), config, on_accept, on_sample)
+    return _integrate_dp45(rhs, y0[keep], config, on_accept, on_sample, d * d)
 
 
 def evolve_pure(
@@ -333,15 +380,19 @@ def evolve_pure(
 
     Equivalent to :func:`evolve` with an empty collapse set and a pure
     initial state, at vector instead of matrix cost; the generator's terms
-    act on the Hilbert space and no superoperator is built.  Sampled states
-    are returned as density matrices so downstream analytics are uniform.
+    act on the support of psi0 in the Hilbert space and no superoperator is
+    built.  Sampled states are returned as density matrices so downstream
+    analytics are uniform.
     """
     amps = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
-    if amps.shape != (space.total_dim,):
+    d = space.total_dim
+    if amps.shape != (d,):
         raise InvalidDimensionError("initial amplitudes do not match the space")
     gen = LindbladModel(space, hamiltonian).hamiltonian
+    h0 = -1j * gen.h0
     parts = [-1j * op for a in gen.ops for op in (a, a.conj().T)]
-    rhs = _linear_rhs(-1j * gen.h0, parts, gen.coefficients)
+    keep = _support((h0, *parts), amps != 0)
+    rhs = _linear_rhs(h0, parts, gen.coefficients, keep)
 
     def on_accept(t, y):
         nrm = np.linalg.norm(y)
@@ -350,10 +401,11 @@ def evolve_pure(
         return y / nrm
 
     def on_sample(t, y):
-        v = y / np.linalg.norm(y)
+        v = np.zeros(d, dtype=complex)
+        v[keep] = y / np.linalg.norm(y)
         return DensityMatrix(space, np.outer(v, v.conj()), validate=False)
 
-    return _integrate_dp45(rhs, amps, config, on_accept, on_sample)
+    return _integrate_dp45(rhs, amps[keep], config, on_accept, on_sample, d)
 
 
 def liouvillian_matrix(model: LindbladModel, t: float = 0.0) -> np.ndarray:

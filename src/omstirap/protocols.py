@@ -37,6 +37,8 @@ from .errors import (
     UndefinedSteadyStateError,
 )
 from .hilbert import (
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
     DensityMatrix,
     HilbertSpace,
     StateVector,
@@ -110,11 +112,17 @@ def _single_mode(spec: InitialStateSpec, dim: int) -> np.ndarray:
     if spec.kind == "heralded":
         blue = thermal_state(dim, spec.nbar)
         return heralded_initial_state(blue, spec.signal_rate, spec.dcr).matrix
-    # explicit
+    # explicit: the integrator assumes a Hermitian, positive input
     if spec.matrix is not None:
         m = np.asarray(spec.matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise InvalidArgumentError(f"explicit matrix shape {m.shape} != ({dim},{dim})")
+        herm = np.max(np.abs(m - m.conj().T))
+        if herm > HERMITICITY_TOL:
+            raise InvalidArgumentError(f"explicit matrix is not Hermitian: |m - m^+| = {herm:.3e}")
+        low = np.linalg.eigvalsh(m).min()
+        if low < EIGENVALUE_FLOOR:
+            raise InvalidArgumentError(f"explicit matrix has negative eigenvalue {low:.3e}")
         return m
     if spec.weights is None:
         raise InvalidArgumentError("explicit kind needs weights or a matrix")
@@ -123,6 +131,8 @@ def _single_mode(spec: InitialStateSpec, dim: int) -> np.ndarray:
         if i >= dim:
             raise InvalidArgumentError("explicit weights exceed the mode dimension")
         w[i] = v
+    if w.min() < 0:
+        raise InvalidArgumentError(f"explicit weights must be >= 0, not {list(spec.weights)}")
     if w.sum() <= 0:
         raise InvalidArgumentError("explicit weights must have positive mass")
     return np.diag((w / w.sum()).astype(complex))
@@ -405,21 +415,6 @@ def _fringe_scenario(
     )
 
 
-def _limit_blas_threads():
-    """Pin a worker's BLAS pool to one thread.
-
-    Each job multiplies matrices far too small for intra-op threading;
-    letting each worker spin a full BLAS pool multiplies CPU time without
-    reducing wall time.
-    """
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(1)
-    except ImportError:
-        pass
-
-
 def parallel_map(fn, jobs: list, workers: int | None) -> list:
     """``[fn(job) for job in jobs]``, in order, on up to ``workers`` processes.
 
@@ -431,7 +426,7 @@ def parallel_map(fn, jobs: list, workers: int | None) -> list:
     if workers <= 1:
         return [fn(job) for job in jobs]
     chunk = max(1, len(jobs) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_limit_blas_threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=chunk))
 
 

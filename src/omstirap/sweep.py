@@ -3,8 +3,8 @@
 Each grid cell runs an independent scenario; results land in preallocated
 slots keyed by cell index, so the aggregated grids are bitwise identical
 for any worker count.  A cell that fails with one of the package's own
-errors records the error class and message and leaves NaN in the grids;
-any other exception is a bug and aborts the sweep.
+errors records the error class, message and failure time and leaves NaN in
+the grids; any other exception is a bug and aborts the sweep.
 """
 
 from __future__ import annotations
@@ -61,7 +61,11 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Grids per metric; ``failures`` holds (cell, error class, message)."""
+    """Grids per metric; ``failures`` holds (cell, error class, message, time).
+
+    The time is where an integration failed (``StiffnessError.last_good_time``,
+    ``IntegrationDivergedError.time``), None for any other error.
+    """
 
     axes: tuple[SweepAxis, ...]
     fields: dict
@@ -159,7 +163,8 @@ def _run_cell(args):
         summary = run_scenario(scenario).summary
         return idx, {m: summary.get(m, math.nan) for m in metrics}, None
     except OmstirapError as exc:  # domain and integration failures are per-cell results
-        return idx, None, (idx, type(exc).__name__, str(exc))
+        time_s = getattr(exc, "last_good_time", getattr(exc, "time", None))
+        return idx, None, (idx, type(exc).__name__, str(exc), time_s)
 
 
 def run_sweep(

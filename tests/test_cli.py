@@ -2,19 +2,22 @@ import csv
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from omstirap import cli
+from omstirap import cli, protocols
 from omstirap.cli import main
 from omstirap.errors import ConfigError
 from omstirap.hilbert import HilbertSpace
 from omstirap.model import TWO_PI
 from omstirap.presets import ALIASES, PRESETS, preset_config, preset_names
 from omstirap.protocols import FringeResult, Scenario, build_initial_state, run_interferometry
-from omstirap.sweep import SweepAxis
+from omstirap.sweep import SweepAxis, SweepResult
 
 FAST_SIM = {
     "system": {"temperature_k": 0.0},
@@ -64,7 +67,8 @@ def test_simulate_summary_reports_integrator_stats(tmp_path):
     assert main(["simulate", "--preset", "bell-lossless", "--config", cfg,
                  "--out", str(out)]) == 0
     stats = json.loads((out / "summary.json").read_text())["summary"]["integrator"]
-    assert set(stats) == {"accepted", "rejected", "rhs_evals", "h_min", "h_max"}
+    assert set(stats) == {"accepted", "rejected", "rhs_evals", "h_min", "h_max",
+                          "state_size", "norm_size"}
     assert stats["accepted"] >= 8  # at least one step per sample interval
     assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
     assert 0.0 < stats["h_min"] <= stats["h_max"]
@@ -266,15 +270,32 @@ BAD_INPUT = {
                             {"target": {"kind": "weights_mode2", "weights": [0, 0]}},
                             "explicit weights must have positive mass"),
     "eval-time-string": ("simulate", "bell-lossless", {"eval_time_s": "x"}),
+    # an explicit state must be Hermitian and positive
+    "explicit-negative-weight": ("simulate", "bell-lossless",
+                                 {"initial": {"kind": "explicit", "weights": [1, -0.5]},
+                                  "dims": [2, 3, 3], "sample_count": 5,
+                                  "target": {"kind": "fock_mode2"}}, "weights must be >= 0"),
+    "explicit-non-hermitian-matrix": ("simulate", "bell-lossless",
+                                      {"initial": {"kind": "explicit",
+                                                   "matrix": [[0.5, 0.9], [0.1, 0.5]]},
+                                       "dims": [2, 2, 3], "sample_count": 5,
+                                       "target": {"kind": "fock_mode2"}}, "not Hermitian"),
+    "sweep-metrics-empty": ("sweep", "sweep-kappa-alpha", {"sweep": {"metrics": []}},
+                            "sweep.metrics"),
+    "contour-field-not-a-metric": ("sweep", "sweep-kappa-alpha",
+                                   {"sweep": {"contour_field": "nosuch",
+                                              "contour_levels": [0.5]}}, "'nosuch'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, case):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("bad input must be rejected before any sweep cell runs")
+    def no_run(*args, **kwargs):
+        raise AssertionError("bad input must be rejected before any integration")
 
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(cli, "run_sweep", no_run)
+    monkeypatch.setattr(protocols, "evolve", no_run)
+    monkeypatch.setattr(protocols, "evolve_pure", no_run)
     command, preset, override, *named = BAD_INPUT[case]
     assert _run(tmp_path, command, preset, override) == 2
     err = capsys.readouterr().err
@@ -389,3 +410,39 @@ def test_initial_matrix_matches_weights():
     rho_w = build_initial_state(space, cli.build_scenario(cfg).initial)
     rho_m = build_initial_state(space, cli.build_scenario(by_matrix).initial)
     np.testing.assert_allclose(rho_m.matrix, rho_w.matrix, rtol=0, atol=1e-15)
+
+
+def test_sweep_json_records_failure_time(tmp_path, monkeypatch):
+    failures = (((0,), "StiffnessError", "step size underflow", 1.25e-4),
+                ((1,), "InvalidArgumentError", "pulse widths must be > 0", None))
+
+    def failed_sweep(base, axes, metrics, worker_count):
+        fields = {m: np.full(len(axes[0].values), np.nan) for m in metrics}
+        return SweepResult(axes=tuple(axes), fields=fields, failures=failures)
+
+    monkeypatch.setattr(cli, "run_sweep", failed_sweep)
+    override = {"sweep": {"axes": [{"path": "kappa", "values": [1e3, 2e3]}]}}
+    assert _run(tmp_path, "sweep", "sweep-kappa-alpha", override) == 0
+    meta = json.loads((tmp_path / "o" / "sweep.json").read_text())
+    assert meta["failures"] == [
+        {"cell": [0], "error": "StiffnessError", "message": "step size underflow",
+         "time_s": 1.25e-4},
+        {"cell": [1], "error": "InvalidArgumentError", "message": "pulse widths must be > 0",
+         "time_s": None}]
+
+
+def test_summary_does_not_depend_on_the_blas_thread_count(tmp_path):
+    src = Path(cli.__file__).parents[1]
+    summaries = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", "import sys; from omstirap.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", "simulate", "--preset",
+                        "table2-stirap-1K", "--out", str(out)],
+                       env=env, check=True, timeout=300)
+        summary = json.loads((out / "summary.json").read_text())
+        summary["summary"].pop("wall_time_s")
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]

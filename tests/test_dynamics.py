@@ -1,8 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from omstirap import dynamics
+from omstirap.cli import build_scenario
 from omstirap.dynamics import (
     IntegratorConfig,
     LindbladModel,
@@ -27,6 +32,9 @@ from omstirap.hilbert import (
     fock_state,
     number_operator,
 )
+from omstirap.model import DriveSchedule, HamiltonianSpec, SystemParams, hamiltonian_generator
+from omstirap.presets import preset_config
+from omstirap.protocols import InitialStateSpec, Scenario, run_scenario
 
 SPACE = HilbertSpace((2, 2, 2))
 KAPPA = 2 * math.pi * 2e3
@@ -369,6 +377,8 @@ def test_integrator_stats_count_the_work():
     # two evaluations choose the first step, six more per attempted step
     assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
     assert 0.0 < stats.h_min <= stats.h_max <= 0.2 / KAPPA * (1 + 1e-12)
+    # decay alone reaches only |000><000| from |100><100|; the norm counts all 64
+    assert (stats.state_size, stats.norm_size) == (2, 64)
 
 
 def test_stop_on_a_float_twin_of_a_sample_is_dropped():
@@ -388,3 +398,87 @@ def test_stop_on_a_float_twin_of_a_sample_is_dropped():
     for st, ref, t in zip(traj.states, plain.states, ts):
         assert abs(expectation(n_c, st).real - math.exp(-KAPPA * t)) < 1e-7
         assert np.max(np.abs(st.matrix - ref.matrix)) < 1e-7
+
+
+# ------------------------------------------------ the support of the initial state
+
+def _support_cases():
+    """The six table-2 rows, fig3, the criterion-10 full-picture scenario on a
+    window across the pulse overlap, and the criterion-1 coherent run at
+    dims (3,13,13), each with its (state_size, norm_size)."""
+    cases = {name: (build_scenario(preset_config(name)), (330, 2500)) for name in (
+        "table2-stirap-50mK", "table2-stirap-1K", "table2-fstirap-10mK",
+        "table2-fstirap-50mK", "table2-fstirap-1K", "fig3")}
+    # (|0> + |1>)/sqrt(2) in mode 1 occupies k = 0 and k = +-1
+    cases["table2-stirap-10mK"] = (build_scenario(preset_config("table2-stirap-10mK")),
+                                   (956, 2500))
+    # the a^+ b^+ terms change N by 2: every even k, half of the 1,024 entries
+    params = SystemParams.from_ordinary(temperature_k=0.01, omega2_hz=1.2e6, kappa_hz=4e3)
+    sched = DriveSchedule("stirap", 8000.0, 0.15e-3 / 1.43, 0.15e-3, 0.15e-3)
+    cases["criterion-10-full"] = (Scenario(
+        params=params, schedule=sched, initial=InitialStateSpec("fock", n=1),
+        dims=(2, 4, 4), horizon=(-0.1e-3, 0.0), sample_count=5,
+        metrics=("n1", "n2", "n_plus", "n_minus"), picture="full", rel_tol=1e-6,
+        abs_tol=1e-9), (512, 1024))
+    coherent = json.loads((Path(__file__).parents[1] / "bench" / "coherent507.json").read_text())
+    cases["coherent-507"] = (build_scenario(coherent), (235, 507))
+    return cases
+
+
+SUPPORT_CASES = _support_cases()
+
+
+def _every_index(pieces, start, mirror=None):
+    return np.arange(start.size)
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORT_CASES))
+def test_reduced_run_matches_unreduced(monkeypatch, name):
+    scenario, sizes = SUPPORT_CASES[name]
+    reduced = run_scenario(scenario)
+    monkeypatch.setattr(dynamics, "_support", _every_index)
+    full = run_scenario(scenario)
+    stats, ref = reduced.summary["integrator"], full.summary["integrator"]
+    assert (stats["state_size"], stats["norm_size"]) == sizes
+    assert ref["state_size"] == ref["norm_size"] == sizes[1]
+    for key in ("accepted", "rejected", "rhs_evals"):
+        assert stats[key] == ref[key]
+    # the pure path's norm sums in another order, which moves psi by rounding
+    tol = 1e-8 if name == "coherent-507" else 1e-12
+    for key in ("h_min", "h_max"):
+        assert abs(stats[key] - ref[key]) <= tol
+    for key, value in reduced.summary.items():
+        if isinstance(value, float) and key != "wall_time_s":
+            assert abs(value - full.summary[key]) <= tol, key
+    obs, ref_obs = reduced.trajectory.observables, full.trajectory.observables
+    assert set(obs) == set(ref_obs)
+    for key in obs:
+        assert np.max(np.abs(obs[key] - ref_obs[key])) <= tol, key
+
+
+@settings(max_examples=25, deadline=None)
+@given(picture=st.sampled_from(["rwa", "bs"]), seed=st.integers(0, 2**32 - 1),
+       levels=st.sets(st.integers(0, 7), min_size=1), coherences=st.booleans())
+def test_excitation_diagonal_inputs_stay_in_the_k0_sector(picture, seed, levels, coherences):
+    space = HilbertSpace((2, 4, 4))
+    params = SystemParams.from_ordinary(temperature_k=0.01)
+    sched = DriveSchedule("stirap", 2000.0, 0.15e-3 / 1.43, 0.15e-3, 0.15e-3)
+    h = hamiltonian_generator(HamiltonianSpec(params, (sched,), space, picture))
+    model = LindbladModel(space, h, tuple(thermal_collapse_terms(space, params)))
+    rng = np.random.default_rng(seed)
+    d = space.total_dim
+    n = np.array([sum(space.multi_index(i)) for i in range(d)])
+    rho = np.zeros((d, d), dtype=complex)
+    for level in levels:
+        block = np.flatnonzero(n == level)
+        x = rng.normal(size=(block.size, block.size))
+        if coherences:
+            x = x + 1j * rng.normal(size=x.shape)
+        else:
+            x = np.diag(np.abs(np.diag(x)) + 0.1)
+        rho[np.ix_(block, block)] = x @ x.conj().T
+    transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    l0, parts = dynamics._superoperator_pieces(model)
+    keep = dynamics._support((l0, *parts), rho.reshape(-1) != 0, transpose)
+    np.testing.assert_array_equal(keep, np.flatnonzero(n[:, None] == n[None, :]))
+    assert keep.size == 168

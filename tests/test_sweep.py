@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from omstirap.errors import ConfigError, InvalidArgumentError
+from omstirap import sweep
+from omstirap.errors import (
+    ConfigError,
+    IntegrationDivergedError,
+    InvalidArgumentError,
+    StiffnessError,
+)
 from omstirap.model import DriveSchedule, SystemParams, TWO_PI
 from omstirap.protocols import InitialStateSpec, Scenario, run_scenario
 from omstirap.sweep import (
@@ -101,17 +107,30 @@ def test_sweep_determinism_across_worker_counts():
     assert r1.failures == r2.failures == ()
 
 
-def test_failed_cells_recorded_not_fatal():
+def test_failed_cells_recorded_not_fatal(monkeypatch):
     scen = _fast_scenario()
-    # a zero-width pulse is rejected by DriveSchedule validation inside the cell
-    axes = [SweepAxis("schedule.sigma1", (-1e-4, 0.15e-3))]
+    # a zero-width pulse is rejected by DriveSchedule validation inside the cell;
+    # two other widths stand for integrations that fail at a known time
+    failing = {0.1e-3: StiffnessError(1.25e-4), 0.12e-3: IntegrationDivergedError(2.5e-4, 1e-3)}
+
+    def run(scenario):
+        if scenario.schedule.sigma1 in failing:
+            raise failing[scenario.schedule.sigma1]
+        return run_scenario(scenario)
+
+    monkeypatch.setattr(sweep, "run_scenario", run)
+    axes = [SweepAxis("schedule.sigma1", (-1e-4, 0.1e-3, 0.12e-3, 0.15e-3))]
     res = run_sweep(scen, axes, metrics=("final_n2",), worker_count=1)
-    assert len(res.failures) == 1
+    assert len(res.failures) == 3
     assert res.failures[0][0] == (0,)
     assert res.failures[0][1] == "InvalidArgumentError"
     assert "pulse widths" in res.failures[0][2]
-    assert math.isnan(res.fields["final_n2"][0])
-    assert not math.isnan(res.fields["final_n2"][1])
+    assert res.failures[0][3] is None
+    assert [f[1:] for f in res.failures[1:]] == [
+        ("StiffnessError", str(failing[0.1e-3]), 1.25e-4),
+        ("IntegrationDivergedError", str(failing[0.12e-3]), 2.5e-4)]
+    assert np.isnan(res.fields["final_n2"][:3]).all()
+    assert not math.isnan(res.fields["final_n2"][3])
 
 
 def test_programming_error_in_cell_propagates(monkeypatch):
