@@ -20,7 +20,6 @@ from .hilbert import (
 )
 from .model import (
     DriveSchedule,
-    HamiltonianSpec,
     SystemParams,
     bose_occupancy,
     chain_hamiltonian,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import hbar as HBAR, k as K_B
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .errors import (
     DegenerateAngleError,
@@ -55,37 +56,12 @@ class GapSpectrum:
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function by Halley iteration.
-
-    Valid for x >= -1/e; the residual |W e^W - x| converges below 1e-12
-    relative.
-    """
+    """Principal branch of the Lambert W function, for x >= -1/e."""
     if x < -1.0 / math.e:
         raise DomainError(f"lambert_w0 undefined for x = {x} < -1/e")
-    if x == 0.0:
-        return 0.0
-    # initial guess: series near the branch point, a rational fit on the
-    # moderate range, and the asymptotic log form beyond e
-    if x < -0.25:
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    elif x <= math.e:
-        w = x / (1.0 + x)
-    else:
-        lx = math.log(x)
-        llx = math.log(lx)
-        w = lx - llx + llx / lx
-    for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        if denom == 0.0:
-            break
-        dw = f / denom
-        w -= dw
-        if abs(dw) <= 1e-15 * max(1.0, abs(w)):
-            break
-    return w
+    if x == -1.0 / math.e:
+        return -1.0  # the float -1/e lies just outside scipy's domain
+    return float(lambertw(x).real)
 
 
 def adiabaticity_bounds(

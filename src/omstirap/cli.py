@@ -4,8 +4,9 @@ Commands: ``simulate``, ``sweep``, ``adiabaticity``, ``verify``, ``plan``.
 Config files are JSON.  The ``system``, ``schedule``, ``initial``, ``plan``,
 ``adiabaticity`` and ``verify`` blocks take the parameters of the constructor
 they feed as keys, with its defaults and annotated scalar types.  A key names
-a parameter exactly or after one unit suffix: ``_hz`` (f = w/2pi) is
-multiplied by 2pi; ``_rads``, ``_rad``, ``_s`` and ``_k`` pass through.
+a parameter exactly or, for a float or complex parameter whose name carries no
+unit suffix yet, after one unit suffix: ``_hz`` (f = w/2pi) is multiplied by
+2pi; ``_rads``, ``_rad``, ``_s`` and ``_k`` pass through.
 Sweep axes on ``delta`` or on a ``params.`` field that the system block sets
 in ``_hz`` are in Hz too.  Unknown and repeated keys, a block that is not a
 JSON object and a boolean key set to anything but ``true``/``false`` are
@@ -99,13 +100,17 @@ def _invalid(where: str):
 
 @functools.cache
 def _schema(fn) -> tuple:
-    """Per parameter of ``fn``: (scalar type or None, optional); per key: (parameter, factor)."""
+    """Per parameter of ``fn``: (scalar type or None, optional); per key: (parameter, factor).
+
+    Only a float or complex parameter whose name has no unit suffix takes one.
+    """
     types = {}
     for name, param in inspect.signature(fn).parameters.items():
         ann = param.annotation
         ann = ann if isinstance(ann, str) else getattr(ann, "__name__", "")
         types[name] = (_SCALARS.get(ann.removesuffix(" | None")), ann.endswith(" | None"))
-    keys = {name + unit: (name, factor) for name in types for unit, factor in _UNITS.items()}
+    keys = {name + unit: (name, factor) for name in types for unit, factor in _UNITS.items()
+            if types[name][0] in (float, complex) and not name.endswith(tuple(_UNITS))}
     keys.update((name, (name, 1.0)) for name in types)
     return types, keys
 
@@ -130,8 +135,8 @@ def _build(fn, block: dict, where: str, **fixed):
             name, factor = keys.get(key, (None, None))
             if name is None or name in fixed:
                 raise ConfigError(f"unknown key {key!r} in {where}; keys are "
-                                  f"{sorted(set(types) - set(fixed))}, each with an "
-                                  f"optional unit suffix {list(_UNITS)}")
+                                  f"{sorted(set(types) - set(fixed))}; a float key without a "
+                                  f"unit may add one of {list(_UNITS)}")
             if name in seen:
                 raise ConfigError(f"repeated key {key!r} in {where}: "
                                   f"{seen[name]!r} already sets {name}")
@@ -239,13 +244,11 @@ def build_scenario(cfg: dict) -> Scenario:
     metrics = tuple(_list(cfg, "metrics", ["n1", "n2", "nc", "negativity", "fidelity"],
                           "metrics"))
     target = build_target(cfg["target"], dims) if "target" in cfg else None
-    if target is None:
-        metrics = tuple(m for m in metrics if m != "fidelity")
     initial = build_initial(cfg.get("initial", {"kind": "fock", "n": 1}))
     with _invalid("scenario"):
         return Scenario(
             params=params,
-            schedule=schedules if "schedules" in cfg else schedules[0],
+            schedule=schedules,
             initial=initial,
             dims=dims,
             horizon=(float(horizon_block["start_s"]), float(horizon_block["end_s"])),

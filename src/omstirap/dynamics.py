@@ -51,6 +51,7 @@ from .model import bose_occupancy
 
 TRACE_SAMPLE_TOL = 1e-6
 TRACE_DIVERGENCE_TOL = 1e-4
+NORM_DIVERGENCE_TOL = math.sqrt(TRACE_DIVERGENCE_TOL)  # on |psi|, the pure path's check
 ORACLE_DIM_CAP = 4096  # on total_dim^2; the oracle scales as dim^6
 
 
@@ -355,7 +356,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config: IntegratorConfig) 
         y = 0.5 * (y + y[mirror].conj())
         drift = abs(y[diagonal].sum().real - 1.0)
         if drift > tol:
-            raise IntegrationDivergedError(t, drift)
+            raise IntegrationDivergedError(t, drift, tol)
         return y
 
     def on_accept(t, y):
@@ -396,8 +397,8 @@ def evolve_pure(
 
     def on_accept(t, y):
         nrm = np.linalg.norm(y)
-        if abs(nrm - 1.0) > math.sqrt(TRACE_DIVERGENCE_TOL):
-            raise IntegrationDivergedError(t, abs(nrm * nrm - 1.0))
+        if abs(nrm - 1.0) > NORM_DIVERGENCE_TOL:
+            raise IntegrationDivergedError(t, abs(nrm - 1.0), NORM_DIVERGENCE_TOL, "norm")
         return y / nrm
 
     def on_sample(t, y):

@@ -52,22 +52,28 @@ class ConfigError(OmstirapError, ValueError):
 class StiffnessError(OmstirapError, RuntimeError):
     """Adaptive step size underflowed; carries the last good time."""
 
-    def __init__(self, last_good_time: float, message: str | None = None):
+    def __init__(self, last_good_time: float):
         self.last_good_time = last_good_time
-        super().__init__(
-            message or f"step size underflow at t = {last_good_time:.6e} s"
-        )
+        super().__init__(f"step size underflow at t = {last_good_time:.6e} s")
+
+    def __reduce__(self):  # survives the trip back from a worker process
+        return type(self), (self.last_good_time,)
 
 
 class IntegrationDivergedError(OmstirapError, RuntimeError):
-    """Trace drift exceeded the divergence threshold during integration."""
+    """A trace (or, for a pure state, norm) drift exceeded the tolerance named."""
 
-    def __init__(self, time: float, drift: float):
+    def __init__(self, time: float, drift: float, tolerance: float, quantity: str = "trace"):
         self.time = time
         self.drift = drift
+        self.tolerance = tolerance
+        self.quantity = quantity
         super().__init__(
-            f"trace drift {drift:.3e} exceeded 1e-4 at t = {time:.6e} s"
+            f"{quantity} drift {drift:.3e} exceeded {tolerance:.0e} at t = {time:.6e} s"
         )
+
+    def __reduce__(self):
+        return type(self), (self.time, self.drift, self.tolerance, self.quantity)
 
 
 class TruncationWarning(UserWarning):

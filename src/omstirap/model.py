@@ -75,7 +75,6 @@ class SystemParams:
     q2: float = 1e9
     delta1: float | None = None
     delta2: float | None = None
-    omega_c: float = TWO_PI * 540e12  # informational only
 
     def __post_init__(self):
         if self.delta1 is None:
@@ -118,7 +117,6 @@ class SystemParams:
         temperature_k: float = 0.01,
         delta1_hz: float | None = None,
         delta2_hz: float | None = None,
-        omega_c_hz: float = 540e12,
     ) -> "SystemParams":
         """Build from ordinary frequencies (values quoted as f = omega/2pi)."""
         return cls(
@@ -132,7 +130,6 @@ class SystemParams:
             q2=q2,
             delta1=None if delta1_hz is None else TWO_PI * delta1_hz,
             delta2=None if delta2_hz is None else TWO_PI * delta2_hz,
-            omega_c=TWO_PI * omega_c_hz,
         )
 
 
@@ -285,38 +282,31 @@ def _angle_limits(schedule: DriveSchedule) -> tuple[float, float]:
     return math.pi / 4, math.pi / 4
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Everything needed to evaluate H(t) on a concrete space."""
-
-    params: SystemParams
-    schedule: DriveSchedule | Sequence[DriveSchedule]
-    space: HilbertSpace
-    picture: str = "rwa"
-
-    def __post_init__(self):
-        if self.space.n_modes != 3:
-            raise InvalidDimensionError("Hamiltonian needs a 3-mode space")
-        if self.picture not in PICTURES:
-            raise InvalidArgumentError(f"unknown picture {self.picture!r}")
-
-
-def hamiltonian_generator(spec: HamiltonianSpec) -> Generator:
-    """H(t) as sparse operators A_k with scalar coefficients c_k(t).
+def hamiltonian_generator(
+    params: SystemParams,
+    schedule: DriveSchedule | Sequence[DriveSchedule],
+    space: HilbertSpace,
+    picture: str = "rwa",
+) -> Generator:
+    """H(t) on a 3-mode ``space`` as sparse operators A_k with scalar coefficients c_k(t).
 
     ``rwa`` and ``bs`` have the two terms a^+ b_j; ``bs`` sums both pumps'
     detuning phases into each c_j.  ``full`` adds the two terms a^+ b_j^+.
     """
-    p = spec.params
-    amplitudes = _amplitude_function(spec.schedule)
-    a, b1, b2 = (destroy(spec.space, m) for m in range(3))
+    if space.n_modes != 3:
+        raise InvalidDimensionError("Hamiltonian needs a 3-mode space")
+    if picture not in PICTURES:
+        raise InvalidArgumentError(f"unknown picture {picture!r}")
+    amplitudes = _amplitude_function(schedule)
+    a, b1, b2 = (destroy(space, m) for m in range(3))
     adag = a.conj().T
     ops = [adag @ b1, adag @ b2]
+    p = params
     g, deltas, omegas = (p.g1, p.g2), (p.delta1, p.delta2), (p.omega1, p.omega2)
     # per term: its coupling g_j and the (pump i, phase rate) pairs it sums
-    pumps = [(0,), (1,)] if spec.picture == "rwa" else [(0, 1), (0, 1)]
+    pumps = [(0,), (1,)] if picture == "rwa" else [(0, 1), (0, 1)]
     terms = [(g[j], [(i, deltas[i] - omegas[j]) for i in pumps[j]]) for j in (0, 1)]
-    if spec.picture == "full":
+    if picture == "full":
         ops += [adag @ b1.conj().T, adag @ b2.conj().T]
         terms += [(g[j], [(i, deltas[i] + omegas[j]) for i in (0, 1)]) for j in (0, 1)]
 
@@ -325,7 +315,7 @@ def hamiltonian_generator(spec: HamiltonianSpec) -> Generator:
         return [sum(gj * z[i] * cmath.exp(1j * rate * t) for i, rate in pairs)
                 for gj, pairs in terms]
 
-    return Generator(spec.space, None, ops, coefficients)
+    return Generator(space, None, ops, coefficients)
 
 
 def collective_operators(

@@ -37,8 +37,6 @@ from .errors import (
     UndefinedSteadyStateError,
 )
 from .hilbert import (
-    EIGENVALUE_FLOOR,
-    HERMITICITY_TOL,
     DensityMatrix,
     HilbertSpace,
     StateVector,
@@ -50,8 +48,8 @@ from .hilbert import (
 )
 from .model import (
     DriveSchedule,
-    HamiltonianSpec,
     SystemParams,
+    _as_schedule_list,
     dark_state,
     hamiltonian_generator,
     pulse_centres,
@@ -112,18 +110,8 @@ def _single_mode(spec: InitialStateSpec, dim: int) -> np.ndarray:
     if spec.kind == "heralded":
         blue = thermal_state(dim, spec.nbar)
         return heralded_initial_state(blue, spec.signal_rate, spec.dcr).matrix
-    # explicit: the integrator assumes a Hermitian, positive input
-    if spec.matrix is not None:
-        m = np.asarray(spec.matrix, dtype=complex)
-        if m.shape != (dim, dim):
-            raise InvalidArgumentError(f"explicit matrix shape {m.shape} != ({dim},{dim})")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > HERMITICITY_TOL:
-            raise InvalidArgumentError(f"explicit matrix is not Hermitian: |m - m^+| = {herm:.3e}")
-        low = np.linalg.eigvalsh(m).min()
-        if low < EIGENVALUE_FLOOR:
-            raise InvalidArgumentError(f"explicit matrix has negative eigenvalue {low:.3e}")
-        return m
+    if spec.matrix is not None:  # checked as a density matrix: the integrator assumes one
+        return DensityMatrix(HilbertSpace((dim,)), spec.matrix).matrix
     if spec.weights is None:
         raise InvalidArgumentError("explicit kind needs weights or a matrix")
     w = np.zeros(dim)
@@ -172,7 +160,7 @@ class Scenario:
     """A complete, reproducible simulation setup."""
 
     params: SystemParams
-    schedule: DriveSchedule | tuple
+    schedule: tuple[DriveSchedule, ...]  # one schedule or a sequence is stored as a tuple
     initial: InitialStateSpec
     dims: tuple[int, int, int] = (2, 5, 5)
     horizon: tuple[float, float] = (-2e-3, 2e-3)
@@ -193,12 +181,7 @@ class Scenario:
         unknown = set(self.metrics) - set(KNOWN_METRICS)
         if unknown:
             raise InvalidArgumentError(f"unknown metrics {sorted(unknown)}")
-        if isinstance(self.schedule, list):
-            object.__setattr__(self, "schedule", tuple(self.schedule))
-
-    def schedules(self) -> tuple[DriveSchedule, ...]:
-        s = self.schedule
-        return (s,) if isinstance(s, DriveSchedule) else tuple(s)
+        object.__setattr__(self, "schedule", tuple(_as_schedule_list(self.schedule)))
 
 
 @dataclass(frozen=True)
@@ -223,13 +206,12 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     t_start = time.perf_counter()
     space = HilbertSpace(scenario.dims)
     state0 = build_initial_state(space, scenario.initial)
-    spec = HamiltonianSpec(scenario.params, scenario.schedules(), space, scenario.picture)
-    h = hamiltonian_generator(spec)
+    h = hamiltonian_generator(scenario.params, scenario.schedule, space, scenario.picture)
     config = IntegratorConfig(
         sample_times=_sample_times(scenario),
         rel_tol=scenario.rel_tol,
         abs_tol=scenario.abs_tol,
-        stops=pulse_centres(scenario.schedules()),
+        stops=pulse_centres(scenario.schedule),
     )
     if scenario.lossless and isinstance(state0, StateVector):
         traj = evolve_pure(h, state0, space, config)
@@ -247,74 +229,69 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     return ScenarioResult(trajectory=traj, summary=summary)
 
 
+def _series(scenario: Scenario) -> set[str]:
+    """The metrics a run of ``scenario`` computes: fidelity needs a target."""
+    return set(scenario.metrics) - ({"fidelity"} if scenario.target is None else set())
+
+
 def _observables(scenario: Scenario, space: HilbertSpace, traj: Trajectory) -> dict:
     out: dict = {}
     ts = traj.times
-    schedules = scenario.schedules()
-    out["alpha1"] = np.array([total_envelope(schedules, 1, t) for t in ts])
-    out["alpha2"] = np.array([total_envelope(schedules, 2, t) for t in ts])
-    number_ops = {}
+    metrics = _series(scenario)
+    out["alpha1"] = np.array([total_envelope(scenario.schedule, 1, t) for t in ts])
+    out["alpha2"] = np.array([total_envelope(scenario.schedule, 2, t) for t in ts])
     for name, mode in (("n1", 1), ("n2", 2), ("nc", 0)):
-        if name in scenario.metrics:
-            number_ops[name] = number_operator(space, mode)
-    for name, op in number_ops.items():
-        out[name] = np.array([float(np.real(expectation(op, st))) for st in traj.states])
-    need_rho12 = any(m in scenario.metrics for m in ("negativity", "p1")) or (
-        scenario.target is not None and scenario.target.reduction in ("mech12", "mech2", "mech1")
-    )
-    rho12s = (
-        [analysis.partial_trace(st, ("mech1", "mech2")) for st in traj.states]
-        if need_rho12
-        else None
-    )
-    if "negativity" in scenario.metrics:
-        out["negativity"] = np.array([analysis.negativity(r) for r in rho12s])
-    if "p1" in scenario.metrics:
-        vals = []
-        for r in rho12s:
-            m1 = analysis.partial_trace(r, (0,))
-            vals.append(float(np.real(m1.matrix[1, 1])))
-        out["p1"] = np.array(vals)
-    if "fidelity" in scenario.metrics and scenario.target is not None:
+        if name in metrics:
+            op = number_operator(space, mode)
+            out[name] = np.array([float(np.real(expectation(op, st))) for st in traj.states])
+    traces: dict = {None: traj.states}
+
+    def reduced(keep):
+        """The sampled states on the modes ``keep`` (None: all), traced once per ``keep``."""
+        if keep not in traces:
+            traces[keep] = [analysis.partial_trace(st, keep) for st in traj.states]
+        return traces[keep]
+
+    if "negativity" in metrics:
+        out["negativity"] = np.array([analysis.negativity(r) for r in reduced(("mech1", "mech2"))])
+    if "p1" in metrics:
+        out["p1"] = np.array([float(np.real(r.matrix[1, 1])) for r in reduced(("mech1",))])
+    if "fidelity" in metrics:
         tgt = scenario.target
-        vals = []
-        for full, r12 in zip(traj.states, rho12s or traj.states):
-            if tgt.reduction == "full":
-                red = full
-            elif tgt.reduction == "mech12":
-                red = r12
-            else:
-                idx = 0 if tgt.reduction == "mech1" else 1
-                red = analysis.partial_trace(r12, (idx,))
-            vals.append(analysis.fidelity(red, tgt.state))
-        out["fidelity"] = np.array(vals)
-    if "n_plus" in scenario.metrics or "n_minus" in scenario.metrics:
-        plus, minus = [], []
-        for st in traj.states:
-            np_, nm_ = analysis.collective_populations(st, scenario.params)
-            plus.append(np_)
-            minus.append(nm_)
-        out["n_plus"] = np.array(plus)
-        out["n_minus"] = np.array(minus)
+        out["fidelity"] = np.array([analysis.fidelity(r, tgt.state)
+                                    for r in reduced(TargetSpec.REDUCTIONS[tgt.reduction])])
+    if "n_plus" in metrics or "n_minus" in metrics:
+        pops = [analysis.collective_populations(st, scenario.params) for st in traj.states]
+        out["n_plus"], out["n_minus"] = np.array(pops).T
     return out
 
 
+#: summary key -> (the observable series it reads, its value from the series and the
+#: index of the evaluation time)
+_SUMMARY_KEYS = {
+    "fidelity": ("fidelity", lambda s, i: s[i]),
+    "fidelity_sqrt": ("fidelity", lambda s, i: math.sqrt(max(0.0, s[i]))),
+    "peak_negativity": ("negativity", lambda s, i: np.max(s)),
+    "final_negativity": ("negativity", lambda s, i: s[-1]),
+    **{key: (name, reduce) for name in ("n1", "n2", "nc", "p1") for key, reduce in
+       ((f"final_{name}", lambda s, i: s[-1]), (f"{name}_at_eval", lambda s, i: s[i]))},
+}
+
+
+def summary_keys(scenario: Scenario) -> set[str]:
+    """The float keys of the summary :func:`run_scenario` returns for ``scenario``."""
+    series = _series(scenario)
+    return {"eval_time_s", "wall_time_s"} | {
+        key for key, (name, _) in _SUMMARY_KEYS.items() if name in series}
+
+
 def _summary(scenario: Scenario, traj: Trajectory, obs: dict) -> dict:
-    summary: dict = {}
     ts = traj.times
     eval_t = scenario.eval_time if scenario.eval_time is not None else ts[-1]
     i_eval = int(np.argmin(np.abs(ts - eval_t)))
-    summary["eval_time_s"] = float(ts[i_eval])
-    if "fidelity" in obs:
-        summary["fidelity"] = float(obs["fidelity"][i_eval])
-        summary["fidelity_sqrt"] = math.sqrt(max(0.0, summary["fidelity"]))
-    if "negativity" in obs:
-        summary["peak_negativity"] = float(np.max(obs["negativity"]))
-        summary["final_negativity"] = float(obs["negativity"][-1])
-    for name in ("n1", "n2", "nc", "p1"):
-        if name in obs:
-            summary[f"final_{name}"] = float(obs[name][-1])
-            summary[f"{name}_at_eval"] = float(obs[name][i_eval])
+    summary = {"eval_time_s": float(ts[i_eval])}
+    summary.update((key, float(value(obs[name], i_eval)))
+                   for key, (name, value) in _SUMMARY_KEYS.items() if name in obs)
     return summary
 
 
@@ -393,7 +370,7 @@ class FringeResult:
 def _fringe_scenario(
     base: Scenario, phi1: float, phi2: float, wait: float, include_forward: bool
 ) -> Scenario:
-    fwd = base.schedules()[0]
+    fwd = base.schedule[0]
     if fwd.kind != "fractional":
         raise InvalidArgumentError("interferometry starts from a fractional sequence")
     fwd = replace(fwd, phase2=phi1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, OmstirapError
 from .model import DriveSchedule, SystemParams, TWO_PI
-from .protocols import Scenario, parallel_map, run_scenario
+from .protocols import Scenario, parallel_map, run_scenario, summary_keys
 from .adiabatic import resonance_check
 
 #: frequency-difference band (rad/s) below which the co-rotating cross
@@ -57,6 +57,11 @@ class SweepAxis:
         if self.scale == "log" and min(vals) <= 0:
             raise InvalidArgumentError("log axis needs positive values")
         object.__setattr__(self, "values", vals)
+        if self.tau_sigma_ratio is not None:
+            ratio = float(self.tau_sigma_ratio)
+            if not ratio > 0:
+                raise InvalidArgumentError(f"tau_sigma_ratio must be > 0, got {ratio}")
+            object.__setattr__(self, "tau_sigma_ratio", ratio)
 
 
 @dataclass(frozen=True)
@@ -129,10 +134,8 @@ def apply_axis_value(scenario: Scenario, axis: SweepAxis, value: float) -> Scena
     return replace(scenario, schedule=_update_schedules(scenario, {name: value}))
 
 
-def _update_schedules(scenario: Scenario, updates: dict):
-    scheds = scenario.schedules()
-    new = tuple(replace(s, **updates) for s in scheds)
-    return new[0] if len(new) == 1 else new
+def _update_schedules(scenario: Scenario, updates: dict) -> tuple:
+    return tuple(replace(s, **updates) for s in scenario.schedule)
 
 
 def pick_picture(scenario: Scenario) -> str:
@@ -161,7 +164,7 @@ def _run_cell(args):
             scenario = apply_axis_value(scenario, axis, value)
         scenario = replace(scenario, picture=pick_picture(scenario))
         summary = run_scenario(scenario).summary
-        return idx, {m: summary.get(m, math.nan) for m in metrics}, None
+        return idx, {m: summary[m] for m in metrics}, None
     except OmstirapError as exc:  # domain and integration failures are per-cell results
         time_s = getattr(exc, "last_good_time", getattr(exc, "time", None))
         return idx, None, (idx, type(exc).__name__, str(exc), time_s)
@@ -176,17 +179,22 @@ def run_sweep(
     """Run a scenario grid over one or two axes.
 
     ``metrics`` are summary keys of :func:`run_scenario` (for example
-    ``final_n2``, ``fidelity``, ``peak_negativity``).  Cells run fully
-    isolated; aggregation order is deterministic regardless of worker
-    scheduling.
+    ``final_n2``, ``fidelity``, ``peak_negativity``); one that the base
+    scenario's summary does not carry is rejected before any cell runs.
+    Cells run fully isolated; aggregation order is deterministic regardless
+    of worker scheduling.
     """
     axes = tuple(axes)
     if len(axes) not in (1, 2):
         raise InvalidArgumentError("sweeps support 1 or 2 axes")
     for axis in axes:
-        # unknown parameter paths are config errors up front; value errors
-        # inside a cell are recorded per-cell instead
+        # unknown parameter paths and metrics are config errors up front; value
+        # errors inside a cell are recorded per-cell instead
         resolve_path(axis.path)
+    missing = sorted(set(metrics) - summary_keys(base))
+    if missing:
+        raise InvalidArgumentError(f"no run of this sweep reports the metric(s) {missing}; "
+                                   f"its summaries carry {sorted(summary_keys(base))}")
     shape = tuple(len(a.values) for a in axes)
     jobs = []
     for idx in np.ndindex(*shape):

@@ -36,7 +36,6 @@ from omstirap.hilbert import (
 )
 from omstirap.model import (
     DriveSchedule,
-    HamiltonianSpec,
     SystemParams,
     bose_occupancy,
     chain_basis,
@@ -363,7 +362,7 @@ def test_criterion_9_spectrum_gap_chain():
     sched = DriveSchedule("stirap", 2000.0, SIGMA / 1.43, SIGMA, SIGMA)
     space = HilbertSpace((2, 5, 5))
     t = 0.25e-3
-    hfull = hamiltonian_generator(HamiltonianSpec(params, sched, space, "rwa")).dense(t)
+    hfull = hamiltonian_generator(params, sched, space, "rwa").dense(t)
     c11 = params.g1 * envelope(sched, 1, t)
     c22 = params.g2 * envelope(sched, 2, t)
     idx = [space.index(x) for x in chain_basis(1)]

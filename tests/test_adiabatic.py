@@ -29,6 +29,7 @@ def test_lambert_reference_points():
     assert lambert_w0(0.0) == 0.0
     assert np.isclose(lambert_w0(math.e), 1.0, atol=1e-14)
     assert np.isclose(lambert_w0(10.0), 1.745528002740699, atol=1e-12)
+    assert lambert_w0(-1 / math.e) == -1.0  # the branch point closes the domain
 
 
 def test_lambert_domain():

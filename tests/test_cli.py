@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omstirap import cli, protocols
+from omstirap import cli, protocols, sweep
 from omstirap.cli import main
-from omstirap.errors import ConfigError
+from omstirap.errors import ConfigError, IntegrationDivergedError, StiffnessError
 from omstirap.hilbert import HilbertSpace
 from omstirap.model import TWO_PI
 from omstirap.presets import ALIASES, PRESETS, preset_config, preset_names
@@ -285,6 +285,25 @@ BAD_INPUT = {
     "contour-field-not-a-metric": ("sweep", "sweep-kappa-alpha",
                                    {"sweep": {"contour_field": "nosuch",
                                               "contour_levels": [0.5]}}, "'nosuch'"),
+    # an explicit matrix is checked as a density matrix, trace included
+    "explicit-matrix-trace-2": ("simulate", "bell-lossless",
+                                {"initial": {"kind": "explicit", "matrix": [[1, 0], [0, 1]]},
+                                 "dims": [2, 2, 3], "sample_count": 5,
+                                 "target": {"kind": "fock_mode2"}}, "trace"),
+    # a sweep metric that no run's summary carries is rejected before the first cell
+    "sweep-metric-not-reported": ("sweep", "sweep-kappa-alpha",
+                                  {"sweep": {"metrics": ["final_n3"]}}, "'final_n3'"),
+    "sweep-fidelity-without-target": ("sweep", "degenerate-diagnostics",
+                                      {"sweep": {"axes": [{"path": "kappa",
+                                                           "values": [1e3, 2e3]}],
+                                                 "metrics": ["fidelity"]}}, "'fidelity'"),
+    "tau-sigma-ratio-string": ("sweep", "sweep-tau-sigma",
+                               {"sweep": {"axes": [{"path": "sigma", "values": [1e-4, 2e-4],
+                                                    "tau_sigma_ratio": "x"}]}}, "'x'"),
+    "tau-sigma-ratio-zero": ("sweep", "sweep-tau-sigma",
+                             {"sweep": {"axes": [{"path": "sigma", "values": [1e-4, 2e-4],
+                                                  "tau_sigma_ratio": 0}]}},
+                             "tau_sigma_ratio must be > 0"),
 }
 
 
@@ -293,7 +312,7 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, case):
     def no_run(*args, **kwargs):
         raise AssertionError("bad input must be rejected before any integration")
 
-    monkeypatch.setattr(cli, "run_sweep", no_run)
+    monkeypatch.setattr(sweep, "parallel_map", no_run)  # run_sweep's own checks still run
     monkeypatch.setattr(protocols, "evolve", no_run)
     monkeypatch.setattr(protocols, "evolve_pure", no_run)
     command, preset, override, *named = BAD_INPUT[case]
@@ -324,6 +343,10 @@ UNKNOWN_KEY = {
     "sweep axis": ("sweep", "sweep-kappa-alpha", "unit",
                    {"sweep": {"axes": [{"path": "kappa", "values": [1e3, 2e3],
                                         "unit": "Hz"}]}}),
+    # a unit suffix only where it names a unit: not on a name that has one, nor on an int
+    "system.omega1_hz_hz": ("simulate", "bell-lossless", "omega1_hz_hz",
+                            {"system": {"omega1_hz_hz": 1e6}}),
+    "initial.n_hz": ("simulate", "bell-lossless", "n_hz", {"initial": {"n_hz": 1}}),
 }
 
 
@@ -446,3 +469,42 @@ def test_summary_does_not_depend_on_the_blas_thread_count(tmp_path):
         summary["summary"].pop("wall_time_s")
         summaries.append(summary)
     assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_integration_failure_exits_3(tmp_path, capsys, monkeypatch, workers):
+    def diverged(*args, **kwargs):
+        raise IntegrationDivergedError(1.5e-3, 0.5, 1e-4)
+
+    # the fringe points run in forked workers, which inherit the stub
+    monkeypatch.setattr(protocols, "run_scenario", diverged)
+    assert main(["verify", "--preset", "verify-lossless", "--workers", str(workers),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "integration failed: trace drift 5.000e-01 exceeded 1e-04" in capsys.readouterr().err
+
+
+def test_simulate_integration_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def underflow(*args, **kwargs):
+        raise StiffnessError(-1.25e-3)
+
+    monkeypatch.setattr(protocols, "evolve", underflow)
+    assert _run(tmp_path, "simulate", "table2-stirap-10mK", {}) == 3
+    assert "step size underflow at t = -1.250000e-03 s" in capsys.readouterr().err
+
+
+def test_sweep_json_records_contours(tmp_path, monkeypatch):
+    def stub_sweep(base, axes, metrics, worker_count):
+        # final_n2 rises along the first axis only: the 0.5 contour is one vertical line
+        field = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        return SweepResult(axes=tuple(axes), fields={m: field for m in metrics})
+
+    monkeypatch.setattr(cli, "run_sweep", stub_sweep)
+    override = {"sweep": {"axes": [{"path": "kappa", "values": [1e3, 3e3]},
+                                   {"path": "alpha0", "values": [1e3, 2e3, 3e3]}],
+                          "contour_levels": [0.5]}}
+    assert _run(tmp_path, "sweep", "sweep-kappa-alpha", override) == 0
+    meta = json.loads((tmp_path / "o" / "sweep.json").read_text())
+    (line,) = meta["contours"]["0.5"]
+    line = np.asarray(line)
+    np.testing.assert_allclose(line[:, 0], TWO_PI * 2e3)  # axis units: rad/s
+    np.testing.assert_allclose(sorted(line[:, 1]), [1e3, 2e3, 3e3])

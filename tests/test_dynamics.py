@@ -1,6 +1,8 @@
 import json
 import math
+import pickle
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,16 +25,18 @@ from omstirap.errors import (
     InvalidArgumentError,
     InvalidDimensionError,
     OracleTooLargeError,
+    StiffnessError,
 )
 from omstirap.hilbert import (
     DensityMatrix,
     HilbertSpace,
+    StateVector,
     destroy,
     expectation,
     fock_state,
     number_operator,
 )
-from omstirap.model import DriveSchedule, HamiltonianSpec, SystemParams, hamiltonian_generator
+from omstirap.model import DriveSchedule, SystemParams, hamiltonian_generator
 from omstirap.presets import preset_config
 from omstirap.protocols import InitialStateSpec, Scenario, run_scenario
 
@@ -205,18 +209,54 @@ def test_liouvillian_reproduces_rhs():
 
 
 def test_evolve_pure_matches_density_path():
-    from omstirap.model import DriveSchedule, HamiltonianSpec, SystemParams, hamiltonian_generator
+    from omstirap.model import DriveSchedule, SystemParams, hamiltonian_generator
 
     p = SystemParams.from_ordinary()
     s = DriveSchedule("stirap", 2000.0, 0.42e-3, 0.6e-3, 0.6e-3)
     sp = HilbertSpace((2, 3, 3))
-    h = hamiltonian_generator(HamiltonianSpec(p, s, sp, "rwa"))
+    h = hamiltonian_generator(p, s, sp, "rwa")
     psi0 = fock_state(sp, 0, 1, 0)
     cfg = IntegratorConfig(sample_times=np.linspace(-2e-3, 2e-3, 9))
     tp = evolve_pure(h, psi0, sp, cfg)
     td = evolve(LindbladModel(sp, h, ()), psi0.density_matrix(), cfg)
     for a, b in zip(tp.states, td.states):
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7
+
+
+# ------------------------------------------------------ integration failures
+
+def test_step_underflow_raises_stiffness_error():
+    # a 1e20 rad/s splitting needs steps far below the float resolution of the span
+    sp = HilbertSpace((2,))
+    model = LindbladModel(sp, 1e20 * np.array([[0, 1], [1, 0]]))
+    rho0 = DensityMatrix(sp, np.diag([1.0, 0.0]))
+    with pytest.raises(StiffnessError, match="step size underflow at t = 0.000000e") as info:
+        evolve(model, rho0, IntegratorConfig(sample_times=[0.0, 1.0]))
+    assert info.value.last_good_time == 0.0
+
+
+def test_trace_drift_raises_naming_the_sample_tolerance():
+    rho0 = DensityMatrix(SPACE, 2 * _random_density(SPACE, 3).matrix, validate=False)
+    model = LindbladModel(SPACE, None, ((destroy(SPACE, 0), KAPPA),))
+    with pytest.raises(IntegrationDivergedError, match="trace drift 1.000e[+]00 exceeded 1e-06"):
+        evolve(model, rho0, IntegratorConfig(sample_times=[0.0, 1e-3]))
+
+
+def test_norm_drift_raises_on_the_pure_path():
+    psi0 = StateVector(SPACE, 2 * fock_state(SPACE, 1, 0, 0).amplitudes, validate=False)
+    with pytest.raises(IntegrationDivergedError,
+                       match="norm drift 1.000e[+]00 exceeded 1e-02") as info:
+        evolve_pure(np.zeros((8, 8)), psi0, SPACE, IntegratorConfig(sample_times=[0.0, 1e-3]))
+    assert info.value.tolerance == dynamics.NORM_DIVERGENCE_TOL
+
+
+@pytest.mark.parametrize("error", [StiffnessError(1.25e-4),
+                                   IntegrationDivergedError(2.5e-4, 1e-3, 1e-6),
+                                   IntegrationDivergedError(1e-4, 0.5, 1e-2, "norm")])
+def test_integration_errors_survive_pickling(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error) and vars(back) == vars(error)
 
 
 def test_collapse_rate_validation():
@@ -256,7 +296,7 @@ def test_thermal_collapse_terms_layout():
 # ------------------------------------------------- sparse generator vs dense
 
 def _equivalence_spec(picture):
-    from omstirap.model import DriveSchedule, HamiltonianSpec, SystemParams
+    from omstirap.model import DriveSchedule, SystemParams
 
     # detuned pumps, drive phases and a two-schedule train, so every
     # coefficient carries a nontrivial phase and a summed amplitude
@@ -266,7 +306,8 @@ def _equivalence_spec(picture):
                         theta=math.pi / 3, phase1=0.3, phase2=-0.7)
     rev = DriveSchedule("reversed_fractional", 1500.0, 0.42e-3, 0.6e-3, 0.6e-3,
                         theta=math.pi / 3, phase2=1.1, t0=1.2e-3)
-    return HamiltonianSpec(p, (fwd, rev), HilbertSpace((2, 3, 3)), picture)
+    return SimpleNamespace(params=p, schedule=(fwd, rev), space=HilbertSpace((2, 3, 3)),
+                           picture=picture)
 
 
 def _parent_dense_hamiltonian(spec, t):
@@ -311,7 +352,7 @@ def test_generator_densifies_to_dense_formula(picture):
     from omstirap.model import hamiltonian_generator
 
     spec = _equivalence_spec(picture)
-    gen = hamiltonian_generator(spec)
+    gen = hamiltonian_generator(**vars(spec))
     assert len(gen.ops) == (4 if picture == "full" else 2)
     for t in EQUIVALENCE_TIMES:
         ref = _parent_dense_hamiltonian(spec, t)
@@ -326,7 +367,7 @@ def test_sparse_rhs_matches_liouvillian_and_dense_formula(picture):
     spec = _equivalence_spec(picture)
     sp = spec.space
     collapse = thermal_collapse_terms(sp, spec.params)
-    model = LindbladModel(sp, hamiltonian_generator(spec), collapse)
+    model = LindbladModel(sp, hamiltonian_generator(**vars(spec)), collapse)
     d = sp.total_dim
     for seed, t in enumerate(EQUIVALENCE_TIMES):
         rho = _random_density(sp, seed).matrix
@@ -463,7 +504,7 @@ def test_excitation_diagonal_inputs_stay_in_the_k0_sector(picture, seed, levels,
     space = HilbertSpace((2, 4, 4))
     params = SystemParams.from_ordinary(temperature_k=0.01)
     sched = DriveSchedule("stirap", 2000.0, 0.15e-3 / 1.43, 0.15e-3, 0.15e-3)
-    h = hamiltonian_generator(HamiltonianSpec(params, (sched,), space, picture))
+    h = hamiltonian_generator(params, (sched,), space, picture)
     model = LindbladModel(space, h, tuple(thermal_collapse_terms(space, params)))
     rng = np.random.default_rng(seed)
     d = space.total_dim

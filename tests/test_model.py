@@ -9,7 +9,6 @@ from omstirap.errors import InvalidArgumentError, SidebandResolutionWarning, Und
 from omstirap.hilbert import HilbertSpace, number_operator
 from omstirap.model import (
     DriveSchedule,
-    HamiltonianSpec,
     SystemParams,
     bose_occupancy,
     chain_basis,
@@ -127,13 +126,13 @@ def test_hamiltonian_hermitian(t, picture):
     p = SystemParams.from_ordinary(temperature_k=0.01)
     s = DriveSchedule("stirap", 2000.0, 0.42e-3, 0.6e-3, 0.6e-3)
     sp = HilbertSpace((2, 3, 3))
-    h = hamiltonian_generator(HamiltonianSpec(p, s, sp, picture)).dense(t)
+    h = hamiltonian_generator(p, s, sp, picture).dense(t)
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
 def test_rwa_matrix_element(table_params, stirap):
     sp = HilbertSpace((2, 4, 4))
-    h = hamiltonian_generator(HamiltonianSpec(table_params, stirap, sp, "rwa")).dense(0.3e-3)
+    h = hamiltonian_generator(table_params, stirap, sp, "rwa").dense(0.3e-3)
     g11 = table_params.g1 * envelope(stirap, 1, 0.3e-3)
     elem = h[sp.index((0, 1, 0)), sp.index((1, 0, 0))]
     assert np.isclose(elem, g11, rtol=1e-12)
@@ -141,7 +140,7 @@ def test_rwa_matrix_element(table_params, stirap):
 
 def test_full_picture_all_terms_at_t0(table_params, stirap):
     sp = HilbertSpace((2, 3, 3))
-    h = hamiltonian_generator(HamiltonianSpec(table_params, stirap, sp, "full")).dense(0.0)
+    h = hamiltonian_generator(table_params, stirap, sp, "full").dense(0.0)
     # at t=0 every phase factor is 1, so beam-splitter and two-mode-squeezing
     # elements both appear with real couplings
     g_bs = table_params.g1 * envelope(stirap, 1, 0) + table_params.g1 * envelope(stirap, 2, 0)
@@ -153,8 +152,7 @@ def test_full_picture_all_terms_at_t0(table_params, stirap):
 
 def test_rwa_resonant_is_time_independent(table_params, stirap):
     sp = HilbertSpace((2, 3, 3))
-    spec = HamiltonianSpec(table_params, stirap, sp, "rwa")
-    h1 = hamiltonian_generator(spec).dense(1e-4)
+    h1 = hamiltonian_generator(table_params, stirap, sp, "rwa").dense(1e-4)
     # the envelope moves, but the operator structure stays that of a |t|-even
     # beam splitter; compare against explicit reconstruction
     g11 = table_params.g1 * envelope(stirap, 1, 1e-4)
@@ -167,7 +165,7 @@ def test_rwa_resonant_is_time_independent(table_params, stirap):
 def test_dark_state_annihilated(table_params, stirap):
     sp = HilbertSpace((2, 5, 5))
     for t in (-0.3e-3, 0.0, 0.4e-3):
-        h = hamiltonian_generator(HamiltonianSpec(table_params, stirap, sp, "rwa")).dense(t)
+        h = hamiltonian_generator(table_params, stirap, sp, "rwa").dense(t)
         theta = mixing_angle(stirap, table_params, t)
         for n in (0, 1, 2):
             phi = dark_state(sp, n, theta)
@@ -177,7 +175,7 @@ def test_dark_state_annihilated(table_params, stirap):
 def test_hamiltonian_commutes_with_dark_number(table_params, stirap):
     sp = HilbertSpace((2, 5, 5))
     t = 0.1e-3
-    h = hamiltonian_generator(HamiltonianSpec(table_params, stirap, sp, "rwa")).dense(t)
+    h = hamiltonian_generator(table_params, stirap, sp, "rwa").dense(t)
     bm, _ = collective_operators(sp, table_params, stirap, t, "rwa_phased")
     n_minus = bm.toarray().conj().T @ bm.toarray()
     comm = h @ n_minus - n_minus @ h
@@ -259,7 +257,7 @@ def test_chain_rejects_n0():
 def test_chain_equals_restricted_rwa_exactly(table_params, stirap):
     sp = HilbertSpace((2, 5, 5))
     t = 0.2e-3
-    h = hamiltonian_generator(HamiltonianSpec(table_params, stirap, sp, "rwa")).dense(t)
+    h = hamiltonian_generator(table_params, stirap, sp, "rwa").dense(t)
     g11 = table_params.g1 * envelope(stirap, 1, t)
     g22 = table_params.g2 * envelope(stirap, 2, t)
     for n in (1, 2, 3):

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from omstirap.analysis import fidelity, negativity, partial_trace
-from omstirap.errors import DomainError, InvalidArgumentError, UndefinedSteadyStateError
+from omstirap import protocols
+from omstirap.errors import (
+    DomainError,
+    IntegrationDivergedError,
+    InvalidArgumentError,
+    StiffnessError,
+    UndefinedSteadyStateError,
+)
 from omstirap.hilbert import (
     DensityMatrix,
     HilbertSpace,
@@ -324,6 +331,23 @@ def test_lossless_fringe_visibility_and_extrema():
     assert abs(fr.phase) < 0.02
     assert fr.p1_values[4] > 0.99  # phi2 = 0 = phi1: full return
     assert fr.p1_values[0] < 0.01  # phi2 = -pi: transfer completes instead
+
+
+@pytest.mark.parametrize("error", [StiffnessError(1.25e-4),
+                                   IntegrationDivergedError(2.5e-4, 1e-3, 1e-4)])
+def test_integration_error_crosses_the_worker_pool(monkeypatch, error):
+    def failing(scenario):
+        raise error
+
+    # the pool forks its workers, so they inherit the stub
+    monkeypatch.setattr(protocols, "run_scenario", failing)
+    s = DriveSchedule("fractional", 2000.0, SIGMA / 1.25, SIGMA, SIGMA, theta=math.pi / 4)
+    base = Scenario(params=_params(0.0), schedule=s, initial=InitialStateSpec("fock", n=1),
+                    dims=(2, 3, 3), metrics=("p1",), lossless=True)
+    for workers in (1, 2):
+        with pytest.raises(type(error)) as info:
+            run_interferometry(base, np.linspace(-math.pi, math.pi, 3), workers=workers)
+        assert str(info.value) == str(error) and vars(info.value) == vars(error)
 
 
 def test_diagonal_input_reverse_only_fringe_is_flat():

@@ -49,13 +49,13 @@ def test_axis_validation():
 def test_apply_axis_paths():
     scen = _fast_scenario()
     out = apply_axis_value(scen, SweepAxis("alpha0", (1.0, 2.0)), 1500.0)
-    assert out.schedules()[0].alpha0 == 1500.0
+    assert out.schedule[0].alpha0 == 1500.0
     out = apply_axis_value(scen, SweepAxis("kappa", (1.0, 2.0)), TWO_PI * 4e3)
     assert out.params.kappa == TWO_PI * 4e3
     out = apply_axis_value(
         scen, SweepAxis("sigma", (1.0, 2.0), tau_sigma_ratio=1.43), 0.4e-3
     )
-    sched = out.schedules()[0]
+    sched = out.schedule[0]
     assert sched.sigma1 == sched.sigma2 == 0.4e-3
     assert np.isclose(sched.tau, 0.4e-3 / 1.43)
     out = apply_axis_value(scen, SweepAxis("delta", (1.0, 2.0)), TWO_PI * 5e4)
@@ -111,11 +111,12 @@ def test_failed_cells_recorded_not_fatal(monkeypatch):
     scen = _fast_scenario()
     # a zero-width pulse is rejected by DriveSchedule validation inside the cell;
     # two other widths stand for integrations that fail at a known time
-    failing = {0.1e-3: StiffnessError(1.25e-4), 0.12e-3: IntegrationDivergedError(2.5e-4, 1e-3)}
+    failing = {0.1e-3: StiffnessError(1.25e-4),
+               0.12e-3: IntegrationDivergedError(2.5e-4, 1e-3, 1e-4)}
 
     def run(scenario):
-        if scenario.schedule.sigma1 in failing:
-            raise failing[scenario.schedule.sigma1]
+        if scenario.schedule[0].sigma1 in failing:
+            raise failing[scenario.schedule[0].sigma1]
         return run_scenario(scenario)
 
     monkeypatch.setattr(sweep, "run_scenario", run)
