@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omstirap.errors import InvalidArgumentError, SidebandResolutionWarning, UndefinedModeError
+from omstirap.errors import (
+    InvalidArgumentError,
+    InvalidDimensionError,
+    SidebandResolutionWarning,
+    UndefinedModeError,
+)
 from omstirap.hilbert import HilbertSpace, number_operator
 from omstirap.model import (
     DriveSchedule,
@@ -128,6 +133,13 @@ def test_hamiltonian_hermitian(t, picture):
     sp = HilbertSpace((2, 3, 3))
     h = hamiltonian_generator(p, s, sp, picture).dense(t)
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
+
+
+def test_hamiltonian_generator_checks_space_and_picture(table_params, stirap):
+    with pytest.raises(InvalidDimensionError, match="3-mode"):
+        hamiltonian_generator(table_params, stirap, HilbertSpace((2, 3)))
+    with pytest.raises(InvalidArgumentError, match="unknown picture 'lab'"):
+        hamiltonian_generator(table_params, stirap, HilbertSpace((2, 3, 3)), "lab")
 
 
 def test_rwa_matrix_element(table_params, stirap):
