@@ -55,7 +55,7 @@ _AXIS_KEYS = {"path", "start", "stop", "count", "values", "scale", "tau_sigma_ra
 _SWEEP_KEYS = {"axes", "metrics", "workers", "contour_levels", "contour_field"}
 _TOP_KEYS = {"system", "schedule", "schedules", "dims", "initial", "horizon",
              "sample_count", "eval_time_s", "picture", "lossless", "integrator",
-             "target", "metrics", "sweep", "verify", "plan", "adiabaticity"}
+             "target", "sweep", "verify", "plan", "adiabaticity"}
 
 #: unit suffix of a config key -> factor from the config unit to the parameter's
 _UNITS = {"_hz": TWO_PI, "_rads": 1.0, "_rad": 1.0, "_s": 1.0, "_k": 1.0}
@@ -241,8 +241,6 @@ def build_scenario(cfg: dict) -> Scenario:
     _check_keys(horizon_block, {"start_s", "end_s"}, "horizon")
     integ = cfg.get("integrator", {})
     _check_keys(integ, _INTEGRATOR_KEYS, "integrator")
-    metrics = tuple(_list(cfg, "metrics", ["n1", "n2", "nc", "negativity", "fidelity"],
-                          "metrics"))
     target = build_target(cfg["target"], dims) if "target" in cfg else None
     initial = build_initial(cfg.get("initial", {"kind": "fock", "n": 1}))
     with _invalid("scenario"):
@@ -253,7 +251,6 @@ def build_scenario(cfg: dict) -> Scenario:
             dims=dims,
             horizon=(float(horizon_block["start_s"]), float(horizon_block["end_s"])),
             sample_count=int(cfg.get("sample_count", 81)),
-            metrics=metrics,
             target=target,
             eval_time=None if cfg.get("eval_time_s") is None else float(cfg["eval_time_s"]),
             picture=cfg.get("picture", "rwa"),
@@ -312,8 +309,6 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.preset, args.config)
     for key in ("sweep", "verify", "plan", "adiabaticity"):
         cfg.pop(key, None)
-    # the trajectory CSV has a fixed column contract
-    cfg["metrics"] = ["n1", "n2", "nc", "negativity", "fidelity"]
     scenario = build_scenario(cfg)
     if scenario.target is None:
         raise ConfigError("simulate needs a target block (fidelity column)")
@@ -360,7 +355,8 @@ def cmd_sweep(args) -> int:
     if contour_field not in metrics:
         raise ConfigError(f"sweep.contour_field {contour_field!r} is not one of the "
                           f"sweep's metrics {list(metrics)}")
-    workers = args.workers or int(block.get("workers", 1))
+    with _invalid("sweep"):
+        workers = args.workers or int(block.get("workers", 1))
     t0 = time.perf_counter()
     result = run_sweep(base, axes, metrics=metrics, worker_count=workers)
     out = Path(args.out)

@@ -61,19 +61,18 @@ class StiffnessError(OmstirapError, RuntimeError):
 
 
 class IntegrationDivergedError(OmstirapError, RuntimeError):
-    """A trace (or, for a pure state, norm) drift exceeded the tolerance named."""
+    """A trace drift (of |psi|^2 for a pure state) exceeded the tolerance named."""
 
-    def __init__(self, time: float, drift: float, tolerance: float, quantity: str = "trace"):
+    def __init__(self, time: float, drift: float, tolerance: float):
         self.time = time
         self.drift = drift
         self.tolerance = tolerance
-        self.quantity = quantity
         super().__init__(
-            f"{quantity} drift {drift:.3e} exceeded {tolerance:.0e} at t = {time:.6e} s"
+            f"trace drift {drift:.3e} exceeded {tolerance:.0e} at t = {time:.6e} s"
         )
 
     def __reduce__(self):
-        return type(self), (self.time, self.drift, self.tolerance, self.quantity)
+        return type(self), (self.time, self.drift, self.tolerance)
 
 
 class TruncationWarning(UserWarning):

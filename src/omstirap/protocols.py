@@ -1,8 +1,9 @@
 """Scenario orchestration: state preparation, transfer runs, verification.
 
 A :class:`Scenario` bundles physical parameters, a drive schedule (or pulse
-train), an initial-state recipe and the requested observables;
-:func:`run_scenario` turns it into a sampled trajectory plus a summary.
+train), an initial-state recipe and an optional fidelity target;
+:func:`run_scenario` turns it into a sampled trajectory carrying every
+observable series plus a summary.
 The interferometric entanglement check sweeps the relative drive phase of a
 time-reversed fractional sequence and fits the resulting single-phonon
 fringe.  Closed-form planner estimates for optical cooling, heralding and
@@ -42,7 +43,6 @@ from .hilbert import (
     StateVector,
     coherent_state,
     expectation,
-    number_operator,
     product_density,
     thermal_state,
 )
@@ -50,13 +50,12 @@ from .model import (
     DriveSchedule,
     SystemParams,
     _as_schedule_list,
+    collective_operators,
     dark_state,
     hamiltonian_generator,
     pulse_centres,
     total_envelope,
 )
-
-KNOWN_METRICS = ("n1", "n2", "nc", "negativity", "fidelity", "p1", "n_plus", "n_minus")
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,6 @@ class Scenario:
     dims: tuple[int, int, int] = (2, 5, 5)
     horizon: tuple[float, float] = (-2e-3, 2e-3)
     sample_count: int = 81
-    metrics: tuple[str, ...] = ("n1", "n2", "nc", "negativity")
     target: TargetSpec | None = None
     eval_time: float | None = None
     picture: str = "rwa"
@@ -178,9 +176,6 @@ class Scenario:
             raise InvalidArgumentError("horizon start must precede its end")
         if self.sample_count < 2:
             raise InvalidArgumentError("sample_count must be >= 2")
-        unknown = set(self.metrics) - set(KNOWN_METRICS)
-        if unknown:
-            raise InvalidArgumentError(f"unknown metrics {sorted(unknown)}")
         object.__setattr__(self, "schedule", tuple(_as_schedule_list(self.schedule)))
 
 
@@ -197,11 +192,12 @@ def _sample_times(scenario: Scenario) -> np.ndarray:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Evolve the scenario and attach the requested observable series.
+    """Evolve the scenario and attach every observable series.
 
     The summary reports the fidelity at the declared evaluation time (both
     the squared Uhlmann value and its square root, the trace convention),
-    the running peak of the negativity, and the final mode populations.
+    the running peak of the negativity, the final mode populations, and the
+    peak population of each mode's top Fock level.
     """
     t_start = time.perf_counter()
     space = HilbertSpace(scenario.dims)
@@ -229,21 +225,27 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     return ScenarioResult(trajectory=traj, summary=summary)
 
 
-def _series(scenario: Scenario) -> set[str]:
-    """The metrics a run of ``scenario`` computes: fidelity needs a target."""
-    return set(scenario.metrics) - ({"fidelity"} if scenario.target is None else set())
-
-
 def _observables(scenario: Scenario, space: HilbertSpace, traj: Trajectory) -> dict:
-    out: dict = {}
+    """Every series the run's inputs allow; the fidelity needs a target.
+
+    The mode populations, the population of each mode's top Fock level and
+    p1 are read from the diagonal of each sampled state; the collective
+    number operators are built once per run.
+    """
     ts = traj.times
-    metrics = _series(scenario)
-    out["alpha1"] = np.array([total_envelope(scenario.schedule, 1, t) for t in ts])
-    out["alpha2"] = np.array([total_envelope(scenario.schedule, 2, t) for t in ts])
-    for name, mode in (("n1", 1), ("n2", 2), ("nc", 0)):
-        if name in metrics:
-            op = number_operator(space, mode)
-            out[name] = np.array([float(np.real(expectation(op, st))) for st in traj.states])
+    out = {f"alpha{j}": np.array([total_envelope(scenario.schedule, j, t) for t in ts])
+           for j in (1, 2)}
+    pops = np.array([st.matrix.diagonal().real for st in traj.states]).reshape(-1, *space.dims)
+    for n, name in (("nc", "cavity"), ("n1", "mech1"), ("n2", "mech2")):
+        mode = analysis.MODE_NAMES[name]
+        marginal = pops.sum(axis=tuple(1 + m for m in range(3) if m != mode))
+        out[n] = marginal @ np.arange(space.dims[mode])
+        out[f"top_{name}"] = marginal[:, -1]
+    out["p1"] = pops[:, :, 1, :].sum(axis=(1, 2))
+    bm, bp = collective_operators(space, scenario.params, None)
+    for name, b in (("n_plus", bp), ("n_minus", bm)):
+        op = b.conj().T @ b
+        out[name] = np.array([expectation(op, st).real for st in traj.states])
     traces: dict = {None: traj.states}
 
     def reduced(keep):
@@ -252,17 +254,11 @@ def _observables(scenario: Scenario, space: HilbertSpace, traj: Trajectory) -> d
             traces[keep] = [analysis.partial_trace(st, keep) for st in traj.states]
         return traces[keep]
 
-    if "negativity" in metrics:
-        out["negativity"] = np.array([analysis.negativity(r) for r in reduced(("mech1", "mech2"))])
-    if "p1" in metrics:
-        out["p1"] = np.array([float(np.real(r.matrix[1, 1])) for r in reduced(("mech1",))])
-    if "fidelity" in metrics:
+    out["negativity"] = np.array([analysis.negativity(r) for r in reduced(("mech1", "mech2"))])
+    if scenario.target is not None:
         tgt = scenario.target
         out["fidelity"] = np.array([analysis.fidelity(r, tgt.state)
                                     for r in reduced(TargetSpec.REDUCTIONS[tgt.reduction])])
-    if "n_plus" in metrics or "n_minus" in metrics:
-        pops = [analysis.collective_populations(st, scenario.params) for st in traj.states]
-        out["n_plus"], out["n_minus"] = np.array(pops).T
     return out
 
 
@@ -275,14 +271,18 @@ _SUMMARY_KEYS = {
     "final_negativity": ("negativity", lambda s, i: s[-1]),
     **{key: (name, reduce) for name in ("n1", "n2", "nc", "p1") for key, reduce in
        ((f"final_{name}", lambda s, i: s[-1]), (f"{name}_at_eval", lambda s, i: s[i]))},
+    # truncation: the largest population the top Fock level of each mode reached
+    **{f"peak_top_{mode}": (f"top_{mode}", lambda s, i: np.max(s))
+       for mode in ("cavity", "mech1", "mech2")},
 }
 
 
 def summary_keys(scenario: Scenario) -> set[str]:
-    """The float keys of the summary :func:`run_scenario` returns for ``scenario``."""
-    series = _series(scenario)
+    """The float keys of the summary :func:`run_scenario` returns for ``scenario``:
+    every key, less the fidelity pair when there is no target."""
     return {"eval_time_s", "wall_time_s"} | {
-        key for key, (name, _) in _SUMMARY_KEYS.items() if name in series}
+        key for key, (name, _) in _SUMMARY_KEYS.items()
+        if name != "fidelity" or scenario.target is not None}
 
 
 def _summary(scenario: Scenario, traj: Trajectory, obs: dict) -> dict:
@@ -382,14 +382,7 @@ def _fringe_scenario(
     else:
         schedule = (rev,)
         horizon = (rev.t0 - pad, rev.t0 + pad)
-    metrics = tuple(dict.fromkeys(base.metrics + ("p1",)))
-    return replace(
-        base,
-        schedule=schedule,
-        horizon=horizon,
-        metrics=metrics,
-        eval_time=horizon[1],
-    )
+    return replace(base, schedule=schedule, horizon=horizon, eval_time=horizon[1])
 
 
 def parallel_map(fn, jobs: list, workers: int | None) -> list:

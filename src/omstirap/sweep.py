@@ -212,22 +212,6 @@ def run_sweep(
     return SweepResult(axes=axes, fields=grids, failures=tuple(failures))
 
 
-def degenerate_mode_diagnostics(scenario: Scenario):
-    """Collective-population time series at exact frequency degeneracy.
-
-    Requires omega1 == omega2.  Runs the scenario in the requested (by
-    default full) picture with the collective metrics attached: the
-    antisymmetric combination decouples from the cavity and its population
-    stays constant, while the symmetric one Rabi-oscillates with the cavity
-    and decays at the cavity linewidth.
-    """
-    p = scenario.params
-    if p.omega1 != p.omega2:
-        raise InvalidArgumentError("diagnostics require omega1 == omega2")
-    metrics = tuple(dict.fromkeys(scenario.metrics + ("n_plus", "n_minus", "n1", "n2")))
-    return run_scenario(replace(scenario, metrics=metrics))
-
-
 # ---------------------------------------------------------------------------
 # marching-squares contour extraction
 

@@ -60,7 +60,6 @@ from omstirap.protocols import (
 from omstirap.cli import build_scenario
 from omstirap.presets import preset_config
 from omstirap.sweep import SweepAxis, extract_contours, run_sweep
-from omstirap.sweep import degenerate_mode_diagnostics
 
 TWO_PI = 2 * math.pi
 SIGMA = 0.6e-3
@@ -117,7 +116,7 @@ def _lossless_transfer(initial_spec, dims, theta, alpha0=2000.0, kind="stirap"):
     sched = DriveSchedule(kind, alpha0, tau, SIGMA, SIGMA, theta=theta)
     scen = Scenario(
         params=params, schedule=sched, initial=initial_spec, dims=dims,
-        horizon=(-2.4e-3, 2.4e-3), sample_count=2, metrics=("n1", "n2"),
+        horizon=(-2.4e-3, 2.4e-3), sample_count=2,
         lossless=True,
     )
     return run_scenario(scen).trajectory.states[-1]
@@ -267,7 +266,7 @@ def test_criterion_7_interferometry():
                           theta=math.pi / 4)
     base = Scenario(params=params, schedule=sched,
                     initial=InitialStateSpec("fock", n=1), dims=(2, 3, 3),
-                    metrics=("p1",), lossless=True)
+                    lossless=True)
     phi2 = np.linspace(-2 * math.pi, 2 * math.pi, 9)  # step pi/2
     fringe = run_interferometry(base, phi2, phi1=0.0, wait=4e-3)
     p1 = fringe.p1_values
@@ -286,7 +285,7 @@ def test_criterion_7_interferometry():
             params=params50, schedule=sched,
             initial=InitialStateSpec("thermal", nbar=0.5,
                                      mode2=InitialStateSpec("thermal", nbar=0.5)),
-            dims=(2, 5, 5), metrics=("p1",),
+            dims=(2, 5, 5),
         )
         flat = run_interferometry(base_th, np.linspace(-math.pi, math.pi, 5),
                                   wait=4e-3, include_forward=False)
@@ -388,9 +387,9 @@ def test_criterion_10_degenerate_frequency_behavior():
     scen = Scenario(
         params=params, schedule=sched, initial=InitialStateSpec("fock", n=1),
         dims=(2, 4, 4), horizon=(-0.55e-3, 0.55e-3), sample_count=23,
-        metrics=("n1", "n2"), picture="full", rel_tol=1e-6, abs_tol=1e-9,
+        picture="full", rel_tol=1e-6, abs_tol=1e-9,
     )
-    res = degenerate_mode_diagnostics(scen)
+    res = run_scenario(scen)
     nm = res.trajectory.observables["n_minus"]
     npl = res.trajectory.observables["n_plus"]
     drift = (nm.max() - nm.min()) / nm[0]
@@ -410,7 +409,7 @@ def test_criterion_10_degenerate_frequency_behavior():
     scen_off = Scenario(
         params=params_off, schedule=sched_off,
         initial=InitialStateSpec("fock", n=1), dims=(2, 4, 4),
-        horizon=(-2.8e-3, 2.8e-3), sample_count=15, metrics=("n1", "n2"),
+        horizon=(-2.8e-3, 2.8e-3), sample_count=15,
         picture="bs", rel_tol=1e-7, abs_tol=1e-10,
     )
     n2_off = run_scenario(scen_off).summary["final_n2"]
@@ -456,7 +455,7 @@ def _zoom_base():
     return Scenario(
         params=params, schedule=sched, initial=InitialStateSpec("fock", n=1),
         dims=(2, 4, 4), horizon=(-5.6e-3, 5.6e-3), sample_count=9,
-        metrics=("n2",), rel_tol=1e-7, abs_tol=1e-10,
+        rel_tol=1e-7, abs_tol=1e-10,
     )
 
 
@@ -510,7 +509,7 @@ def test_full_picture_agrees_with_rwa_on_short_window():
         scen = Scenario(
             params=params, schedule=sched, initial=InitialStateSpec("fock", n=1),
             dims=(2, 4, 4), horizon=(-0.1e-3, 0.1e-3), sample_count=5,
-            metrics=("n1", "n2"), picture=picture, rel_tol=rtol,
+            picture=picture, rel_tol=rtol,
             abs_tol=1e-9,
         )
         results[picture] = run_scenario(scen).trajectory.observables

@@ -169,7 +169,6 @@ def test_sweep_small_grid(tmp_path):
         "horizon": {"start_s": -0.6e-3, "end_s": 0.6e-3},
         "sample_count": 9,
         "lossless": True,
-        "metrics": ["n1", "n2"],
         "sweep": {
             "axes": [{"path": "alpha0", "values": [1500.0, 2500.0]},
                      {"path": "sigma", "values": [0.12e-3, 0.18e-3],
@@ -201,7 +200,6 @@ def test_axis_units_converted(tmp_path):
         "initial": {"kind": "fock", "n": 1},
         "horizon": {"start_s": -0.6e-3, "end_s": 0.6e-3},
         "sample_count": 5,
-        "metrics": ["n2"],
         "sweep": {"axes": [{"path": "kappa", "values": [1e3, 4e3]}],
                   "metrics": ["final_n2"], "workers": 1},
     }
@@ -255,7 +253,6 @@ BAD_INPUT = {
     "verify-not-object": ("verify", "verify-lossless", {"verify": [1]}),
     # a list key given a scalar is named, and a sweep rejects it before any cell runs
     "sweep-axes-scalar": ("sweep", "sweep-kappa-alpha", {"sweep": {"axes": 5}}, "sweep.axes"),
-    "metrics-scalar": ("sweep", "sweep-kappa-alpha", {"metrics": 5}, "metrics must"),
     "sweep-metrics-scalar": ("sweep", "sweep-kappa-alpha", {"sweep": {"metrics": 5}},
                              "sweep.metrics"),
     "contour-levels-scalar": ("sweep", "sweep-kappa-alpha", {"sweep": {"contour_levels": 5}},
@@ -280,6 +277,14 @@ BAD_INPUT = {
                                                    "matrix": [[0.5, 0.9], [0.1, 0.5]]},
                                        "dims": [2, 2, 3], "sample_count": 5,
                                        "target": {"kind": "fock_mode2"}}, "not Hermitian"),
+    # every run computes every series: there is no top-level metrics key
+    "metrics-root-key": ("sweep", "sweep-kappa-alpha", {"metrics": ["n1"]},
+                         "unknown key(s) ['metrics'] in config root"),
+    # the worker count is read with the other sweep keys, before the first cell
+    "sweep-workers-string": ("sweep", "sweep-kappa-alpha", {"sweep": {"workers": "x"}},
+                             "invalid sweep"),
+    "sweep-workers-null": ("sweep", "sweep-kappa-alpha", {"sweep": {"workers": None}},
+                           "invalid sweep"),
     "sweep-metrics-empty": ("sweep", "sweep-kappa-alpha", {"sweep": {"metrics": []}},
                             "sweep.metrics"),
     "contour-field-not-a-metric": ("sweep", "sweep-kappa-alpha",

@@ -243,16 +243,28 @@ def test_trace_drift_raises_naming_the_sample_tolerance():
 
 
 def test_norm_drift_raises_on_the_pure_path():
+    # |psi|^2 = 4 is a trace drift of 3, caught by the sample check at t0
     psi0 = StateVector(SPACE, 2 * fock_state(SPACE, 1, 0, 0).amplitudes, validate=False)
     with pytest.raises(IntegrationDivergedError,
-                       match="norm drift 1.000e[+]00 exceeded 1e-02") as info:
+                       match="trace drift 3.000e[+]00 exceeded 1e-06 at t = 0.0") as info:
         evolve_pure(np.zeros((8, 8)), psi0, SPACE, IntegratorConfig(sample_times=[0.0, 1e-3]))
-    assert info.value.tolerance == dynamics.NORM_DIVERGENCE_TOL
+    assert info.value.tolerance == dynamics.TRACE_SAMPLE_TOL
+
+
+def test_pure_path_rejects_the_drift_the_density_path_rejects():
+    # |psi|^2 = 1 + 1e-3 passes neither path's sample check
+    psi0 = StateVector(SPACE, math.sqrt(1 + 1e-3) * fock_state(SPACE, 1, 0, 0).amplitudes,
+                       validate=False)
+    config = IntegratorConfig(sample_times=[0.0, 1e-3])
+    for run in (lambda: evolve_pure(np.zeros((8, 8)), psi0, SPACE, config),
+                lambda: evolve(LindbladModel(SPACE, None), psi0.density_matrix(), config)):
+        with pytest.raises(IntegrationDivergedError, match="trace drift 1.000e-03 exceeded 1e-06"):
+            run()
 
 
 @pytest.mark.parametrize("error", [StiffnessError(1.25e-4),
                                    IntegrationDivergedError(2.5e-4, 1e-3, 1e-6),
-                                   IntegrationDivergedError(1e-4, 0.5, 1e-2, "norm")])
+                                   IntegrationDivergedError(1e-4, 3.0, 1e-4)])
 def test_integration_errors_survive_pickling(error):
     back = pickle.loads(pickle.dumps(error))
     assert type(back) is type(error)
@@ -459,7 +471,7 @@ def _support_cases():
     cases["criterion-10-full"] = (Scenario(
         params=params, schedule=sched, initial=InitialStateSpec("fock", n=1),
         dims=(2, 4, 4), horizon=(-0.1e-3, 0.0), sample_count=5,
-        metrics=("n1", "n2", "n_plus", "n_minus"), picture="full", rel_tol=1e-6,
+        picture="full", rel_tol=1e-6,
         abs_tol=1e-9), (512, 1024))
     coherent = json.loads((Path(__file__).parents[1] / "bench" / "coherent507.json").read_text())
     cases["coherent-507"] = (build_scenario(coherent), (235, 507))

@@ -208,7 +208,7 @@ def test_lossless_pure_recipe_takes_the_state_vector_path(monkeypatch):
     scen = Scenario(
         params=_params(0.0), schedule=DriveSchedule("stirap", 2000.0, SIGMA / 1.43, SIGMA, SIGMA),
         initial=InitialStateSpec("coherent", alpha=0.5), dims=(2, 5, 5),
-        horizon=(-2.4e-3, 2.4e-3), sample_count=5, metrics=("n1", "n2"), lossless=True,
+        horizon=(-2.4e-3, 2.4e-3), sample_count=5, lossless=True,
     )
     with monkeypatch.context() as m:
         m.setattr(protocols, "evolve", refuse)
@@ -228,7 +228,7 @@ def test_lossless_parity_small():
     s = DriveSchedule("stirap", 2000.0, SIGMA / 1.43, SIGMA, SIGMA)
     scen = Scenario(
         params=p, schedule=s, initial=InitialStateSpec("fock", n=1), dims=(2, 3, 3),
-        horizon=(-2.4e-3, 2.4e-3), sample_count=9, metrics=("n1", "n2"),
+        horizon=(-2.4e-3, 2.4e-3), sample_count=9,
         lossless=True,
     )
     res = run_scenario(scen)
@@ -245,7 +245,7 @@ def test_time_reversal_returns_initial_state():
     scen = Scenario(
         params=p, schedule=(fwd, rev), initial=InitialStateSpec("fock", n=1),
         dims=(2, 3, 3), horizon=(-2.4e-3, 6.4e-3), sample_count=9,
-        metrics=("n1", "fidelity"), lossless=True,
+        lossless=True,
         target=TargetSpec("mech12", fock_state(HilbertSpace((3, 3)), 1, 0)),
     )
     res = run_scenario(scen)
@@ -261,7 +261,6 @@ def test_benchmark_scenario_state_invariants():
     scen = Scenario(
         params=p, schedule=s, initial=InitialStateSpec("superposition_01"),
         dims=(2, 4, 4), horizon=(-0.6e-3, 0.6e-3), sample_count=25,
-        metrics=("n1", "n2"),
     )
     res = run_scenario(scen)
     for st in res.trajectory.states:
@@ -275,7 +274,7 @@ def test_scenario_eval_time_injected_into_grid():
     s = DriveSchedule("stirap", 2000.0, SIGMA / 1.43, SIGMA, SIGMA)
     scen = Scenario(
         params=p, schedule=s, initial=InitialStateSpec("fock", n=1), dims=(2, 3, 3),
-        horizon=(-1e-3, 1e-3), sample_count=5, metrics=("n2",), lossless=True,
+        horizon=(-1e-3, 1e-3), sample_count=5, lossless=True,
         eval_time=0.3141e-3,
     )
     res = run_scenario(scen)
@@ -297,12 +296,32 @@ def test_steps_cannot_jump_over_a_late_pulse():
     np.testing.assert_array_equal(res.trajectory.times, [0.0, 11e-3])
 
 
-def test_unknown_metric_rejected():
-    p = _params(0.0)
-    s = DriveSchedule("stirap", 2000.0, SIGMA / 1.43, SIGMA, SIGMA)
-    with pytest.raises(InvalidArgumentError):
-        Scenario(params=p, schedule=s, initial=InitialStateSpec("fock", n=1),
-                 metrics=("bogus",))
+@pytest.mark.parametrize("target", [None, _psi_minus_target()])
+def test_summary_keys_are_the_float_keys_of_the_summary(target):
+    # a sweep checks its metrics against summary_keys before its first cell
+    scen = Scenario(
+        params=_params(0.05), schedule=DriveSchedule("stirap", 2000.0, SIGMA / 1.43, SIGMA, SIGMA),
+        initial=InitialStateSpec("explicit", weights=(0.8, 0.2)), dims=(2, 3, 3),
+        horizon=(-1e-3, 1e-3), sample_count=5, target=target,
+    )
+    summary = run_scenario(scen).summary
+    floats = {key for key, value in summary.items() if isinstance(value, float)}
+    assert protocols.summary_keys(scen) == floats
+    assert ("fidelity" in floats) == (target is not None)
+
+
+def test_summary_reports_the_top_fock_level_population():
+    # |2> in mode 1 at dims (2, 3, 3) sits on its top level until the pulses move it
+    scen = Scenario(
+        params=_params(0.0), schedule=DriveSchedule("stirap", 2000.0, SIGMA / 1.43, SIGMA, SIGMA),
+        initial=InitialStateSpec("fock", n=2), dims=(2, 3, 3),
+        horizon=(-2.4e-3, 2.4e-3), sample_count=5, lossless=True,
+    )
+    res = run_scenario(scen)
+    assert res.summary["peak_top_mech1"] == pytest.approx(1.0, abs=1e-12)
+    assert res.trajectory.observables["top_mech1"][-1] < 1e-3
+    assert res.summary["peak_top_mech2"] > 0.99  # the transferred pair lands on |2> of mode 2
+    assert res.summary["peak_top_cavity"] < 0.1
 
 
 # ------------------------------------------------------- interferometry
@@ -324,7 +343,7 @@ def test_lossless_fringe_visibility_and_extrema():
     s = DriveSchedule("fractional", 2000.0, SIGMA / 1.25, SIGMA, SIGMA,
                       theta=math.pi / 4)
     base = Scenario(params=p, schedule=s, initial=InitialStateSpec("fock", n=1),
-                    dims=(2, 3, 3), metrics=("p1",), lossless=True)
+                    dims=(2, 3, 3), lossless=True)
     phi2 = np.linspace(-math.pi, math.pi, 9)
     fr = run_interferometry(base, phi2, phi1=0.0, wait=4e-3)
     assert fr.visibility >= 0.99
@@ -343,7 +362,7 @@ def test_integration_error_crosses_the_worker_pool(monkeypatch, error):
     monkeypatch.setattr(protocols, "run_scenario", failing)
     s = DriveSchedule("fractional", 2000.0, SIGMA / 1.25, SIGMA, SIGMA, theta=math.pi / 4)
     base = Scenario(params=_params(0.0), schedule=s, initial=InitialStateSpec("fock", n=1),
-                    dims=(2, 3, 3), metrics=("p1",), lossless=True)
+                    dims=(2, 3, 3), lossless=True)
     for workers in (1, 2):
         with pytest.raises(type(error)) as info:
             run_interferometry(base, np.linspace(-math.pi, math.pi, 3), workers=workers)
@@ -360,7 +379,7 @@ def test_diagonal_input_reverse_only_fringe_is_flat():
             params=p, schedule=s,
             initial=InitialStateSpec("thermal", nbar=0.5,
                                      mode2=InitialStateSpec("thermal", nbar=0.5)),
-            dims=(2, 5, 5), metrics=("p1",),
+            dims=(2, 5, 5),
         )
         fr = run_interferometry(
             base, np.linspace(-math.pi, math.pi, 5), wait=4e-3, include_forward=False

@@ -16,7 +16,6 @@ from omstirap.sweep import (
     SweepAxis,
     SweepResult,
     apply_axis_value,
-    degenerate_mode_diagnostics,
     extract_contours,
     pick_picture,
     resolve_path,
@@ -30,7 +29,7 @@ def _fast_scenario(**kw):
     s = DriveSchedule("stirap", 2000.0, sigma / 1.43, sigma, sigma)
     defaults = dict(
         params=p, schedule=s, initial=InitialStateSpec("fock", n=1), dims=(2, 3, 3),
-        horizon=(-0.6e-3, 0.6e-3), sample_count=9, metrics=("n1", "n2"),
+        horizon=(-0.6e-3, 0.6e-3), sample_count=9,
         lossless=True,
     )
     defaults.update(kw)
@@ -156,7 +155,6 @@ def test_omega_swap_symmetry():
     scen = Scenario(
         params=p, schedule=fwd, initial=InitialStateSpec("fock", n=1),
         dims=(2, 3, 3), horizon=(-0.6e-3, 0.6e-3), sample_count=9,
-        metrics=("n1", "n2"),
     )
     direct = run_scenario(scen).summary["final_n2"]
     swapped_params = SystemParams.from_ordinary(
@@ -168,7 +166,6 @@ def test_omega_swap_symmetry():
         params=swapped_params, schedule=rev,
         initial=InitialStateSpec("fock", n=0, mode2=InitialStateSpec("fock", n=1)),
         dims=(2, 3, 3), horizon=(-0.6e-3, 0.6e-3), sample_count=9,
-        metrics=("n1", "n2"),
     )
     mirrored = run_scenario(swapped).summary["final_n1"]
     assert abs(direct - mirrored) < 1e-3
@@ -181,7 +178,7 @@ def test_kappa_alpha_corners():
     s = DriveSchedule("stirap", 2000.0, 0.6e-3 / 1.43, 0.6e-3, 0.6e-3)
     scen = Scenario(
         params=p, schedule=s, initial=InitialStateSpec("fock", n=1), dims=(2, 3, 3),
-        horizon=(-2e-3, 2e-3), sample_count=9, metrics=("n2",),
+        horizon=(-2e-3, 2e-3), sample_count=9,
     )
     axes = [
         SweepAxis("kappa", (TWO_PI * 2e2, TWO_PI * 2e4), scale="log"),
@@ -229,9 +226,3 @@ def test_contours_require_2d():
     res = SweepResult(axes=(ax,), fields={"f": np.array([0.0, 1.0])})
     with pytest.raises(InvalidArgumentError):
         extract_contours(res, "f", [0.5])
-
-
-def test_degenerate_diagnostics_requires_degeneracy():
-    scen = _fast_scenario()
-    with pytest.raises(InvalidArgumentError):
-        degenerate_mode_diagnostics(scen)
