@@ -40,6 +40,7 @@ from .protocols import (
     PlannerInputs,
     Scenario,
     TargetSpec,
+    check_workers,
     cooling_steady_state,
     detection_budget,
     run_interferometry,
@@ -122,6 +123,13 @@ def _flag(value, where: str) -> bool:
     return value
 
 
+def _integer(value) -> int:
+    """``int(value)``, except that a fractional float raises instead of truncating."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _build(fn, block: dict, where: str, **fixed):
     """Call ``fn`` with ``block`` read by the module's key rule, plus ``fixed``.
 
@@ -145,7 +153,7 @@ def _build(fn, block: dict, where: str, **fixed):
             if scalar is bool:
                 value = _flag(value, f"{where}.{key}")
             elif scalar is not None and not (optional and value is None):
-                value = scalar(value)
+                value = _integer(value) if scalar is int else scalar(value)
             kwargs[name] = value if factor == 1.0 else factor * value
         return fn(**kwargs, **fixed)
 
@@ -355,8 +363,9 @@ def cmd_sweep(args) -> int:
     if contour_field not in metrics:
         raise ConfigError(f"sweep.contour_field {contour_field!r} is not one of the "
                           f"sweep's metrics {list(metrics)}")
+    workers = args.workers if args.workers is not None else block.get("workers", 1)
     with _invalid("sweep"):
-        workers = args.workers or int(block.get("workers", 1))
+        check_workers(workers)
     t0 = time.perf_counter()
     result = run_sweep(base, axes, metrics=metrics, worker_count=workers)
     out = Path(args.out)
@@ -437,7 +446,7 @@ def cmd_verify(args) -> int:
         else:
             span = float(grid.get("phi2_span_rad", 4 * math.pi))
             phi2 = np.linspace(-span / 2, span / 2, int(grid.get("phi2_count", 17)))
-    if args.workers:
+    if args.workers is not None:
         block["workers"] = args.workers
     t0 = time.perf_counter()
     fringe = _build(run_interferometry, block, "verify", base=base, phi2_grid=phi2)

@@ -17,6 +17,14 @@ trace; the same pieces, densified, feed a matrix-exponential oracle.
 The error controller sets each step size, but every step ends on the next sample
 time or stop: ``run_scenario`` stops at each pulse centre, so no step skips a pulse.
 
+Each call costs a fixed handful of numpy calls, whatever the number of terms
+or stages.  The pieces [L0 | K_1 | K'_1 | ...] are laid side by side once per
+run as one wide CSR matrix, so an rhs is one sparse product with the stacked
+weighted copies (1, c_1, conj(c_1), ...) of the state.  The seven stages live
+in one (7, m) array, and each stage input, the fifth-order solution and the
+error vector is one ``einsum`` over its rows on the real view.  Neither calls
+BLAS, so results do not depend on the BLAS thread count.
+
 The integrator works only on the *support* of the initial state: the entries
 of vec(rho0) (or psi0) that the sparsity graph of the pieces can ever reach,
 closed under rho -> rho^+.  Every other entry is exactly zero at all times, so
@@ -66,8 +74,8 @@ class LindbladModel:
         d = self.space.total_dim
         terms = []
         for op, rate in self.collapse_terms:
-            if rate < 0:
-                raise InvalidArgumentError(f"negative collapse rate {rate}")
+            if not 0 <= rate < math.inf:
+                raise InvalidArgumentError(f"collapse rate {rate} must be finite and >= 0")
             terms.append((_as_csr(op, d, "collapse operator"), float(rate)))
         object.__setattr__(self, "collapse_terms", tuple(terms))
         h = self.hamiltonian
@@ -151,20 +159,18 @@ def _support(pieces, start: np.ndarray, mirror: np.ndarray | None = None) -> np.
 def _linear_rhs(const, parts, coefficients, keep=slice(None)):
     """(t, v) -> const v + sum_k (c_k parts[2k] v + conj(c_k) parts[2k+1] v).
 
-    Every piece is cut to the rows and columns ``keep`` first.  One stacked
-    sparse product plus elementwise sums: nothing here calls BLAS.
+    Every piece is cut to the rows and columns ``keep`` and the cut pieces are
+    laid side by side, once, as one wide CSR matrix [const | parts[0] | ...].
+    A call fills the weights w = [1, c_1, conj(c_1), ...] and makes one sparse
+    product with the stacked w_k v: no per-term sums, and nothing calls BLAS.
     """
-    stack = scipy.sparse.vstack([p[keep][:, keep] for p in (const, *parts)], format="csr")
-    n = 1 + len(parts)
-    m = stack.shape[0] // n
+    wide = scipy.sparse.hstack([p[keep][:, keep] for p in (const, *parts)], format="csr")
+    w = np.ones(1 + len(parts), dtype=complex)
 
     def rhs(t: float, v: np.ndarray) -> np.ndarray:
-        blocks = (stack @ v).reshape(n, m)
-        out = blocks[0]
-        for k, c in enumerate(coefficients(t)):
-            out += c * blocks[2 * k + 1]
-            out += c.conjugate() * blocks[2 * k + 2]
-        return out
+        w[1::2] = coefficients(t)
+        w[2::2] = w[1::2].conj()
+        return wide @ np.multiply.outer(w, v).ravel()
 
     return rhs
 
@@ -202,7 +208,8 @@ def lindblad_rhs(model: LindbladModel, t: float, rho) -> np.ndarray:
     return rhs(t, mat.reshape(-1)).reshape(d, d)
 
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; the last row of _A weights the fifth-order solution,
+# which is also the input of the last stage (first-same-as-last)
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
@@ -213,7 +220,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array(
     [
         71 / 57600,
@@ -287,8 +293,14 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample, nor
     stored = [on_sample(t, y)]
     h, f0 = _initial_step(rhs, t0, y, config.rel_tol, config.abs_tol, span, norm_size)
     next_point = 1
-    k = [None] * 7
+    k = np.empty((7, y.size), dtype=complex)  # the stages, one per row
     k[0] = f0
+    kr = k.view(float)  # stage sums act on real and imaginary parts alike
+
+    def stage_input(y, coeffs):
+        """y + sum_j coeffs[j] k[j] over the first len(coeffs) stages, in one einsum."""
+        return (y.view(float) + np.einsum("j,jk->k", coeffs, kr[:coeffs.size])).view(complex)
+
     hmin_scale = 16.0 * np.finfo(float).eps
     accepted = rejected = 0
     rhs_evals = 2  # by _initial_step
@@ -302,13 +314,12 @@ def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample, nor
             raise StiffnessError(t)
 
         for i in range(1, 6):
-            yi = y + h * sum(_A[i][j] * k[j] for j in range(i))
-            k[i] = rhs(t + _C[i] * h, yi)
-        y5 = y + h * sum(_B5[j] * k[j] for j in range(6))
+            k[i] = rhs(t + _C[i] * h, stage_input(y, h * _A[i]))
+        y5 = stage_input(y, h * _A[6])
         k[6] = rhs(t + h, y5)
         rhs_evals += 6
-        err_mat = h * sum(_E[j] * k[j] for j in range(7))
-        err = _error_norm(err_mat, y, y5, config.rel_tol, config.abs_tol, norm_size)
+        err_vec = np.einsum("j,jk->k", h * _E, kr).view(complex)
+        err = _error_norm(err_vec, y, y5, config.rel_tol, config.abs_tol, norm_size)
 
         if err <= 1.0:
             t = t + h

@@ -82,10 +82,13 @@ class SystemParams:
         if self.delta2 is None:
             object.__setattr__(self, "delta2", self.omega2)
         for name in ("omega1", "omega2", "kappa", "g1", "g2", "q1", "q2"):
-            if getattr(self, name) <= 0:
-                raise InvalidArgumentError(f"{name} must be > 0")
-        if self.temperature < 0:
-            raise InvalidArgumentError("temperature must be >= 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidArgumentError(f"{name} must be finite and > 0")
+        if not 0 <= self.temperature < math.inf:
+            raise InvalidArgumentError("temperature must be finite and >= 0")
+        for name in ("delta1", "delta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be finite")
         if self.kappa >= min(self.omega1, self.omega2):
             warnings.warn(
                 "cavity linewidth is not resolved-sideband against the "
@@ -159,12 +162,15 @@ class DriveSchedule:
     def __post_init__(self):
         if self.kind not in DRIVE_KINDS:
             raise InvalidArgumentError(f"unknown drive kind {self.kind!r}")
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
-            raise InvalidArgumentError("pulse widths must be > 0")
-        if self.alpha0 < 0:
-            raise InvalidArgumentError("alpha0 must be >= 0")
+        if not (0 < self.sigma1 < math.inf and 0 < self.sigma2 < math.inf):
+            raise InvalidArgumentError("pulse widths must be finite and > 0")
+        if not 0 <= self.alpha0 < math.inf:
+            raise InvalidArgumentError("alpha0 must be finite and >= 0")
         if not 0.0 <= self.theta <= math.pi / 2:
             raise InvalidArgumentError("theta must lie in [0, pi/2]")
+        for name in ("tau", "phase1", "phase2", "t0"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be finite")
 
 
 def _gaussian(t: float, amplitude: float, center: float, sigma: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -385,14 +386,22 @@ def _fringe_scenario(
     return replace(base, schedule=schedule, horizon=horizon, eval_time=horizon[1])
 
 
-def parallel_map(fn, jobs: list, workers: int | None) -> list:
+def check_workers(workers) -> int:
+    """``workers`` if it is a positive integer; any other value raises."""
+    if isinstance(workers, bool) or not (isinstance(workers, numbers.Integral) and workers > 0):
+        raise InvalidArgumentError(f"workers must be a positive integer, not {workers!r}")
+    return int(workers)
+
+
+def parallel_map(fn, jobs: list, workers: int) -> list:
     """``[fn(job) for job in jobs]``, in order, on up to ``workers`` processes.
 
-    The worker count is capped at the CPU count; one worker runs in this
+    ``workers`` must pass :func:`check_workers`, which it meets before any job
+    runs.  The worker count is capped at the CPU count; one worker runs in this
     process.  Results are returned in job order whatever the scheduling, so
     they do not depend on the worker count.
     """
-    workers = min(workers or 1, os.cpu_count() or 1)
+    workers = min(check_workers(workers), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(job) for job in jobs]
     chunk = max(1, len(jobs) // (8 * workers))
@@ -412,7 +421,7 @@ def run_interferometry(
     phi2_grid: Sequence[float],
     phi1: float = 0.0,
     wait: float = 4e-3,
-    workers: int | None = None,
+    workers: int = 1,
     include_forward: bool = True,
 ) -> FringeResult:
     """Sweep the reversed-sequence drive phase and fit the p1 fringe.

@@ -213,8 +213,9 @@ def test_axis_units_converted(tmp_path):
 # ------------------------------------------------- config schema and exit codes
 
 def _run(tmp_path, command, preset, override):
+    """Run ``command`` (the subcommand, then any flags) on ``preset`` with ``override``."""
     cfg = _write(tmp_path, override)
-    return main([command, "--preset", preset, "--config", cfg,
+    return main([*command.split(), "--preset", preset, "--config", cfg,
                  "--out", str(tmp_path / "o")])
 
 
@@ -285,6 +286,24 @@ BAD_INPUT = {
                              "invalid sweep"),
     "sweep-workers-null": ("sweep", "sweep-kappa-alpha", {"sweep": {"workers": None}},
                            "invalid sweep"),
+    # one rule for every worker count: a positive integer, neither truncated nor replaced
+    "sweep-workers-fraction": ("sweep", "sweep-kappa-alpha", {"sweep": {"workers": 2.5}},
+                               "invalid sweep", "2.5"),
+    "sweep-workers-flag-negative": ("sweep --workers -4", "sweep-kappa-alpha", {},
+                                    "positive integer", "-4"),
+    "sweep-workers-flag-zero": ("sweep --workers 0", "sweep-kappa-alpha", {},
+                                "positive integer", "not 0"),
+    "verify-workers-fraction": ("verify", "verify-lossless", {"verify": {"workers": 2.5}},
+                                "invalid verify", "2.5"),
+    "verify-workers-flag-negative": ("verify --workers -4", "verify-lossless", {},
+                                     "positive integer", "-4"),
+    "verify-workers-flag-zero": ("verify --workers 0", "verify-lossless", {},
+                                 "positive integer", "not 0"),
+    # a NaN or infinite physics input raises instead of dropping a term or a pulse
+    "kappa-nan": ("simulate", "table2-stirap-10mK", {"system": {"kappa_hz": math.nan}},
+                  "kappa must be finite"),
+    "sigma-inf": ("simulate", "table2-stirap-10mK", {"schedule": {"sigma1_s": math.inf}},
+                  "pulse widths must be finite"),
     "sweep-metrics-empty": ("sweep", "sweep-kappa-alpha", {"sweep": {"metrics": []}},
                             "sweep.metrics"),
     "contour-field-not-a-metric": ("sweep", "sweep-kappa-alpha",

@@ -273,8 +273,10 @@ def test_integration_errors_survive_pickling(error):
 
 def test_collapse_rate_validation():
     a = destroy(SPACE, 0).toarray()
-    with pytest.raises(InvalidArgumentError):
-        LindbladModel(SPACE, None, ((a, -1.0),))
+    # a NaN rate would fail "rate > 0" and silently drop its dissipator
+    for rate in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError):
+            LindbladModel(SPACE, None, ((a, rate),))
 
 
 def test_sample_times_validation():
@@ -389,6 +391,71 @@ def test_sparse_rhs_matches_liouvillian_and_dense_formula(picture):
         np.testing.assert_allclose(sparse_rhs, via_liou, rtol=0, atol=1e-12 * scale)
         dense = _dense_lindblad_rhs(_parent_dense_hamiltonian(spec, t), collapse, rho)
         np.testing.assert_allclose(sparse_rhs, dense, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("picture", ["rwa", "bs", "full"])
+def test_cut_rhs_matches_the_liouvillian_on_the_support(picture):
+    spec = _equivalence_spec(picture)
+    sp = spec.space
+    model = LindbladModel(sp, hamiltonian_generator(**vars(spec)),
+                          thermal_collapse_terms(sp, spec.params))
+    d = sp.total_dim
+    l0, parts = dynamics._superoperator_pieces(model)
+    transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    rho0 = fock_state(sp, 0, 1, 0).density_matrix().matrix
+    keep = dynamics._support((l0, *parts), rho0.reshape(-1) != 0, transpose)
+    assert 0 < keep.size < d * d
+    rhs = dynamics._linear_rhs(l0, parts, model.hamiltonian.coefficients, keep)
+    rng = np.random.default_rng(11)
+    for t in rng.uniform(-1e-3, 2e-3, size=4):
+        v = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
+        ref = liouvillian_matrix(model, t)[np.ix_(keep, keep)] @ v
+        np.testing.assert_allclose(rhs(t, v), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("picture", ["rwa", "bs", "full"])
+def test_cut_pure_rhs_matches_the_hamiltonian_on_the_support(picture):
+    spec = _equivalence_spec(picture)
+    gen = hamiltonian_generator(**vars(spec))
+    h0 = -1j * gen.h0
+    parts = [-1j * op for a in gen.ops for op in (a, a.conj().T)]
+    psi0 = fock_state(spec.space, 0, 1, 0).amplitudes
+    keep = dynamics._support((h0, *parts), psi0 != 0)
+    assert 0 < keep.size < spec.space.total_dim
+    rhs = dynamics._linear_rhs(h0, parts, gen.coefficients, keep)
+    rng = np.random.default_rng(12)
+    for t in rng.uniform(-1e-3, 2e-3, size=4):
+        v = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
+        ref = (-1j * gen.dense(t))[np.ix_(keep, keep)] @ v
+        np.testing.assert_allclose(rhs(t, v), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def _unchanged(t, y):
+    return y
+
+
+def test_dp45_steps_the_linear_test_equation_by_its_stability_polynomial():
+    lam, h, n = -0.8 + 2.5j, 0.02, 50
+    # stops at every spacing and a loose tolerance: each step is clamped to h
+    config = IntegratorConfig(sample_times=[0.0, n * h], rel_tol=1e-3, abs_tol=1e-6,
+                              stops=h * np.arange(1, n))
+    traj = dynamics._integrate_dp45(lambda t, y: lam * y, np.ones(1, dtype=complex), config,
+                                    _unchanged, _unchanged, 1)
+    assert (traj.stats.accepted, traj.stats.rejected) == (n, 0)
+    z = lam * h
+    r = sum(z**k / math.factorial(k) for k in range(6)) + z**6 / 600
+    assert abs(traj.states[-1][0] - r**n) <= 1e-13 * abs(r**n)
+
+
+def test_dp45_integrates_a_quadratic_exactly():
+    ts = np.linspace(0.0, 2.0, 5)
+    traj = dynamics._integrate_dp45(lambda t, y: np.full(1, 3.0 * t * t, dtype=complex),
+                                    np.zeros(1, dtype=complex), IntegratorConfig(ts),
+                                    _unchanged, _unchanged, 1)
+    # fifth-order quadrature is exact for t^2, and the error estimate is zero but for rounding
+    assert traj.stats.rejected == 0
+    for t, y in zip(ts, traj.states):
+        assert abs(y[0] - t**3) <= 1e-14 * max(1.0, t**3)
 
 
 def test_constant_dense_inputs_run_through_generator():

@@ -55,6 +55,12 @@ def test_params_sideband_warning():
 def test_params_rejects_nonpositive():
     with pytest.raises(InvalidArgumentError):
         SystemParams.from_ordinary(g1_hz=0.0)
+    # NaN fails every comparison, so it must not slip past a "<= 0" check
+    for key, value in (("kappa_hz", math.nan), ("omega2_hz", math.inf), ("q1", math.inf),
+                       ("temperature_k", math.nan), ("temperature_k", math.inf),
+                       ("delta1_hz", math.nan), ("delta2_hz", -math.inf)):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            SystemParams.from_ordinary(**{key: value})
 
 
 def test_schedule_validation():
@@ -64,6 +70,12 @@ def test_schedule_validation():
         DriveSchedule("nope", 2000.0, 1e-4, 1e-4, 1e-4)
     with pytest.raises(InvalidArgumentError):
         DriveSchedule("fractional", 2000.0, 1e-4, 1e-4, 1e-4, theta=2.0)
+    for key, value in (("alpha0", math.nan), ("alpha0", math.inf), ("tau", math.nan),
+                       ("sigma1", math.inf), ("sigma2", math.nan), ("theta", math.nan),
+                       ("phase1", math.inf), ("phase2", math.nan), ("t0", -math.inf)):
+        args = {"alpha0": 2000.0, "tau": 1e-4, "sigma1": 1e-4, "sigma2": 1e-4, key: value}
+        with pytest.raises(InvalidArgumentError):
+            DriveSchedule("fractional", **args)
 
 
 def test_stirap_envelope_peaks(stirap):
