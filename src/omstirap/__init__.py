@@ -19,6 +19,7 @@ from .hilbert import (
     thermal_state,
 )
 from .model import (
+    DriveCoefficients,
     DriveSchedule,
     SystemParams,
     bose_occupancy,
@@ -58,6 +59,7 @@ from .protocols import (
     heralded_initial_state,
     run_interferometry,
     run_scenario,
+    run_scenarios,
     visibility_model,
 )
 from .adiabatic import (

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import hbar as HBAR, k as K_B
-from scipy.optimize import brentq
-from scipy.special import lambertw
 
 from .errors import (
     DegenerateAngleError,
@@ -61,6 +59,8 @@ def lambert_w0(x: float) -> float:
         raise DomainError(f"lambert_w0 undefined for x = {x} < -1/e")
     if x == -1.0 / math.e:
         return -1.0  # the float -1/e lies just outside scipy's domain
+    from scipy.special import lambertw  # imported here: a plain run never needs it
+
     return float(lambertw(x).real)
 
 
@@ -128,6 +128,8 @@ def _gap_pulse_fwhm(theta: float, sigma: float, tau: float, omega0: float) -> fl
     tgrid = np.linspace(-tau - 4 * sigma, tau + 4 * sigma, 2001)
     peak_t = float(tgrid[np.argmax([gap(t) for t in tgrid])])
     half = gap(peak_t) / 2.0
+    from scipy.optimize import brentq  # imported here: a plain run never needs it
+
     lo = brentq(lambda t: gap(t) - half, -tau - 8 * sigma, peak_t)
     hi = brentq(lambda t: gap(t) - half, peak_t, tau + 8 * sigma)
     return hi - lo

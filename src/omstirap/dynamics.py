@@ -17,13 +17,21 @@ trace; the same pieces, densified, feed a matrix-exponential oracle.
 The error controller sets each step size, but every step ends on the next sample
 time or stop: ``run_scenario`` stops at each pulse centre, so no step skips a pulse.
 
-Each call costs a fixed handful of numpy calls, whatever the number of terms
-or stages.  The pieces [L0 | K_1 | K'_1 | ...] are laid side by side once per
-run as one wide CSR matrix, so an rhs is one sparse product with the stacked
-weighted copies (1, c_1, conj(c_1), ...) of the state.  The seven stages live
-in one (7, m) array, and each stage input, the fifth-order solution and the
-error vector is one ``einsum`` over its rows on the real view.  Neither calls
-BLAS, so results do not depend on the BLAS thread count.
+Every run is a batch: the integrator steps B columns at once, a single run
+being a batch of one.  The columns share the pieces and the initial state and
+differ in their Hamiltonian coefficients and sample grids (a sweep's cells, a
+fringe's phase points).  The state is a row-major (B, m) array, one column per
+row, and the seven stages one (7, B, m) array.  Each attempt evaluates the
+coefficients of every active column at its six stage times in one call, and
+each stage is one sparse product: the pieces [L0 | K_1 | K'_1 | ...] are laid
+side by side once per run as one wide CSR matrix, applied to the stacked
+weighted copies (1, c_1, conj(c_1), ...) of every row.  Each stage input, the
+fifth-order solution and the error vector is one ``einsum`` on the real view.
+Each column keeps its own time, step size, place in its grid, accept/reject
+decision and counters, and every operation acts on each row alone in the
+order a one-row batch uses, so a column takes bitwise the steps it takes
+alone; it leaves the batch when it ends or fails.  Neither the products nor
+the stage sums call BLAS, so results do not depend on the BLAS thread count.
 
 The integrator works only on the *support* of the initial state: the entries
 of vec(rho0) (or psi0) that the sparsity graph of the pieces can ever reach,
@@ -55,7 +63,7 @@ from .errors import (
     StiffnessError,
 )
 from .hilbert import DensityMatrix, Generator, HilbertSpace, StateVector, _as_csr, destroy
-from .model import bose_occupancy
+from .model import DriveCoefficients, bose_occupancy
 
 TRACE_SAMPLE_TOL = 1e-6
 TRACE_DIVERGENCE_TOL = 1e-4
@@ -113,6 +121,7 @@ class IntegratorStats:
     accepted: int
     rejected: int
     rhs_evals: int
+    clamped: int  # accepted steps cut short to end on a sample time or stop
     h_min: float
     h_max: float
     state_size: int  # entries integrated: the support of the initial state
@@ -156,23 +165,51 @@ def _support(pieces, start: np.ndarray, mirror: np.ndarray | None = None) -> np.
         reached = grown
 
 
-def _linear_rhs(const, parts, coefficients, keep=slice(None)):
-    """(t, v) -> const v + sum_k (c_k parts[2k] v + conj(c_k) parts[2k+1] v).
+def _linear_rhs(const, parts, keep=slice(None)):
+    """(c, y) -> the rows of const y + sum_k (c_k parts[2k] y + conj(c_k) parts[2k+1] y).
 
-    Every piece is cut to the rows and columns ``keep`` and the cut pieces are
-    laid side by side, once, as one wide CSR matrix [const | parts[0] | ...].
-    A call fills the weights w = [1, c_1, conj(c_1), ...] and makes one sparse
-    product with the stacked w_k v: no per-term sums, and nothing calls BLAS.
+    ``y`` holds one state per row and ``c`` the (n_terms, rows) coefficients
+    of each row.  Every piece is cut to the rows and columns ``keep`` and the
+    cut pieces are laid side by side, once, as one wide CSR matrix
+    [const | parts[0] | ...].  A call stacks each row's weighted copies w_k y,
+    w = [1, c_1, conj(c_1), ...], as the columns of one dense operand and makes
+    one sparse product: no per-term or per-row sums, and nothing calls BLAS.
     """
     wide = scipy.sparse.hstack([p[keep][:, keep] for p in (const, *parts)], format="csr")
-    w = np.ones(1 + len(parts), dtype=complex)
+    w = np.ones((1 + len(parts), 1), dtype=complex)  # reused while the row count holds
 
-    def rhs(t: float, v: np.ndarray) -> np.ndarray:
-        w[1::2] = coefficients(t)
-        w[2::2] = w[1::2].conj()
-        return wide @ np.multiply.outer(w, v).ravel()
+    def rhs(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+        nonlocal w
+        if w.shape[1] != len(y):
+            w = np.ones((1 + len(parts), len(y)), dtype=complex)
+        w[1::2] = c
+        np.conjugate(c, out=w[2::2])
+        x = np.multiply(w[:, None, :], y.T, order="C")  # x[k, :, b] = w[k, b] y[b]
+        return (wide @ x.reshape(-1, len(y))).T
 
     return rhs
+
+
+def _coefficients_of(gen: Generator, columns: int):
+    """cols -> the coefficient function of the columns ``cols``, which maps their
+    (N, len(cols)) times to the (n_terms, N, len(cols)) coefficients: the
+    columns of the generator's :class:`DriveCoefficients`, which must have
+    ``columns`` of them, or, for any other coefficient function (a single
+    column), its values time by time."""
+    rule = gen.coefficients
+    if isinstance(rule, DriveCoefficients):
+        if rule.columns != columns:
+            raise InvalidArgumentError(
+                f"{columns} configs for a coefficient rule of {rule.columns} columns")
+        return rule.take
+    if columns != 1:
+        raise InvalidArgumentError("a batch needs a DriveCoefficients rule")
+    n = len(gen.ops)
+
+    def coefficients(t):
+        return np.array([rule(x) for x in t.ravel()], dtype=complex).T.reshape((n,) + t.shape)
+
+    return lambda cols: coefficients
 
 
 def _commutator_superop(a, eye):
@@ -204,22 +241,24 @@ def lindblad_rhs(model: LindbladModel, t: float, rho) -> np.ndarray:
     d = model.space.total_dim
     if mat.shape != (d, d):
         raise InvalidDimensionError("state dimension does not match model space")
-    rhs = _linear_rhs(*_superoperator_pieces(model), model.hamiltonian.coefficients)
-    return rhs(t, mat.reshape(-1)).reshape(d, d)
+    rhs = _linear_rhs(*_superoperator_pieces(model))
+    c = np.asarray(model.hamiltonian.coefficients(t), dtype=complex)
+    return rhs(c[:, None], mat.reshape(1, -1))[0].reshape(d, d)
 
 
-# Dormand-Prince 5(4) tableau; the last row of _A weights the fifth-order solution,
-# which is also the input of the last stage (first-same-as-last)
+# Dormand-Prince 5(4) tableau; row i of _A weights the first i stages (zero-padded),
+# and its last row weights the fifth-order solution, which is also the input of the
+# last stage (first-same-as-last)
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+_A = np.array([
+    [0.0] * 6,
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
 _E = np.array(
     [
         71 / 57600,
@@ -237,31 +276,10 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _rms(x: np.ndarray, size: int) -> float:
-    """RMS of ``x`` padded with zeros to ``size`` entries: the off-support entries
-    of the unreduced state, which are exactly zero."""
-    return float(np.sqrt(np.sum(np.abs(x) ** 2) / size))
-
-
-def _error_norm(err, y0, y1, rtol: float, atol: float, size: int) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return _rms(err / scale, size)
-
-
-def _initial_step(rhs, t0, y0, rtol, atol, span, size):
-    f0 = rhs(t0, y0)
-    scale = atol + rtol * np.abs(y0)
-    d0 = _rms(y0 / scale, size)
-    d1 = _rms(f0 / scale, size)
-    h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = rhs(t0 + h0, y1)
-    d2 = _rms((f1 - f0) / scale, size) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6 * span, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1), f0
+def _rms(x: np.ndarray, size: int):
+    """RMS of each row of ``x`` padded with zeros to ``size`` entries: the
+    off-support entries of the unreduced state, which are exactly zero."""
+    return np.sqrt(np.sum(np.abs(x) ** 2, axis=-1) / size)
 
 
 def distinct_times(grid, extra) -> list[float]:
@@ -273,74 +291,167 @@ def distinct_times(grid, extra) -> list[float]:
     return kept
 
 
-def _integrate_dp45(rhs, y0, config: IntegratorConfig, on_accept, on_sample, norm_size):
-    """Shared embedded RK 5(4) driver over the configured sample grid.
+class _Column:
+    """One column of a batch: its sample grid and its place in its own step sequence."""
 
-    ``on_accept(t, y)`` may repair invariants of the accepted state (and
-    raises on divergence); ``on_sample(t, y)`` converts a sampled state into
-    its stored form.  The error norm averages over ``norm_size`` entries, of
-    which ``y0`` holds the ones that can be nonzero.  Steps are clamped so
-    sample times and stops are hit exactly.  Returns a :class:`Trajectory`
-    carrying the :class:`IntegratorStats`.
+    __slots__ = ("times", "stops", "grid", "span", "t", "h", "next",
+                 "stored", "accepted", "rejected", "clamped", "h_min", "h_max")
+
+    def __init__(self, config: IntegratorConfig):
+        ts = self.times = np.asarray(config.sample_times, dtype=float)
+        t0, t_end = float(ts[0]), float(ts[-1])
+        self.span = t_end - t0
+        self.stops = {x for x in distinct_times(ts, config.stops) if t0 < x < t_end}
+        self.grid = sorted([*ts.tolist(), *self.stops])
+        self.t, self.h, self.next = t0, math.nan, 1
+        self.stored = []
+        self.accepted = self.rejected = self.clamped = 0
+        self.h_min, self.h_max = math.inf, 0.0
+
+    def trajectory(self, state_size: int, norm_size: int) -> Trajectory:
+        rhs_evals = 2 + 6 * (self.accepted + self.rejected)  # 2 choose the first step
+        stats = IntegratorStats(self.accepted, self.rejected, rhs_evals, self.clamped,
+                                self.h_min, self.h_max, state_size, norm_size)
+        return Trajectory(times=self.times.copy(), states=tuple(self.stored), stats=stats)
+
+
+def _initial_steps(rhs, coefficients, cols, y, rtol, atol, size):
+    """First step size of each column of ``cols``, and the derivatives at its start."""
+    t0 = np.array([col.t for col in cols])
+    f0 = rhs(coefficients(t0[None])[:, 0], y)
+    scale = atol + rtol * np.abs(y)
+    d0, d1 = _rms(y / scale, size), _rms(f0 / scale, size)
+    h0 = np.array([1e-6 * col.span if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
+                   for col, a, b in zip(cols, d0, d1)])
+    f1 = rhs(coefficients((t0 + h0)[None])[:, 0], y + h0[:, None] * f0)
+    d2 = _rms((f1 - f0) / scale, size) / h0
+    for col, a, b, c in zip(cols, h0, d1, d2):
+        h1 = max(1e-6 * col.span, a * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
+        col.h = float(min(100 * a, h1))
+    return f0
+
+
+def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm_size):
+    """Embedded RK 5(4) driver that steps a batch of columns, one per config,
+    each over its own sample grid, all from the state ``y0``.
+
+    ``rhs(c, y)`` gives the derivatives of the states in the rows of ``y``
+    from their (n_terms, rows) coefficients ``c``, and
+    ``coefficients_of(cols)`` gives the function that maps the (N, len(cols))
+    times of the columns ``cols`` to those coefficients.  Each attempt
+    evaluates the coefficients once, at the six stage times of every active
+    column, and makes one ``rhs`` call per stage.  Each column has its own
+    time, step size, place in its grid, accept/reject decision and counters,
+    so it takes exactly the steps it takes alone; a column leaves the batch
+    when it reaches its last sample or fails.
+
+    ``repair(y)`` restores invariants of the accepted states in the rows of
+    ``y`` and returns them with the trace (|psi|^2 for a pure state) of each;
+    a trace that drifts from 1 by more than ``TRACE_DIVERGENCE_TOL`` fails its
+    column.  ``on_sample(t, y)`` converts one sampled state into its stored
+    form and may raise :class:`IntegrationDivergedError`.  The error norm
+    averages over ``norm_size`` entries, of which ``y0`` holds the ones that
+    can be nonzero; an error norm that is not finite fails its column.  The
+    columns share their tolerances.  Steps are clamped so sample times and
+    stops are hit exactly.  Returns per column its :class:`Trajectory`,
+    carrying the :class:`IntegratorStats`, or the integration error that
+    stopped it.
     """
-    ts = np.asarray(config.sample_times, dtype=float)
-    t0, t_end = float(ts[0]), float(ts[-1])
-    span = t_end - t0
-    stops = {x for x in distinct_times(ts, config.stops) if t0 < x < t_end}
-    grid = np.sort(np.concatenate((ts, list(stops))))
-    y = np.array(y0, dtype=complex)
-    t = t0
-    stored = [on_sample(t, y)]
-    h, f0 = _initial_step(rhs, t0, y, config.rel_tol, config.abs_tol, span, norm_size)
-    next_point = 1
-    k = np.empty((7, y.size), dtype=complex)  # the stages, one per row
-    k[0] = f0
+    rtol, atol = configs[0].rel_tol, configs[0].abs_tol
+    if any((c.rel_tol, c.abs_tol) != (rtol, atol) for c in configs):
+        raise InvalidArgumentError("the columns of a batch must share their tolerances")
+    cols = [_Column(config) for config in configs]
+    out: list = [None] * len(cols)
+
+    def sample(j, state):
+        """Store column j's state at its time, or record the error that stops it."""
+        try:
+            cols[j].stored.append(on_sample(cols[j].t, state))
+        except IntegrationDivergedError as exc:
+            out[j] = exc
+
+    y = np.array(np.broadcast_to(y0, (len(cols), len(y0))), dtype=complex)
+    for j in range(len(cols)):
+        sample(j, y[j])
+    act = [j for j in range(len(cols)) if out[j] is None]  # the active columns
+    if not act:
+        return out
+    y = y[act]
+    coefficients = coefficients_of(act)
+    k = np.empty((7,) + y.shape, dtype=complex)  # the stages, one per row
+    k[0] = _initial_steps(rhs, coefficients, [cols[j] for j in act], y, rtol, atol, norm_size)
     kr = k.view(float)  # stage sums act on real and imaginary parts alike
 
-    def stage_input(y, coeffs):
-        """y + sum_j coeffs[j] k[j] over the first len(coeffs) stages, in one einsum."""
-        return (y.view(float) + np.einsum("j,jk->k", coeffs, kr[:coeffs.size])).view(complex)
+    def stage_input(y, ha, i):
+        """y + sum_j ha[:, i, j] k[j] over the first i stages, in one einsum."""
+        return (y.view(float) + np.einsum("bj,jbk->bk", ha[:, i, :i], kr[:i])).view(complex)
 
     hmin_scale = 16.0 * np.finfo(float).eps
-    accepted = rejected = 0
-    rhs_evals = 2  # by _initial_step
-    h_min, h_max = math.inf, 0.0
+    while act:
+        clamped, t, h = [], [], []
+        for j in act:
+            col = cols[j]
+            target = col.grid[col.next]
+            clamped.append(col.t + col.h >= target - 1e-14 * max(abs(target), col.span))
+            if clamped[-1]:
+                col.h = target - col.t
+            if col.h < hmin_scale * max(abs(col.t), col.span):
+                out[j] = StiffnessError(col.t)
+            t.append(col.t)
+            h.append(col.h)
 
-    while t < t_end:
-        target = grid[next_point]
-        if t + h >= target - 1e-14 * max(abs(target), span):
-            h = target - t
-        if h < hmin_scale * max(abs(t), span):
-            raise StiffnessError(t)
+        if all(out[j] is None for j in act):
+            t, h = np.array(t), np.array(h)
+            c = coefficients(t + _C[1:, None] * h)  # at the six stage times
+            ha = h[:, None, None] * _A  # each column's step times the tableau
+            for i in range(1, 6):
+                k[i] = rhs(c[:, i - 1], stage_input(y, ha, i))
+            y5 = stage_input(y, ha, 6)
+            k[6] = rhs(c[:, 5], y5)
+            err_vec = np.einsum("bj,jbk->bk", h[:, None] * _E, kr).view(complex)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+            errs = _rms(err_vec / scale, norm_size).tolist()
+            ok = [pos for pos, err in enumerate(errs) if err <= 1.0]
+            drifts = [0.0] * len(act)  # of the accepted states' traces from 1
+            if ok:
+                if len(ok) == len(act):
+                    y, traces = repair(y5)
+                    k[0] = k[6]  # first-same-as-last
+                else:
+                    y[ok], traces = repair(y5[ok])
+                    k[0, ok] = k[6, ok]
+                for pos, drift in zip(ok, np.abs(traces - 1.0).tolist()):
+                    drifts[pos] = drift
 
-        for i in range(1, 6):
-            k[i] = rhs(t + _C[i] * h, stage_input(y, h * _A[i]))
-        y5 = stage_input(y, h * _A[6])
-        k[6] = rhs(t + h, y5)
-        rhs_evals += 6
-        err_vec = np.einsum("j,jk->k", h * _E, kr).view(complex)
-        err = _error_norm(err_vec, y, y5, config.rel_tol, config.abs_tol, norm_size)
+            for pos, j in enumerate(act):
+                col, err = cols[j], errs[pos]
+                if not math.isfinite(err):
+                    out[j] = IntegrationDivergedError(col.t)
+                elif err <= 1.0:
+                    col.t += col.h
+                    if drifts[pos] > TRACE_DIVERGENCE_TOL:
+                        out[j] = IntegrationDivergedError(col.t, drifts[pos], TRACE_DIVERGENCE_TOL)
+                        continue
+                    col.accepted += 1
+                    col.clamped += clamped[pos]
+                    col.h_min, col.h_max = min(col.h_min, col.h), max(col.h_max, col.h)
+                    if abs(col.t - col.grid[col.next]) <= 1e-12 * max(abs(col.t), col.span):
+                        if col.grid[col.next] not in col.stops:
+                            sample(j, y[pos].copy())
+                        col.next += 1
+                        if out[j] is None and col.next == len(col.grid):
+                            out[j] = col.trajectory(y.shape[1], norm_size)
+                    factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+                    col.h *= max(_MIN_FACTOR, factor)
+                else:
+                    col.rejected += 1
+                    col.h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
 
-        if err <= 1.0:
-            t = t + h
-            y = on_accept(t, y5)
-            k[0] = k[6]  # first-same-as-last
-            accepted += 1
-            h_min, h_max = min(h_min, float(h)), max(h_max, float(h))
-            if abs(t - grid[next_point]) <= 1e-12 * max(abs(t), span):
-                if grid[next_point] not in stops:
-                    stored.append(on_sample(t, y))
-                next_point += 1
-                if next_point >= len(grid):
-                    break
-            factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
-            h = h * max(_MIN_FACTOR, factor)
-        else:
-            rejected += 1
-            h = h * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-
-    stats = IntegratorStats(accepted, rejected, rhs_evals, h_min, h_max, y.size, norm_size)
-    return Trajectory(times=ts.copy(), states=tuple(stored), stats=stats)
+        going = [pos for pos, j in enumerate(act) if out[j] is None]
+        if len(going) < len(act):  # finished and failed columns leave the batch
+            act, y, k = [act[pos] for pos in going], y[going], k[:, going]
+            coefficients, kr = coefficients_of(act), k.view(float)
+    return out
 
 
 def _check_trace(t: float, trace: float, tol: float):
@@ -350,13 +461,32 @@ def _check_trace(t: float, trace: float, tol: float):
         raise IntegrationDivergedError(t, drift, tol)
 
 
-def evolve(model: LindbladModel, rho0: DensityMatrix, config: IntegratorConfig) -> Trajectory:
+def _batch(config) -> list:
+    return [config] if isinstance(config, IntegratorConfig) else list(config)
+
+
+def _outcome(config, runs: list):
+    """The list of a batch's outcomes, or the trajectory of a single run, whose error is raised."""
+    if not isinstance(config, IntegratorConfig):
+        return runs
+    if isinstance(runs[0], Exception):
+        raise runs[0]
+    return runs[0]
+
+
+def evolve(model: LindbladModel, rho0: DensityMatrix, config):
     """Integrate the master equation and sample at the configured times.
 
     Adaptive Dormand-Prince 5(4) on the support of the row-major vec(rho0).
     Steps never overshoot a sample time, accepted states are symmetrized, and
     sampled states are renormalized by their trace (drift beyond 1e-6 at a
     sample, or 1e-4 anywhere, aborts with an error carrying the time).
+
+    ``config`` may also be a sequence of configs, one per column of the
+    generator's :class:`~omstirap.model.DriveCoefficients`.  The columns are
+    then stepped as one batch, each exactly as it steps alone, and the result
+    is a list of each column's :class:`Trajectory`, or of the integration
+    error that stopped it.
     """
     if rho0.space != model.space:
         raise InvalidDimensionError("initial state lives on a different space")
@@ -365,33 +495,34 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config: IntegratorConfig) 
     l0, parts = _superoperator_pieces(model)
     transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
     keep = _support((l0, *parts), y0 != 0, transpose)
-    rhs = _linear_rhs(l0, parts, model.hamiltonian.coefficients, keep)
+    rhs = _linear_rhs(l0, parts, keep)
     mirror = np.searchsorted(keep, transpose[keep])  # position of rho_ji for rho_ij
-    diagonal = keep % (d + 1) == 0
+    diagonal = np.flatnonzero(keep % (d + 1) == 0)  # positions of the rho_ii
 
-    def symmetrized(t, y, tol):
-        y = 0.5 * (y + y[mirror].conj())
-        _check_trace(t, y[diagonal].sum().real, tol)
-        return y
-
-    def on_accept(t, y):
-        return symmetrized(t, y, TRACE_DIVERGENCE_TOL)
+    def repair(y):
+        """The rows of ``y`` made Hermitian, and their traces."""
+        y = 0.5 * (y + y.take(mirror, axis=-1).conj())
+        return y, y.take(diagonal, axis=-1).sum(axis=-1).real
 
     def on_sample(t, y):
-        y = symmetrized(t, y, TRACE_SAMPLE_TOL)
+        y, trace = repair(y)
+        _check_trace(t, trace, TRACE_SAMPLE_TOL)
         m = np.zeros(d * d, dtype=complex)
-        m[keep] = y / y[diagonal].sum().real
+        m[keep] = y / trace
         return DensityMatrix(model.space, m.reshape(d, d), validate=False)
 
-    return _integrate_dp45(rhs, y0[keep], config, on_accept, on_sample, d * d)
+    configs = _batch(config)
+    runs = _integrate_dp45(rhs, _coefficients_of(model.hamiltonian, len(configs)), y0[keep],
+                           configs, repair, on_sample, d * d)
+    return _outcome(config, runs)
 
 
 def evolve_pure(
     hamiltonian: Generator | np.ndarray | scipy.sparse.csr_matrix,
     psi0,
     space: HilbertSpace,
-    config: IntegratorConfig,
-) -> Trajectory:
+    config,
+):
     """Schroedinger evolution of a pure state under H(t), no dissipation.
 
     Equivalent to :func:`evolve` with an empty collapse set and a pure
@@ -400,7 +531,8 @@ def evolve_pure(
     built.  Sampled states are returned as density matrices so downstream
     analytics are uniform.  The trace |psi|^2 is checked as :func:`evolve`
     checks Tr rho: against 1e-4 after every step and 1e-6 at every sample,
-    the first included; accepted states are renormalized.
+    the first included; accepted states are renormalized.  ``config`` may be
+    a sequence of configs for a batch, as in :func:`evolve`.
     """
     amps = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
     d = space.total_dim
@@ -410,22 +542,24 @@ def evolve_pure(
     h0 = -1j * gen.h0
     parts = [-1j * op for a in gen.ops for op in (a, a.conj().T)]
     keep = _support((h0, *parts), amps != 0)
-    rhs = _linear_rhs(h0, parts, gen.coefficients, keep)
+    rhs = _linear_rhs(h0, parts, keep)
 
-    def normalized(t, y, tol):
-        nrm = np.linalg.norm(y)
-        _check_trace(t, nrm * nrm, tol)
-        return y / nrm
-
-    def on_accept(t, y):
-        return normalized(t, y, TRACE_DIVERGENCE_TOL)
+    def repair(y):
+        """The rows of ``y`` normalized, and their squared norms."""
+        nrm = np.array([np.linalg.norm(row) for row in y])
+        return y / nrm[:, None], nrm * nrm
 
     def on_sample(t, y):
+        nrm = np.linalg.norm(y)
+        _check_trace(t, nrm * nrm, TRACE_SAMPLE_TOL)
         v = np.zeros(d, dtype=complex)
-        v[keep] = normalized(t, y, TRACE_SAMPLE_TOL)
+        v[keep] = y / nrm
         return DensityMatrix(space, np.outer(v, v.conj()), validate=False)
 
-    return _integrate_dp45(rhs, amps[keep], config, on_accept, on_sample, d)
+    configs = _batch(config)
+    runs = _integrate_dp45(rhs, _coefficients_of(gen, len(configs)), amps[keep], configs,
+                           repair, on_sample, d)
+    return _outcome(config, runs)
 
 
 def liouvillian_matrix(model: LindbladModel, t: float = 0.0) -> np.ndarray:
@@ -466,14 +600,19 @@ def propagator_oracle(
     return DensityMatrix(model.space, out, validate=False)
 
 
+def thermal_collapse_rates(params) -> list[float]:
+    """The rates of :func:`thermal_collapse_terms`, in its order."""
+    rates = [params.kappa]
+    for omega, gamma in ((params.omega1, params.gamma1), (params.omega2, params.gamma2)):
+        nbar = bose_occupancy(omega, params.temperature)
+        rates += [gamma * (nbar + 1.0), gamma * nbar]
+    return rates
+
+
 def thermal_collapse_terms(space: HilbertSpace, params) -> list:
     """Standard collapse set: cavity decay plus two thermal mechanical baths."""
-    terms = [(destroy(space, 0), params.kappa)]
-    for mode, (omega, gamma) in enumerate(
-        ((params.omega1, params.gamma1), (params.omega2, params.gamma2)), start=1
-    ):
-        nbar = bose_occupancy(omega, params.temperature)
+    ops = [destroy(space, 0)]
+    for mode in (1, 2):
         b = destroy(space, mode)
-        terms.append((b, gamma * (nbar + 1.0)))
-        terms.append((b.conj().T, gamma * nbar))
-    return terms
+        ops += [b, b.conj().T]
+    return list(zip(ops, thermal_collapse_rates(params)))

@@ -61,15 +61,19 @@ class StiffnessError(OmstirapError, RuntimeError):
 
 
 class IntegrationDivergedError(OmstirapError, RuntimeError):
-    """A trace drift (of |psi|^2 for a pure state) exceeded the tolerance named."""
+    """A trace drift (of |psi|^2 for a pure state) exceeded the tolerance named,
+    or, without a drift, the state turned non-finite in the step from ``time``."""
 
-    def __init__(self, time: float, drift: float, tolerance: float):
+    def __init__(self, time: float, drift: float | None = None, tolerance: float | None = None):
         self.time = time
         self.drift = drift
         self.tolerance = tolerance
-        super().__init__(
-            f"trace drift {drift:.3e} exceeded {tolerance:.0e} at t = {time:.6e} s"
-        )
+        if drift is None:
+            super().__init__(f"non-finite state in the step from t = {time:.6e} s")
+        else:
+            super().__init__(
+                f"trace drift {drift:.3e} exceeded {tolerance:.0e} at t = {time:.6e} s"
+            )
 
     def __reduce__(self):
         return type(self), (self.time, self.drift, self.tolerance)

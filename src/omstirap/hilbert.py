@@ -104,7 +104,10 @@ class Generator:
     ``h0`` is the constant Hermitian part (``None`` for zero, or a dense or
     sparse matrix), ``ops`` the operators A_k, and ``coefficients(t)``
     returns every c_k(t) at once, in the order of ``ops``.  All pieces are
-    stored as CSR matrices.
+    stored as CSR matrices.  When ``coefficients`` is a
+    :class:`~omstirap.model.DriveCoefficients` of several columns, the
+    generator stands for one H(t) per column, which the integrator steps as
+    one batch.
     """
 
     __slots__ = ("space", "h0", "ops", "coefficients")

@@ -29,7 +29,7 @@ ordinary frequencies (cycles/s) and convert once.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -245,21 +245,86 @@ def _as_schedule_list(schedules) -> list[DriveSchedule]:
     return out
 
 
-def _amplitude_function(schedules):
-    """t -> [z1, z2], the summed pump amplitudes with drive phases, in scalar math."""
-    pumps = [
-        (i, _components(s, i + 1), s.alpha0, complex(math.cos(phase), math.sin(phase)))
-        for s in _as_schedule_list(schedules)
-        for i, phase in ((0, s.phase1), (1, s.phase2))
-    ]
+#: the pumps each term of a picture sums, as indices into (pump 1, pump 2)
+_TERM_PUMPS = {"rwa": [[0], [1]], "bs": [[0, 1], [0, 1]], "full": [[0, 1]] * 4}
 
-    def amplitudes(t: float) -> list:
-        z = [0j, 0j]
-        for i, comps, alpha0, phase in pumps:
-            z[i] += _envelope(comps, alpha0, t) * phase
-        return z
 
-    return amplitudes
+class DriveCoefficients:
+    """The coefficients c_k(t) of :func:`hamiltonian_generator`'s terms for one
+    or more columns, one per ``(params, schedule)`` pair of ``drives``.
+
+    A term of the picture sums, over its pumps i, g_j z_i(t) e^{i r t}: z_i is
+    pump i's summed Gaussian components times their drive phases, and the
+    coupling g_j and phase rate r come from the column's ``params``.  Each
+    parameter is an array whose last two axes are (time, column); a column
+    with fewer schedules or components than another is padded with
+    zero-amplitude ones, which add exact zeros.
+
+    ``rule(t)`` takes an (N, columns) array of times, one column each, and
+    returns the (n_terms, N, columns) coefficients; a one-column rule also
+    takes a single time and returns the n_terms coefficients, as
+    :class:`~omstirap.hilbert.Generator` expects.
+    """
+
+    __slots__ = ("pumps", "amplitude", "centre", "width", "phase", "coupling", "rate")
+
+    def __init__(self, picture: str, drives):
+        if picture not in PICTURES:
+            raise InvalidArgumentError(f"unknown picture {picture!r}")
+        self.pumps = np.array(_TERM_PUMPS[picture])
+        drives = [(p, _as_schedule_list(s)) for p, s in drives]
+        n_sched = max(len(s) for _, s in drives)
+        shape = (n_sched, 2, 2, 1, len(drives))  # schedule, pump, component, time, column
+        self.amplitude, self.centre, self.width = np.zeros(shape), np.zeros(shape), np.ones(shape)
+        self.phase = np.ones((n_sched, 2, 1, len(drives)), dtype=complex)
+        self.coupling = np.empty(self.pumps.shape + (1, len(drives)))
+        self.rate = np.empty_like(self.coupling, dtype=complex)  # i times the phase rate
+        for col, (p, schedules) in enumerate(drives):
+            for k, s in enumerate(schedules):
+                for i, phase in enumerate((s.phase1, s.phase2)):
+                    self.phase[k, i, 0, col] = complex(math.cos(phase), math.sin(phase))
+                    # a constant pump is one component of infinite width
+                    comps = _components(s, i + 1) or [(s.alpha0, 0.0, math.inf)]
+                    for c, (amp, centre, width) in enumerate(comps):
+                        self.amplitude[k, i, c, 0, col] = amp
+                        self.centre[k, i, c, 0, col] = centre
+                        self.width[k, i, c, 0, col] = width
+            g, deltas, omegas = (p.g1, p.g2), (p.delta1, p.delta2), (p.omega1, p.omega2)
+            for term, pumps in enumerate(self.pumps):
+                # the a^+ b_j terms rotate at D_i - w_j, the a^+ b_j^+ terms of 'full' at D_i + w_j
+                j, sign = term % 2, (-1.0 if term < 2 else 1.0)
+                for k, i in enumerate(pumps):
+                    self.coupling[term, k, 0, col] = g[j]
+                    self.rate[term, k, 0, col] = 1j * (deltas[i] + sign * omegas[j])
+
+    @property
+    def columns(self) -> int:
+        return self.coupling.shape[-1]
+
+    def take(self, cols) -> "DriveCoefficients":
+        """The rule of the columns ``cols``."""
+        rule = object.__new__(DriveCoefficients)
+        rule.pumps = self.pumps
+        for name in self.__slots__[1:]:
+            setattr(rule, name, getattr(self, name)[..., cols])
+        return rule
+
+    def amplitudes(self, t) -> np.ndarray:
+        """(z_1, z_2), each pump's summed envelope times its drive phases, at the
+        (N, columns) times ``t``: shape (2, N, columns)."""
+        u = (t - self.centre) / self.width
+        pulses = np.where(np.abs(u) > ENVELOPE_CUTOFF_SIGMAS, 0.0,
+                          self.amplitude * np.exp(-(u * u)))
+        return functools.reduce(np.add, (pulses[:, :, 0] + pulses[:, :, 1]) * self.phase)
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            if self.columns != 1:
+                raise InvalidArgumentError("a single time needs a one-column rule")
+            return self(t.reshape(1, 1))[:, 0, 0]
+        terms = self.coupling * self.amplitudes(t)[self.pumps] * np.exp(self.rate * t)
+        return functools.reduce(np.add, terms.swapaxes(0, 1))
 
 
 def mixing_angle(schedule: DriveSchedule, params: SystemParams, t: float) -> float:
@@ -294,34 +359,21 @@ def hamiltonian_generator(
     space: HilbertSpace,
     picture: str = "rwa",
 ) -> Generator:
-    """H(t) on a 3-mode ``space`` as sparse operators A_k with scalar coefficients c_k(t).
+    """H(t) on a 3-mode ``space`` as sparse operators A_k with coefficients c_k(t)
+    from a one-column :class:`DriveCoefficients`.
 
     ``rwa`` and ``bs`` have the two terms a^+ b_j; ``bs`` sums both pumps'
     detuning phases into each c_j.  ``full`` adds the two terms a^+ b_j^+.
     """
     if space.n_modes != 3:
         raise InvalidDimensionError("Hamiltonian needs a 3-mode space")
-    if picture not in PICTURES:
-        raise InvalidArgumentError(f"unknown picture {picture!r}")
-    amplitudes = _amplitude_function(schedule)
+    rule = DriveCoefficients(picture, [(params, schedule)])
     a, b1, b2 = (destroy(space, m) for m in range(3))
     adag = a.conj().T
     ops = [adag @ b1, adag @ b2]
-    p = params
-    g, deltas, omegas = (p.g1, p.g2), (p.delta1, p.delta2), (p.omega1, p.omega2)
-    # per term: its coupling g_j and the (pump i, phase rate) pairs it sums
-    pumps = [(0,), (1,)] if picture == "rwa" else [(0, 1), (0, 1)]
-    terms = [(g[j], [(i, deltas[i] - omegas[j]) for i in pumps[j]]) for j in (0, 1)]
     if picture == "full":
         ops += [adag @ b1.conj().T, adag @ b2.conj().T]
-        terms += [(g[j], [(i, deltas[i] + omegas[j]) for i in (0, 1)]) for j in (0, 1)]
-
-    def coefficients(t: float) -> list:
-        z = amplitudes(t)
-        return [sum(gj * z[i] * cmath.exp(1j * rate * t) for i, rate in pairs)
-                for gj, pairs in terms]
-
-    return Generator(space, None, ops, coefficients)
+    return Generator(space, None, ops, rule)
 
 
 def collective_operators(
@@ -361,7 +413,7 @@ def collective_operators(
         raise InvalidArgumentError(f"unknown convention {convention!r}")
     if schedule is None:
         raise InvalidArgumentError("rwa_phased convention needs a schedule")
-    z1, z2 = _amplitude_function(schedule)(t)
+    z1, z2 = DriveCoefficients("rwa", [(params, schedule)]).amplitudes(np.full((1, 1), t))[:, 0, 0]
     g11 = params.g1 * abs(z1)
     g22 = params.g2 * abs(z2)
     norm = math.hypot(g11, g22)

@@ -3,7 +3,9 @@
 A :class:`Scenario` bundles physical parameters, a drive schedule (or pulse
 train), an initial-state recipe and an optional fidelity target;
 :func:`run_scenario` turns it into a sampled trajectory carrying every
-observable series plus a summary.
+observable series plus a summary.  :func:`run_scenarios` does the same for
+scenarios that share a :func:`batch_key`, stepping them as the columns of one
+DP45 ensemble; a single run is a batch of one.
 The interferometric entanglement check sweeps the relative drive phase of a
 time-reversed fractional sequence and fits the resulting single-phonon
 fringe.  Closed-form planner estimates for optical cooling, heralding and
@@ -16,6 +18,7 @@ import functools
 import math
 import numbers
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -31,15 +34,18 @@ from .dynamics import (
     distinct_times,
     evolve,
     evolve_pure,
+    thermal_collapse_rates,
     thermal_collapse_terms,
 )
 from .errors import (
     DomainError,
     InvalidArgumentError,
+    OmstirapError,
     UndefinedSteadyStateError,
 )
 from .hilbert import (
     DensityMatrix,
+    Generator,
     HilbertSpace,
     StateVector,
     coherent_state,
@@ -48,6 +54,7 @@ from .hilbert import (
     thermal_state,
 )
 from .model import (
+    DriveCoefficients,
     DriveSchedule,
     SystemParams,
     _as_schedule_list,
@@ -192,38 +199,91 @@ def _sample_times(scenario: Scenario) -> np.ndarray:
     return np.sort(np.append(ts, extra))
 
 
+#: the most scenarios :func:`batches` puts in one batch
+BATCH_COLUMNS = 16
+
+
+def batch_key(scenario: Scenario) -> tuple:
+    """What the scenarios of one batch share: all but their Hamiltonians' coefficients.
+
+    Dims, picture, initial state and tolerances fix the support and the error
+    norm; the lossless flag and the collapse rates fix the constant piece L0.
+    The initial recipe enters by value, pickled, as it may hold an array.
+    """
+    rates = () if scenario.lossless else tuple(thermal_collapse_rates(scenario.params))
+    return (scenario.dims, scenario.picture, scenario.lossless, scenario.rel_tol,
+            scenario.abs_tol, rates, pickle.dumps(scenario.initial))
+
+
+def batches(scenarios: Sequence[Scenario]) -> list[list[int]]:
+    """Indices of ``scenarios`` grouped by :func:`batch_key`, each group cut in
+    order into chunks of at most :data:`BATCH_COLUMNS`."""
+    groups: dict = {}
+    for i, scenario in enumerate(scenarios):
+        groups.setdefault(batch_key(scenario), []).append(i)
+    return [group[k:k + BATCH_COLUMNS] for group in groups.values()
+            for k in range(0, len(group), BATCH_COLUMNS)]
+
+
+def run_scenarios(scenarios: Sequence[Scenario]) -> list:
+    """Evolve scenarios that share one :func:`batch_key` as one batch.
+
+    Each scenario is a column of one DP45 ensemble and takes exactly the
+    steps it takes alone.  Returns per scenario its :class:`ScenarioResult`,
+    as :func:`run_scenario` gives it, or the integration error
+    (:class:`~omstirap.errors.StiffnessError`,
+    :class:`~omstirap.errors.IntegrationDivergedError`) that stopped it; the
+    other columns carry on.  Each summary's ``wall_time_s`` is the batch's.
+    """
+    t_start = time.perf_counter()
+    first = scenarios[0]
+    key = batch_key(first)
+    if any(batch_key(s) != key for s in scenarios[1:]):
+        raise InvalidArgumentError("the scenarios of a batch must share their batch_key")
+    space = HilbertSpace(first.dims)
+    state0 = build_initial_state(space, first.initial)
+    ops = hamiltonian_generator(first.params, first.schedule, space, first.picture).ops
+    rule = DriveCoefficients(first.picture, [(s.params, s.schedule) for s in scenarios])
+    h = Generator(space, None, ops, rule)
+    configs = [IntegratorConfig(sample_times=_sample_times(s), rel_tol=s.rel_tol,
+                                abs_tol=s.abs_tol, stops=pulse_centres(s.schedule))
+               for s in scenarios]
+    if first.lossless and isinstance(state0, StateVector):
+        runs = evolve_pure(h, state0, space, configs)
+    else:
+        rho0 = state0.density_matrix() if isinstance(state0, StateVector) else state0
+        collapse = () if first.lossless else tuple(thermal_collapse_terms(space, first.params))
+        runs = evolve(LindbladModel(space, h, collapse), rho0, configs)
+
+    results = []
+    for scenario, traj in zip(scenarios, runs):
+        if isinstance(traj, OmstirapError):
+            results.append(traj)
+            continue
+        obs = _observables(scenario, space, traj)
+        traj = traj.with_observables(obs)
+        summary = _summary(scenario, traj, obs)
+        summary["integrator"] = asdict(traj.stats)
+        results.append(ScenarioResult(trajectory=traj, summary=summary))
+    wall = time.perf_counter() - t_start
+    for result in results:
+        if isinstance(result, ScenarioResult):
+            result.summary["wall_time_s"] = wall
+    return results
+
+
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Evolve the scenario and attach every observable series.
 
     The summary reports the fidelity at the declared evaluation time (both
     the squared Uhlmann value and its square root, the trace convention),
     the running peak of the negativity, the final mode populations, and the
-    peak population of each mode's top Fock level.
+    peak population of each mode's top Fock level.  It is a batch of one.
     """
-    t_start = time.perf_counter()
-    space = HilbertSpace(scenario.dims)
-    state0 = build_initial_state(space, scenario.initial)
-    h = hamiltonian_generator(scenario.params, scenario.schedule, space, scenario.picture)
-    config = IntegratorConfig(
-        sample_times=_sample_times(scenario),
-        rel_tol=scenario.rel_tol,
-        abs_tol=scenario.abs_tol,
-        stops=pulse_centres(scenario.schedule),
-    )
-    if scenario.lossless and isinstance(state0, StateVector):
-        traj = evolve_pure(h, state0, space, config)
-    else:
-        rho0 = state0.density_matrix() if isinstance(state0, StateVector) else state0
-        collapse = () if scenario.lossless else tuple(thermal_collapse_terms(space, scenario.params))
-        model = LindbladModel(space, h, collapse)
-        traj = evolve(model, rho0, config)
-
-    obs = _observables(scenario, space, traj)
-    traj = traj.with_observables(obs)
-    summary = _summary(scenario, traj, obs)
-    summary["integrator"] = asdict(traj.stats)
-    summary["wall_time_s"] = time.perf_counter() - t_start
-    return ScenarioResult(trajectory=traj, summary=summary)
+    result, = run_scenarios([scenario])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _observables(scenario: Scenario, space: HilbertSpace, traj: Trajectory) -> dict:
@@ -409,11 +469,10 @@ def parallel_map(fn, jobs: list, workers: int) -> list:
         return list(pool.map(fn, jobs, chunksize=chunk))
 
 
-def _fringe_point(args) -> float:
-    base, phi1, phi2, wait, include_forward = args
-    scen = _fringe_scenario(base, phi1, phi2, wait, include_forward)
-    result = run_scenario(scen)
-    return result.summary["final_p1"]
+def _fringe_batch(scenarios) -> list:
+    """final_p1 of each scenario of one batch, or the error that stopped it."""
+    return [r if isinstance(r, Exception) else r.summary["final_p1"]
+            for r in run_scenarios(scenarios)]
 
 
 def run_interferometry(
@@ -430,7 +489,10 @@ def run_interferometry(
     phase phi1), holds for ``wait`` (center-to-center), then applies the
     time-reversed sequence at relative phase phi2, recording the final
     single-phonon probability of mode 1.  The fringe is fit by least
-    squares to A (1 + V cos(phase - phi2)).
+    squares to A (1 + V cos(phase - phi2)).  The phase points share a
+    :func:`batch_key`, so they run as batches of at most
+    :data:`BATCH_COLUMNS` (:func:`run_scenarios`), handed whole to the
+    workers; a failed point raises its integration error.
 
     ``include_forward=False`` treats the base initial state as the state
     already present at the hold point and applies only the reversed
@@ -443,8 +505,17 @@ def run_interferometry(
     phi2s = np.asarray(list(phi2_grid), dtype=float)
     if phi2s.size < 3:
         raise InvalidArgumentError("need at least 3 phase points to fit a fringe")
-    jobs = [(base, phi1, float(p2), wait, include_forward) for p2 in phi2s]
-    p1 = np.array(parallel_map(_fringe_point, jobs, workers))
+    points = [_fringe_scenario(base, phi1, float(p2), wait, include_forward) for p2 in phi2s]
+    groups = batches(points)
+    outcomes: list = [None] * len(points)
+    jobs = [[points[i] for i in group] for group in groups]
+    for group, values in zip(groups, parallel_map(_fringe_batch, jobs, workers)):
+        for i, value in zip(group, values):
+            outcomes[i] = value
+    for value in outcomes:
+        if isinstance(value, Exception):
+            raise value
+    p1 = np.array(outcomes)
     design = np.column_stack([np.ones_like(phi2s), np.cos(phi2s), np.sin(phi2s)])
     c0, cc, cs = np.linalg.lstsq(design, p1, rcond=None)[0]
     amplitude = float(c0)

@@ -1,10 +1,14 @@
 """Parallel 1-D/2-D parameter sweeps and iso-level contour extraction.
 
-Each grid cell runs an independent scenario; results land in preallocated
-slots keyed by cell index, so the aggregated grids are bitwise identical
-for any worker count.  A cell that fails with one of the package's own
-errors records the error class, message and failure time and leaves NaN in
-the grids; any other exception is a bug and aborts the sweep.
+Each grid cell is one scenario.  Cells that share a batch key (the same
+picture, dims, collapse rates, initial state and tolerances) run as the
+columns of one DP45 ensemble, in batches cut in grid order that do not depend
+on the worker count; each column takes exactly the steps it takes alone.
+Results land in preallocated slots keyed by cell index, so the aggregated
+grids are bitwise identical for any worker count.  A cell that fails with one
+of the package's own errors records the error class, message and failure
+time and leaves NaN in the grids; any other exception is a bug and aborts
+the sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, OmstirapError
 from .model import DriveSchedule, SystemParams, TWO_PI
-from .protocols import Scenario, parallel_map, run_scenario, summary_keys
+from .protocols import Scenario, batches, parallel_map, run_scenarios, summary_keys
 from .adiabatic import resonance_check
 
 #: frequency-difference band (rad/s) below which the co-rotating cross
@@ -156,18 +160,21 @@ def pick_picture(scenario: Scenario) -> str:
     return "rwa"
 
 
-def _run_cell(args):
-    idx, base, bindings, metrics = args
+def _failure(exc: OmstirapError) -> tuple:
+    """(error class, message, time of failure or None) of a failed cell."""
+    time_s = getattr(exc, "last_good_time", getattr(exc, "time", None))
+    return type(exc).__name__, str(exc), time_s
+
+
+def _run_batch(args) -> list:
+    """Per scenario of one batch: its metric values, or the failure that stopped it."""
+    scenarios, metrics = args
     try:
-        scenario = base
-        for axis, value in bindings:
-            scenario = apply_axis_value(scenario, axis, value)
-        scenario = replace(scenario, picture=pick_picture(scenario))
-        summary = run_scenario(scenario).summary
-        return idx, {m: summary[m] for m in metrics}, None
-    except OmstirapError as exc:  # domain and integration failures are per-cell results
-        time_s = getattr(exc, "last_good_time", getattr(exc, "time", None))
-        return idx, None, (idx, type(exc).__name__, str(exc), time_s)
+        results = run_scenarios(scenarios)
+    except OmstirapError as exc:  # a failure before the integration fails every cell
+        results = [exc] * len(scenarios)
+    return [_failure(r) if isinstance(r, OmstirapError) else {m: r.summary[m] for m in metrics}
+            for r in results]
 
 
 def run_sweep(
@@ -181,8 +188,12 @@ def run_sweep(
     ``metrics`` are summary keys of :func:`run_scenario` (for example
     ``final_n2``, ``fidelity``, ``peak_negativity``); one that the base
     scenario's summary does not carry is rejected before any cell runs.
-    Cells run fully isolated; aggregation order is deterministic regardless
-    of worker scheduling.
+    Cells are grouped by :func:`~omstirap.protocols.batch_key` and each
+    group runs, cut in grid order into batches of at most
+    :data:`~omstirap.protocols.BATCH_COLUMNS` cells, as one DP45 ensemble
+    (:func:`~omstirap.protocols.run_scenarios`); the workers take whole
+    batches.  Every cell steps as it does alone, and aggregation order is
+    deterministic regardless of worker scheduling.
     """
     axes = tuple(axes)
     if len(axes) not in (1, 2):
@@ -196,20 +207,28 @@ def run_sweep(
         raise InvalidArgumentError(f"no run of this sweep reports the metric(s) {missing}; "
                                    f"its summaries carry {sorted(summary_keys(base))}")
     shape = tuple(len(a.values) for a in axes)
-    jobs = []
+    cells, failures = [], []
     for idx in np.ndindex(*shape):
-        bindings = tuple((axis, axis.values[i]) for axis, i in zip(axes, idx))
-        jobs.append((idx, base, bindings, tuple(metrics)))
+        try:
+            scenario = base
+            for axis, i in zip(axes, idx):
+                scenario = apply_axis_value(scenario, axis, axis.values[i])
+            cells.append((idx, replace(scenario, picture=pick_picture(scenario))))
+        except OmstirapError as exc:  # domain and integration failures are per-cell results
+            failures.append((idx, *_failure(exc)))
 
+    groups = batches([scenario for _, scenario in cells])
+    jobs = [([cells[i][1] for i in group], tuple(metrics)) for group in groups]
     grids = {m: np.full(shape, np.nan) for m in metrics}
-    failures = []
-    for idx, values, failure in parallel_map(_run_cell, jobs, worker_count):
-        if failure is not None:
-            failures.append(failure)
-            continue
-        for m in metrics:
-            grids[m][idx] = values[m]
-    return SweepResult(axes=axes, fields=grids, failures=tuple(failures))
+    for group, outcomes in zip(groups, parallel_map(_run_batch, jobs, worker_count)):
+        for i, outcome in zip(group, outcomes):
+            idx = cells[i][0]
+            if isinstance(outcome, tuple):
+                failures.append((idx, *outcome))
+                continue
+            for m in metrics:
+                grids[m][idx] = outcome[m]
+    return SweepResult(axes=axes, fields=grids, failures=tuple(sorted(failures)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import omstirap
 from omstirap import cli, protocols, sweep
 from omstirap.cli import main
 from omstirap.errors import ConfigError, IntegrationDivergedError, StiffnessError
@@ -67,9 +68,10 @@ def test_simulate_summary_reports_integrator_stats(tmp_path):
     assert main(["simulate", "--preset", "bell-lossless", "--config", cfg,
                  "--out", str(out)]) == 0
     stats = json.loads((out / "summary.json").read_text())["summary"]["integrator"]
-    assert set(stats) == {"accepted", "rejected", "rhs_evals", "h_min", "h_max",
+    assert set(stats) == {"accepted", "rejected", "rhs_evals", "clamped", "h_min", "h_max",
                           "state_size", "norm_size"}
     assert stats["accepted"] >= 8  # at least one step per sample interval
+    assert 0 < stats["clamped"] <= stats["accepted"]
     assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
     assert 0.0 < stats["h_min"] <= stats["h_max"]
 
@@ -501,7 +503,7 @@ def test_integration_failure_exits_3(tmp_path, capsys, monkeypatch, workers):
         raise IntegrationDivergedError(1.5e-3, 0.5, 1e-4)
 
     # the fringe points run in forked workers, which inherit the stub
-    monkeypatch.setattr(protocols, "run_scenario", diverged)
+    monkeypatch.setattr(protocols, "run_scenarios", diverged)
     assert main(["verify", "--preset", "verify-lossless", "--workers", str(workers),
                  "--out", str(tmp_path / "o")]) == 3
     assert "integration failed: trace drift 5.000e-01 exceeded 1e-04" in capsys.readouterr().err
@@ -532,3 +534,14 @@ def test_sweep_json_records_contours(tmp_path, monkeypatch):
     line = np.asarray(line)
     np.testing.assert_allclose(line[:, 0], TWO_PI * 2e3)  # axis units: rad/s
     np.testing.assert_allclose(sorted(line[:, 1]), [1e3, 2e3, 3e3])
+
+
+def test_cli_import_leaves_root_finding_and_special_functions_unloaded():
+    # adiabatic imports brentq and lambertw where it calls them
+    src = str(Path(omstirap.__file__).resolve().parents[1])
+    code = ("import sys, omstirap.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "[]"

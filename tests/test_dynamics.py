@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 import math
 import pickle
 from pathlib import Path
@@ -29,6 +30,7 @@ from omstirap.errors import (
 )
 from omstirap.hilbert import (
     DensityMatrix,
+    Generator,
     HilbertSpace,
     StateVector,
     destroy,
@@ -36,7 +38,12 @@ from omstirap.hilbert import (
     fock_state,
     number_operator,
 )
-from omstirap.model import DriveSchedule, SystemParams, hamiltonian_generator
+from omstirap.model import (
+    DriveCoefficients,
+    DriveSchedule,
+    SystemParams,
+    hamiltonian_generator,
+)
 from omstirap.presets import preset_config
 from omstirap.protocols import InitialStateSpec, Scenario, run_scenario
 
@@ -262,6 +269,55 @@ def test_pure_path_rejects_the_drift_the_density_path_rejects():
             run()
 
 
+def _nan_after(t_nan):
+    """A generator whose one coefficient turns NaN after ``t_nan``."""
+    op = destroy(SPACE, 0).conj().T @ destroy(SPACE, 1)
+    return Generator(SPACE, None, [op], lambda t: [math.nan if t > t_nan else 2e3])
+
+
+def test_non_finite_state_is_divergence_not_step_underflow():
+    # the samples put a step end on 1e-4; every stage after it sees a NaN
+    config = IntegratorConfig(sample_times=np.linspace(0.0, 1e-3, 11))
+    psi0 = fock_state(SPACE, 0, 1, 0)
+    for run in (lambda: evolve(LindbladModel(SPACE, _nan_after(1e-4)), psi0.density_matrix(),
+                               config),
+                lambda: evolve_pure(_nan_after(1e-4), psi0, SPACE, config)):
+        with pytest.raises(IntegrationDivergedError,
+                           match="non-finite state in the step from t = 1.000000e-04 s") as info:
+            run()
+        assert info.value.time == 1e-4
+        back = pickle.loads(pickle.dumps(info.value))
+        assert str(back) == str(info.value) and vars(back) == vars(info.value)
+
+
+def test_a_non_finite_column_fails_alone():
+    p = SystemParams.from_ordinary()
+    sched = DriveSchedule("stirap", 2000.0, 0.42e-3, 0.6e-3, 0.6e-3)
+    sp = HilbertSpace((2, 3, 3))
+    alphas = (1000.0, 2000.0, 3000.0, 4000.0)
+    rule = DriveCoefficients("rwa", [(p, replace(sched, alpha0=a)) for a in alphas])
+    # column 2 gains a NaN pulse of width 10 us at 0.5 ms in pump 1's unused component
+    # slot: its coefficients turn NaN 8 widths before the centre
+    rule.amplitude[0, 0, 1, 0, 2], rule.centre[0, 0, 1, 0, 2] = math.nan, 0.5e-3
+    rule.width[0, 0, 1, 0, 2] = 1e-5
+    ops = hamiltonian_generator(p, sched, sp, "rwa").ops
+    collapse = tuple(thermal_collapse_terms(sp, p))
+    rho0 = fock_state(sp, 0, 1, 0).density_matrix()
+    config = IntegratorConfig(sample_times=np.linspace(-2e-3, 2e-3, 9))
+    runs = evolve(LindbladModel(sp, Generator(sp, None, ops, rule), collapse), rho0, [config] * 4)
+    failed = runs[2]
+    assert isinstance(failed, IntegrationDivergedError) and "non-finite" in str(failed)
+    assert -2e-3 < failed.time <= 0.5e-3 - 8e-5
+    for a, run in zip(alphas, runs):
+        if a == 3000.0:
+            continue
+        gen = hamiltonian_generator(p, replace(sched, alpha0=a), sp, "rwa")
+        solo = evolve(LindbladModel(sp, gen, collapse), rho0, config)
+        assert run.stats == solo.stats
+        for x, y in zip(run.states, solo.states):
+            np.testing.assert_array_equal(x.matrix, y.matrix)
+
+
 @pytest.mark.parametrize("error", [StiffnessError(1.25e-4),
                                    IntegrationDivergedError(2.5e-4, 1e-3, 1e-6),
                                    IntegrationDivergedError(1e-4, 3.0, 1e-4)])
@@ -405,12 +461,13 @@ def test_cut_rhs_matches_the_liouvillian_on_the_support(picture):
     rho0 = fock_state(sp, 0, 1, 0).density_matrix().matrix
     keep = dynamics._support((l0, *parts), rho0.reshape(-1) != 0, transpose)
     assert 0 < keep.size < d * d
-    rhs = dynamics._linear_rhs(l0, parts, model.hamiltonian.coefficients, keep)
+    rhs = dynamics._linear_rhs(l0, parts, keep)
     rng = np.random.default_rng(11)
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         v = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
         ref = liouvillian_matrix(model, t)[np.ix_(keep, keep)] @ v
-        np.testing.assert_allclose(rhs(t, v), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+        got = rhs(model.hamiltonian.coefficients(t)[:, None], v[None])[0]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("picture", ["rwa", "bs", "full"])
@@ -422,16 +479,25 @@ def test_cut_pure_rhs_matches_the_hamiltonian_on_the_support(picture):
     psi0 = fock_state(spec.space, 0, 1, 0).amplitudes
     keep = dynamics._support((h0, *parts), psi0 != 0)
     assert 0 < keep.size < spec.space.total_dim
-    rhs = dynamics._linear_rhs(h0, parts, gen.coefficients, keep)
+    rhs = dynamics._linear_rhs(h0, parts, keep)
     rng = np.random.default_rng(12)
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         v = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
         ref = (-1j * gen.dense(t))[np.ix_(keep, keep)] @ v
-        np.testing.assert_allclose(rhs(t, v), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+        got = rhs(gen.coefficients(t)[:, None], v[None])[0]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 def _unchanged(t, y):
     return y
+
+
+def _unrepaired(y):
+    return y, np.ones(len(y))
+
+
+def _no_terms(cols):
+    return lambda t: np.zeros((0,) + t.shape)
 
 
 def test_dp45_steps_the_linear_test_equation_by_its_stability_polynomial():
@@ -439,8 +505,8 @@ def test_dp45_steps_the_linear_test_equation_by_its_stability_polynomial():
     # stops at every spacing and a loose tolerance: each step is clamped to h
     config = IntegratorConfig(sample_times=[0.0, n * h], rel_tol=1e-3, abs_tol=1e-6,
                               stops=h * np.arange(1, n))
-    traj = dynamics._integrate_dp45(lambda t, y: lam * y, np.ones(1, dtype=complex), config,
-                                    _unchanged, _unchanged, 1)
+    traj, = dynamics._integrate_dp45(lambda c, y: lam * y, _no_terms, np.ones(1, dtype=complex),
+                                     [config], _unrepaired, _unchanged, 1)
     assert (traj.stats.accepted, traj.stats.rejected) == (n, 0)
     z = lam * h
     r = sum(z**k / math.factorial(k) for k in range(6)) + z**6 / 600
@@ -449,9 +515,10 @@ def test_dp45_steps_the_linear_test_equation_by_its_stability_polynomial():
 
 def test_dp45_integrates_a_quadratic_exactly():
     ts = np.linspace(0.0, 2.0, 5)
-    traj = dynamics._integrate_dp45(lambda t, y: np.full(1, 3.0 * t * t, dtype=complex),
-                                    np.zeros(1, dtype=complex), IntegratorConfig(ts),
-                                    _unchanged, _unchanged, 1)
+    # the one coefficient is the time itself: c(t) = t
+    traj, = dynamics._integrate_dp45(lambda c, y: 3.0 * c.T * c.T, lambda cols: lambda t: t[None],
+                                     np.zeros(1, dtype=complex), [IntegratorConfig(ts)],
+                                     _unrepaired, _unchanged, 1)
     # fifth-order quadrature is exact for t^2, and the error estimate is zero but for rounding
     assert traj.stats.rejected == 0
     for t, y in zip(ts, traj.states):

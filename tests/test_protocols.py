@@ -352,14 +352,31 @@ def test_lossless_fringe_visibility_and_extrema():
     assert fr.p1_values[0] < 0.01  # phi2 = -pi: transfer completes instead
 
 
+def test_fringe_points_run_as_one_batch_that_matches_their_solo_runs():
+    s = DriveSchedule("fractional", 2000.0, SIGMA / 1.25, SIGMA, SIGMA, theta=math.pi / 4)
+    base = Scenario(params=_params(0.0), schedule=s, initial=InitialStateSpec("fock", n=1),
+                    dims=(2, 3, 3), lossless=True)
+    phi2 = np.linspace(-math.pi, math.pi, 5)
+    fringe = run_interferometry(base, phi2, wait=4e-3)
+    points = [protocols._fringe_scenario(base, 0.0, float(p2), 4e-3, True) for p2 in phi2]
+    assert protocols.batches(points) == [[0, 1, 2, 3, 4]]
+    for point, batched, p1 in zip(points, protocols.run_scenarios(points), fringe.p1_values):
+        solo = run_scenario(point)
+        assert batched.summary["integrator"] == solo.summary["integrator"]
+        for key, value in solo.summary.items():
+            if isinstance(value, float) and key != "wall_time_s":
+                assert abs(batched.summary[key] - value) <= 1e-12, key
+        assert p1 == batched.summary["final_p1"]
+
+
 @pytest.mark.parametrize("error", [StiffnessError(1.25e-4),
                                    IntegrationDivergedError(2.5e-4, 1e-3, 1e-4)])
 def test_integration_error_crosses_the_worker_pool(monkeypatch, error):
-    def failing(scenario):
+    def failing(scenarios):
         raise error
 
     # the pool forks its workers, so they inherit the stub
-    monkeypatch.setattr(protocols, "run_scenario", failing)
+    monkeypatch.setattr(protocols, "run_scenarios", failing)
     s = DriveSchedule("fractional", 2000.0, SIGMA / 1.25, SIGMA, SIGMA, theta=math.pi / 4)
     base = Scenario(params=_params(0.0), schedule=s, initial=InitialStateSpec("fock", n=1),
                     dims=(2, 3, 3), lossless=True)

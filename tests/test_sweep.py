@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from omstirap.errors import (
     StiffnessError,
 )
 from omstirap.model import DriveSchedule, SystemParams, TWO_PI
-from omstirap.protocols import InitialStateSpec, Scenario, run_scenario
+from omstirap.protocols import (
+    InitialStateSpec,
+    Scenario,
+    batches,
+    run_scenario,
+    run_scenarios,
+)
 from omstirap.sweep import (
     SweepAxis,
     SweepResult,
@@ -113,12 +120,10 @@ def test_failed_cells_recorded_not_fatal(monkeypatch):
     failing = {0.1e-3: StiffnessError(1.25e-4),
                0.12e-3: IntegrationDivergedError(2.5e-4, 1e-3, 1e-4)}
 
-    def run(scenario):
-        if scenario.schedule[0].sigma1 in failing:
-            raise failing[scenario.schedule[0].sigma1]
-        return run_scenario(scenario)
+    def run(scenarios):
+        return [failing.get(s.schedule[0].sigma1) or run_scenario(s) for s in scenarios]
 
-    monkeypatch.setattr(sweep, "run_scenario", run)
+    monkeypatch.setattr(sweep, "run_scenarios", run)
     axes = [SweepAxis("schedule.sigma1", (-1e-4, 0.1e-3, 0.12e-3, 0.15e-3))]
     res = run_sweep(scen, axes, metrics=("final_n2",), worker_count=1)
     assert len(res.failures) == 3
@@ -136,10 +141,10 @@ def test_failed_cells_recorded_not_fatal(monkeypatch):
 def test_programming_error_in_cell_propagates(monkeypatch):
     import omstirap.sweep as sweep
 
-    def broken(scenario):
+    def broken(scenarios):
         raise TypeError("bug in a cell")
 
-    monkeypatch.setattr(sweep, "run_scenario", broken)
+    monkeypatch.setattr(sweep, "run_scenarios", broken)
     axes = [SweepAxis("alpha0", (1500.0, 2000.0))]
     with pytest.raises(TypeError, match="bug in a cell"):
         run_sweep(_fast_scenario(), axes, metrics=("final_n2",), worker_count=1)
@@ -226,3 +231,52 @@ def test_contours_require_2d():
     res = SweepResult(axes=(ax,), fields={"f": np.array([0.0, 1.0])})
     with pytest.raises(InvalidArgumentError):
         extract_contours(res, "f", [0.5])
+
+
+def _delta_alpha_grid():
+    """An open-system delta x alpha0 grid across the bs/rwa band, as in sweep-mixed,
+    at dims (2,3,3): its base, its axes and its cells as run_sweep builds them."""
+    base = _fast_scenario(lossless=False)
+    axes = [SweepAxis("delta", (TWO_PI * 2e4, TWO_PI * 3e5)),
+            SweepAxis("alpha0", (1000.0, 2000.0, 3000.0, 4000.0))]
+    cells = []
+    for delta in axes[0].values:
+        for alpha0 in axes[1].values:
+            cell = apply_axis_value(apply_axis_value(base, axes[0], delta), axes[1], alpha0)
+            cells.append(replace(cell, picture=pick_picture(cell)))
+    return base, axes, cells
+
+
+def test_batched_cells_match_their_solo_runs():
+    _, _, cells = _delta_alpha_grid()
+    groups = batches(cells)
+    # gamma2 and nbar2 move with delta: one batch per delta row
+    assert groups == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    assert [cells[g[0]].picture for g in groups] == ["bs", "rwa"]
+    for group in groups:
+        results = run_scenarios([cells[i] for i in group])
+        assert len({r.summary["wall_time_s"] for r in results}) == 1  # the batch's
+        for i, batched in zip(group, results):
+            solo = run_scenario(cells[i])
+            assert batched.summary["integrator"] == solo.summary["integrator"]
+            for key, value in solo.summary.items():
+                if isinstance(value, float) and key != "wall_time_s":
+                    assert abs(batched.summary[key] - value) <= 1e-12, key
+            for key, series in solo.trajectory.observables.items():
+                assert np.max(np.abs(batched.trajectory.observables[key] - series)) <= 1e-12
+
+
+def test_a_batch_needs_one_batch_key():
+    _, _, cells = _delta_alpha_grid()
+    with pytest.raises(InvalidArgumentError, match="batch_key"):
+        run_scenarios([cells[0], cells[4]])
+
+
+def test_mixed_picture_grid_is_identical_at_one_and_two_workers():
+    base, axes, cells = _delta_alpha_grid()
+    assert {c.picture for c in cells} == {"bs", "rwa"}
+    r1 = run_sweep(base, axes, metrics=("final_n2", "final_n1"), worker_count=1)
+    r2 = run_sweep(base, axes, metrics=("final_n2", "final_n1"), worker_count=2)
+    for m in r1.fields:
+        assert np.array_equal(r1.fields[m], r2.fields[m], equal_nan=True)
+    assert r1.failures == r2.failures == ()
