@@ -410,7 +410,9 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm_s
             k[6] = rhs(c[:, 5], y5)
             err_vec = np.einsum("bj,jbk->bk", h[:, None] * _E, kr).view(complex)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            errs = _rms(err_vec / scale, norm_size).tolist()
+            # times the reciprocal: bitwise numpy's complex-by-real quotient, which
+            # warns on a NaN scale where this stays quiet
+            errs = _rms(err_vec * (1.0 / scale), norm_size).tolist()
             ok = [pos for pos, err in enumerate(errs) if err <= 1.0]
             drifts = [0.0] * len(act)  # of the accepted states' traces from 1
             if ok:

@@ -50,14 +50,14 @@ class ConfigError(OmstirapError, ValueError):
 
 
 class StiffnessError(OmstirapError, RuntimeError):
-    """Adaptive step size underflowed; carries the last good time."""
+    """Adaptive step size underflowed; ``time`` is the last good time."""
 
-    def __init__(self, last_good_time: float):
-        self.last_good_time = last_good_time
-        super().__init__(f"step size underflow at t = {last_good_time:.6e} s")
+    def __init__(self, time: float):
+        self.time = time
+        super().__init__(f"step size underflow at t = {time:.6e} s")
 
     def __reduce__(self):  # survives the trip back from a worker process
-        return type(self), (self.last_good_time,)
+        return type(self), (self.time,)
 
 
 class IntegrationDivergedError(OmstirapError, RuntimeError):

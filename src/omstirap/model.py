@@ -173,16 +173,19 @@ class DriveSchedule:
                 raise InvalidArgumentError(f"{name} must be finite")
 
 
-def _gaussian(t: float, amplitude: float, center: float, sigma: float) -> float:
-    u = (t - center) / sigma
-    return 0.0 if abs(u) > ENVELOPE_CUTOFF_SIGMAS else amplitude * math.exp(-(u * u))
+def _pulses(t, amplitude, centre, width) -> np.ndarray:
+    """Gaussians amplitude exp(-((t - centre)/width)^2), elementwise, cut to zero
+    beyond ``ENVELOPE_CUTOFF_SIGMAS`` widths: the one pulse rule of the package."""
+    u = (t - centre) / width
+    return np.where(np.abs(u) > ENVELOPE_CUTOFF_SIGMAS, 0.0, amplitude * np.exp(-(u * u)))
 
 
 def _components(schedule: DriveSchedule, pump_index: int):
-    """(amplitude, center, sigma) Gaussian components of one pump envelope."""
+    """(amplitude, center, sigma) Gaussian components of one pump envelope; a
+    constant pump is one component of infinite width."""
     s = schedule
     if s.kind == "constant":
-        return None
+        return [(s.alpha0, 0.0, math.inf)]
     if pump_index == 1:
         sig = s.sigma1
         if s.kind == "stirap":
@@ -215,14 +218,8 @@ def envelope(schedule: DriveSchedule, pump_index: int, t):
     """
     if pump_index not in (1, 2):
         raise InvalidArgumentError("pump_index must be 1 or 2")
-    comps = _components(schedule, pump_index)
-    if np.ndim(t) == 0:
-        return _envelope(comps, schedule.alpha0, t)
-    return np.reshape([_envelope(comps, schedule.alpha0, x) for x in np.ravel(t)], np.shape(t))
-
-
-def _envelope(comps, alpha0: float, t: float) -> float:
-    return alpha0 if comps is None else sum(_gaussian(t, *c) for c in comps)
+    t = np.asarray(t, dtype=float)
+    return sum(_pulses(t, *c) for c in _components(schedule, pump_index))
 
 
 def total_envelope(schedules, pump_index: int, t):
@@ -233,7 +230,7 @@ def total_envelope(schedules, pump_index: int, t):
 def pulse_centres(schedules) -> list[float]:
     """Sorted centre times of every Gaussian pulse of a schedule or sequence of schedules."""
     return sorted({c for s in _as_schedule_list(schedules) for i in (1, 2)
-                   for _, c, _ in _components(s, i) or ()})
+                   for _, c, width in _components(s, i) if width < math.inf})
 
 
 def _as_schedule_list(schedules) -> list[DriveSchedule]:
@@ -283,9 +280,7 @@ class DriveCoefficients:
             for k, s in enumerate(schedules):
                 for i, phase in enumerate((s.phase1, s.phase2)):
                     self.phase[k, i, 0, col] = complex(math.cos(phase), math.sin(phase))
-                    # a constant pump is one component of infinite width
-                    comps = _components(s, i + 1) or [(s.alpha0, 0.0, math.inf)]
-                    for c, (amp, centre, width) in enumerate(comps):
+                    for c, (amp, centre, width) in enumerate(_components(s, i + 1)):
                         self.amplitude[k, i, c, 0, col] = amp
                         self.centre[k, i, c, 0, col] = centre
                         self.width[k, i, c, 0, col] = width
@@ -312,9 +307,7 @@ class DriveCoefficients:
     def amplitudes(self, t) -> np.ndarray:
         """(z_1, z_2), each pump's summed envelope times its drive phases, at the
         (N, columns) times ``t``: shape (2, N, columns)."""
-        u = (t - self.centre) / self.width
-        pulses = np.where(np.abs(u) > ENVELOPE_CUTOFF_SIGMAS, 0.0,
-                          self.amplitude * np.exp(-(u * u)))
+        pulses = _pulses(t, self.amplitude, self.centre, self.width)
         return functools.reduce(np.add, (pulses[:, :, 0] + pulses[:, :, 1]) * self.phase)
 
     def __call__(self, t) -> np.ndarray:

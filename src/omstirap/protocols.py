@@ -1,11 +1,12 @@
 """Scenario orchestration: state preparation, transfer runs, verification.
 
 A :class:`Scenario` bundles physical parameters, a drive schedule (or pulse
-train), an initial-state recipe and an optional fidelity target;
-:func:`run_scenario` turns it into a sampled trajectory carrying every
-observable series plus a summary.  :func:`run_scenarios` does the same for
-scenarios that share a :func:`batch_key`, stepping them as the columns of one
-DP45 ensemble; a single run is a batch of one.
+train), its ``dims`` and two recipes, checked against those dims whenever it
+is built: the initial state and an optional fidelity target.  Only runs build
+the states; :func:`run_scenario` turns a scenario into a sampled trajectory
+carrying every observable series plus a summary.  :func:`run_scenarios` does
+the same for scenarios that share a :func:`batch_key`, stepping them as the
+columns of one DP45 ensemble; a single run is a batch of one.
 The interferometric entanglement check sweeps the relative drive phase of a
 time-reversed fractional sequence and fits the resulting single-phonon
 fringe.  Closed-form planner estimates for optical cooling, heralding and
@@ -40,6 +41,7 @@ from .dynamics import (
 from .errors import (
     DomainError,
     InvalidArgumentError,
+    InvalidDimensionError,
     OmstirapError,
     UndefinedSteadyStateError,
 )
@@ -50,10 +52,12 @@ from .hilbert import (
     StateVector,
     coherent_state,
     expectation,
+    fock_state,
     product_density,
     thermal_state,
 )
 from .model import (
+    PICTURES,
     DriveCoefficients,
     DriveSchedule,
     SystemParams,
@@ -98,6 +102,9 @@ class InitialStateSpec:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
 
+_VACUUM, _PAIR = InitialStateSpec("fock"), ("mech1", "mech2")
+
+
 def _single_mode(spec: InitialStateSpec, dim: int) -> np.ndarray:
     """One mode's state: amplitudes for a pure kind, a density matrix for a mixed one."""
     if spec.kind == "fock":
@@ -139,9 +146,8 @@ def build_initial_state(space: HilbertSpace, spec: InitialStateSpec) -> StateVec
     A :class:`StateVector` when both recipes are pure kinds, else a
     :class:`DensityMatrix`.
     """
-    vacuum = InitialStateSpec("fock")
-    factors = [_single_mode(vacuum, space.dims[0]), _single_mode(spec, space.dims[1]),
-               _single_mode(spec.mode2 or vacuum, space.dims[2])]
+    factors = [_single_mode(_VACUUM, space.dims[0]), _single_mode(spec, space.dims[1]),
+               _single_mode(spec.mode2 or _VACUUM, space.dims[2])]
     if all(f.ndim == 1 for f in factors):
         return StateVector(space, functools.reduce(np.kron, factors), validate=False)
     return product_density(space, factors)
@@ -149,22 +155,58 @@ def build_initial_state(space: HilbertSpace, spec: InitialStateSpec) -> StateVec
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Fidelity target: a state on a declared reduction of the mode set."""
+    """Recipe for the fidelity target, a state of the mechanical modes its kind names.
 
-    reduction: str  # 'mech12', 'mech2', 'mech1' or 'full'
-    state: object  # StateVector or DensityMatrix on the reduced space
+    ``psi_minus`` is (|1,0> - |0,1>)/sqrt(2) and ``superposition_minus_mode2``
+    (|0,0> - |0,1>)/sqrt(2) on (mode 1, mode 2); ``fock_mode1`` and
+    ``fock_mode2`` put ``n`` phonons in one mode; ``product_coherent`` is the
+    coherent pair (alpha cos theta, -alpha sin theta); ``weights_mode2`` is the
+    diagonal state of mode 2 with the explicit ``weights``.
+    """
 
-    REDUCTIONS = {"mech12": ("mech1", "mech2"), "mech2": ("mech2",),
-                  "mech1": ("mech1",), "full": None}
+    kind: str
+    n: int = 1
+    alpha: complex = 1.0
+    theta: float = math.pi / 4
+    weights: tuple | None = None
+
+    #: kind -> the modes its target lives on, as :func:`analysis.partial_trace` keeps them
+    REDUCTIONS = {"psi_minus": _PAIR, "superposition_minus_mode2": _PAIR,
+                  "weights_mode2": ("mech2",), "fock_mode1": _PAIR, "fock_mode2": _PAIR,
+                  "product_coherent": _PAIR}
 
     def __post_init__(self):
-        if self.reduction not in self.REDUCTIONS:
-            raise InvalidArgumentError(f"unknown reduction {self.reduction!r}")
+        if self.kind not in self.REDUCTIONS:
+            raise InvalidArgumentError(f"unknown target kind {self.kind!r}")
+        if self.weights is not None:
+            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+
+    def state(self, dims) -> StateVector | DensityMatrix:
+        """The target on the reduction of the 3-mode ``dims``."""
+        d1, d2 = dims[1], dims[2]
+        if self.kind == "weights_mode2":
+            weights = _single_mode(InitialStateSpec("explicit", weights=self.weights), d2)
+            return DensityMatrix(HilbertSpace((d2,)), weights)
+        pair = HilbertSpace((d1, d2))
+        if self.kind == "fock_mode1":
+            return fock_state(pair, self.n, 0)
+        if self.kind == "fock_mode2":
+            return fock_state(pair, 0, self.n)
+        if self.kind == "product_coherent":
+            alpha = complex(self.alpha)
+            c1 = coherent_state(d1, alpha * math.cos(self.theta)).amplitudes
+            c2 = coherent_state(d2, -alpha * math.sin(self.theta)).amplitudes
+            return StateVector(pair, np.kron(c1, c2))
+        amps = np.zeros(pair.total_dim, dtype=complex)
+        amps[pair.index((1, 0) if self.kind == "psi_minus" else (0, 0))] = 1 / math.sqrt(2)
+        amps[pair.index((0, 1))] = -1 / math.sqrt(2)
+        return StateVector(pair, amps)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete, reproducible simulation setup."""
+    """A complete, reproducible simulation setup; its recipes are checked against
+    its ``dims`` whenever it is built, :func:`dataclasses.replace` included."""
 
     params: SystemParams
     schedule: tuple[DriveSchedule, ...]  # one schedule or a sequence is stored as a tuple
@@ -184,7 +226,16 @@ class Scenario:
             raise InvalidArgumentError("horizon start must precede its end")
         if self.sample_count < 2:
             raise InvalidArgumentError("sample_count must be >= 2")
+        if len(self.dims) != 3 or min(self.dims) < 2:
+            raise InvalidDimensionError(f"dims must be three mode dims, each >= 2: {self.dims}")
+        if self.picture not in PICTURES:
+            raise InvalidArgumentError(f"unknown picture {self.picture!r}")
         object.__setattr__(self, "schedule", tuple(_as_schedule_list(self.schedule)))
+        # each mode's factor on its own: the product state is built per run
+        _single_mode(self.initial, self.dims[1])
+        _single_mode(self.initial.mode2 or _VACUUM, self.dims[2])
+        if self.target is not None:
+            self.target.state(self.dims)
 
 
 @dataclass(frozen=True)
@@ -291,11 +342,9 @@ def _observables(scenario: Scenario, space: HilbertSpace, traj: Trajectory) -> d
 
     The mode populations, the population of each mode's top Fock level and
     p1 are read from the diagonal of each sampled state; the collective
-    number operators are built once per run.
+    number operators and the target state are built once per run.
     """
-    ts = traj.times
-    out = {f"alpha{j}": np.array([total_envelope(scenario.schedule, j, t) for t in ts])
-           for j in (1, 2)}
+    out = {f"alpha{j}": total_envelope(scenario.schedule, j, traj.times) for j in (1, 2)}
     pops = np.array([st.matrix.diagonal().real for st in traj.states]).reshape(-1, *space.dims)
     for n, name in (("nc", "cavity"), ("n1", "mech1"), ("n2", "mech2")):
         mode = analysis.MODE_NAMES[name]
@@ -307,19 +356,14 @@ def _observables(scenario: Scenario, space: HilbertSpace, traj: Trajectory) -> d
     for name, b in (("n_plus", bp), ("n_minus", bm)):
         op = b.conj().T @ b
         out[name] = np.array([expectation(op, st).real for st in traj.states])
-    traces: dict = {None: traj.states}
-
-    def reduced(keep):
-        """The sampled states on the modes ``keep`` (None: all), traced once per ``keep``."""
-        if keep not in traces:
-            traces[keep] = [analysis.partial_trace(st, keep) for st in traj.states]
-        return traces[keep]
-
-    out["negativity"] = np.array([analysis.negativity(r) for r in reduced(("mech1", "mech2"))])
+    pairs = [analysis.partial_trace(st, _PAIR) for st in traj.states]
+    out["negativity"] = np.array([analysis.negativity(r) for r in pairs])
     if scenario.target is not None:
-        tgt = scenario.target
-        out["fidelity"] = np.array([analysis.fidelity(r, tgt.state)
-                                    for r in reduced(TargetSpec.REDUCTIONS[tgt.reduction])])
+        keep = TargetSpec.REDUCTIONS[scenario.target.kind]
+        reduced = pairs if keep == _PAIR else [analysis.partial_trace(st, keep)
+                                               for st in traj.states]
+        target = scenario.target.state(space.dims)
+        out["fidelity"] = np.array([analysis.fidelity(r, target) for r in reduced])
     return out
 
 

@@ -72,8 +72,8 @@ class SweepAxis:
 class SweepResult:
     """Grids per metric; ``failures`` holds (cell, error class, message, time).
 
-    The time is where an integration failed (``StiffnessError.last_good_time``,
-    ``IntegrationDivergedError.time``), None for any other error.
+    The time is where an integration failed (the ``time`` of a
+    ``StiffnessError`` or ``IntegrationDivergedError``), None for any other error.
     """
 
     axes: tuple[SweepAxis, ...]
@@ -162,8 +162,7 @@ def pick_picture(scenario: Scenario) -> str:
 
 def _failure(exc: OmstirapError) -> tuple:
     """(error class, message, time of failure or None) of a failed cell."""
-    time_s = getattr(exc, "last_good_time", getattr(exc, "time", None))
-    return type(exc).__name__, str(exc), time_s
+    return type(exc).__name__, str(exc), getattr(exc, "time", None)
 
 
 def _run_batch(args) -> list:

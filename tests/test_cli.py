@@ -5,19 +5,26 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import omstirap
-from omstirap import cli, protocols, sweep
+from omstirap import analysis, cli, protocols, sweep
 from omstirap.cli import main
 from omstirap.errors import ConfigError, IntegrationDivergedError, StiffnessError
 from omstirap.hilbert import HilbertSpace
 from omstirap.model import TWO_PI
 from omstirap.presets import ALIASES, PRESETS, preset_config, preset_names
-from omstirap.protocols import FringeResult, Scenario, build_initial_state, run_interferometry
+from omstirap.protocols import (
+    FringeResult,
+    Scenario,
+    TargetSpec,
+    build_initial_state,
+    run_interferometry,
+)
 from omstirap.sweep import SweepAxis, SweepResult
 
 FAST_SIM = {
@@ -225,6 +232,17 @@ BAD_INPUT = {
     "dims-not-integers": ("simulate", "bell-lossless", {"dims": ["a", 3, 3]}),
     "fock-above-dim": ("simulate", "bell-lossless",
                        {"dims": [2, 3, 3], "initial": {"kind": "fock", "n": 7}}),
+    # a sweep's base checks its initial state against its dims, as a target, before any cell
+    "sweep-fock-above-dim": ("sweep", "sweep-kappa-alpha", {"initial": {"kind": "fock", "n": 7}},
+                             "fock occupation 7 outside dim 4"),
+    "dims-two-modes": ("simulate", "bell-lossless", {"dims": [3, 3]}, "three mode dims"),
+    "dims-one-level": ("simulate", "bell-lossless", {"dims": [2, 1, 3]}, "each >= 2"),
+    "picture-unknown": ("simulate", "bell-lossless", {"picture": "lab"}, "unknown picture"),
+    "target-kind-unknown": ("simulate", "bell-lossless", {"target": {"kind": "bell"}},
+                            "unknown target kind 'bell'"),
+    # the target block is read by the key rule of every block: no truncated integers
+    "target-n-fraction": ("simulate", "bell-lossless",
+                          {"target": {"kind": "fock_mode2", "n": 1.5}}, "invalid target", "1.5"),
     "target-weights-missing": ("simulate", "bell-lossless",
                                {"target": {"kind": "weights_mode2"}}),
     "axis-without-count": ("sweep", "sweep-kappa-alpha",
@@ -419,6 +437,35 @@ def test_axis_frequencies_are_quoted_in_hz(path, unit):
     axis = cli._axis_from_config({"path": path, "values": [1.0, 2.0]})
     assert axis.values == (unit * 1.0, unit * 2.0)
     np.testing.assert_array_equal(cli._axis_output_values(axis), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("name", [n for n in preset_names() if "target" in preset_config(n)])
+def test_every_preset_target_fits_its_dims_and_one_more_level(name):
+    # a scenario re-built at other dims re-checks its target and scores it there
+    scenario = cli.build_scenario(preset_config(name))
+    keep = TargetSpec.REDUCTIONS[scenario.target.kind]
+    for mode in (None, 0, 1, 2):
+        dims = list(scenario.dims)
+        if mode is not None:
+            dims[mode] += 1
+        grown = replace(scenario, dims=tuple(dims))
+        state = grown.target.state(grown.dims)
+        assert state.space.dims == tuple(dims[analysis.MODE_NAMES[m]] for m in keep)
+
+
+def test_summary_wall_time_is_the_runs_own(tmp_path, monkeypatch):
+    results = []
+
+    def recording(scenario):
+        results.append(protocols.run_scenario(scenario))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_scenario", recording)
+    cfg = _write(tmp_path, FAST_SIM)
+    assert main(["simulate", "--preset", "bell-lossless", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())["summary"]
+    assert summary["wall_time_s"] == results[0].summary["wall_time_s"]
 
 
 @pytest.mark.parametrize("name", preset_names())

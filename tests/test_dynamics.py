@@ -239,7 +239,7 @@ def test_step_underflow_raises_stiffness_error():
     rho0 = DensityMatrix(sp, np.diag([1.0, 0.0]))
     with pytest.raises(StiffnessError, match="step size underflow at t = 0.000000e") as info:
         evolve(model, rho0, IntegratorConfig(sample_times=[0.0, 1.0]))
-    assert info.value.last_good_time == 0.0
+    assert info.value.time == 0.0
 
 
 def test_trace_drift_raises_naming_the_sample_tolerance():

@@ -13,6 +13,9 @@ from omstirap.errors import (
 )
 from omstirap.hilbert import HilbertSpace, number_operator
 from omstirap.model import (
+    DRIVE_KINDS,
+    ENVELOPE_CUTOFF_SIGMAS,
+    DriveCoefficients,
     DriveSchedule,
     SystemParams,
     bose_occupancy,
@@ -88,6 +91,26 @@ def test_stirap_envelope_peaks(stirap):
 def test_envelope_cutoff(stirap):
     assert envelope(stirap, 1, stirap.tau + 8.01 * stirap.sigma1) == 0.0
     assert envelope(stirap, 1, stirap.tau + 7.99 * stirap.sigma1) > 0.0
+
+
+@pytest.mark.parametrize("kind", DRIVE_KINDS)
+def test_envelope_is_the_integrators_amplitude_bitwise(table_params, kind):
+    # one pulse rule: the envelope trajectory.csv reports is the amplitude the
+    # integrator steps with, at zero drive phases, on both sides of every cut
+    s = DriveSchedule(kind, 2000.0, 0.42e-3, 0.6e-3, 0.5e-3, theta=math.pi / 3, t0=1e-4)
+    edges = [s.t0 + shift + side * ENVELOPE_CUTOFF_SIGMAS * width * (1.0 + nudge)
+             for shift in (-s.tau, s.tau) for width in (s.sigma1, s.sigma2)
+             for side in (-1.0, 1.0) for nudge in (-1e-9, 1e-9)]
+    t = np.sort(np.concatenate([np.linspace(-6e-3, 6e-3, 2001), edges]))
+    z = DriveCoefficients("rwa", [(table_params, s)]).amplitudes(t[:, None])[:, :, 0]
+    for pump in (1, 2):
+        np.testing.assert_array_equal(envelope(s, pump, t), z[pump - 1].real)
+        assert not z[pump - 1].imag.any()
+    if kind == "stirap":  # pump 1's one pulse: the grid straddles its cut
+        centre = s.t0 + s.tau
+        inside, outside = (centre + ENVELOPE_CUTOFF_SIGMAS * s.sigma1 * (1.0 + nudge)
+                           for nudge in (-1e-9, 1e-9))
+        assert envelope(s, 1, inside) > 0.0 and envelope(s, 1, outside) == 0.0
 
 
 def test_pulse_centres_of_schedules():

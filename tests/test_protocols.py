@@ -11,6 +11,8 @@ from omstirap.errors import (
     DomainError,
     IntegrationDivergedError,
     InvalidArgumentError,
+    InvalidDimensionError,
+    OutOfRangeError,
     StiffnessError,
     UndefinedSteadyStateError,
 )
@@ -45,14 +47,6 @@ SIGMA = 0.6e-3
 
 def _params(temp=0.01, **kw):
     return SystemParams.from_ordinary(temperature_k=temp, **kw)
-
-
-def _psi_minus_target(d=3):
-    pair = HilbertSpace((d, d))
-    amps = np.zeros(pair.total_dim, dtype=complex)
-    amps[pair.index((1, 0))] = 1 / math.sqrt(2)
-    amps[pair.index((0, 1))] = -1 / math.sqrt(2)
-    return TargetSpec("mech12", StateVector(pair, amps))
 
 
 # ------------------------------------------------------- analytic oracle
@@ -246,10 +240,62 @@ def test_time_reversal_returns_initial_state():
         params=p, schedule=(fwd, rev), initial=InitialStateSpec("fock", n=1),
         dims=(2, 3, 3), horizon=(-2.4e-3, 6.4e-3), sample_count=9,
         lossless=True,
-        target=TargetSpec("mech12", fock_state(HilbertSpace((3, 3)), 1, 0)),
+        target=TargetSpec("fock_mode1"),
     )
     res = run_scenario(scen)
     assert res.summary["fidelity"] >= 1.0 - 1e-4
+
+
+def _small_scenario(**changes):
+    return Scenario(**{
+        "params": _params(0.01), "schedule": DriveSchedule("stirap", 2000.0, SIGMA / 1.43,
+                                                           SIGMA, SIGMA),
+        "initial": InitialStateSpec("fock", n=1), "dims": (2, 3, 3),
+        "horizon": (-2.4e-3, 2.4e-3), "sample_count": 3,
+        "target": TargetSpec("fock_mode2"), **changes})
+
+
+def test_a_scenario_rebuilt_at_other_dims_scores_its_target_there():
+    grown = replace(_small_scenario(), dims=(2, 4, 4))
+    res = run_scenario(grown)
+    final = res.trajectory.states[-1]
+    assert final.space.dims == (2, 4, 4)
+    target = TargetSpec("fock_mode2").state(grown.dims)
+    assert target.space.dims == (4, 4)
+    assert res.summary["fidelity"] == fidelity(partial_trace(final, ("mech1", "mech2")), target)
+    assert res.summary["fidelity"] > 0.8
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"dims": (3, 3)}, "three mode dims"),
+    ({"dims": (2, 1, 3)}, "each >= 2"),
+    ({"picture": "lab"}, "unknown picture 'lab'"),
+    ({"initial": InitialStateSpec("fock", n=3)}, "fock occupation 3 outside dim 3"),
+    ({"initial": InitialStateSpec("fock", mode2=InitialStateSpec("thermal", nbar=-1.0))},
+     "nbar must be >= 0"),
+    ({"target": TargetSpec("fock_mode2", n=3)}, "occupation 3 outside"),
+    ({"target": TargetSpec("weights_mode2", weights=(0, 0, 0, 1))}, "exceed the mode dimension"),
+    # a smaller space re-checks the recipes that fitted the larger one
+    ({"dims": (2, 3, 1)}, "each >= 2"),
+    ({"initial": InitialStateSpec("fock", n=2), "dims": (2, 2, 3)}, "outside dim 2"),
+])
+def test_a_scenario_checks_its_recipes_against_its_dims(changes, message):
+    with pytest.raises((InvalidArgumentError, InvalidDimensionError, OutOfRangeError),
+                       match=message):
+        replace(_small_scenario(), **changes)
+
+
+def test_target_spec_kinds_and_reductions():
+    with pytest.raises(InvalidArgumentError, match="unknown target kind 'mech12'"):
+        TargetSpec("mech12")
+    assert TargetSpec("weights_mode2", weights=[1, 0]).weights == (1.0, 0.0)
+    for kind, keep in TargetSpec.REDUCTIONS.items():
+        spec = TargetSpec(kind, weights=(0.5, 0.5) if kind == "weights_mode2" else None)
+        state = spec.state((2, 6, 7))
+        assert state.space.dims == {("mech1", "mech2"): (6, 7), ("mech2",): (7,)}[keep]
+    psi = TargetSpec("psi_minus").state((2, 3, 3)).amplitudes
+    pair = HilbertSpace((3, 3))
+    assert psi[pair.index((1, 0))] == 1 / math.sqrt(2) == -psi[pair.index((0, 1))]
 
 
 def test_benchmark_scenario_state_invariants():
@@ -296,7 +342,7 @@ def test_steps_cannot_jump_over_a_late_pulse():
     np.testing.assert_array_equal(res.trajectory.times, [0.0, 11e-3])
 
 
-@pytest.mark.parametrize("target", [None, _psi_minus_target()])
+@pytest.mark.parametrize("target", [None, TargetSpec("psi_minus")])
 def test_summary_keys_are_the_float_keys_of_the_summary(target):
     # a sweep checks its metrics against summary_keys before its first cell
     scen = Scenario(
