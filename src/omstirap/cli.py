@@ -207,7 +207,7 @@ def build_scenario(cfg: dict) -> Scenario:
         for b in blocks
     )
     with _invalid("dims"):
-        dims = tuple(int(d) for d in cfg.get("dims", [2, 5, 5]))
+        dims = tuple(_integer(d) for d in cfg.get("dims", [2, 5, 5]))
     horizon_block = cfg.get("horizon", {"start_s": -2e-3, "end_s": 2e-3})
     _check_keys(horizon_block, {"start_s", "end_s"}, "horizon")
     integ = cfg.get("integrator", {})
@@ -221,7 +221,7 @@ def build_scenario(cfg: dict) -> Scenario:
             initial=initial,
             dims=dims,
             horizon=(float(horizon_block["start_s"]), float(horizon_block["end_s"])),
-            sample_count=int(cfg.get("sample_count", 81)),
+            sample_count=_integer(cfg.get("sample_count", 81)),
             target=target,
             eval_time=None if cfg.get("eval_time_s") is None else float(cfg["eval_time_s"]),
             picture=cfg.get("picture", "rwa"),

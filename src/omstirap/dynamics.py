@@ -10,12 +10,21 @@ mode thermalizing through the pair (b_i, Gamma_i (nbar_i + 1)) and
 (b_i^+, Gamma_i nbar_i).
 
 Every path derives from one :class:`~omstirap.hilbert.Generator`: the
-integrator steps the row-major vec(rho) under sparse superoperators (pure
-states under the Hilbert-space terms) with an embedded Dormand-Prince 5(4)
-pair, restoring hermiticity after every accepted step and monitoring the
-trace; the same pieces, densified, feed a matrix-exponential oracle.
-The error controller sets each step size, but every step ends on the next sample
-time or stop: ``run_scenario`` stops at each pulse centre, so no step skips a pulse.
+row-major vec(rho) evolves under sparse superoperators (pure states under the
+Hilbert-space terms), integrated with an embedded Dormand-Prince 5(4) pair
+that monitors the trace; the same pieces, densified, feed a matrix-exponential
+oracle.  The error controller sets each step size, but every step ends on the
+next sample time or stop: ``run_scenario`` stops at each pulse centre, so no
+step skips a pulse.
+
+A density matrix is stepped in real arithmetic, as its Hermitian half: Re
+rho_ii, then the pair (Re rho_ij, Im rho_ij) for each i < j (the real
+coherence-vector form of the generator, Alicki & Lendi, Lect. Notes Phys. 717).
+Every piece that acts on it maps Hermitian matrices to Hermitian ones: L0,
+K_k + K'_k and i(K_k - K'_k), where c_k K_k + conj(c_k) K'_k is the k-th drive
+term, so the weights are (1, Re c_k, Im c_k) and rho stays Hermitian exactly,
+with no symmetrization; the complex rho is rebuilt only at samples.  A pure
+state stays complex, with weights (1, c_k, conj(c_k)).
 
 Every run is a batch: the integrator steps B columns at once, a single run
 being a batch of one.  The columns share the pieces and the initial state and
@@ -23,10 +32,10 @@ differ in their Hamiltonian coefficients and sample grids (a sweep's cells, a
 fringe's phase points).  The state is a row-major (B, m) array, one column per
 row, and the seven stages one (7, B, m) array.  Each attempt evaluates the
 coefficients of every active column at its six stage times in one call, and
-each stage is one sparse product: the pieces [L0 | K_1 | K'_1 | ...] are laid
-side by side once per run as one wide CSR matrix, applied to the stacked
-weighted copies (1, c_1, conj(c_1), ...) of every row.  Each stage input, the
-fifth-order solution and the error vector is one ``einsum`` on the real view.
+each stage is one call of scipy's CSR kernel: the pieces are laid side by
+side once per run as one wide CSR matrix, applied to the stacked weighted
+copies of every row.  Each stage input, the fifth-order solution and the
+error vector is one ``einsum`` (on the real view of a complex state).
 Each column keeps its own time, step size, place in its grid, accept/reject
 decision and counters, and every operation acts on each row alone in the
 order a one-row batch uses, so a column takes bitwise the steps it takes
@@ -41,19 +50,22 @@ are scattered back to full size only at sample times.  Where the generator
 conserves the total excitation number (``rwa``, ``bs``), an input diagonal in
 it stays in the coherence-order sector k = N_left - N_right = 0; the ``full``
 picture keeps every even k.  The error norm still divides by the full length
-(d^2, or d for a pure state), so the step sequence, and with it every result,
-is that of the unreduced integration.
+(d^2, or d for a pure state), and counts each pair (Re rho_ij, Im rho_ij) for
+both rho_ij and rho_ji with the modulus |rho_ij| as its scale, so it is the
+norm of the unreduced complex integration to rounding, and so are the step
+sequence and every result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from .errors import (
     IntegrationDivergedError,
@@ -124,7 +136,9 @@ class IntegratorStats:
     clamped: int  # accepted steps cut short to end on a sample time or stop
     h_min: float
     h_max: float
-    state_size: int  # entries integrated: the support of the initial state
+    # numbers integrated, those of the support of the initial state: real ones for
+    # a density matrix (its Hermitian half), complex amplitudes for a pure state
+    state_size: int
     norm_size: int  # entries the error norm averages over: d^2, or d for a pure state
 
 
@@ -145,9 +159,9 @@ class Trajectory:
         return replace(self, observables={**self.observables, **observables})
 
 
-def _support(pieces, start: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
+def _support(pieces, start: np.ndarray, transpose: np.ndarray | None = None) -> np.ndarray:
     """Sorted indices that the boolean mask ``start`` reaches through the sparsity
-    graph of ``pieces``, closed under the index permutation ``mirror`` if given.
+    graph of ``pieces``, closed under the index permutation ``transpose`` if given.
 
     Outside this set every linear combination of the pieces keeps a state
     that starts on ``start`` exactly zero.  Absolute values cannot cancel,
@@ -158,36 +172,130 @@ def _support(pieces, start: np.ndarray, mirror: np.ndarray | None = None) -> np.
     reached = start
     while True:
         grown = reached | (graph @ reached).reshape(-1, m).any(axis=0)
-        if mirror is not None:
-            grown |= grown[mirror]
+        if transpose is not None:
+            grown |= grown[transpose]
         if np.array_equal(grown, reached):
             return np.flatnonzero(reached)
         reached = grown
 
 
-def _linear_rhs(const, parts, keep=slice(None)):
-    """(c, y) -> the rows of const y + sum_k (c_k parts[2k] y + conj(c_k) parts[2k+1] y).
+def _csr_product(a):
+    """x -> a @ x for the CSR matrix ``a`` and a C-ordered (columns of ``a``, b)
+    array ``x`` of its dtype: the call of scipy's CSR kernel into a zeroed
+    output that ``a @ x`` makes, without its Python dispatch."""
+    rows, cols = a.shape
+    arrays = (a.indptr, a.indices, a.data)
+
+    def product(x: np.ndarray) -> np.ndarray:
+        b = x.shape[1]
+        out = np.zeros((rows, b), dtype=a.dtype)
+        if b == 1:
+            _sparsetools.csr_matvec(rows, cols, *arrays, x.ravel(), out.ravel())
+        else:
+            _sparsetools.csr_matvecs(rows, cols, b, *arrays, x.ravel(), out.ravel())
+        return out
+
+    return product
+
+
+def _linear_rhs(const, parts, keep=None):
+    """(c, y) -> the rows of const y + sum_k (u_k parts[2k] y + v_k parts[2k+1] y).
 
     ``y`` holds one state per row and ``c`` the (n_terms, rows) coefficients
-    of each row.  Every piece is cut to the rows and columns ``keep`` and the
-    cut pieces are laid side by side, once, as one wide CSR matrix
-    [const | parts[0] | ...].  A call stacks each row's weighted copies w_k y,
-    w = [1, c_1, conj(c_1), ...], as the columns of one dense operand and makes
-    one sparse product: no per-term or per-row sums, and nothing calls BLAS.
+    of each row.  Complex pieces take (u_k, v_k) = (c_k, conj(c_k)); real
+    pieces, which act on the Hermitian half of rho (:class:`_HermitianHalf`),
+    take (Re c_k, Im c_k).  Every piece is cut to the rows and columns
+    ``keep``, if given, and the pieces are laid side by side, once, as one
+    wide CSR matrix [const | parts[0] | ...].  A call stacks each row's
+    weighted copies w y, w = [1, u_1, v_1, ...], as the columns of one dense
+    operand and makes one call of the CSR kernel (:func:`_csr_product`): no
+    per-term or per-row sums, and nothing calls BLAS.
     """
-    wide = scipy.sparse.hstack([p[keep][:, keep] for p in (const, *parts)], format="csr")
-    w = np.ones((1 + len(parts), 1), dtype=complex)  # reused while the row count holds
+    pieces = (const, *parts) if keep is None else [p[keep][:, keep] for p in (const, *parts)]
+    wide = scipy.sparse.hstack(pieces, format="csr")
+    product, real = _csr_product(wide), wide.dtype.kind == "f"
+    w = np.ones((1 + len(parts), 1), dtype=wide.dtype)  # reused while the row count holds
 
     def rhs(c: np.ndarray, y: np.ndarray) -> np.ndarray:
         nonlocal w
         if w.shape[1] != len(y):
-            w = np.ones((1 + len(parts), len(y)), dtype=complex)
-        w[1::2] = c
-        np.conjugate(c, out=w[2::2])
+            w = np.ones((1 + len(parts), len(y)), dtype=wide.dtype)
+        if real:
+            w[1::2], w[2::2] = c.real, c.imag
+        else:
+            w[1::2] = c
+            np.conjugate(c, out=w[2::2])
         x = np.multiply(w[:, None, :], y.T, order="C")  # x[k, :, b] = w[k, b] y[b]
-        return (wide @ x.reshape(-1, len(y))).T
+        return product(x.reshape(-1, len(y))).T
 
     return rhs
+
+
+class _HermitianHalf:
+    """The real coordinates of a Hermitian d x d matrix on a support ``keep``
+    of its row-major vec that is closed under rho -> rho^+: Re rho_ii for each
+    diagonal entry, then the pair (Re rho_ij, Im rho_ij) for each i < j, as
+    many real numbers as the support has entries.  The pairs read as one
+    complex array: ``y[..., diagonal:].view(complex)`` holds the rho_ij."""
+
+    def __init__(self, keep: np.ndarray, d: int):
+        i, j = np.divmod(keep, d)
+        diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
+        lower = np.searchsorted(keep, j[upper] * d + i[upper])  # rho_ji of each pair
+        n, p, m = diag.size, upper.size, keep.size
+        self.d, self.diagonal = d, n
+        self._at = (keep[diag], keep[upper], keep[lower])  # their places in vec(rho)
+        # each real coordinate stands for one entry of rho, or for rho_ij and rho_ji
+        self.weight = np.repeat([1.0, 2.0], [n, 2 * p])
+        re = n + 2 * np.arange(p)
+        one = np.ones(p)
+        # vec(rho) = expand @ y and y = Re(project @ vec(rho)), on the support
+        self._expand = scipy.sparse.csr_matrix(
+            (np.concatenate([np.ones(n), one, one, 1j * one, -1j * one]),
+             (np.concatenate([diag, upper, lower, upper, lower]),
+              np.concatenate([np.arange(n), re, re, re + 1, re + 1]))), shape=(m, m))
+        self._project = scipy.sparse.csr_matrix(
+            (np.concatenate([np.ones(n), one, -1j * one]),
+             (np.concatenate([np.arange(n), re, re + 1]), np.concatenate([diag, upper, upper]))),
+            shape=(m, m))
+
+    def pieces(self, const, parts):
+        """The real (L0, [K_1 + K'_1, i(K_1 - K'_1), ...]) of the complex
+        (L0, [K_1, K'_1, ...]), each cut to the support, for the weights
+        (1, Re c_k, Im c_k) of c_k K_k + conj(c_k) K'_k."""
+        def real(a):  # a maps Hermitian matrices to Hermitian ones
+            out = (self._project @ a @ self._expand).real.tocsr()
+            out.eliminate_zeros()
+            return out
+
+        return real(const), [real(x) for k, kd in zip(parts[::2], parts[1::2])
+                             for x in (k + kd, 1j * (k - kd))]
+
+    def coordinates(self, v: np.ndarray) -> np.ndarray:
+        """The real coordinates, C-ordered, of vec(rho) cut to the support."""
+        return (self._project @ v).real.copy()
+
+    def modulus(self, y: np.ndarray) -> np.ndarray:
+        """For each real coordinate in the rows of ``y``, |rho_ij| of its entry."""
+        n = self.diagonal
+        out = np.abs(y)
+        pairs = np.abs(y[..., n:].view(complex))
+        out[..., n::2] = pairs
+        out[..., n + 1::2] = pairs
+        return out
+
+    def trace(self, y: np.ndarray) -> np.ndarray:
+        """Tr rho of each row of ``y``."""
+        return y[..., :self.diagonal].sum(axis=-1)
+
+    def matrix(self, y: np.ndarray) -> np.ndarray:
+        """The d x d complex rho of the real coordinates ``y``."""
+        out = np.zeros(self.d * self.d, dtype=complex)
+        pairs = y[self.diagonal:].view(complex)
+        out[self._at[0]] = y[:self.diagonal]
+        out[self._at[1]] = pairs
+        out[self._at[2]] = pairs.conj()
+        return out.reshape(self.d, self.d)
 
 
 def _coefficients_of(gen: Generator, columns: int):
@@ -276,10 +384,23 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _rms(x: np.ndarray, size: int):
-    """RMS of each row of ``x`` padded with zeros to ``size`` entries: the
-    off-support entries of the unreduced state, which are exactly zero."""
-    return np.sqrt(np.sum(np.abs(x) ** 2, axis=-1) / size)
+class _Norm(NamedTuple):
+    """How the error norm reads the rows of a state: it averages over the
+    ``size`` entries of the unreduced state (d^2, or d for a pure state),
+    each stored number counts for ``weight`` of them (one each if None), and
+    ``modulus`` gives the magnitude of the entry each stored number belongs to."""
+
+    size: int
+    modulus: Callable = np.abs
+    weight: np.ndarray | None = None
+
+    def rms(self, x: np.ndarray) -> np.ndarray:
+        """RMS of each row of ``x`` as an unreduced state: the entries off the
+        support are exactly zero."""
+        sq = np.abs(x) ** 2
+        if self.weight is not None:
+            sq *= self.weight
+        return np.sqrt(np.sum(sq, axis=-1) / self.size)
 
 
 def distinct_times(grid, extra) -> list[float]:
@@ -315,23 +436,23 @@ class _Column:
         return Trajectory(times=self.times.copy(), states=tuple(self.stored), stats=stats)
 
 
-def _initial_steps(rhs, coefficients, cols, y, rtol, atol, size):
+def _initial_steps(rhs, coefficients, cols, y, rtol, atol, norm):
     """First step size of each column of ``cols``, and the derivatives at its start."""
     t0 = np.array([col.t for col in cols])
     f0 = rhs(coefficients(t0[None])[:, 0], y)
-    scale = atol + rtol * np.abs(y)
-    d0, d1 = _rms(y / scale, size), _rms(f0 / scale, size)
+    scale = atol + rtol * norm.modulus(y)
+    d0, d1 = norm.rms(y / scale), norm.rms(f0 / scale)
     h0 = np.array([1e-6 * col.span if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
                    for col, a, b in zip(cols, d0, d1)])
     f1 = rhs(coefficients((t0 + h0)[None])[:, 0], y + h0[:, None] * f0)
-    d2 = _rms((f1 - f0) / scale, size) / h0
+    d2 = norm.rms((f1 - f0) / scale) / h0
     for col, a, b, c in zip(cols, h0, d1, d2):
         h1 = max(1e-6 * col.span, a * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
         col.h = float(min(100 * a, h1))
     return f0
 
 
-def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm_size):
+def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm):
     """Embedded RK 5(4) driver that steps a batch of columns, one per config,
     each over its own sample grid, all from the state ``y0``.
 
@@ -345,17 +466,18 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm_s
     so it takes exactly the steps it takes alone; a column leaves the batch
     when it reaches its last sample or fails.
 
-    ``repair(y)`` restores invariants of the accepted states in the rows of
-    ``y`` and returns them with the trace (|psi|^2 for a pure state) of each;
-    a trace that drifts from 1 by more than ``TRACE_DIVERGENCE_TOL`` fails its
-    column.  ``on_sample(t, y)`` converts one sampled state into its stored
-    form and may raise :class:`IntegrationDivergedError`.  The error norm
-    averages over ``norm_size`` entries, of which ``y0`` holds the ones that
-    can be nonzero; an error norm that is not finite fails its column.  The
-    columns share their tolerances.  Steps are clamped so sample times and
-    stops are hit exactly.  Returns per column its :class:`Trajectory`,
-    carrying the :class:`IntegratorStats`, or the integration error that
-    stopped it.
+    The state ``y0`` is real or complex, and the stages and sums take its
+    dtype.  ``repair(y)`` returns the accepted states in the rows of ``y``,
+    with any invariant restored, and the trace (|psi|^2 for a pure state) of
+    each; a trace that drifts from 1 by more than ``TRACE_DIVERGENCE_TOL``
+    fails its column.  ``on_sample(t, y)`` converts one sampled state into its
+    stored form and may raise :class:`IntegrationDivergedError`.  The error
+    norm is the :class:`_Norm` ``norm`` of the error over the scale
+    atol + rtol max(|y|, |y5|), |.| being ``norm.modulus``; one that is not
+    finite fails its column.  The columns share their tolerances.  Steps are
+    clamped so sample times and stops are hit exactly.  Returns per column its
+    :class:`Trajectory`, carrying the :class:`IntegratorStats`, or the
+    integration error that stopped it.
     """
     rtol, atol = configs[0].rel_tol, configs[0].abs_tol
     if any((c.rel_tol, c.abs_tol) != (rtol, atol) for c in configs):
@@ -370,7 +492,7 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm_s
         except IntegrationDivergedError as exc:
             out[j] = exc
 
-    y = np.array(np.broadcast_to(y0, (len(cols), len(y0))), dtype=complex)
+    y = np.array(np.broadcast_to(y0, (len(cols), len(y0))), order="C")
     for j in range(len(cols)):
         sample(j, y[j])
     act = [j for j in range(len(cols)) if out[j] is None]  # the active columns
@@ -378,13 +500,13 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm_s
         return out
     y = y[act]
     coefficients = coefficients_of(act)
-    k = np.empty((7,) + y.shape, dtype=complex)  # the stages, one per row
-    k[0] = _initial_steps(rhs, coefficients, [cols[j] for j in act], y, rtol, atol, norm_size)
+    k = np.empty((7,) + y.shape, dtype=y.dtype)  # the stages, one per row
+    k[0] = _initial_steps(rhs, coefficients, [cols[j] for j in act], y, rtol, atol, norm)
     kr = k.view(float)  # stage sums act on real and imaginary parts alike
 
     def stage_input(y, ha, i):
         """y + sum_j ha[:, i, j] k[j] over the first i stages, in one einsum."""
-        return (y.view(float) + np.einsum("bj,jbk->bk", ha[:, i, :i], kr[:i])).view(complex)
+        return (y.view(float) + np.einsum("bj,jbk->bk", ha[:, i, :i], kr[:i])).view(y.dtype)
 
     hmin_scale = 16.0 * np.finfo(float).eps
     while act:
@@ -408,11 +530,11 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm_s
                 k[i] = rhs(c[:, i - 1], stage_input(y, ha, i))
             y5 = stage_input(y, ha, 6)
             k[6] = rhs(c[:, 5], y5)
-            err_vec = np.einsum("bj,jbk->bk", h[:, None] * _E, kr).view(complex)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+            err_vec = np.einsum("bj,jbk->bk", h[:, None] * _E, kr).view(y.dtype)
+            scale = atol + rtol * np.maximum(norm.modulus(y), norm.modulus(y5))
             # times the reciprocal: bitwise numpy's complex-by-real quotient, which
             # warns on a NaN scale where this stays quiet
-            errs = _rms(err_vec * (1.0 / scale), norm_size).tolist()
+            errs = norm.rms(err_vec * (1.0 / scale)).tolist()
             ok = [pos for pos, err in enumerate(errs) if err <= 1.0]
             drifts = [0.0] * len(act)  # of the accepted states' traces from 1
             if ok:
@@ -442,7 +564,7 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm_s
                             sample(j, y[pos].copy())
                         col.next += 1
                         if out[j] is None and col.next == len(col.grid):
-                            out[j] = col.trajectory(y.shape[1], norm_size)
+                            out[j] = col.trajectory(y.shape[1], norm.size)
                     factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
                     col.h *= max(_MIN_FACTOR, factor)
                 else:
@@ -479,10 +601,11 @@ def _outcome(config, runs: list):
 def evolve(model: LindbladModel, rho0: DensityMatrix, config):
     """Integrate the master equation and sample at the configured times.
 
-    Adaptive Dormand-Prince 5(4) on the support of the row-major vec(rho0).
-    Steps never overshoot a sample time, accepted states are symmetrized, and
-    sampled states are renormalized by their trace (drift beyond 1e-6 at a
-    sample, or 1e-4 anywhere, aborts with an error carrying the time).
+    Adaptive Dormand-Prince 5(4) on the Hermitian half of the support of the
+    row-major vec(rho0), in real arithmetic, so every state is Hermitian.
+    Steps never overshoot a sample time, and sampled states are renormalized
+    by their trace (drift beyond 1e-6 at a sample, or 1e-4 anywhere, aborts
+    with an error carrying the time).
 
     ``config`` may also be a sequence of configs, one per column of the
     generator's :class:`~omstirap.model.DriveCoefficients`.  The columns are
@@ -497,25 +620,22 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config):
     l0, parts = _superoperator_pieces(model)
     transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
     keep = _support((l0, *parts), y0 != 0, transpose)
-    rhs = _linear_rhs(l0, parts, keep)
-    mirror = np.searchsorted(keep, transpose[keep])  # position of rho_ji for rho_ij
-    diagonal = np.flatnonzero(keep % (d + 1) == 0)  # positions of the rho_ii
+    half = _HermitianHalf(keep, d)
+    rhs = _linear_rhs(*half.pieces(l0[keep][:, keep], [p[keep][:, keep] for p in parts]))
 
     def repair(y):
-        """The rows of ``y`` made Hermitian, and their traces."""
-        y = 0.5 * (y + y.take(mirror, axis=-1).conj())
-        return y, y.take(diagonal, axis=-1).sum(axis=-1).real
+        """The rows of ``y``, Hermitian by construction, and their traces."""
+        return y, half.trace(y)
 
     def on_sample(t, y):
-        y, trace = repair(y)
+        trace = half.trace(y)
         _check_trace(t, trace, TRACE_SAMPLE_TOL)
-        m = np.zeros(d * d, dtype=complex)
-        m[keep] = y / trace
-        return DensityMatrix(model.space, m.reshape(d, d), validate=False)
+        return DensityMatrix(model.space, half.matrix(y / trace), validate=False)
 
     configs = _batch(config)
-    runs = _integrate_dp45(rhs, _coefficients_of(model.hamiltonian, len(configs)), y0[keep],
-                           configs, repair, on_sample, d * d)
+    runs = _integrate_dp45(rhs, _coefficients_of(model.hamiltonian, len(configs)),
+                           half.coordinates(y0[keep]), configs, repair, on_sample,
+                           _Norm(d * d, half.modulus, half.weight))
     return _outcome(config, runs)
 
 
@@ -546,21 +666,25 @@ def evolve_pure(
     keep = _support((h0, *parts), amps != 0)
     rhs = _linear_rhs(h0, parts, keep)
 
+    def squared_norms(y):
+        """|psi|^2 of each row of ``y``: one row sum over the real view, no BLAS."""
+        return np.square(y.view(float)).sum(axis=-1)
+
     def repair(y):
         """The rows of ``y`` normalized, and their squared norms."""
-        nrm = np.array([np.linalg.norm(row) for row in y])
-        return y / nrm[:, None], nrm * nrm
+        sq = squared_norms(y)
+        return y / np.sqrt(sq)[:, None], sq
 
     def on_sample(t, y):
-        nrm = np.linalg.norm(y)
-        _check_trace(t, nrm * nrm, TRACE_SAMPLE_TOL)
+        sq = squared_norms(y)
+        _check_trace(t, sq, TRACE_SAMPLE_TOL)
         v = np.zeros(d, dtype=complex)
-        v[keep] = y / nrm
+        v[keep] = y / np.sqrt(sq)
         return DensityMatrix(space, np.outer(v, v.conj()), validate=False)
 
     configs = _batch(config)
     runs = _integrate_dp45(rhs, _coefficients_of(gen, len(configs)), amps[keep], configs,
-                           repair, on_sample, d)
+                           repair, on_sample, _Norm(d))
     return _outcome(config, runs)
 
 

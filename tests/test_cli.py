@@ -237,6 +237,10 @@ BAD_INPUT = {
                              "fock occupation 7 outside dim 4"),
     "dims-two-modes": ("simulate", "bell-lossless", {"dims": [3, 3]}, "three mode dims"),
     "dims-one-level": ("simulate", "bell-lossless", {"dims": [2, 1, 3]}, "each >= 2"),
+    # dims and sample_count are integers: a fraction is an error, not truncated
+    "dims-fraction": ("simulate", "bell-lossless", {"dims": [2, 3.7, 3]}, "invalid dims", "3.7"),
+    "sample-count-fraction": ("simulate", "bell-lossless", {"sample_count": 5.9},
+                              "invalid scenario", "5.9"),
     "picture-unknown": ("simulate", "bell-lossless", {"picture": "lab"}, "unknown picture"),
     "target-kind-unknown": ("simulate", "bell-lossless", {"target": {"kind": "bell"}},
                             "unknown target kind 'bell'"),
@@ -542,6 +546,28 @@ def test_summary_does_not_depend_on_the_blas_thread_count(tmp_path):
         summary["summary"].pop("wall_time_s")
         summaries.append(summary)
     assert summaries[0] == summaries[1]
+
+
+_PURE_RUN = """
+import hashlib, json, sys
+from omstirap.cli import build_scenario
+from omstirap.protocols import run_scenario
+traj = run_scenario(build_scenario(json.load(open(sys.argv[1])))).trajectory
+print(traj.stats, hashlib.sha256(b"".join(s.matrix.tobytes() for s in traj.states)).hexdigest())
+"""
+
+
+def test_pure_path_states_do_not_depend_on_the_blas_thread_count():
+    # criterion 1 at dims (3,13,13): the pure-state integrator renormalizes every step
+    src = Path(cli.__file__).parents[1]
+    config = Path(__file__).parents[1] / "bench" / "coherent507.json"
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        runs.append(subprocess.run([sys.executable, "-c", _PURE_RUN, str(config)], env=env,
+                                   check=True, timeout=300, capture_output=True, text=True).stdout)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

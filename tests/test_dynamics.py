@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from omstirap import dynamics
@@ -488,6 +489,69 @@ def test_cut_pure_rhs_matches_the_hamiltonian_on_the_support(picture):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
+def _cut_pieces(picture):
+    """The model of the picture, its support from |010><010| and its pieces cut to it."""
+    spec = _equivalence_spec(picture)
+    sp = spec.space
+    model = LindbladModel(sp, hamiltonian_generator(**vars(spec)),
+                          thermal_collapse_terms(sp, spec.params))
+    d = sp.total_dim
+    l0, parts = dynamics._superoperator_pieces(model)
+    transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    rho0 = fock_state(sp, 0, 1, 0).density_matrix().matrix
+    keep = dynamics._support((l0, *parts), rho0.reshape(-1) != 0, transpose)
+    return model, keep, [p[keep][:, keep] for p in (l0, *parts)]
+
+
+@pytest.mark.parametrize("picture", ["rwa", "bs", "full"])
+def test_hermitian_half_reproduces_the_complex_rhs_and_error_norm(picture):
+    model, keep, cut = _cut_pieces(picture)
+    d = model.space.total_dim
+    half = dynamics._HermitianHalf(keep, d)
+    complex_rhs = dynamics._linear_rhs(cut[0], cut[1:])
+    real_rhs = dynamics._linear_rhs(*half.pieces(cut[0], cut[1:]))
+    complex_norm = dynamics._Norm(d * d)
+    real_norm = dynamics._Norm(d * d, half.modulus, half.weight)
+    rng = np.random.default_rng(14)
+    for t in rng.uniform(-1e-3, 2e-3, size=4):
+        rho, err = (_random_hermitian(d, rng).reshape(-1)[keep] for _ in range(2))
+        y, e = half.coordinates(rho), half.coordinates(err)
+        assert y.size == keep.size
+        on_support = np.zeros(d * d, dtype=complex)
+        on_support[keep] = rho
+        np.testing.assert_array_equal(half.matrix(y), on_support.reshape(d, d))
+        # the rhs, real and complex, from the same coefficients
+        c = model.hamiltonian.coefficients(t)[:, None]
+        ref = np.zeros(d * d, dtype=complex)
+        ref[keep] = complex_rhs(c, rho[None])[0]
+        got = half.matrix(np.ascontiguousarray(real_rhs(c, y[None])[0]))
+        np.testing.assert_allclose(got.reshape(-1), ref, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(ref)))
+        # the error norm: each pair counts for rho_ij and rho_ji, scaled by |rho_ij|
+        rtol, atol = 1e-3, 1e-6 * np.max(np.abs(rho))
+        want = complex_norm.rms(err[None] * (1.0 / (atol + rtol * complex_norm.modulus(rho[None]))))
+        have = real_norm.rms(e[None] * (1.0 / (atol + rtol * real_norm.modulus(y[None]))))
+        assert abs(have[0] - want[0]) <= 4 * np.finfo(float).eps * want[0]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("columns", [1, 3])
+def test_csr_kernel_call_is_bitwise_the_sparse_product(dtype, columns):
+    model, keep, cut = _cut_pieces("bs")
+    half = dynamics._HermitianHalf(keep, model.space.total_dim)
+    const, parts = half.pieces(cut[0], cut[1:])
+    pieces = cut if dtype is complex else [const, *parts]
+    wide = scipy.sparse.hstack(pieces, format="csr")
+    assert wide.dtype == dtype
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(wide.shape[1], columns))
+    if dtype is complex:
+        x = x + 1j * rng.normal(size=x.shape)
+    got, want = dynamics._csr_product(wide)(x), wide @ x
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 def _unchanged(t, y):
     return y
 
@@ -506,7 +570,7 @@ def test_dp45_steps_the_linear_test_equation_by_its_stability_polynomial():
     config = IntegratorConfig(sample_times=[0.0, n * h], rel_tol=1e-3, abs_tol=1e-6,
                               stops=h * np.arange(1, n))
     traj, = dynamics._integrate_dp45(lambda c, y: lam * y, _no_terms, np.ones(1, dtype=complex),
-                                     [config], _unrepaired, _unchanged, 1)
+                                     [config], _unrepaired, _unchanged, dynamics._Norm(1))
     assert (traj.stats.accepted, traj.stats.rejected) == (n, 0)
     z = lam * h
     r = sum(z**k / math.factorial(k) for k in range(6)) + z**6 / 600
@@ -518,7 +582,7 @@ def test_dp45_integrates_a_quadratic_exactly():
     # the one coefficient is the time itself: c(t) = t
     traj, = dynamics._integrate_dp45(lambda c, y: 3.0 * c.T * c.T, lambda cols: lambda t: t[None],
                                      np.zeros(1, dtype=complex), [IntegratorConfig(ts)],
-                                     _unrepaired, _unchanged, 1)
+                                     _unrepaired, _unchanged, dynamics._Norm(1))
     # fifth-order quadrature is exact for t^2, and the error estimate is zero but for rounding
     assert traj.stats.rejected == 0
     for t, y in zip(ts, traj.states):
