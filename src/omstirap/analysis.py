@@ -107,6 +107,57 @@ def trace_fidelity(rho: DensityMatrix, target) -> float:
     return math.sqrt(fidelity(rho, target))
 
 
+def partial_trace_stack(matrices: np.ndarray, dims, keep) -> np.ndarray:
+    """The reduced state on the kept modes of each state in the stack
+    ``matrices`` (S, d, d) on the modes ``dims``, in one ``einsum``:
+    :func:`partial_trace` of every row at once.  ``keep`` is as there."""
+    kept = sorted({MODE_NAMES[k] if isinstance(k, str) else int(k) for k in keep})
+    n = len(dims)
+    if not kept or kept[0] < 0 or kept[-1] >= n:
+        raise InvalidArgumentError(f"kept modes {kept} must be a non-empty subset of 0..{n - 1}")
+    rows = "abcdefgh"[:n]
+    cols = "".join(c.upper() if m in kept else c for m, c in enumerate(rows))
+    out = "".join(rows[m] for m in kept) + "".join(cols[m] for m in kept)
+    d = math.prod(dims[m] for m in kept)
+    tensor = matrices.reshape(len(matrices), *dims, *dims)
+    return np.einsum(f"s{rows}{cols}->s{out}", tensor).reshape(len(matrices), d, d)
+
+
+def negativity_stack(pairs: np.ndarray, dims) -> np.ndarray:
+    """:func:`negativity` of each two-mode state in the stack ``pairs`` (S, d, d)
+    on the modes ``dims``: the partial transposes over the second mode by one
+    reshape, one batched ``eigvalsh``."""
+    s, (da, db) = len(pairs), dims
+    # |rho - rho^+| from the real and imaginary views, in real temporaries
+    re, im = pairs.real, pairs.imag
+    dev = re - re.transpose(0, 2, 1)
+    herm = np.max(np.hypot(dev, im + im.transpose(0, 2, 1), out=dev), initial=0.0)
+    if herm > 1e-8:
+        raise InvalidStateError(f"negativity needs a Hermitian state, deviation {herm:.2e}")
+    flipped = pairs.reshape(s, da, db, da, db).transpose(0, 1, 4, 3, 2).reshape(s, da * db, -1)
+    evals = np.linalg.eigvalsh(flipped)
+    return np.where(evals < 0, -evals, 0.0).sum(axis=1)
+
+
+def fidelity_stack(matrices: np.ndarray, target) -> np.ndarray:
+    """:func:`fidelity` of each state in the stack ``matrices`` (S, d, d)
+    against one target: <psi|rho|psi> in one ``einsum`` for a pure target,
+    batched square roots and eigenvalues for a mixed one."""
+    if not isinstance(target, (StateVector, DensityMatrix)):
+        raise InvalidArgumentError(f"unsupported target type {type(target)!r}")
+    if matrices.shape[1:] != (target.space.total_dim,) * 2:
+        raise InvalidDimensionError("states and target live on different spaces")
+    if isinstance(target, StateVector):
+        psi = target.amplitudes
+        val = np.einsum("i,sij,j->s", psi.conj(), matrices, psi).real
+    else:
+        w, v = np.linalg.eigh(matrices)
+        sq = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        evals = np.clip(np.linalg.eigvalsh(sq @ target.matrix @ sq), 0.0, None)
+        val = np.sum(np.sqrt(evals), axis=1) ** 2
+    return np.clip(val, 0.0, 1.0)
+
+
 def wigner_single_mode(
     rho_mode: DensityMatrix, x_grid, p_grid
 ) -> np.ndarray:

@@ -13,9 +13,11 @@ Every path derives from one :class:`~omstirap.hilbert.Generator`: the
 row-major vec(rho) evolves under sparse superoperators (pure states under the
 Hilbert-space terms), integrated with an embedded Dormand-Prince 5(4) pair
 that monitors the trace; the same pieces, densified, feed a matrix-exponential
-oracle.  The error controller sets each step size, but every step ends on the
-next sample time or stop: ``run_scenario`` stops at each pulse centre, so no
-step skips a pulse.
+oracle.  The error controller sets each step size, and a step is cut short
+only to end on a stop or on the last sample time: ``run_scenario`` stops at
+each pulse centre, so no step skips a pulse.  A sample time inside a step is
+read from the pair's quartic continuous extension (Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.6), so samples cost no steps.
 
 A density matrix is stepped in real arithmetic, as its Hermitian half: Re
 rho_ii, then the pair (Re rho_ij, Im rho_ij) for each i < j (the real
@@ -59,6 +61,7 @@ sequence and every result.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -108,7 +111,8 @@ class LindbladModel:
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Sample times, tolerances and ``stops``, such as pulse centres: the error controller
-    sets each step, but every step ends on a sample time or stop; stops store no state."""
+    sets each step, but a step ends on every stop and on the last sample time; a sample
+    inside a step is read from the continuous extension, and stops store no state."""
 
     sample_times: Sequence[float]
     rel_tol: float = 1e-8
@@ -128,12 +132,14 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class IntegratorStats:
-    """What one integration did: steps, rhs evaluations, step-size range, sizes."""
+    """What one integration did: steps, rhs evaluations, samples read from the
+    continuous extension, step-size range, sizes."""
 
     accepted: int
     rejected: int
     rhs_evals: int
-    clamped: int  # accepted steps cut short to end on a sample time or stop
+    clamped: int  # accepted steps cut short to end on a stop or the last sample
+    interpolated: int  # samples read from the continuous extension inside a step
     h_min: float
     h_max: float
     # numbers integrated, those of the support of the initial state: real ones for
@@ -144,15 +150,22 @@ class IntegratorStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled density matrices with named derived observables."""
+    """Sampled states with named derived observables.
+
+    ``samples`` stacks the sampled states, one per time, and ``states`` holds
+    views of its rows: :class:`DensityMatrix` views from :func:`evolve` and
+    :func:`evolve_pure`.  ``timing`` holds the wall times of the run's layers.
+    """
 
     times: np.ndarray
+    samples: np.ndarray
     states: tuple
     observables: dict = field(default_factory=dict)
     stats: IntegratorStats | None = None
+    timing: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
+        if not len(self.times) == len(self.samples) == len(self.states):
             raise InvalidArgumentError("times and states length mismatch")
 
     def with_observables(self, observables: dict) -> "Trajectory":
@@ -326,17 +339,23 @@ def _commutator_superop(a, eye):
 
 
 def _superoperator_pieces(model: LindbladModel):
-    """(L0, [K_1, K'_1, K_2, K'_2, ...]) as CSR matrices on vec(rho)."""
+    """(L0, [K_1, K'_1, K_2, K'_2, ...]) as CSR matrices on vec(rho).
+
+    L0 = M x I + I x conj(M) + sum_k r_k C_k x conj(C_k) with the effective
+    M = -i H0 - sum_k r_k C_k^+ C_k / 2, which is rho -> M rho + rho M^+ plus
+    the jumps for a Hermitian H0: 2 + n_c Kronecker products, not 2 + 3 n_c.
+    """
     eye = scipy.sparse.identity(model.space.total_dim, dtype=complex, format="csr")
-    l0 = _commutator_superop(model.hamiltonian.h0, eye)
-    for c, rate in model.collapse_terms:
-        if rate > 0.0:
-            cd_c = c.conj().T @ c
-            l0 = l0 + rate * (scipy.sparse.kron(c, c.conj()) - 0.5 * (
-                scipy.sparse.kron(cd_c, eye) + scipy.sparse.kron(eye, cd_c.T)))
+    m = -1j * model.hamiltonian.h0
+    jumps = [(c, rate) for c, rate in model.collapse_terms if rate > 0.0]
+    for c, rate in jumps:
+        m = m - 0.5 * rate * (c.conj().T @ c)
+    l0 = scipy.sparse.kron(m, eye) + scipy.sparse.kron(eye, m.conj())
+    for c, rate in jumps:
+        l0 = l0 + rate * scipy.sparse.kron(c, c.conj())
     parts = [_commutator_superop(op, eye) for a in model.hamiltonian.ops
              for op in (a, a.conj().T)]
-    return l0.tocsr(), parts
+    return l0.tocsr().astype(complex, copy=False), parts  # kron of empty pieces is real
 
 
 def lindblad_rhs(model: LindbladModel, t: float, rho) -> np.ndarray:
@@ -379,6 +398,21 @@ _E = np.array(
     ]
 )
 
+# the pair's quartic continuous extension, as scipy's RK45 has it: the state at
+# t + theta h is y + h sum_j b_j(theta) k_j over the seven stages, the last one
+# first-same-as-last, with b_j(theta) = sum_p _P[j, p] theta^(p + 1)
+_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -413,27 +447,42 @@ def distinct_times(grid, extra) -> list[float]:
 
 
 class _Column:
-    """One column of a batch: its sample grid and its place in its own step sequence."""
+    """One column of a batch: its sample grid, the times its steps end on, and
+    its place in its own step sequence.  Its samples fill one array."""
 
-    __slots__ = ("times", "stops", "grid", "span", "t", "h", "next",
-                 "stored", "accepted", "rejected", "clamped", "h_min", "h_max")
+    __slots__ = ("times", "ends", "span", "t", "h", "next", "sampled", "stored",
+                 "accepted", "rejected", "clamped", "interpolated", "h_min", "h_max")
 
     def __init__(self, config: IntegratorConfig):
         ts = self.times = np.asarray(config.sample_times, dtype=float)
         t0, t_end = float(ts[0]), float(ts[-1])
         self.span = t_end - t0
-        self.stops = {x for x in distinct_times(ts, config.stops) if t0 < x < t_end}
-        self.grid = sorted([*ts.tolist(), *self.stops])
-        self.t, self.h, self.next = t0, math.nan, 1
-        self.stored = []
-        self.accepted = self.rejected = self.clamped = 0
+        # steps end on each stop inside the span, on the inner sample a stop is a
+        # float twin of, and on the last sample
+        stops = np.asarray(config.stops, dtype=float)
+        near = np.abs(ts[1:-1, None] - stops).min(axis=1, initial=math.inf)
+        twins = ts[1:-1][near <= 1e-9 * self.span].tolist()
+        inner = [x for x in distinct_times(ts, stops.tolist()) if t0 < x < t_end]
+        self.ends = sorted(inner + twins) + [t_end]
+        self.t, self.h, self.next, self.sampled = t0, math.nan, 0, 0
+        self.stored = None
+        self.accepted = self.rejected = self.clamped = self.interpolated = 0
         self.h_min, self.h_max = math.inf, 0.0
+
+    def store(self, value: np.ndarray):
+        """Write the next sample into the column's array of samples."""
+        if self.stored is None:
+            self.stored = np.empty((len(self.times),) + value.shape, dtype=value.dtype)
+        self.stored[self.sampled] = value
+        self.sampled += 1
 
     def trajectory(self, state_size: int, norm_size: int) -> Trajectory:
         rhs_evals = 2 + 6 * (self.accepted + self.rejected)  # 2 choose the first step
         stats = IntegratorStats(self.accepted, self.rejected, rhs_evals, self.clamped,
-                                self.h_min, self.h_max, state_size, norm_size)
-        return Trajectory(times=self.times.copy(), states=tuple(self.stored), stats=stats)
+                                self.interpolated, self.h_min, self.h_max, state_size,
+                                norm_size)
+        return Trajectory(times=self.times.copy(), samples=self.stored,
+                          states=tuple(self.stored), stats=stats)
 
 
 def _initial_steps(rhs, coefficients, cols, y, rtol, atol, norm):
@@ -470,14 +519,17 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm):
     dtype.  ``repair(y)`` returns the accepted states in the rows of ``y``,
     with any invariant restored, and the trace (|psi|^2 for a pure state) of
     each; a trace that drifts from 1 by more than ``TRACE_DIVERGENCE_TOL``
-    fails its column.  ``on_sample(t, y)`` converts one sampled state into its
-    stored form and may raise :class:`IntegrationDivergedError`.  The error
-    norm is the :class:`_Norm` ``norm`` of the error over the scale
-    atol + rtol max(|y|, |y5|), |.| being ``norm.modulus``; one that is not
-    finite fails its column.  The columns share their tolerances.  Steps are
-    clamped so sample times and stops are hit exactly.  Returns per column its
-    :class:`Trajectory`, carrying the :class:`IntegratorStats`, or the
-    integration error that stopped it.
+    fails its column.  ``on_sample(t, y)`` converts the state ``y`` at the
+    sample time ``t`` into its stored form, an array, and may raise
+    :class:`IntegrationDivergedError`; a column writes its stored forms into
+    one array.  The error norm is the :class:`_Norm` ``norm`` of the error
+    over the scale atol + rtol max(|y|, |y5|), |.| being ``norm.modulus``;
+    one that is not finite fails its column.  The columns share their
+    tolerances.  Steps are clamped so stops and the last sample time are hit
+    exactly; a sample time inside an accepted step is read from the
+    continuous extension (:data:`_P`) before the step's state and stages are
+    overwritten.  Returns per column its :class:`Trajectory`, carrying the
+    :class:`IntegratorStats`, or the integration error that stopped it.
     """
     rtol, atol = configs[0].rel_tol, configs[0].abs_tol
     if any((c.rel_tol, c.abs_tol) != (rtol, atol) for c in configs):
@@ -486,9 +538,10 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm):
     out: list = [None] * len(cols)
 
     def sample(j, state):
-        """Store column j's state at its time, or record the error that stops it."""
+        """Store column j's state at its next sample time, or record the error that stops it."""
+        col = cols[j]
         try:
-            cols[j].stored.append(on_sample(cols[j].t, state))
+            col.store(on_sample(float(col.times[col.sampled]), state))
         except IntegrationDivergedError as exc:
             out[j] = exc
 
@@ -513,7 +566,7 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm):
         clamped, t, h = [], [], []
         for j in act:
             col = cols[j]
-            target = col.grid[col.next]
+            target = col.ends[col.next]
             clamped.append(col.t + col.h >= target - 1e-14 * max(abs(target), col.span))
             if clamped[-1]:
                 col.h = target - col.t
@@ -536,6 +589,26 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm):
             # warns on a NaN scale where this stays quiet
             errs = norm.rms(err_vec * (1.0 / scale)).tolist()
             ok = [pos for pos, err in enumerate(errs) if err <= 1.0]
+
+            # the samples strictly inside the accepted steps, read from the
+            # continuous extension while y and k[0] still hold the steps' start
+            inside, rows, theta = {}, [], []
+            for pos in ok:
+                col = cols[act[pos]]
+                end, s = t[pos] + h[pos], col.sampled
+                while s < len(col.times) and col.times[s] < end - 1e-12 * max(abs(end), col.span):
+                    inside.setdefault(pos, []).append(len(rows))
+                    rows.append(pos)
+                    theta.append((col.times[s] - t[pos]) / h[pos])
+                    s += 1
+            if rows:
+                theta = np.array(theta)[:, None]
+                b = _P[:, 3] * theta  # b_j(theta) by Horner's rule, row by row
+                for p in (2, 1, 0):
+                    b = (b + _P[:, p]) * theta
+                dense = (y.view(float)[rows] + np.einsum(
+                    "sj,jsk->sk", h[rows, None] * b, kr[:, rows])).view(y.dtype)
+
             drifts = [0.0] * len(act)  # of the accepted states' traces from 1
             if ok:
                 if len(ok) == len(act):
@@ -559,11 +632,16 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm):
                     col.accepted += 1
                     col.clamped += clamped[pos]
                     col.h_min, col.h_max = min(col.h_min, col.h), max(col.h_max, col.h)
-                    if abs(col.t - col.grid[col.next]) <= 1e-12 * max(abs(col.t), col.span):
-                        if col.grid[col.next] not in col.stops:
-                            sample(j, y[pos].copy())
+                    for r in inside.get(pos, ()):
+                        if out[j] is None:
+                            sample(j, dense[r])
+                            col.interpolated += 1
+                    tol = 1e-12 * max(abs(col.t), col.span)
+                    if out[j] is None and abs(col.times[col.sampled] - col.t) <= tol:
+                        sample(j, y[pos])
+                    if abs(col.t - col.ends[col.next]) <= tol:
                         col.next += 1
-                        if out[j] is None and col.next == len(col.grid):
+                        if out[j] is None and col.next == len(col.ends):
                             out[j] = col.trajectory(y.shape[1], norm.size)
                     factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
                     col.h *= max(_MIN_FACTOR, factor)
@@ -598,14 +676,26 @@ def _outcome(config, runs: list):
     return runs[0]
 
 
+def _density_runs(space: HilbertSpace, runs: list, setup_s: float, integrate_s: float) -> list:
+    """``runs`` with each trajectory's states as :class:`DensityMatrix` views of
+    its samples and the batch's wall times; integration errors as they are."""
+    timing = {"setup_s": setup_s, "integrate_s": integrate_s}
+    return [run if isinstance(run, Exception) else replace(
+        run, states=tuple(DensityMatrix(space, m, validate=False) for m in run.samples),
+        timing=dict(timing)) for run in runs]
+
+
 def evolve(model: LindbladModel, rho0: DensityMatrix, config):
     """Integrate the master equation and sample at the configured times.
 
     Adaptive Dormand-Prince 5(4) on the Hermitian half of the support of the
     row-major vec(rho0), in real arithmetic, so every state is Hermitian.
-    Steps never overshoot a sample time, and sampled states are renormalized
-    by their trace (drift beyond 1e-6 at a sample, or 1e-4 anywhere, aborts
-    with an error carrying the time).
+    Steps end on the stops and the last sample time, a sample inside a step
+    is read from the continuous extension, and sampled states are
+    renormalized by their trace (drift beyond 1e-6 at a sample, or 1e-4
+    anywhere, aborts with an error carrying the time).  Each trajectory's
+    ``timing`` holds the batch's ``setup_s`` (superoperator pieces, support,
+    real pieces) and ``integrate_s``.
 
     ``config`` may also be a sequence of configs, one per column of the
     generator's :class:`~omstirap.model.DriveCoefficients`.  The columns are
@@ -615,6 +705,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config):
     """
     if rho0.space != model.space:
         raise InvalidDimensionError("initial state lives on a different space")
+    t_start = time.perf_counter()
     d = model.space.total_dim
     y0 = rho0.matrix.reshape(-1)
     l0, parts = _superoperator_pieces(model)
@@ -630,13 +721,15 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config):
     def on_sample(t, y):
         trace = half.trace(y)
         _check_trace(t, trace, TRACE_SAMPLE_TOL)
-        return DensityMatrix(model.space, half.matrix(y / trace), validate=False)
+        return half.matrix(y / trace)
 
     configs = _batch(config)
+    t_setup = time.perf_counter()
     runs = _integrate_dp45(rhs, _coefficients_of(model.hamiltonian, len(configs)),
                            half.coordinates(y0[keep]), configs, repair, on_sample,
                            _Norm(d * d, half.modulus, half.weight))
-    return _outcome(config, runs)
+    t_end = time.perf_counter()
+    return _outcome(config, _density_runs(model.space, runs, t_setup - t_start, t_end - t_setup))
 
 
 def evolve_pure(
@@ -654,12 +747,14 @@ def evolve_pure(
     analytics are uniform.  The trace |psi|^2 is checked as :func:`evolve`
     checks Tr rho: against 1e-4 after every step and 1e-6 at every sample,
     the first included; accepted states are renormalized.  ``config`` may be
-    a sequence of configs for a batch, as in :func:`evolve`.
+    a sequence of configs for a batch, as in :func:`evolve`, and ``timing``
+    is as there, its ``setup_s`` covering the support.
     """
     amps = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
     d = space.total_dim
     if amps.shape != (d,):
         raise InvalidDimensionError("initial amplitudes do not match the space")
+    t_start = time.perf_counter()
     gen = LindbladModel(space, hamiltonian).hamiltonian
     h0 = -1j * gen.h0
     parts = [-1j * op for a in gen.ops for op in (a, a.conj().T)]
@@ -680,12 +775,14 @@ def evolve_pure(
         _check_trace(t, sq, TRACE_SAMPLE_TOL)
         v = np.zeros(d, dtype=complex)
         v[keep] = y / np.sqrt(sq)
-        return DensityMatrix(space, np.outer(v, v.conj()), validate=False)
+        return np.outer(v, v.conj())
 
     configs = _batch(config)
+    t_setup = time.perf_counter()
     runs = _integrate_dp45(rhs, _coefficients_of(gen, len(configs)), amps[keep], configs,
                            repair, on_sample, _Norm(d))
-    return _outcome(config, runs)
+    t_end = time.perf_counter()
+    return _outcome(config, _density_runs(space, runs, t_setup - t_start, t_end - t_setup))
 
 
 def liouvillian_matrix(model: LindbladModel, t: float = 0.0) -> np.ndarray:

@@ -51,7 +51,6 @@ from .hilbert import (
     HilbertSpace,
     StateVector,
     coherent_state,
-    expectation,
     fock_state,
     product_density,
     thermal_state,
@@ -311,10 +310,12 @@ def run_scenarios(scenarios: Sequence[Scenario]) -> list:
         if isinstance(traj, OmstirapError):
             results.append(traj)
             continue
+        t_obs = time.perf_counter()
         obs = _observables(scenario, space, traj)
         traj = traj.with_observables(obs)
         summary = _summary(scenario, traj, obs)
         summary["integrator"] = asdict(traj.stats)
+        summary["timing"] = {**traj.timing, "observables_s": time.perf_counter() - t_obs}
         results.append(ScenarioResult(trajectory=traj, summary=summary))
     wall = time.perf_counter() - t_start
     for result in results:
@@ -340,12 +341,16 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 def _observables(scenario: Scenario, space: HilbertSpace, traj: Trajectory) -> dict:
     """Every series the run's inputs allow; the fidelity needs a target.
 
-    The mode populations, the population of each mode's top Fock level and
-    p1 are read from the diagonal of each sampled state; the collective
-    number operators and the target state are built once per run.
+    Each series is taken on the stack of sampled states at once
+    (:attr:`Trajectory.samples`): the mode populations, the population of
+    each mode's top Fock level and p1 from its diagonals, the collective
+    occupations by one ``einsum`` per number operator over its nonzero
+    entries, and the reduced states, negativity and fidelity by the stacked
+    forms of :mod:`analysis` (:func:`analysis.partial_trace_stack`, ...).
     """
+    rho = traj.samples
     out = {f"alpha{j}": total_envelope(scenario.schedule, j, traj.times) for j in (1, 2)}
-    pops = np.array([st.matrix.diagonal().real for st in traj.states]).reshape(-1, *space.dims)
+    pops = np.einsum("sii->si", rho).real.reshape(-1, *space.dims)
     for n, name in (("nc", "cavity"), ("n1", "mech1"), ("n2", "mech2")):
         mode = analysis.MODE_NAMES[name]
         marginal = pops.sum(axis=tuple(1 + m for m in range(3) if m != mode))
@@ -354,16 +359,14 @@ def _observables(scenario: Scenario, space: HilbertSpace, traj: Trajectory) -> d
     out["p1"] = pops[:, :, 1, :].sum(axis=(1, 2))
     bm, bp = collective_operators(space, scenario.params, None)
     for name, b in (("n_plus", bp), ("n_minus", bm)):
-        op = b.conj().T @ b
-        out[name] = np.array([expectation(op, st).real for st in traj.states])
-    pairs = [analysis.partial_trace(st, _PAIR) for st in traj.states]
-    out["negativity"] = np.array([analysis.negativity(r) for r in pairs])
+        op = (b.conj().T @ b).tocoo()  # Tr(op rho) = sum of op_ij rho_ji
+        out[name] = np.einsum("k,sk->s", op.data, rho[:, op.col, op.row]).real
+    pairs = analysis.partial_trace_stack(rho, space.dims, _PAIR)
+    out["negativity"] = analysis.negativity_stack(pairs, space.dims[1:])
     if scenario.target is not None:
         keep = TargetSpec.REDUCTIONS[scenario.target.kind]
-        reduced = pairs if keep == _PAIR else [analysis.partial_trace(st, keep)
-                                               for st in traj.states]
-        target = scenario.target.state(space.dims)
-        out["fidelity"] = np.array([analysis.fidelity(r, target) for r in reduced])
+        reduced = pairs if keep == _PAIR else analysis.partial_trace_stack(rho, space.dims, keep)
+        out["fidelity"] = analysis.fidelity_stack(reduced, scenario.target.state(space.dims))
     return out
 
 

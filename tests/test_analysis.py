@@ -10,13 +10,16 @@ from omstirap.analysis import (
     antisymmetric_mode_state,
     collective_populations,
     fidelity,
+    fidelity_stack,
     negativity,
+    negativity_stack,
     partial_trace,
+    partial_trace_stack,
     partial_transpose,
     trace_fidelity,
     wigner_single_mode,
 )
-from omstirap.errors import InvalidArgumentError
+from omstirap.errors import InvalidArgumentError, InvalidDimensionError, InvalidStateError
 from omstirap.hilbert import (
     DensityMatrix,
     HilbertSpace,
@@ -194,6 +197,44 @@ def test_fidelity_symmetric_and_matches_sqrtm_oracle():
     expected = float(np.real(np.trace(inner)) ** 2)
     assert abs(f_ab - expected) < 1e-8
     assert np.isclose(trace_fidelity(a, b), math.sqrt(f_ab), atol=1e-12)
+
+
+# ------------------------------------------------------------ stacked forms
+
+def test_stacked_forms_match_the_per_state_functions():
+    sp = HilbertSpace((2, 3, 3))
+    states = [_random_density(sp, seed) for seed in range(4)]
+    stack = np.array([st.matrix for st in states])
+    for keep in ((0,), (2,), (1, 2), (0, 2), ("mech1", "mech2"), (0, 1, 2)):
+        reduced = partial_trace_stack(stack, sp.dims, keep)
+        for st, red in zip(states, reduced):
+            assert np.max(np.abs(red - partial_trace(st, keep).matrix)) <= 1e-15
+    pairs = partial_trace_stack(stack, sp.dims, (1, 2))
+    pair_space = HilbertSpace((3, 3))
+    bell = np.zeros((9, 9), dtype=complex)
+    bell[np.ix_([1, 3], [1, 3])] = [[0.5, -0.5], [-0.5, 0.5]]  # (|0,1> - |1,0>)/sqrt(2)
+    pairs = np.concatenate([pairs, bell[None]])
+    got = negativity_stack(pairs, (3, 3))
+    for value, pair in zip(got, pairs):
+        assert abs(value - negativity(DensityMatrix(pair_space, pair, validate=False))) <= 1e-15
+    assert got[-1] == pytest.approx(0.5, abs=1e-14)
+    mixed = _random_density(pair_space, 9)
+    pure = StateVector(pair_space, _random_unitary(9, 10)[:, 0])
+    for target in (mixed, pure):
+        for value, pair in zip(fidelity_stack(pairs, target), pairs):
+            ref = fidelity(DensityMatrix(pair_space, pair, validate=False), target)
+            assert abs(value - ref) <= 1e-13
+
+
+def test_stacked_forms_check_their_inputs():
+    sp = HilbertSpace((2, 2))
+    stack = _random_density(sp, 1).matrix[None]
+    with pytest.raises(InvalidArgumentError):
+        partial_trace_stack(stack, sp.dims, ())
+    with pytest.raises(InvalidStateError):
+        negativity_stack(stack + np.triu(np.ones((4, 4)), 1), sp.dims)
+    with pytest.raises(InvalidDimensionError):
+        fidelity_stack(stack, fock_state(HilbertSpace((3,)), 1))
 
 
 # ------------------------------------------------------------------- wigner

@@ -75,12 +75,15 @@ def test_simulate_summary_reports_integrator_stats(tmp_path):
     assert main(["simulate", "--preset", "bell-lossless", "--config", cfg,
                  "--out", str(out)]) == 0
     stats = json.loads((out / "summary.json").read_text())["summary"]["integrator"]
-    assert set(stats) == {"accepted", "rejected", "rhs_evals", "clamped", "h_min", "h_max",
-                          "state_size", "norm_size"}
+    assert set(stats) == {"accepted", "rejected", "rhs_evals", "clamped", "interpolated",
+                          "h_min", "h_max", "state_size", "norm_size"}
     assert stats["accepted"] >= 8  # at least one step per sample interval
     assert 0 < stats["clamped"] <= stats["accepted"]
     assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
     assert 0.0 < stats["h_min"] <= stats["h_max"]
+    timing = json.loads((out / "summary.json").read_text())["summary"]["timing"]
+    assert set(timing) == {"setup_s", "integrate_s", "observables_s"}
+    assert all(value >= 0.0 for value in timing.values())
 
 
 def test_simulate_roundtrip_reproducible(tmp_path):
@@ -94,8 +97,9 @@ def test_simulate_roundtrip_reproducible(tmp_path):
     assert (out1 / "trajectory.csv").read_text() == (out2 / "trajectory.csv").read_text()
     s1 = json.loads((out1 / "summary.json").read_text())
     s2 = json.loads((out2 / "summary.json").read_text())
-    s1["summary"].pop("wall_time_s")
-    s2["summary"].pop("wall_time_s")
+    for s in (s1, s2):  # wall times
+        s["summary"].pop("wall_time_s")
+        s["summary"].pop("timing")
     s1.pop("preset")
     s2.pop("preset")
     assert s1 == s2
@@ -544,6 +548,7 @@ def test_summary_does_not_depend_on_the_blas_thread_count(tmp_path):
                        env=env, check=True, timeout=300)
         summary = json.loads((out / "summary.json").read_text())
         summary["summary"].pop("wall_time_s")
+        summary["summary"].pop("timing")
         summaries.append(summary)
     assert summaries[0] == summaries[1]
 

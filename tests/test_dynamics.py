@@ -1,3 +1,4 @@
+import functools
 import json
 from dataclasses import replace
 import math
@@ -10,7 +11,8 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from omstirap import dynamics
+from omstirap import dynamics, protocols
+from omstirap.analysis import fidelity, negativity, partial_trace
 from omstirap.cli import build_scenario
 from omstirap.dynamics import (
     IntegratorConfig,
@@ -43,10 +45,11 @@ from omstirap.model import (
     DriveCoefficients,
     DriveSchedule,
     SystemParams,
+    collective_operators,
     hamiltonian_generator,
 )
 from omstirap.presets import preset_config
-from omstirap.protocols import InitialStateSpec, Scenario, run_scenario
+from omstirap.protocols import InitialStateSpec, Scenario, TargetSpec, run_scenario
 
 SPACE = HilbertSpace((2, 2, 2))
 KAPPA = 2 * math.pi * 2e3
@@ -277,8 +280,8 @@ def _nan_after(t_nan):
 
 
 def test_non_finite_state_is_divergence_not_step_underflow():
-    # the samples put a step end on 1e-4; every stage after it sees a NaN
-    config = IntegratorConfig(sample_times=np.linspace(0.0, 1e-3, 11))
+    # the stop puts a step end on 1e-4; every stage after it sees a NaN
+    config = IntegratorConfig(sample_times=[0.0, 1e-3], stops=[1e-4])
     psi0 = fock_state(SPACE, 0, 1, 0)
     for run in (lambda: evolve(LindbladModel(SPACE, _nan_after(1e-4)), psi0.density_matrix(),
                                config),
@@ -587,6 +590,33 @@ def test_dp45_integrates_a_quadratic_exactly():
     assert traj.stats.rejected == 0
     for t, y in zip(ts, traj.states):
         assert abs(y[0] - t**3) <= 1e-14 * max(1.0, t**3)
+    # the steps grow fivefold, so the inner samples come from the quartic extension
+    assert traj.stats.interpolated > 0
+
+
+def test_continuous_extension_is_scipys_and_ends_on_the_fifth_order_solution():
+    from scipy.integrate._ivp.rk import RK45
+
+    np.testing.assert_array_equal(dynamics._P, RK45.P)
+    # b_j(1) are the fifth-order weights, the last stage's being 0
+    np.testing.assert_allclose(dynamics._P.sum(axis=1), [*dynamics._A[6], 0.0], rtol=0,
+                               atol=1e-15)
+
+
+def test_a_sample_inside_a_step_fails_at_its_own_time():
+    ts = np.linspace(0.0, 2.0, 5)
+
+    def on_sample(t, y):
+        if t == 1.0:
+            raise IntegrationDivergedError(t, 1.0, dynamics.TRACE_SAMPLE_TOL)
+        return y
+
+    run = (lambda c, y: 3.0 * c.T * c.T, lambda cols: lambda t: t[None],
+           np.zeros(1, dtype=complex), [IntegratorConfig(ts)], _unrepaired)
+    traj, = dynamics._integrate_dp45(*run, _unchanged, dynamics._Norm(1))
+    assert traj.stats.interpolated == 3  # every inner sample
+    failed, = dynamics._integrate_dp45(*run, on_sample, dynamics._Norm(1))
+    assert isinstance(failed, IntegrationDivergedError) and failed.time == 1.0
 
 
 def test_constant_dense_inputs_run_through_generator():
@@ -705,6 +735,82 @@ def test_reduced_run_matches_unreduced(monkeypatch, name):
     assert set(obs) == set(ref_obs)
     for key in obs:
         assert np.max(np.abs(obs[key] - ref_obs[key])) <= tol, key
+
+
+# ------------------------------------------------------------- dense output
+
+#: rhs evaluations of each preset when the inner samples are read from the
+#: continuous extension; ending a step on every sample took 13,346 in all
+DENSE_RHS_EVALS = {"table2-stirap-10mK": 1502, "table2-stirap-50mK": 1652,
+                   "table2-stirap-1K": 1130, "table2-fstirap-10mK": 1490,
+                   "table2-fstirap-50mK": 1562, "table2-fstirap-1K": 1196, "fig3": 2966}
+
+
+@functools.lru_cache(maxsize=None)
+def _run_case(name):
+    return run_scenario(SUPPORT_CASES[name][0])
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_RHS_EVALS))
+def test_presets_take_no_more_steps_than_with_dense_output(name):
+    stats = _run_case(name).summary["integrator"]
+    assert stats["rhs_evals"] <= DENSE_RHS_EVALS[name]
+    spacing = np.diff(_run_case(name).trajectory.times).max()
+    assert stats["h_max"] > spacing and stats["interpolated"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_RHS_EVALS))
+def test_dense_output_matches_a_step_end_on_every_sample(monkeypatch, name):
+    dense = _run_case(name)
+    times = dense.trajectory.times
+    centres = protocols.pulse_centres
+    monkeypatch.setattr(protocols, "pulse_centres",
+                        lambda schedule: [*centres(schedule), *times[1:-1]])
+    clamped = run_scenario(SUPPORT_CASES[name][0])
+    stats = clamped.summary["integrator"]
+    assert stats["interpolated"] == 0
+    assert stats["rhs_evals"] > dense.summary["integrator"]["rhs_evals"]
+    for key, value in clamped.summary.items():
+        if isinstance(value, float) and key != "wall_time_s":
+            assert abs(dense.summary[key] - value) <= 1e-8, key
+    # each run carries its own error of the order of rel_tol in every entry
+    for a, b in zip(dense.trajectory.states, clamped.trajectory.states):
+        assert np.max(np.abs(a.matrix - b.matrix)) <= 2e-8
+
+
+@pytest.mark.parametrize("name", [*sorted(DENSE_RHS_EVALS), "coherent-507"])
+def test_stacked_observables_match_the_per_sample_functions(name):
+    scenario, result = SUPPORT_CASES[name][0], _run_case(name)
+    space = HilbertSpace(scenario.dims)
+    obs, states = result.trajectory.observables, result.trajectory.states
+    bm, bp = collective_operators(space, scenario.params, None)
+    want = {"n_plus": [expectation(bp.conj().T @ bp, st).real for st in states],
+            "n_minus": [expectation(bm.conj().T @ bm, st).real for st in states],
+            "negativity": [negativity(partial_trace(st, ("mech1", "mech2"))) for st in states]}
+    target = scenario.target.state(scenario.dims)
+    keep = TargetSpec.REDUCTIONS[scenario.target.kind]
+    want["fidelity"] = [fidelity(partial_trace(st, keep), target) for st in states]
+    for n, mode in (("nc", 0), ("n1", 1), ("n2", 2)):
+        want[n] = [expectation(number_operator(space, mode), st).real for st in states]
+    for key, series in want.items():
+        assert np.max(np.abs(obs[key] - np.array(series))) <= 1e-13, key
+
+
+def test_effective_l0_is_the_term_by_term_formula():
+    rng = np.random.default_rng(21)
+    space = HilbertSpace((2, 3, 3))
+    d = space.total_dim
+    params = SystemParams.from_ordinary(temperature_k=1.0)
+    h0 = KAPPA * _random_hermitian(d, rng)
+    model = LindbladModel(space, h0, tuple(thermal_collapse_terms(space, params)))
+    eye = np.eye(d)
+    want = -1j * (np.kron(h0, eye) - np.kron(eye, h0.T))
+    for c, rate in model.collapse_terms:
+        c = c.toarray()
+        cd_c = c.conj().T @ c
+        want += rate * (np.kron(c, c.conj()) - 0.5 * (np.kron(cd_c, eye) + np.kron(eye, cd_c.T)))
+    got = dynamics._superoperator_pieces(model)[0].toarray()
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @settings(max_examples=25, deadline=None)
