@@ -25,19 +25,23 @@ coherence-vector form of the generator, Alicki & Lendi, Lect. Notes Phys. 717).
 Every piece that acts on it maps Hermitian matrices to Hermitian ones: L0,
 K_k + K'_k and i(K_k - K'_k), where c_k K_k + conj(c_k) K'_k is the k-th drive
 term, so the weights are (1, Re c_k, Im c_k) and rho stays Hermitian exactly,
-with no symmetrization; the complex rho is rebuilt only at samples.  A pure
-state stays complex, with weights (1, c_k, conj(c_k)).
+with no symmetrization; the complex rho is rebuilt only at samples.  When
+every coefficient of every column is real (``DriveCoefficients.real``: zero
+phase rates and real drive phases, as in the table-2 and fig3 presets), each
+i(K_k - K'_k) has the weight 0 and is dropped, leaving the weights
+(1, Re c_k).  A pure state stays complex, with weights (1, c_k, conj(c_k)).
 
 Every run is a batch: the integrator steps B columns at once, a single run
 being a batch of one.  The columns share the pieces and the initial state and
 differ in their Hamiltonian coefficients and sample grids (a sweep's cells, a
 fringe's phase points).  The state is a row-major (B, m) array, one column per
-row, and the seven stages one (7, B, m) array.  Each attempt evaluates the
-coefficients of every active column at its six stage times in one call, and
-each stage is one call of scipy's CSR kernel: the pieces are laid side by
-side once per run as one wide CSR matrix, applied to the stacked weighted
-copies of every row.  Each stage input, the fifth-order solution and the
-error vector is one ``einsum`` (on the real view of a complex state).
+row, held as row 0 of one (8, B, m) array with the seven stages.  Each
+attempt evaluates the piece weights of every active column at its six stage
+times in one call, and each stage is one call of scipy's CSR kernel: the
+pieces are laid side by side once per run as one wide CSR matrix, applied to
+the stacked weighted copies of every row.  Each stage input, the fifth-order
+solution, the error vector and each sample inside a step is one ``einsum``
+over rows of that array (on the real view of a complex state).
 Each column keeps its own time, step size, place in its grid, accept/reject
 decision and counters, and every operation acts on each row alone in the
 order a one-row batch uses, so a column takes bitwise the steps it takes
@@ -51,11 +55,19 @@ each piece is cut to the support's rows and columns once per run and states
 are scattered back to full size only at sample times.  Where the generator
 conserves the total excitation number (``rwa``, ``bs``), an input diagonal in
 it stays in the coherence-order sector k = N_left - N_right = 0; the ``full``
-picture keeps every even k.  The error norm still divides by the full length
-(d^2, or d for a pure state), and counts each pair (Re rho_ij, Im rho_ij) for
-both rho_ij and rho_ji with the modulus |rho_ij| as its scale, so it is the
-norm of the unreduced complex integration to rounding, and so are the step
-sequence and every result.
+picture keeps every even k.  For a density matrix the same search then runs
+on the real coordinates of that support, with the real pieces kept, from the
+nonzero coordinates of rho0, and only the coordinates it reaches are stepped.
+When the coefficients are real and rho0 is real with no coherence between
+cavity levels, as in those presets, at most one coordinate of each pair
+(Re rho_ij, Im rho_ij) is ever nonzero, since the gauge U = i^{n_c} maps the
+generator to a real one and such a rho0 to itself: the (2,5,5) presets step
+190 of the 330 coordinates of the k = 0 sector.  The error norm still
+divides by the full length (d^2, or d for a pure state), and counts each pair
+for both rho_ij and rho_ji with the modulus |rho_ij| as its scale (|that
+coordinate| when only one of the pair is stepped, the other being exactly 0),
+so it is the norm of the unreduced complex integration to rounding, and so
+are the step sequence and every result.
 """
 
 from __future__ import annotations
@@ -142,10 +154,12 @@ class IntegratorStats:
     interpolated: int  # samples read from the continuous extension inside a step
     h_min: float
     h_max: float
-    # numbers integrated, those of the support of the initial state: real ones for
-    # a density matrix (its Hermitian half), complex amplitudes for a pure state
+    # numbers integrated, those of the support of the initial state: the real
+    # coordinates of a density matrix's Hermitian half that its pieces can make
+    # nonzero, or the complex amplitudes of a pure state
     state_size: int
     norm_size: int  # entries the error norm averages over: d^2, or d for a pure state
+    pieces: int = 1  # sparse pieces each rhs applies: L0 (or -i H0) and the drive pieces kept
 
 
 @dataclass(frozen=True)
@@ -212,44 +226,69 @@ def _csr_product(a):
 
 
 def _linear_rhs(const, parts, keep=None):
-    """(c, y) -> the rows of const y + sum_k (u_k parts[2k] y + v_k parts[2k+1] y).
+    """(w, y) -> the rows of w_0 const y + sum_p w_{p+1} parts[p] y.
 
-    ``y`` holds one state per row and ``c`` the (n_terms, rows) coefficients
-    of each row.  Complex pieces take (u_k, v_k) = (c_k, conj(c_k)); real
-    pieces, which act on the Hermitian half of rho (:class:`_HermitianHalf`),
-    take (Re c_k, Im c_k).  Every piece is cut to the rows and columns
-    ``keep``, if given, and the pieces are laid side by side, once, as one
-    wide CSR matrix [const | parts[0] | ...].  A call stacks each row's
-    weighted copies w y, w = [1, u_1, v_1, ...], as the columns of one dense
-    operand and makes one call of the CSR kernel (:func:`_csr_product`): no
-    per-term or per-row sums, and nothing calls BLAS.
+    ``y`` holds one state per row and ``w`` the (1 + len(parts), rows)
+    weights of each row, w_0 = 1, from a weight rule (:func:`_complex_weights`,
+    :func:`_hermitian_weights` or :func:`_real_weights`).  Every piece is cut to
+    the rows and columns ``keep``, if given, and the pieces are laid side by
+    side, once, as one wide CSR matrix [const | parts[0] | ...].  A call
+    stacks each row's weighted copies w y as the columns of one dense operand
+    and makes one call of the CSR kernel (:func:`_csr_product`): no per-term
+    or per-row sums, and nothing calls BLAS.
     """
     pieces = (const, *parts) if keep is None else [p[keep][:, keep] for p in (const, *parts)]
-    wide = scipy.sparse.hstack(pieces, format="csr")
-    product, real = _csr_product(wide), wide.dtype.kind == "f"
-    w = np.ones((1 + len(parts), 1), dtype=wide.dtype)  # reused while the row count holds
+    product = _csr_product(scipy.sparse.hstack(pieces, format="csr"))
 
-    def rhs(c: np.ndarray, y: np.ndarray) -> np.ndarray:
-        nonlocal w
-        if w.shape[1] != len(y):
-            w = np.ones((1 + len(parts), len(y)), dtype=wide.dtype)
-        if real:
-            w[1::2], w[2::2] = c.real, c.imag
-        else:
-            w[1::2] = c
-            np.conjugate(c, out=w[2::2])
-        x = np.multiply(w[:, None, :], y.T, order="C")  # x[k, :, b] = w[k, b] y[b]
+    def rhs(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = np.multiply(w[:, None, :], y.T, order="C")  # x[p, :, b] = w[p, b] y[b]
         return product(x.reshape(-1, len(y))).T
 
     return rhs
+
+
+def _complex_weights(c: np.ndarray) -> np.ndarray:
+    """(1, c_1, conj(c_1), c_2, ...) along the first axis of the coefficients
+    ``c``: the weights of the complex pieces (L0, K_1, K'_1, ...) of
+    c_k K_k + conj(c_k) K'_k."""
+    w = np.empty((1 + 2 * len(c),) + c.shape[1:], dtype=complex)
+    w[0] = 1.0
+    w[1::2] = c
+    np.conjugate(c, out=w[2::2])
+    return w
+
+
+def _hermitian_weights(c: np.ndarray) -> np.ndarray:
+    """(1, Re c_1, Im c_1, ...): the weights of the real pieces
+    (L0, K_1 + K'_1, i(K_1 - K'_1), ...) of :meth:`_HermitianHalf.pieces`."""
+    w = np.empty((1 + 2 * len(c),) + c.shape[1:])
+    w[0] = 1.0
+    w[1::2], w[2::2] = c.real, c.imag
+    return w
+
+
+def _real_weights(c: np.ndarray) -> np.ndarray:
+    """(1, Re c_1, Re c_2, ...): the weights of the real pieces less every
+    i(K_k - K'_k), for coefficients whose imaginary parts are all zero."""
+    w = np.empty((1 + len(c),) + c.shape[1:])
+    w[0] = 1.0
+    w[1:] = c.real
+    return w
 
 
 class _HermitianHalf:
     """The real coordinates of a Hermitian d x d matrix on a support ``keep``
     of its row-major vec that is closed under rho -> rho^+: Re rho_ii for each
     diagonal entry, then the pair (Re rho_ij, Im rho_ij) for each i < j, as
-    many real numbers as the support has entries.  The pairs read as one
-    complex array: ``y[..., diagonal:].view(complex)`` holds the rho_ij."""
+    many real numbers, m, as the support has entries.
+
+    :meth:`pieces` and :meth:`coordinates` give all m coordinates.  The ones
+    stepped are ``order``, all m until :meth:`restrict` cuts them, and
+    ``weight``, :meth:`modulus`, :meth:`trace` and :meth:`matrix` read states
+    of those: first each coordinate whose pair partner is not stepped (the
+    diagonal ones leading), then the stepped pairs, which read as one complex
+    array of rho_ij.
+    """
 
     def __init__(self, keep: np.ndarray, d: int):
         i, j = np.divmod(keep, d)
@@ -258,8 +297,6 @@ class _HermitianHalf:
         n, p, m = diag.size, upper.size, keep.size
         self.d, self.diagonal = d, n
         self._at = (keep[diag], keep[upper], keep[lower])  # their places in vec(rho)
-        # each real coordinate stands for one entry of rho, or for rho_ij and rho_ji
-        self.weight = np.repeat([1.0, 2.0], [n, 2 * p])
         re = n + 2 * np.arange(p)
         one = np.ones(p)
         # vec(rho) = expand @ y and y = Re(project @ vec(rho)), on the support
@@ -271,6 +308,7 @@ class _HermitianHalf:
             (np.concatenate([np.ones(n), one, -1j * one]),
              (np.concatenate([np.arange(n), re, re + 1]), np.concatenate([diag, upper, upper]))),
             shape=(m, m))
+        self.restrict(np.arange(m))
 
     def pieces(self, const, parts):
         """The real (L0, [K_1 + K'_1, i(K_1 - K'_1), ...]) of the complex
@@ -285,57 +323,102 @@ class _HermitianHalf:
                              for x in (k + kd, 1j * (k - kd))]
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
-        """The real coordinates, C-ordered, of vec(rho) cut to the support."""
+        """All m real coordinates, C-ordered, of vec(rho) cut to the support."""
         return (self._project @ v).real.copy()
 
+    def restrict(self, reach: np.ndarray):
+        """Step only the coordinates ``reach`` (indices into all m); every other
+        one must stay exactly zero, so a pair with one of its coordinates in
+        ``reach`` has |rho_ij| = |that coordinate|."""
+        n, m = self.diagonal, self._project.shape[0]
+        stepped = np.zeros(m, dtype=bool)
+        stepped[reach] = True
+        paired = np.zeros(m, dtype=bool)
+        paired[n:] = np.repeat(stepped[n::2] & stepped[n + 1::2], 2)
+        unpaired = np.flatnonzero(stepped & ~paired)
+        self.order = np.concatenate([unpaired, np.flatnonzero(paired)])
+        self._unpaired, self._stepped_diagonal = unpaired.size, np.count_nonzero(stepped[:n])
+        # each real coordinate stands for one entry of rho, or for rho_ij and rho_ji
+        self.weight = np.where(self.order < n, 1.0, 2.0)
+
     def modulus(self, y: np.ndarray) -> np.ndarray:
-        """For each real coordinate in the rows of ``y``, |rho_ij| of its entry."""
-        n = self.diagonal
+        """For each stepped coordinate in the rows of ``y``, |rho_ij| of its entry."""
+        s = self._unpaired
         out = np.abs(y)
-        pairs = np.abs(y[..., n:].view(complex))
-        out[..., n::2] = pairs
-        out[..., n + 1::2] = pairs
+        pairs = np.abs(y[..., s:].view(complex))
+        out[..., s::2] = pairs
+        out[..., s + 1::2] = pairs
         return out
 
     def trace(self, y: np.ndarray) -> np.ndarray:
         """Tr rho of each row of ``y``."""
-        return y[..., :self.diagonal].sum(axis=-1)
+        return y[..., :self._stepped_diagonal].sum(axis=-1)
 
     def matrix(self, y: np.ndarray) -> np.ndarray:
-        """The d x d complex rho of the real coordinates ``y``."""
+        """The d x d complex rho of the stepped coordinates ``y``."""
+        full = np.zeros(self._project.shape[0])
+        full[self.order] = y
         out = np.zeros(self.d * self.d, dtype=complex)
-        pairs = y[self.diagonal:].view(complex)
-        out[self._at[0]] = y[:self.diagonal]
+        pairs = full[self.diagonal:].view(complex)
+        out[self._at[0]] = full[:self.diagonal]
         out[self._at[1]] = pairs
         out[self._at[2]] = pairs.conj()
         return out.reshape(self.d, self.d)
 
 
-def _coefficients_of(gen: Generator, columns: int):
-    """cols -> the coefficient function of the columns ``cols``, which maps their
-    (N, len(cols)) times to the (n_terms, N, len(cols)) coefficients: the
-    columns of the generator's :class:`DriveCoefficients`, which must have
-    ``columns`` of them, or, for any other coefficient function (a single
-    column), its values time by time."""
+def _weights_of(gen: Generator, columns: int, weigh):
+    """cols -> the weight function of the columns ``cols``, which maps their
+    (N, len(cols)) times to the (pieces, N, len(cols)) weights that the rule
+    ``weigh`` makes of their coefficients: the columns of the generator's
+    :class:`DriveCoefficients`, which must have ``columns`` of them, or, for
+    any other coefficient function (a single column), its values time by time."""
     rule = gen.coefficients
     if isinstance(rule, DriveCoefficients):
         if rule.columns != columns:
             raise InvalidArgumentError(
                 f"{columns} configs for a coefficient rule of {rule.columns} columns")
-        return rule.take
+
+        def weights_of(cols):
+            coefficients = rule.take(cols)
+            return lambda t: weigh(coefficients(t))
+
+        return weights_of
     if columns != 1:
         raise InvalidArgumentError("a batch needs a DriveCoefficients rule")
     n = len(gen.ops)
 
-    def coefficients(t):
-        return np.array([rule(x) for x in t.ravel()], dtype=complex).T.reshape((n,) + t.shape)
+    def weights(t):
+        c = np.array([rule(x) for x in t.ravel()], dtype=complex)
+        return weigh(c.T.reshape((n,) + t.shape))
 
-    return lambda cols: coefficients
+    return lambda cols: weights
 
 
-def _commutator_superop(a, eye):
-    """-i (A x I - I x A^T): the row-major superoperator of rho -> -i[A, rho]."""
-    return -1j * (scipy.sparse.kron(a, eye) - scipy.sparse.kron(eye, a.T))
+def _real_drive(gen: Generator) -> bool:
+    """Whether every coefficient of every column is real at all times, so that
+    every i(K_k - K'_k) piece of the Hermitian half has the weight Im c_k = 0."""
+    return isinstance(gen.coefficients, DriveCoefficients) and gen.coefficients.real
+
+
+def _entries(a) -> tuple:
+    """(rows, cols, values) of the CSR or CSC matrix ``a``, with no conversion."""
+    major = np.repeat(np.arange(len(a.indptr) - 1), np.diff(a.indptr))
+    return (major, a.indices, a.data) if a.format == "csr" else (a.indices, major, a.data)
+
+
+def _kron(a, b, scale=1.0) -> tuple:
+    """The COO triples (rows, cols, values) of scale (A x B) for CSR or CSC A and B."""
+    (ra, ca, va), (rb, cb, vb) = _entries(a), _entries(b)
+    rows = np.add.outer(ra * b.shape[0], rb).ravel()
+    cols = np.add.outer(ca * b.shape[1], cb).ravel()
+    return rows, cols, scale * np.multiply.outer(va, vb).ravel()
+
+
+def _from_triples(triples, n: int):
+    """The complex n x n CSR matrix summing COO ``triples``, in one conversion."""
+    rows, cols, values = (np.concatenate(x) for x in zip(*triples))
+    return scipy.sparse.csr_matrix((values.astype(complex, copy=False), (rows, cols)),
+                                   shape=(n, n))
 
 
 def _superoperator_pieces(model: LindbladModel):
@@ -344,18 +427,21 @@ def _superoperator_pieces(model: LindbladModel):
     L0 = M x I + I x conj(M) + sum_k r_k C_k x conj(C_k) with the effective
     M = -i H0 - sum_k r_k C_k^+ C_k / 2, which is rho -> M rho + rho M^+ plus
     the jumps for a Hermitian H0: 2 + n_c Kronecker products, not 2 + 3 n_c.
+    K_k = -i (A_k x I - I x A_k^T), the superoperator of rho -> -i[A_k, rho],
+    and K'_k the same of A_k^+.  Each piece is summed from the COO triples of
+    its Kronecker products in one CSR conversion.
     """
-    eye = scipy.sparse.identity(model.space.total_dim, dtype=complex, format="csr")
+    d = model.space.total_dim
+    eye = scipy.sparse.identity(d, dtype=complex, format="csr")
     m = -1j * model.hamiltonian.h0
     jumps = [(c, rate) for c, rate in model.collapse_terms if rate > 0.0]
     for c, rate in jumps:
         m = m - 0.5 * rate * (c.conj().T @ c)
-    l0 = scipy.sparse.kron(m, eye) + scipy.sparse.kron(eye, m.conj())
-    for c, rate in jumps:
-        l0 = l0 + rate * scipy.sparse.kron(c, c.conj())
-    parts = [_commutator_superop(op, eye) for a in model.hamiltonian.ops
-             for op in (a, a.conj().T)]
-    return l0.tocsr().astype(complex, copy=False), parts  # kron of empty pieces is real
+    l0 = _from_triples([_kron(m, eye), _kron(eye, m.conj()),
+                        *(_kron(c, c.conj(), rate) for c, rate in jumps)], d * d)
+    parts = [_from_triples([_kron(op, eye, -1j), _kron(eye, op.T, 1j)], d * d)
+             for a in model.hamiltonian.ops for op in (a, a.conj().T)]
+    return l0, parts
 
 
 def lindblad_rhs(model: LindbladModel, t: float, rho) -> np.ndarray:
@@ -370,7 +456,7 @@ def lindblad_rhs(model: LindbladModel, t: float, rho) -> np.ndarray:
         raise InvalidDimensionError("state dimension does not match model space")
     rhs = _linear_rhs(*_superoperator_pieces(model))
     c = np.asarray(model.hamiltonian.coefficients(t), dtype=complex)
-    return rhs(c[:, None], mat.reshape(1, -1))[0].reshape(d, d)
+    return rhs(_complex_weights(c[:, None]), mat.reshape(1, -1))[0].reshape(d, d)
 
 
 # Dormand-Prince 5(4) tableau; row i of _A weights the first i stages (zero-padded),
@@ -421,7 +507,8 @@ _MAX_FACTOR = 5.0
 class _Norm(NamedTuple):
     """How the error norm reads the rows of a state: it averages over the
     ``size`` entries of the unreduced state (d^2, or d for a pure state),
-    each stored number counts for ``weight`` of them (one each if None), and
+    each stored number of a real state counts for ``weight`` of them (one
+    each if None, as for every number of a complex state), and
     ``modulus`` gives the magnitude of the entry each stored number belongs to."""
 
     size: int
@@ -429,12 +516,14 @@ class _Norm(NamedTuple):
     weight: np.ndarray | None = None
 
     def rms(self, x: np.ndarray) -> np.ndarray:
-        """RMS of each row of ``x`` as an unreduced state: the entries off the
-        support are exactly zero."""
-        sq = np.abs(x) ** 2
+        """RMS of each row of ``x`` as an unreduced state, in one ``einsum``: the
+        entries off the support are exactly zero."""
         if self.weight is not None:
-            sq *= self.weight
-        return np.sqrt(np.sum(sq, axis=-1) / self.size)
+            sq = np.einsum("...k,...k,k->...", x, x, self.weight)
+        else:  # |x|^2 as the squares of the real view, for a complex x
+            xr = x.view(float)
+            sq = np.einsum("...k,...k->...", xr, xr)
+        return np.sqrt(sq / self.size)
 
 
 def distinct_times(grid, extra) -> list[float]:
@@ -485,15 +574,15 @@ class _Column:
                           states=tuple(self.stored), stats=stats)
 
 
-def _initial_steps(rhs, coefficients, cols, y, rtol, atol, norm):
+def _initial_steps(rhs, weights, cols, y, modulus, rtol, atol, norm):
     """First step size of each column of ``cols``, and the derivatives at its start."""
     t0 = np.array([col.t for col in cols])
-    f0 = rhs(coefficients(t0[None])[:, 0], y)
-    scale = atol + rtol * norm.modulus(y)
+    f0 = rhs(weights(t0[None])[:, 0], y)
+    scale = atol + rtol * modulus
     d0, d1 = norm.rms(y / scale), norm.rms(f0 / scale)
     h0 = np.array([1e-6 * col.span if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
                    for col, a, b in zip(cols, d0, d1)])
-    f1 = rhs(coefficients((t0 + h0)[None])[:, 0], y + h0[:, None] * f0)
+    f1 = rhs(weights((t0 + h0)[None])[:, 0], y + h0[:, None] * f0)
     d2 = norm.rms((f1 - f0) / scale) / h0
     for col, a, b, c in zip(cols, h0, d1, d2):
         h1 = max(1e-6 * col.span, a * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
@@ -501,26 +590,29 @@ def _initial_steps(rhs, coefficients, cols, y, rtol, atol, norm):
     return f0
 
 
-def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm):
+def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, norm):
     """Embedded RK 5(4) driver that steps a batch of columns, one per config,
     each over its own sample grid, all from the state ``y0``.
 
-    ``rhs(c, y)`` gives the derivatives of the states in the rows of ``y``
-    from their (n_terms, rows) coefficients ``c``, and
-    ``coefficients_of(cols)`` gives the function that maps the (N, len(cols))
-    times of the columns ``cols`` to those coefficients.  Each attempt
-    evaluates the coefficients once, at the six stage times of every active
-    column, and makes one ``rhs`` call per stage.  Each column has its own
-    time, step size, place in its grid, accept/reject decision and counters,
-    so it takes exactly the steps it takes alone; a column leaves the batch
-    when it reaches its last sample or fails.
+    ``rhs(w, y)`` gives the derivatives of the states in the rows of ``y``
+    from their (n_weights, rows) weights ``w``, and ``weights_of(cols)``
+    gives the function that maps the (N, len(cols)) times of the columns
+    ``cols`` to those weights.  Each attempt evaluates the weights once, at
+    the six stage times of every active column, and makes one ``rhs`` call
+    per stage.  Each column has its own time, step size, place in its grid,
+    accept/reject decision and counters, so it takes exactly the steps it
+    takes alone; a column leaves the batch when it reaches its last sample or
+    fails.
 
     The state ``y0`` is real or complex, and the stages and sums take its
-    dtype.  ``repair(y)`` returns the accepted states in the rows of ``y``,
-    with any invariant restored, and the trace (|psi|^2 for a pure state) of
-    each; a trace that drifts from 1 by more than ``TRACE_DIVERGENCE_TOL``
-    fails its column.  ``on_sample(t, y)`` converts the state ``y`` at the
-    sample time ``t`` into its stored form, an array, and may raise
+    dtype.  The state is row 0 of the stage array, so each stage input is one
+    ``einsum`` over the rows before it.  ``repair(y)`` returns the accepted
+    states in the rows of ``y``, with any invariant restored, and the trace
+    (|psi|^2 for a pure state) of each; a trace that drifts from 1 by more
+    than ``TRACE_DIVERGENCE_TOL`` fails its column.  A repair that returns
+    ``y`` itself changes nothing, and the modulus of the accepted states
+    carries over to the next attempt.  ``on_sample(t, y)`` converts the state
+    ``y`` at the sample time ``t`` into its stored form, an array, and may raise
     :class:`IntegrationDivergedError`; a column writes its stored forms into
     one array.  The error norm is the :class:`_Norm` ``norm`` of the error
     over the scale atol + rtol max(|y|, |y5|), |.| being ``norm.modulus``;
@@ -551,15 +643,16 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm):
     act = [j for j in range(len(cols)) if out[j] is None]  # the active columns
     if not act:
         return out
-    y = y[act]
-    coefficients = coefficients_of(act)
-    k = np.empty((7,) + y.shape, dtype=y.dtype)  # the stages, one per row
-    k[0] = _initial_steps(rhs, coefficients, [cols[j] for j in act], y, rtol, atol, norm)
+    weights = weights_of(act)
+    k = np.empty((8, len(act), y.shape[1]), dtype=y.dtype)  # the state, then the seven stages
+    k[0] = y[act]
+    y, modulus = k[0], norm.modulus(k[0])
+    k[1] = _initial_steps(rhs, weights, [cols[j] for j in act], y, modulus, rtol, atol, norm)
     kr = k.view(float)  # stage sums act on real and imaginary parts alike
 
-    def stage_input(y, ha, i):
-        """y + sum_j ha[:, i, j] k[j] over the first i stages, in one einsum."""
-        return (y.view(float) + np.einsum("bj,jbk->bk", ha[:, i, :i], kr[:i])).view(y.dtype)
+    def combination(coef, rows=slice(None)):
+        """sum_j coef[:, j] k[j] over the first coef.shape[1] rows of k, in one einsum."""
+        return np.einsum("bj,jbk->bk", coef, kr[:coef.shape[1], rows]).view(y.dtype)
 
     hmin_scale = 16.0 * np.finfo(float).eps
     while act:
@@ -577,21 +670,24 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm):
 
         if all(out[j] is None for j in act):
             t, h = np.array(t), np.array(h)
-            c = coefficients(t + _C[1:, None] * h)  # at the six stage times
-            ha = h[:, None, None] * _A  # each column's step times the tableau
+            w = weights(t + _C[1:, None] * h)  # at the six stage times
+            ha = np.empty((len(h), 7, 7))  # per column: 1 for the state, then h times the tableau
+            ha[:, :, 0] = 1.0
+            np.multiply(h[:, None, None], _A, out=ha[:, :, 1:])
             for i in range(1, 6):
-                k[i] = rhs(c[:, i - 1], stage_input(y, ha, i))
-            y5 = stage_input(y, ha, 6)
-            k[6] = rhs(c[:, 5], y5)
-            err_vec = np.einsum("bj,jbk->bk", h[:, None] * _E, kr).view(y.dtype)
-            scale = atol + rtol * np.maximum(norm.modulus(y), norm.modulus(y5))
+                k[i + 1] = rhs(w[:, i - 1], combination(ha[:, i, :i + 1]))
+            y5 = combination(ha[:, 6])
+            k[7] = rhs(w[:, 5], y5)
+            err_vec = np.einsum("bj,jbk->bk", h[:, None] * _E, kr[1:]).view(y.dtype)
+            modulus5 = norm.modulus(y5)
+            scale = atol + rtol * np.maximum(modulus, modulus5)
             # times the reciprocal: bitwise numpy's complex-by-real quotient, which
             # warns on a NaN scale where this stays quiet
             errs = norm.rms(err_vec * (1.0 / scale)).tolist()
             ok = [pos for pos, err in enumerate(errs) if err <= 1.0]
 
             # the samples strictly inside the accepted steps, read from the
-            # continuous extension while y and k[0] still hold the steps' start
+            # continuous extension while k[0] and k[1] still hold the steps' start
             inside, rows, theta = {}, [], []
             for pos in ok:
                 col = cols[act[pos]]
@@ -606,17 +702,22 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm):
                 b = _P[:, 3] * theta  # b_j(theta) by Horner's rule, row by row
                 for p in (2, 1, 0):
                     b = (b + _P[:, p]) * theta
-                dense = (y.view(float)[rows] + np.einsum(
-                    "sj,jsk->sk", h[rows, None] * b, kr[:, rows])).view(y.dtype)
+                coef = np.empty((len(rows), 8))
+                coef[:, 0] = 1.0
+                np.multiply(h[rows, None], b, out=coef[:, 1:])
+                dense = combination(coef, rows)
 
             drifts = [0.0] * len(act)  # of the accepted states' traces from 1
             if ok:
                 if len(ok) == len(act):
-                    y, traces = repair(y5)
-                    k[0] = k[6]  # first-same-as-last
+                    repaired, traces = repair(y5)
+                    k[0], k[1] = repaired, k[7]  # first-same-as-last
+                    modulus = modulus5 if repaired is y5 else norm.modulus(y)
                 else:
-                    y[ok], traces = repair(y5[ok])
-                    k[0, ok] = k[6, ok]
+                    accepted = y5[ok]
+                    repaired, traces = repair(accepted)
+                    k[0, ok], k[1, ok] = repaired, k[7, ok]
+                    modulus[ok] = modulus5[ok] if repaired is accepted else norm.modulus(repaired)
                 for pos, drift in zip(ok, np.abs(traces - 1.0).tolist()):
                     drifts[pos] = drift
 
@@ -651,8 +752,8 @@ def _integrate_dp45(rhs, coefficients_of, y0, configs, repair, on_sample, norm):
 
         going = [pos for pos, j in enumerate(act) if out[j] is None]
         if len(going) < len(act):  # finished and failed columns leave the batch
-            act, y, k = [act[pos] for pos in going], y[going], k[:, going]
-            coefficients, kr = coefficients_of(act), k.view(float)
+            act, k, modulus = [act[pos] for pos in going], k[:, going], modulus[going]
+            weights, kr, y = weights_of(act), k.view(float), k[0]
     return out
 
 
@@ -676,13 +777,15 @@ def _outcome(config, runs: list):
     return runs[0]
 
 
-def _density_runs(space: HilbertSpace, runs: list, setup_s: float, integrate_s: float) -> list:
+def _density_runs(space: HilbertSpace, runs: list, pieces: int, setup_s: float,
+                  integrate_s: float) -> list:
     """``runs`` with each trajectory's states as :class:`DensityMatrix` views of
-    its samples and the batch's wall times; integration errors as they are."""
+    its samples, the batch's piece count and its wall times; integration errors
+    as they are."""
     timing = {"setup_s": setup_s, "integrate_s": integrate_s}
     return [run if isinstance(run, Exception) else replace(
         run, states=tuple(DensityMatrix(space, m, validate=False) for m in run.samples),
-        timing=dict(timing)) for run in runs]
+        stats=replace(run.stats, pieces=pieces), timing=dict(timing)) for run in runs]
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, config):
@@ -690,12 +793,15 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config):
 
     Adaptive Dormand-Prince 5(4) on the Hermitian half of the support of the
     row-major vec(rho0), in real arithmetic, so every state is Hermitian.
-    Steps end on the stops and the last sample time, a sample inside a step
-    is read from the continuous extension, and sampled states are
-    renormalized by their trace (drift beyond 1e-6 at a sample, or 1e-4
-    anywhere, aborts with an error carrying the time).  Each trajectory's
-    ``timing`` holds the batch's ``setup_s`` (superoperator pieces, support,
-    real pieces) and ``integrate_s``.
+    When every coefficient of every column is real, the pieces
+    i(K_k - K'_k) are dropped, and only the real coordinates that the kept
+    pieces can reach from those of rho0 are stepped.  Steps end on the stops
+    and the last sample time, a sample inside a step is read from the
+    continuous extension, and sampled states are renormalized by their trace
+    (drift beyond 1e-6 at a sample, or 1e-4 anywhere, aborts with an error
+    carrying the time).  Each trajectory's ``timing`` holds the batch's
+    ``setup_s`` (superoperator pieces, supports, real pieces) and
+    ``integrate_s``.
 
     ``config`` may also be a sequence of configs, one per column of the
     generator's :class:`~omstirap.model.DriveCoefficients`.  The columns are
@@ -712,7 +818,13 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config):
     transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
     keep = _support((l0, *parts), y0 != 0, transpose)
     half = _HermitianHalf(keep, d)
-    rhs = _linear_rhs(*half.pieces(l0[keep][:, keep], [p[keep][:, keep] for p in parts]))
+    const, parts = half.pieces(l0[keep][:, keep], [p[keep][:, keep] for p in parts])
+    weigh = _hermitian_weights
+    if _real_drive(model.hamiltonian):  # every i(K_k - K'_k) has the weight Im c_k = 0
+        parts, weigh = parts[::2], _real_weights
+    start = half.coordinates(y0[keep])
+    half.restrict(_support((const, *parts), start != 0))
+    rhs = _linear_rhs(const, parts, half.order)
 
     def repair(y):
         """The rows of ``y``, Hermitian by construction, and their traces."""
@@ -725,11 +837,12 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config):
 
     configs = _batch(config)
     t_setup = time.perf_counter()
-    runs = _integrate_dp45(rhs, _coefficients_of(model.hamiltonian, len(configs)),
-                           half.coordinates(y0[keep]), configs, repair, on_sample,
+    runs = _integrate_dp45(rhs, _weights_of(model.hamiltonian, len(configs), weigh),
+                           start[half.order], configs, repair, on_sample,
                            _Norm(d * d, half.modulus, half.weight))
     t_end = time.perf_counter()
-    return _outcome(config, _density_runs(model.space, runs, t_setup - t_start, t_end - t_setup))
+    return _outcome(config, _density_runs(model.space, runs, 1 + len(parts),
+                                          t_setup - t_start, t_end - t_setup))
 
 
 def evolve_pure(
@@ -779,10 +892,11 @@ def evolve_pure(
 
     configs = _batch(config)
     t_setup = time.perf_counter()
-    runs = _integrate_dp45(rhs, _coefficients_of(gen, len(configs)), amps[keep], configs,
-                           repair, on_sample, _Norm(d))
+    runs = _integrate_dp45(rhs, _weights_of(gen, len(configs), _complex_weights), amps[keep],
+                           configs, repair, on_sample, _Norm(d))
     t_end = time.perf_counter()
-    return _outcome(config, _density_runs(space, runs, t_setup - t_start, t_end - t_setup))
+    return _outcome(config, _density_runs(space, runs, 1 + len(parts), t_setup - t_start,
+                                          t_end - t_setup))
 
 
 def liouvillian_matrix(model: LindbladModel, t: float = 0.0) -> np.ndarray:

@@ -261,9 +261,13 @@ class DriveCoefficients:
     returns the (n_terms, N, columns) coefficients; a one-column rule also
     takes a single time and returns the n_terms coefficients, as
     :class:`~omstirap.hilbert.Generator` expects.
+
+    ``real`` is set when every phase rate is 0 and every drive phase is real,
+    so that every c_k(t) of every column is real: the rule then returns real
+    arrays, whose values are bitwise those of the complex path.
     """
 
-    __slots__ = ("pumps", "amplitude", "centre", "width", "phase", "coupling", "rate")
+    __slots__ = ("pumps", "amplitude", "centre", "width", "phase", "coupling", "rate", "real")
 
     def __init__(self, picture: str, drives):
         if picture not in PICTURES:
@@ -291,6 +295,7 @@ class DriveCoefficients:
                 for k, i in enumerate(pumps):
                     self.coupling[term, k, 0, col] = g[j]
                     self.rate[term, k, 0, col] = 1j * (deltas[i] + sign * omegas[j])
+        self.real = not (self.rate.any() or self.phase.imag.any())
 
     @property
     def columns(self) -> int:
@@ -300,15 +305,20 @@ class DriveCoefficients:
         """The rule of the columns ``cols``."""
         rule = object.__new__(DriveCoefficients)
         rule.pumps = self.pumps
-        for name in self.__slots__[1:]:
+        for name in self.__slots__[1:-1]:
             setattr(rule, name, getattr(self, name)[..., cols])
+        rule.real = not (rule.rate.any() or rule.phase.imag.any())
         return rule
+
+    def _envelopes(self, t) -> np.ndarray:
+        """Each schedule's summed pulses per pump: shape (schedules, 2, N, columns)."""
+        pulses = _pulses(t, self.amplitude, self.centre, self.width)
+        return pulses[:, :, 0] + pulses[:, :, 1]
 
     def amplitudes(self, t) -> np.ndarray:
         """(z_1, z_2), each pump's summed envelope times its drive phases, at the
         (N, columns) times ``t``: shape (2, N, columns)."""
-        pulses = _pulses(t, self.amplitude, self.centre, self.width)
-        return functools.reduce(np.add, (pulses[:, :, 0] + pulses[:, :, 1]) * self.phase)
+        return functools.reduce(np.add, self._envelopes(t) * self.phase)
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -316,7 +326,10 @@ class DriveCoefficients:
             if self.columns != 1:
                 raise InvalidArgumentError("a single time needs a one-column rule")
             return self(t.reshape(1, 1))[:, 0, 0]
-        terms = self.coupling * self.amplitudes(t)[self.pumps] * np.exp(self.rate * t)
+        if self.real:  # unit phases and e^{0 t} = 1 leave the real parts unchanged
+            terms = self.coupling * functools.reduce(np.add, self._envelopes(t))[self.pumps]
+        else:
+            terms = self.coupling * self.amplitudes(t)[self.pumps] * np.exp(self.rate * t)
         return functools.reduce(np.add, terms.swapaxes(0, 1))
 
 

@@ -76,7 +76,7 @@ def test_simulate_summary_reports_integrator_stats(tmp_path):
                  "--out", str(out)]) == 0
     stats = json.loads((out / "summary.json").read_text())["summary"]["integrator"]
     assert set(stats) == {"accepted", "rejected", "rhs_evals", "clamped", "interpolated",
-                          "h_min", "h_max", "state_size", "norm_size"}
+                          "h_min", "h_max", "state_size", "norm_size", "pieces"}
     assert stats["accepted"] >= 8  # at least one step per sample interval
     assert 0 < stats["clamped"] <= stats["accepted"]
     assert stats["rhs_evals"] == 2 + 6 * (stats["accepted"] + stats["rejected"])

@@ -470,7 +470,7 @@ def test_cut_rhs_matches_the_liouvillian_on_the_support(picture):
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         v = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
         ref = liouvillian_matrix(model, t)[np.ix_(keep, keep)] @ v
-        got = rhs(model.hamiltonian.coefficients(t)[:, None], v[None])[0]
+        got = rhs(dynamics._complex_weights(model.hamiltonian.coefficients(t)[:, None]), v[None])[0]
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -488,7 +488,7 @@ def test_cut_pure_rhs_matches_the_hamiltonian_on_the_support(picture):
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         v = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
         ref = (-1j * gen.dense(t))[np.ix_(keep, keep)] @ v
-        got = rhs(gen.coefficients(t)[:, None], v[None])[0]
+        got = rhs(dynamics._complex_weights(gen.coefficients(t)[:, None]), v[None])[0]
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -526,8 +526,9 @@ def test_hermitian_half_reproduces_the_complex_rhs_and_error_norm(picture):
         # the rhs, real and complex, from the same coefficients
         c = model.hamiltonian.coefficients(t)[:, None]
         ref = np.zeros(d * d, dtype=complex)
-        ref[keep] = complex_rhs(c, rho[None])[0]
-        got = half.matrix(np.ascontiguousarray(real_rhs(c, y[None])[0]))
+        ref[keep] = complex_rhs(dynamics._complex_weights(c), rho[None])[0]
+        got = real_rhs(dynamics._hermitian_weights(c), y[None])[0]
+        got = half.matrix(np.ascontiguousarray(got))
         np.testing.assert_allclose(got.reshape(-1), ref, rtol=0,
                                    atol=1e-14 * np.max(np.abs(ref)))
         # the error norm: each pair counts for rho_ij and rho_ji, scaled by |rho_ij|
@@ -687,12 +688,14 @@ def _support_cases():
     """The six table-2 rows, fig3, the criterion-10 full-picture scenario on a
     window across the pulse overlap, and the criterion-1 coherent run at
     dims (3,13,13), each with its (state_size, norm_size)."""
-    cases = {name: (build_scenario(preset_config(name)), (330, 2500)) for name in (
+    # real drives: one coordinate of each (Re rho_ij, Im rho_ij) pair of the k = 0
+    # sector's 330 is ever nonzero
+    cases = {name: (build_scenario(preset_config(name)), (190, 2500)) for name in (
         "table2-stirap-50mK", "table2-stirap-1K", "table2-fstirap-10mK",
         "table2-fstirap-50mK", "table2-fstirap-1K", "fig3")}
-    # (|0> + |1>)/sqrt(2) in mode 1 occupies k = 0 and k = +-1
+    # (|0> + |1>)/sqrt(2) in mode 1 occupies k = 0 and k = +-1: 956 entries
     cases["table2-stirap-10mK"] = (build_scenario(preset_config("table2-stirap-10mK")),
-                                   (956, 2500))
+                                   (503, 2500))
     # the a^+ b^+ terms change N by 2: every even k, half of the 1,024 entries
     params = SystemParams.from_ordinary(temperature_k=0.01, omega2_hz=1.2e6, kappa_hz=4e3)
     sched = DriveSchedule("stirap", 8000.0, 0.15e-3 / 1.43, 0.15e-3, 0.15e-3)
@@ -717,11 +720,14 @@ def _every_index(pieces, start, mirror=None):
 def test_reduced_run_matches_unreduced(monkeypatch, name):
     scenario, sizes = SUPPORT_CASES[name]
     reduced = run_scenario(scenario)
+    # the reference steps every entry with every piece
     monkeypatch.setattr(dynamics, "_support", _every_index)
+    monkeypatch.setattr(dynamics, "_real_drive", lambda gen: False)
     full = run_scenario(scenario)
     stats, ref = reduced.summary["integrator"], full.summary["integrator"]
     assert (stats["state_size"], stats["norm_size"]) == sizes
     assert ref["state_size"] == ref["norm_size"] == sizes[1]
+    assert stats["pieces"] <= ref["pieces"]
     for key in ("accepted", "rejected", "rhs_evals"):
         assert stats[key] == ref[key]
     # the pure path's norm sums in another order, which moves psi by rounding
@@ -735,6 +741,52 @@ def test_reduced_run_matches_unreduced(monkeypatch, name):
     assert set(obs) == set(ref_obs)
     for key in obs:
         assert np.max(np.abs(obs[key] - ref_obs[key])) <= tol, key
+
+
+def test_a_batch_of_a_real_and_a_complex_column_matches_their_solo_runs():
+    # the second column's drive phase makes its coefficients complex, so the
+    # batch keeps every piece; the first column alone drops the i(K - K') ones
+    real = SUPPORT_CASES["table2-stirap-50mK"][0]
+    complex_ = replace(real, schedule=tuple(replace(s, phase2=0.7) for s in real.schedule))
+    batch = protocols.run_scenarios([real, complex_])
+    solo_real, solo_complex = run_scenario(real), run_scenario(complex_)
+    sizes = [(r.summary["integrator"]["state_size"], r.summary["integrator"]["pieces"])
+             for r in (*batch, solo_real, solo_complex)]
+    assert sizes == [(330, 5), (330, 5), (190, 3), (330, 5)]
+    for got, want in zip(batch, (solo_real, solo_complex)):
+        stats, ref = got.summary["integrator"], want.summary["integrator"]
+        for key in ("accepted", "rejected", "rhs_evals", "clamped", "interpolated"):
+            assert stats[key] == ref[key], key
+        for key, value in want.summary.items():
+            if isinstance(value, float) and key != "wall_time_s":
+                assert abs(got.summary[key] - value) <= 1e-12, key
+        for key, series in want.trajectory.observables.items():
+            assert np.max(np.abs(got.trajectory.observables[key] - series)) <= 1e-12, key
+
+
+def test_superoperator_pieces_are_the_kron_formula():
+    rng = np.random.default_rng(22)
+    spec = _equivalence_spec("full")
+    sp = spec.space
+    d = sp.total_dim
+    gen = hamiltonian_generator(**vars(spec))
+    h0 = KAPPA * _random_hermitian(d, rng)
+    model = LindbladModel(sp, Generator(sp, h0, gen.ops, gen.coefficients),
+                          tuple(thermal_collapse_terms(sp, spec.params)))
+    kron, eye = scipy.sparse.kron, scipy.sparse.identity(d, dtype=complex, format="csr")
+    m = -1j * model.hamiltonian.h0
+    for c, rate in model.collapse_terms:
+        m = m - 0.5 * rate * (c.conj().T @ c)
+    want = [kron(m, eye) + kron(eye, m.conj())
+            + sum(rate * kron(c, c.conj()) for c, rate in model.collapse_terms)]
+    want += [-1j * (kron(op, eye) - kron(eye, op.T))
+             for a in model.hamiltonian.ops for op in (a, a.conj().T)]
+    l0, parts = dynamics._superoperator_pieces(model)
+    assert len(parts) == 8
+    for got, ref in zip((l0, *parts), want):
+        assert got.format == "csr" and got.dtype == complex
+        ref = ref.toarray()
+        assert np.max(np.abs(got.toarray() - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------------- dense output

@@ -113,6 +113,36 @@ def test_envelope_is_the_integrators_amplitude_bitwise(table_params, kind):
         assert envelope(s, 1, inside) > 0.0 and envelope(s, 1, outside) == 0.0
 
 
+PHASES = st.one_of(st.just(0.0), st.sampled_from([-0.0, 1e-300, 0.3, -2.1, math.pi]))
+OFFSETS_HZ = st.sampled_from([0.0, 1.0, -250.0, 3e3])
+
+
+@given(picture=st.sampled_from(["rwa", "bs", "full"]), phases=st.tuples(PHASES, PHASES),
+       offsets=st.tuples(OFFSETS_HZ, OFFSETS_HZ),
+       times=st.lists(st.floats(-3e-3, 3e-3), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_real_flag_means_real_coefficients(picture, phases, offsets, times):
+    p = SystemParams.from_ordinary(temperature_k=0.01, delta1_hz=1.2e6 + offsets[0],
+                                   delta2_hz=1.8e6 + offsets[1])
+    s = DriveSchedule("fractional", 2000.0, 0.42e-3, 0.6e-3, 0.5e-3, theta=math.pi / 3,
+                      phase1=phases[0], phase2=phases[1])
+    rule = DriveCoefficients(picture, [(p, s)])
+    # every phase rate is D_i -+ w_j; only the rwa one at resonance, D_i = w_i, is 0
+    resonant = picture == "rwa" and (p.delta1, p.delta2) == (p.omega1, p.omega2)
+    assert rule.real == (resonant and phases == (0.0, 0.0))
+    t = np.array(times)[:, None]
+    forced = rule.take([0])
+    forced.real = False  # the complex path, whatever the flag
+    if rule.real:
+        c = rule(t)
+        assert c.dtype == float and not forced(t).imag.any()
+        np.testing.assert_array_equal(c, forced(t).real)
+    # a column's flag follows it into a batch: one complex column clears the batch's
+    mixed = DriveCoefficients(picture, [(p, s), (SystemParams.from_ordinary(), DriveSchedule(
+        "stirap", 2000.0, 0.42e-3, 0.6e-3, 0.5e-3, phase2=0.5))])
+    assert not mixed.real and mixed.take([0]).real == rule.real
+
+
 def test_pulse_centres_of_schedules():
     fs = DriveSchedule("fractional", 2000.0, 0.4e-3, 0.6e-3, 0.6e-3, theta=math.pi / 4, t0=1e-3)
     assert pulse_centres(fs) == pytest.approx([0.6e-3, 1.4e-3], abs=1e-18)
