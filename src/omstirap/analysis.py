@@ -8,39 +8,23 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, InvalidDimensionError, InvalidStateError
-from .hilbert import DensityMatrix, HilbertSpace, StateVector, destroy, expectation
-from .model import SystemParams, collective_operators
+from .hilbert import DensityMatrix, HilbertSpace, StateVector, destroy
 
 MODE_NAMES = {"cavity": 0, "mech1": 1, "mech2": 2}
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the kept modes.
+    """Reduced state on the kept modes: :func:`partial_trace_stack` of one state.
 
     ``keep`` is a sequence of mode indices or of mode names from
     ``cavity``/``mech1``/``mech2``.
     """
-    kept = tuple(sorted({MODE_NAMES[k] if isinstance(k, str) else int(k) for k in keep}))
-    if len(kept) == 0:
-        raise InvalidArgumentError("kept mode set must be non-empty")
-    space = rho.space
-    n = space.n_modes
-    if any(k < 0 or k >= n for k in kept):
-        raise InvalidArgumentError(f"kept modes {kept} outside 0..{n - 1}")
-    dims = space.dims
-    tensor = rho.matrix.reshape(dims + dims)
-    # contract each traced mode pair (axis i, axis i + n), highest first
-    traced = [i for i in range(n) if i not in kept]
-    cur_n = n
-    for i in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=i, axis2=i + cur_n)
-        cur_n -= 1
-    new_space = HilbertSpace(tuple(dims[k] for k in kept))
-    d = new_space.total_dim
-    return DensityMatrix(new_space, tensor.reshape(d, d), validate=False)
+    dims = rho.space.dims
+    kept = _kept_modes(keep, len(dims))
+    reduced = partial_trace_stack(rho.matrix[None], dims, kept)[0]
+    return DensityMatrix(HilbertSpace(tuple(dims[m] for m in kept)), reduced, validate=False)
 
 
 def partial_transpose(rho12: DensityMatrix, mode: int = 1) -> np.ndarray:
@@ -56,46 +40,18 @@ def partial_transpose(rho12: DensityMatrix, mode: int = 1) -> np.ndarray:
 
 
 def negativity(rho12: DensityMatrix) -> float:
-    """Entanglement negativity (||rho^T2||_1 - 1) / 2 of a two-mode state.
-
-    The partial transpose of a Hermitian matrix is Hermitian, so the trace
-    norm is the sum of absolute eigenvalues; the result equals the absolute
-    sum of the negative eigenvalues and is clamped at zero.
-    """
-    herm = np.max(np.abs(rho12.matrix - rho12.matrix.conj().T))
-    if herm > 1e-8:
-        raise InvalidStateError(f"negativity needs a Hermitian state, deviation {herm:.2e}")
-    evals = np.linalg.eigvalsh(partial_transpose(rho12))
-    neg = -float(evals[evals < 0].sum())
-    return max(0.0, neg)
-
-
-def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(matrix)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    """Entanglement negativity (||rho^T2||_1 - 1) / 2 of a two-mode state:
+    :func:`negativity_stack` of one state."""
+    return float(negativity_stack(rho12.matrix[None], rho12.space.dims)[0])
 
 
 def fidelity(rho: DensityMatrix, target) -> float:
-    """Squared Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-
-    For a pure target this reduces to <psi|rho|psi>.  Symmetric in its
-    arguments and clipped into [0, 1].
-    """
-    if isinstance(target, StateVector):
-        if target.space != rho.space:
-            raise InvalidDimensionError("state and target live on different spaces")
-        val = float(np.real(np.vdot(target.amplitudes, rho.matrix @ target.amplitudes)))
-        return min(1.0, max(0.0, val))
-    if not isinstance(target, DensityMatrix):
-        raise InvalidArgumentError(f"unsupported target type {type(target)!r}")
-    if target.space != rho.space:
+    """Squared Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2,
+    symmetric in its arguments and <psi|rho|psi> for a pure target:
+    :func:`fidelity_stack` of one state."""
+    if isinstance(target, (StateVector, DensityMatrix)) and target.space != rho.space:
         raise InvalidDimensionError("state and target live on different spaces")
-    sq = _sqrt_psd(rho.matrix)
-    inner = sq @ target.matrix @ sq
-    evals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    val = float(np.sum(np.sqrt(evals)) ** 2)
-    return min(1.0, max(0.0, val))
+    return float(fidelity_stack(rho.matrix[None], target)[0])
 
 
 def trace_fidelity(rho: DensityMatrix, target) -> float:
@@ -107,26 +63,37 @@ def trace_fidelity(rho: DensityMatrix, target) -> float:
     return math.sqrt(fidelity(rho, target))
 
 
+def _kept_modes(keep, n: int) -> list[int]:
+    """The sorted mode indices that ``keep`` names, each in 0..n-1."""
+    kept = sorted({MODE_NAMES.get(k, -1) if isinstance(k, str) else int(k) for k in keep})
+    if not kept or kept[0] < 0 or kept[-1] >= n:
+        raise InvalidArgumentError(f"kept modes {tuple(keep)} must name a non-empty subset "
+                                   f"of 0..{n - 1}")
+    return kept
+
+
 def partial_trace_stack(matrices: np.ndarray, dims, keep) -> np.ndarray:
     """The reduced state on the kept modes of each state in the stack
-    ``matrices`` (S, d, d) on the modes ``dims``, in one ``einsum``:
-    :func:`partial_trace` of every row at once.  ``keep`` is as there."""
-    kept = sorted({MODE_NAMES[k] if isinstance(k, str) else int(k) for k in keep})
+    ``matrices`` (S, d, d) on the modes ``dims``, in one ``einsum``.
+    ``keep`` is as for :func:`partial_trace`."""
     n = len(dims)
-    if not kept or kept[0] < 0 or kept[-1] >= n:
-        raise InvalidArgumentError(f"kept modes {kept} must be a non-empty subset of 0..{n - 1}")
-    rows = "abcdefgh"[:n]
-    cols = "".join(c.upper() if m in kept else c for m, c in enumerate(rows))
-    out = "".join(rows[m] for m in kept) + "".join(cols[m] for m in kept)
+    kept = _kept_modes(keep, n)
+    # einsum's sublist labels: S = 2n for the stack, m for a row mode, and n + m
+    # for the column of a kept mode; a traced mode shares its row label
+    cols = [n + m if m in kept else m for m in range(n)]
+    out = [2 * n, *kept, *(n + m for m in kept)]
     d = math.prod(dims[m] for m in kept)
     tensor = matrices.reshape(len(matrices), *dims, *dims)
-    return np.einsum(f"s{rows}{cols}->s{out}", tensor).reshape(len(matrices), d, d)
+    return np.einsum(tensor, [2 * n, *range(n), *cols], out).reshape(len(matrices), d, d)
 
 
 def negativity_stack(pairs: np.ndarray, dims) -> np.ndarray:
-    """:func:`negativity` of each two-mode state in the stack ``pairs`` (S, d, d)
-    on the modes ``dims``: the partial transposes over the second mode by one
-    reshape, one batched ``eigvalsh``."""
+    """The negativity of each two-mode state in the stack ``pairs`` (S, d, d)
+    on the modes ``dims``: the absolute sum of the negative eigenvalues of its
+    partial transpose over the second mode, by one reshape and one batched
+    ``eigvalsh``."""
+    if len(dims) != 2:
+        raise InvalidDimensionError(f"negativity expects a two-mode state, got dims {tuple(dims)}")
     s, (da, db) = len(pairs), dims
     # |rho - rho^+| from the real and imaginary views, in real temporaries
     re, im = pairs.real, pairs.imag
@@ -140,9 +107,10 @@ def negativity_stack(pairs: np.ndarray, dims) -> np.ndarray:
 
 
 def fidelity_stack(matrices: np.ndarray, target) -> np.ndarray:
-    """:func:`fidelity` of each state in the stack ``matrices`` (S, d, d)
-    against one target: <psi|rho|psi> in one ``einsum`` for a pure target,
-    batched square roots and eigenvalues for a mixed one."""
+    """The squared Uhlmann fidelity of each state in the stack ``matrices``
+    (S, d, d) against one target: <psi|rho|psi> in one ``einsum`` for a pure
+    target, batched square roots and eigenvalues for a mixed one; clipped
+    into [0, 1]."""
     if not isinstance(target, (StateVector, DensityMatrix)):
         raise InvalidArgumentError(f"unsupported target type {type(target)!r}")
     if matrices.shape[1:] != (target.space.total_dim,) * 2:
@@ -197,18 +165,6 @@ def wigner_single_mode(
     return total
 
 
-def collective_populations(
-    rho: DensityMatrix,
-    params: SystemParams,
-    schedule=None,
-    t: float = 0.0,
-    convention: str = "static",
-) -> tuple[float, float]:
-    """Expectation values (<n_plus>, <n_minus>) of the collective modes."""
-    bm, bp = collective_operators(rho.space, params, schedule, t, convention)
-    return tuple(expectation(b.conj().T @ b, rho).real for b in (bp, bm))
-
-
 def antisymmetric_mode_state(rho12: DensityMatrix, invert: bool = False) -> DensityMatrix:
     """Single-mode reduction onto the antisymmetric collective mode.
 
@@ -226,6 +182,8 @@ def antisymmetric_mode_state(rho12: DensityMatrix, invert: bool = False) -> Dens
     sign = -1.0 if invert else 1.0
     # R a R^+ with R = exp(xi (b2^+ b1 - b1^+ b2)) rotates b1 -> cos b1 - sin b2
     gen = (math.pi / 4.0) * sign * (b2.conj().T @ b1 - b1.conj().T @ b2)
+    import scipy.linalg  # imported here: a plain run never needs it
+
     r = scipy.linalg.expm(gen.toarray())
     rotated = r @ rho12.matrix @ r.conj().T
     rot_dm = DensityMatrix(space, 0.5 * (rotated + rotated.conj().T), validate=False)

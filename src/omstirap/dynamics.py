@@ -78,7 +78,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 from scipy.sparse import _sparsetools
 
@@ -931,6 +930,8 @@ def propagator_oracle(
         raise InvalidDimensionError("initial state lives on a different space")
     if dt == 0.0:
         return DensityMatrix(model.space, rho0.matrix.copy(), validate=False)
+    import scipy.linalg  # imported here: a plain run never needs it
+
     liou = liouvillian_matrix(model, t)
     out = (scipy.linalg.expm(liou * dt) @ rho0.matrix.reshape(-1)).reshape(d, d)
     out = 0.5 * (out + out.conj().T)

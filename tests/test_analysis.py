@@ -7,8 +7,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from omstirap.analysis import (
+    MODE_NAMES,
     antisymmetric_mode_state,
-    collective_populations,
     fidelity,
     fidelity_stack,
     negativity,
@@ -28,8 +28,6 @@ from omstirap.hilbert import (
     product_density,
     thermal_state,
 )
-from omstirap.model import SystemParams, dark_state
-
 
 def _psi_minus(d=2):
     sp = HilbertSpace((d, d))
@@ -201,6 +199,31 @@ def test_fidelity_symmetric_and_matches_sqrtm_oracle():
 
 # ------------------------------------------------------------ stacked forms
 
+def _trace_ref(matrix, dims, keep):
+    """Reference reduction: np.trace over each traced mode pair, highest first."""
+    kept = [MODE_NAMES.get(k, k) for k in keep]
+    tensor, n = matrix.reshape(*dims, *dims), len(dims)
+    for i in reversed([m for m in range(len(dims)) if m not in kept]):
+        tensor = np.trace(tensor, axis1=i, axis2=i + n)
+        n -= 1
+    d = math.prod(dims[m] for m in kept)
+    return tensor.reshape(d, d)
+
+
+def _negativity_ref(pair):
+    evals = np.linalg.eigvalsh(partial_transpose(pair))
+    return max(0.0, -float(evals[evals < 0].sum()))
+
+
+def _fidelity_ref(rho, target):
+    if isinstance(target, StateVector):
+        return float(np.real(np.vdot(target.amplitudes, rho @ target.amplitudes)))
+    w, v = np.linalg.eigh(rho)
+    sq = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    evals = np.clip(np.linalg.eigvalsh(sq @ target.matrix @ sq), 0.0, None)
+    return min(1.0, float(np.sum(np.sqrt(evals)) ** 2))
+
+
 def test_stacked_forms_match_the_per_state_functions():
     sp = HilbertSpace((2, 3, 3))
     states = [_random_density(sp, seed) for seed in range(4)]
@@ -208,22 +231,33 @@ def test_stacked_forms_match_the_per_state_functions():
     for keep in ((0,), (2,), (1, 2), (0, 2), ("mech1", "mech2"), (0, 1, 2)):
         reduced = partial_trace_stack(stack, sp.dims, keep)
         for st, red in zip(states, reduced):
-            assert np.max(np.abs(red - partial_trace(st, keep).matrix)) <= 1e-15
+            assert np.max(np.abs(red - _trace_ref(st.matrix, sp.dims, keep))) <= 1e-15
+            assert np.max(np.abs(partial_trace(st, keep).matrix - red)) <= 1e-15
+    # nine modes, one more than a subscript string of eight row letters labels
+    many = _random_density(HilbertSpace((2,) * 9), 11)
+    for keep in ((0,), (3, 8), tuple(range(9))):
+        want = _trace_ref(many.matrix, many.space.dims, keep)
+        red = partial_trace_stack(many.matrix[None], many.space.dims, keep)[0]
+        assert np.max(np.abs(red - want)) <= 1e-15
+        assert np.max(np.abs(partial_trace(many, keep).matrix - want)) <= 1e-15
+        assert partial_trace(many, keep).space.dims == (2,) * len(keep)
     pairs = partial_trace_stack(stack, sp.dims, (1, 2))
     pair_space = HilbertSpace((3, 3))
     bell = np.zeros((9, 9), dtype=complex)
     bell[np.ix_([1, 3], [1, 3])] = [[0.5, -0.5], [-0.5, 0.5]]  # (|0,1> - |1,0>)/sqrt(2)
     pairs = np.concatenate([pairs, bell[None]])
+    pair_states = [DensityMatrix(pair_space, pair, validate=False) for pair in pairs]
     got = negativity_stack(pairs, (3, 3))
-    for value, pair in zip(got, pairs):
-        assert abs(value - negativity(DensityMatrix(pair_space, pair, validate=False))) <= 1e-15
+    for value, pair in zip(got, pair_states):
+        assert abs(value - _negativity_ref(pair)) <= 1e-15
+        assert abs(negativity(pair) - value) <= 1e-15
     assert got[-1] == pytest.approx(0.5, abs=1e-14)
     mixed = _random_density(pair_space, 9)
     pure = StateVector(pair_space, _random_unitary(9, 10)[:, 0])
     for target in (mixed, pure):
-        for value, pair in zip(fidelity_stack(pairs, target), pairs):
-            ref = fidelity(DensityMatrix(pair_space, pair, validate=False), target)
-            assert abs(value - ref) <= 1e-13
+        for value, pair in zip(fidelity_stack(pairs, target), pair_states):
+            assert abs(value - _fidelity_ref(pair.matrix, target)) <= 1e-13
+            assert abs(fidelity(pair, target) - value) <= 1e-15
 
 
 def test_stacked_forms_check_their_inputs():
@@ -231,6 +265,10 @@ def test_stacked_forms_check_their_inputs():
     stack = _random_density(sp, 1).matrix[None]
     with pytest.raises(InvalidArgumentError):
         partial_trace_stack(stack, sp.dims, ())
+    with pytest.raises(InvalidArgumentError, match="nosuch"):
+        partial_trace(DensityMatrix(sp, stack[0]), ("nosuch",))
+    with pytest.raises(InvalidDimensionError):
+        negativity_stack(np.eye(8, dtype=complex)[None] / 8, (2, 2, 2))
     with pytest.raises(InvalidStateError):
         negativity_stack(stack + np.triu(np.ones((4, 4)), 1), sp.dims)
     with pytest.raises(InvalidDimensionError):
@@ -280,27 +318,7 @@ def test_wigner_coherent_peak_location():
     assert abs(pg[ip] - math.sqrt(2) * alpha.imag) < 0.06
 
 
-# --------------------------------------------- collective-mode observables
-
-def test_collective_populations_examples():
-    sp = HilbertSpace((2, 4, 4))
-    params = SystemParams.from_ordinary()
-    one = fock_state(sp, 0, 1, 0).density_matrix()
-    n_plus, n_minus = collective_populations(one, params)
-    assert np.isclose(n_plus, 0.5, atol=1e-12)
-    assert np.isclose(n_minus, 0.5, atol=1e-12)
-    vac = fock_state(sp, 0, 0, 0).density_matrix()
-    assert collective_populations(vac, params) == (0.0, 0.0)
-    # the one-excitation dark state is a pure b_minus excitation
-    theta = math.pi / 4
-    phi = dark_state(sp, 1, theta)
-    dm = DensityMatrix(sp, np.outer(phi, phi.conj()))
-    # at theta = pi/4 with equal couplings the phased and static conventions
-    # coincide up to sign
-    n_plus, n_minus = collective_populations(dm, params)
-    assert np.isclose(n_minus, 1.0, atol=1e-12)
-    assert np.isclose(n_plus, 0.0, atol=1e-12)
-
+# ------------------------------------------------------- collective modes
 
 def test_antisymmetric_mode_of_bell_state():
     bell = _psi_minus(4)

@@ -615,10 +615,11 @@ def test_sweep_json_records_contours(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_root_finding_and_special_functions_unloaded():
-    # adiabatic imports brentq and lambertw where it calls them
+    # adiabatic imports brentq and lambertw where it calls them, and the two
+    # matrix-exponential callers import scipy.linalg
     src = str(Path(omstirap.__file__).resolve().parents[1])
-    code = ("import sys, omstirap.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))")
+    code = ("import sys, omstirap.cli; print(sorted(m for m in "
+            "('scipy.optimize', 'scipy.special', 'scipy.linalg') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout

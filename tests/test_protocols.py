@@ -24,7 +24,8 @@ from omstirap.hilbert import (
     fock_state,
     thermal_state,
 )
-from omstirap.model import DriveSchedule, SystemParams
+from omstirap.dynamics import Trajectory
+from omstirap.model import DriveSchedule, SystemParams, dark_state
 from omstirap.protocols import (
     FringeResult,
     InitialStateSpec,
@@ -368,6 +369,22 @@ def test_summary_reports_the_top_fock_level_population():
     assert res.trajectory.observables["top_mech1"][-1] < 1e-3
     assert res.summary["peak_top_mech2"] > 0.99  # the transferred pair lands on |2> of mode 2
     assert res.summary["peak_top_cavity"] < 0.1
+
+
+def test_collective_populations_examples():
+    space = HilbertSpace((2, 4, 4))
+    scen = _small_scenario(params=SystemParams.from_ordinary(), dims=space.dims)
+    # the one-excitation dark state at theta = pi/4 is a pure b_minus excitation
+    phi = dark_state(space, 1, math.pi / 4)
+    states = [fock_state(space, 0, 1, 0).density_matrix(),
+              fock_state(space, 0, 0, 0).density_matrix(),
+              DensityMatrix(space, np.outer(phi, phi.conj()))]
+    samples = np.array([st.matrix for st in states])
+    traj = Trajectory(times=np.zeros(3), samples=samples, states=tuple(states))
+    obs = protocols._observables(scen, space, traj)
+    np.testing.assert_allclose(obs["n_plus"], [0.5, 0.0, 0.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(obs["n_minus"], [0.5, 0.0, 1.0], rtol=0, atol=1e-12)
+    assert obs["n_plus"][1] == obs["n_minus"][1] == 0.0
 
 
 # ------------------------------------------------------- interferometry
