@@ -19,55 +19,44 @@ each pulse centre, so no step skips a pulse.  A sample time inside a step is
 read from the pair's quartic continuous extension (Hairer, Norsett & Wanner,
 Solving ODEs I, sec. II.6), so samples cost no steps.
 
-A density matrix is stepped in real arithmetic, as its Hermitian half: Re
-rho_ii, then the pair (Re rho_ij, Im rho_ij) for each i < j (the real
-coherence-vector form of the generator, Alicki & Lendi, Lect. Notes Phys. 717).
-Every piece that acts on it maps Hermitian matrices to Hermitian ones: L0,
-K_k + K'_k and i(K_k - K'_k), where c_k K_k + conj(c_k) K'_k is the k-th drive
-term, so the weights are (1, Re c_k, Im c_k) and rho stays Hermitian exactly,
-with no symmetrization; the complex rho is rebuilt only at samples.  When
-every coefficient of every column is real (``DriveCoefficients.real``: zero
-phase rates and real drive phases, as in the table-2 and fig3 presets), each
-i(K_k - K'_k) has the weight 0 and is dropped, leaving the weights
-(1, Re c_k).  A pure state stays complex, with weights (1, c_k, conj(c_k)).
+Both paths step a real state, the real coordinates of a complex vector
+(:class:`_RealCoordinates`): rho as its Hermitian half, Re rho_ii and then the
+pair (Re rho_ij, Im rho_ij) for each i < j (the real coherence-vector form,
+Alicki & Lendi, Lect. Notes Phys. 717), and psi as the pair (Re psi_i,
+Im psi_i) of each amplitude.  The k-th drive term c_k K_k + conj(c_k) K'_k
+(K_k = -i A_k on psi) gives the real pieces K_k + K'_k and i(K_k - K'_k), so
+the weights of (L0 or -i H0, ...) are (1, Re c_k, Im c_k) and rho stays
+Hermitian exactly, with no symmetrization.  When every coefficient of every
+column is real (``DriveCoefficients.real``: zero phase rates and real drive
+phases, as in the table-2 and fig3 presets), each i(K_k - K'_k) has the
+weight 0 and is dropped.
 
 Every run is a batch: the integrator steps B columns at once, a single run
 being a batch of one.  The columns share the pieces and the initial state and
 differ in their Hamiltonian coefficients and sample grids (a sweep's cells, a
-fringe's phase points).  The state is a row-major (B, m) array, one column per
-row, held as row 0 of one (8, B, m) array with the seven stages.  Each
-attempt evaluates the piece weights of every active column at its six stage
-times in one call, and each stage is one call of scipy's CSR kernel: the
-pieces are laid side by side once per run as one wide CSR matrix, applied to
-the stacked weighted copies of every row.  Each stage input, the fifth-order
-solution, the error vector and each sample inside a step is one ``einsum``
-over rows of that array (on the real view of a complex state).
-Each column keeps its own time, step size, place in its grid, accept/reject
-decision and counters, and every operation acts on each row alone in the
-order a one-row batch uses, so a column takes bitwise the steps it takes
-alone; it leaves the batch when it ends or fails.  Neither the products nor
-the stage sums call BLAS, so results do not depend on the BLAS thread count.
+fringe's phase points).  The state is a row-major (B, m) array, held as row 0
+of one (8, B, m) array with the seven stages.  Each attempt evaluates the
+piece weights of every active column at its six stage times in one call, each
+stage is one call of scipy's CSR kernel on the pieces laid side by side, and
+each stage input, the fifth-order solution, the error vector and each sample
+inside a step is one ``einsum``.  Every operation acts on each row alone in
+the order a one-row batch uses, so a column takes bitwise the steps it takes
+alone; it leaves the batch when it ends or fails.  Nothing calls BLAS, so
+results do not depend on the BLAS thread count.
 
-The integrator works only on the *support* of the initial state: the entries
-of vec(rho0) (or psi0) that the sparsity graph of the pieces can ever reach,
-closed under rho -> rho^+.  Every other entry is exactly zero at all times, so
-each piece is cut to the support's rows and columns once per run and states
-are scattered back to full size only at sample times.  Where the generator
-conserves the total excitation number (``rwa``, ``bs``), an input diagonal in
-it stays in the coherence-order sector k = N_left - N_right = 0; the ``full``
-picture keeps every even k.  For a density matrix the same search then runs
-on the real coordinates of that support, with the real pieces kept, from the
-nonzero coordinates of rho0, and only the coordinates it reaches are stepped.
-When the coefficients are real and rho0 is real with no coherence between
-cavity levels, as in those presets, at most one coordinate of each pair
-(Re rho_ij, Im rho_ij) is ever nonzero, since the gauge U = i^{n_c} maps the
-generator to a real one and such a rho0 to itself: the (2,5,5) presets step
-190 of the 330 coordinates of the k = 0 sector.  The error norm still
-divides by the full length (d^2, or d for a pure state), and counts each pair
-for both rho_ij and rho_ji with the modulus |rho_ij| as its scale (|that
-coordinate| when only one of the pair is stepped, the other being exactly 0),
-so it is the norm of the unreduced complex integration to rounding, and so
-are the step sequence and every result.
+Only the coordinates that the sparsity graph of the kept pieces can reach
+from the nonzero ones of the initial state are stepped; every other one is
+exactly zero at all times.  Where the generator conserves the total
+excitation number (``rwa``, ``bs``), an input diagonal in it stays in the
+coherence-order sector k = N_left - N_right = 0; ``full`` keeps every even
+k.  With real coefficients, a real rho0 with no coherence between cavity
+levels reaches at most one coordinate of each pair, since the gauge
+U = i^{n_c} maps the generator to a real one and such a rho0 to itself: the
+(2,5,5) presets step 190 of the 330 coordinates of the k = 0 sector.  The
+error norm still divides by the full length (d^2, or d for psi) and scales
+each pair by the modulus of its entry, counted for rho_ij and rho_ji, so it
+is the norm of the unreduced complex integration to rounding, and so are the
+step sequence and every result.
 """
 
 from __future__ import annotations
@@ -75,7 +64,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse
@@ -134,10 +123,12 @@ class IntegratorConfig:
         ts = np.asarray(self.sample_times, dtype=float)
         if ts.ndim != 1 or ts.size < 2:
             raise InvalidArgumentError("need at least two sample times")
+        if not np.all(np.isfinite(ts)):
+            raise InvalidArgumentError("sample times must be finite")
         if np.any(np.diff(ts) <= 0):
             raise InvalidArgumentError("sample times must be strictly increasing")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise InvalidArgumentError("tolerances must be > 0")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise InvalidArgumentError("tolerances must be finite and > 0")
         object.__setattr__(self, "sample_times", ts)
 
 
@@ -153,9 +144,8 @@ class IntegratorStats:
     interpolated: int  # samples read from the continuous extension inside a step
     h_min: float
     h_max: float
-    # numbers integrated, those of the support of the initial state: the real
-    # coordinates of a density matrix's Hermitian half that its pieces can make
-    # nonzero, or the complex amplitudes of a pure state
+    # numbers integrated: the real coordinates of the state (rho's Hermitian
+    # half, or Re and Im of each amplitude of psi) that its pieces can make nonzero
     state_size: int
     norm_size: int  # entries the error norm averages over: d^2, or d for a pure state
     pieces: int = 1  # sparse pieces each rhs applies: L0 (or -i H0) and the drive pieces kept
@@ -185,9 +175,9 @@ class Trajectory:
         return replace(self, observables={**self.observables, **observables})
 
 
-def _support(pieces, start: np.ndarray, transpose: np.ndarray | None = None) -> np.ndarray:
+def _support(pieces, start: np.ndarray) -> np.ndarray:
     """Sorted indices that the boolean mask ``start`` reaches through the sparsity
-    graph of ``pieces``, closed under the index permutation ``transpose`` if given.
+    graph of ``pieces``.
 
     Outside this set every linear combination of the pieces keeps a state
     that starts on ``start`` exactly zero.  Absolute values cannot cancel,
@@ -198,8 +188,6 @@ def _support(pieces, start: np.ndarray, transpose: np.ndarray | None = None) -> 
     reached = start
     while True:
         grown = reached | (graph @ reached).reshape(-1, m).any(axis=0)
-        if transpose is not None:
-            grown |= grown[transpose]
         if np.array_equal(grown, reached):
             return np.flatnonzero(reached)
         reached = grown
@@ -224,19 +212,19 @@ def _csr_product(a):
     return product
 
 
-def _linear_rhs(const, parts, keep=None):
+def _linear_rhs(const, parts, keep):
     """(w, y) -> the rows of w_0 const y + sum_p w_{p+1} parts[p] y.
 
     ``y`` holds one state per row and ``w`` the (1 + len(parts), rows)
-    weights of each row, w_0 = 1, from a weight rule (:func:`_complex_weights`,
-    :func:`_hermitian_weights` or :func:`_real_weights`).  Every piece is cut to
-    the rows and columns ``keep``, if given, and the pieces are laid side by
-    side, once, as one wide CSR matrix [const | parts[0] | ...].  A call
-    stacks each row's weighted copies w y as the columns of one dense operand
-    and makes one call of the CSR kernel (:func:`_csr_product`): no per-term
-    or per-row sums, and nothing calls BLAS.
+    weights of each row, w_0 = 1, from a weight rule (:func:`_hermitian_weights`
+    or :func:`_real_weights`).  Every piece is cut to the rows and columns
+    ``keep``, and the pieces are laid side by side, once, as one wide CSR
+    matrix [const | parts[0] | ...].  A call stacks each row's weighted copies
+    w y as the columns of one dense operand and makes one call of the CSR
+    kernel (:func:`_csr_product`): no per-term or per-row sums, and nothing
+    calls BLAS.
     """
-    pieces = (const, *parts) if keep is None else [p[keep][:, keep] for p in (const, *parts)]
+    pieces = [p[keep][:, keep] for p in (const, *parts)]
     product = _csr_product(scipy.sparse.hstack(pieces, format="csr"))
 
     def rhs(w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -246,20 +234,9 @@ def _linear_rhs(const, parts, keep=None):
     return rhs
 
 
-def _complex_weights(c: np.ndarray) -> np.ndarray:
-    """(1, c_1, conj(c_1), c_2, ...) along the first axis of the coefficients
-    ``c``: the weights of the complex pieces (L0, K_1, K'_1, ...) of
-    c_k K_k + conj(c_k) K'_k."""
-    w = np.empty((1 + 2 * len(c),) + c.shape[1:], dtype=complex)
-    w[0] = 1.0
-    w[1::2] = c
-    np.conjugate(c, out=w[2::2])
-    return w
-
-
 def _hermitian_weights(c: np.ndarray) -> np.ndarray:
     """(1, Re c_1, Im c_1, ...): the weights of the real pieces
-    (L0, K_1 + K'_1, i(K_1 - K'_1), ...) of :meth:`_HermitianHalf.pieces`."""
+    (L0, K_1 + K'_1, i(K_1 - K'_1), ...) of :meth:`_RealCoordinates.pieces`."""
     w = np.empty((1 + 2 * len(c),) + c.shape[1:])
     w[0] = 1.0
     w[1::2], w[2::2] = c.real, c.imag
@@ -275,45 +252,51 @@ def _real_weights(c: np.ndarray) -> np.ndarray:
     return w
 
 
-class _HermitianHalf:
-    """The real coordinates of a Hermitian d x d matrix on a support ``keep``
-    of its row-major vec that is closed under rho -> rho^+: Re rho_ii for each
-    diagonal entry, then the pair (Re rho_ij, Im rho_ij) for each i < j, as
-    many real numbers, m, as the support has entries.
+class _RealCoordinates:
+    """The real coordinates of a complex vector v: v_i for each entry i of
+    ``real`` (entries that are real), then the pair (Re v_i, Im v_i) for each
+    entry i of ``upper``, as m real numbers.  ``lower``, if given, holds the
+    entry that is the complex conjugate of each pair's entry, so that a pair
+    stands for two entries.  The entries of ``real``, ``upper`` and ``lower``
+    are the ``size`` entries of v.  :func:`_hermitian_half` gives those of a
+    density matrix; a pure state has every amplitude in ``upper``.
 
     :meth:`pieces` and :meth:`coordinates` give all m coordinates.  The ones
     stepped are ``order``, all m until :meth:`restrict` cuts them, and
-    ``weight``, :meth:`modulus`, :meth:`trace` and :meth:`matrix` read states
-    of those: first each coordinate whose pair partner is not stepped (the
-    diagonal ones leading), then the stepped pairs, which read as one complex
-    array of rho_ij.
+    ``weight``, :meth:`modulus`, :meth:`rms`, :meth:`trace` and :meth:`vector`
+    read states of those: first each coordinate whose pair partner is not
+    stepped (the real ones leading), then the stepped pairs, which read as one
+    complex array of v_i.
     """
 
-    def __init__(self, keep: np.ndarray, d: int):
-        i, j = np.divmod(keep, d)
-        diag, upper = np.flatnonzero(i == j), np.flatnonzero(i < j)
-        lower = np.searchsorted(keep, j[upper] * d + i[upper])  # rho_ji of each pair
-        n, p, m = diag.size, upper.size, keep.size
-        self.d, self.diagonal = d, n
-        self._at = (keep[diag], keep[upper], keep[lower])  # their places in vec(rho)
-        re = n + 2 * np.arange(p)
-        one = np.ones(p)
-        # vec(rho) = expand @ y and y = Re(project @ vec(rho)), on the support
+    def __init__(self, real: np.ndarray, upper: np.ndarray, lower: np.ndarray | None = None):
+        n, p = real.size, upper.size
+        m = n + 2 * p
+        self._real, self._pair_weight = n, 1.0 if lower is None else 2.0
+        self.size = n + p * int(self._pair_weight)
+        re, one = n + 2 * np.arange(p), np.ones(p)
+        rows, cols = [real, upper, upper], [np.arange(n), re, re + 1]
+        values = [np.ones(n), one, 1j * one]
+        if lower is not None:
+            rows, cols, values = rows + [lower] * 2, cols + [re, re + 1], values + [one, -1j * one]
+        # v = expand @ y and y = Re(project @ v)
         self._expand = scipy.sparse.csr_matrix(
-            (np.concatenate([np.ones(n), one, one, 1j * one, -1j * one]),
-             (np.concatenate([diag, upper, lower, upper, lower]),
-              np.concatenate([np.arange(n), re, re, re + 1, re + 1]))), shape=(m, m))
+            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.size, m))
         self._project = scipy.sparse.csr_matrix(
             (np.concatenate([np.ones(n), one, -1j * one]),
-             (np.concatenate([np.arange(n), re, re + 1]), np.concatenate([diag, upper, upper]))),
-            shape=(m, m))
+             (np.concatenate([np.arange(n), re, re + 1]), np.concatenate([real, upper, upper]))),
+            shape=(m, self.size))
         self.restrict(np.arange(m))
 
     def pieces(self, const, parts):
-        """The real (L0, [K_1 + K'_1, i(K_1 - K'_1), ...]) of the complex
-        (L0, [K_1, K'_1, ...]), each cut to the support, for the weights
-        (1, Re c_k, Im c_k) of c_k K_k + conj(c_k) K'_k."""
-        def real(a):  # a maps Hermitian matrices to Hermitian ones
+        """The real (const, [K_1 + K'_1, i(K_1 - K'_1), ...]) of the complex
+        (const, [K_1, K'_1, ...]), for the weights (1, Re c_k, Im c_k) of
+        c_k K_k + conj(c_k) K'_k.  Each maps y to Re(project a expand y), the
+        coordinates of a v when a v is again of the coordinates' form: always
+        for a pure state, and for rho when a maps Hermitian matrices to
+        Hermitian ones, as every piece does."""
+        def real(a):
             out = (self._project @ a @ self._expand).real.tocsr()
             out.eliminate_zeros()
             return out
@@ -322,26 +305,26 @@ class _HermitianHalf:
                              for x in (k + kd, 1j * (k - kd))]
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
-        """All m real coordinates, C-ordered, of vec(rho) cut to the support."""
+        """All m real coordinates, C-ordered, of the complex vector v."""
         return (self._project @ v).real.copy()
 
     def restrict(self, reach: np.ndarray):
         """Step only the coordinates ``reach`` (indices into all m); every other
         one must stay exactly zero, so a pair with one of its coordinates in
-        ``reach`` has |rho_ij| = |that coordinate|."""
-        n, m = self.diagonal, self._project.shape[0]
+        ``reach`` has |v_i| = |that coordinate|."""
+        n, m = self._real, self._project.shape[0]
         stepped = np.zeros(m, dtype=bool)
         stepped[reach] = True
         paired = np.zeros(m, dtype=bool)
         paired[n:] = np.repeat(stepped[n::2] & stepped[n + 1::2], 2)
         unpaired = np.flatnonzero(stepped & ~paired)
         self.order = np.concatenate([unpaired, np.flatnonzero(paired)])
-        self._unpaired, self._stepped_diagonal = unpaired.size, np.count_nonzero(stepped[:n])
-        # each real coordinate stands for one entry of rho, or for rho_ij and rho_ji
-        self.weight = np.where(self.order < n, 1.0, 2.0)
+        self._unpaired, self._stepped_real = unpaired.size, np.count_nonzero(stepped[:n])
+        # each real coordinate stands for one entry, a pair's for one or two
+        self.weight = np.where(self.order < n, 1.0, self._pair_weight)
 
     def modulus(self, y: np.ndarray) -> np.ndarray:
-        """For each stepped coordinate in the rows of ``y``, |rho_ij| of its entry."""
+        """For each stepped coordinate in the rows of ``y``, |v_i| of its entry."""
         s = self._unpaired
         out = np.abs(y)
         pairs = np.abs(y[..., s:].view(complex))
@@ -349,20 +332,28 @@ class _HermitianHalf:
         out[..., s + 1::2] = pairs
         return out
 
-    def trace(self, y: np.ndarray) -> np.ndarray:
-        """Tr rho of each row of ``y``."""
-        return y[..., :self._stepped_diagonal].sum(axis=-1)
+    def rms(self, x: np.ndarray) -> np.ndarray:
+        """RMS of each row of ``x`` as the complex vector of all ``size``
+        entries, in one ``einsum``: the coordinates not stepped are exactly zero."""
+        return np.sqrt(np.einsum("...k,...k,k->...", x, x, self.weight) / self.size)
 
-    def matrix(self, y: np.ndarray) -> np.ndarray:
-        """The d x d complex rho of the stepped coordinates ``y``."""
+    def trace(self, y: np.ndarray) -> np.ndarray:
+        """The sum of the real entries of each row of ``y``: Tr rho."""
+        return y[..., :self._stepped_real].sum(axis=-1)
+
+    def vector(self, y: np.ndarray) -> np.ndarray:
+        """The complex vector v of the stepped coordinates ``y``."""
         full = np.zeros(self._project.shape[0])
         full[self.order] = y
-        out = np.zeros(self.d * self.d, dtype=complex)
-        pairs = full[self.diagonal:].view(complex)
-        out[self._at[0]] = full[:self.diagonal]
-        out[self._at[1]] = pairs
-        out[self._at[2]] = pairs.conj()
-        return out.reshape(self.d, self.d)
+        return self._expand @ full
+
+
+def _hermitian_half(d: int) -> _RealCoordinates:
+    """The coordinates of the row-major vec(rho) of a Hermitian d x d rho: its
+    diagonal is real, and each rho_ij with i < j is a pair whose conjugate is rho_ji."""
+    i, j = np.divmod(np.arange(d * d), d)
+    upper = np.flatnonzero(i < j)
+    return _RealCoordinates(np.flatnonzero(i == j), upper, j[upper] * d + i[upper])
 
 
 def _weights_of(gen: Generator, columns: int, weigh):
@@ -395,7 +386,7 @@ def _weights_of(gen: Generator, columns: int, weigh):
 
 def _real_drive(gen: Generator) -> bool:
     """Whether every coefficient of every column is real at all times, so that
-    every i(K_k - K'_k) piece of the Hermitian half has the weight Im c_k = 0."""
+    every real piece i(K_k - K'_k) has the weight Im c_k = 0."""
     return isinstance(gen.coefficients, DriveCoefficients) and gen.coefficients.real
 
 
@@ -443,8 +434,17 @@ def _superoperator_pieces(model: LindbladModel):
     return l0, parts
 
 
+def _liouvillian(model: LindbladModel, t: float):
+    """The CSR superoperator of the generator frozen at time t on the row-major
+    vec(rho): L0 + sum_k (c_k K_k + conj(c_k) K'_k) of :func:`_superoperator_pieces`."""
+    liou, parts = _superoperator_pieces(model)
+    for c, k, kd in zip(model.hamiltonian.coefficients(t), parts[::2], parts[1::2]):
+        liou = liou + c * k + np.conj(c) * kd
+    return liou
+
+
 def lindblad_rhs(model: LindbladModel, t: float, rho) -> np.ndarray:
-    """d rho/dt of the Lindblad generator at time t, via the integrator's rhs.
+    """d rho/dt of the Lindblad generator at time t.
 
     Trace-free to numerical precision and maps Hermitian input to Hermitian
     output for any Hermitian matrix, not only physical states.
@@ -453,9 +453,7 @@ def lindblad_rhs(model: LindbladModel, t: float, rho) -> np.ndarray:
     d = model.space.total_dim
     if mat.shape != (d, d):
         raise InvalidDimensionError("state dimension does not match model space")
-    rhs = _linear_rhs(*_superoperator_pieces(model))
-    c = np.asarray(model.hamiltonian.coefficients(t), dtype=complex)
-    return rhs(_complex_weights(c[:, None]), mat.reshape(1, -1))[0].reshape(d, d)
+    return (_liouvillian(model, t) @ mat.reshape(-1)).reshape(d, d)
 
 
 # Dormand-Prince 5(4) tableau; row i of _A weights the first i stages (zero-padded),
@@ -501,28 +499,6 @@ _P = np.array([
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-
-
-class _Norm(NamedTuple):
-    """How the error norm reads the rows of a state: it averages over the
-    ``size`` entries of the unreduced state (d^2, or d for a pure state),
-    each stored number of a real state counts for ``weight`` of them (one
-    each if None, as for every number of a complex state), and
-    ``modulus`` gives the magnitude of the entry each stored number belongs to."""
-
-    size: int
-    modulus: Callable = np.abs
-    weight: np.ndarray | None = None
-
-    def rms(self, x: np.ndarray) -> np.ndarray:
-        """RMS of each row of ``x`` as an unreduced state, in one ``einsum``: the
-        entries off the support are exactly zero."""
-        if self.weight is not None:
-            sq = np.einsum("...k,...k,k->...", x, x, self.weight)
-        else:  # |x|^2 as the squares of the real view, for a complex x
-            xr = x.view(float)
-            sq = np.einsum("...k,...k->...", xr, xr)
-        return np.sqrt(sq / self.size)
 
 
 def distinct_times(grid, extra) -> list[float]:
@@ -573,23 +549,23 @@ class _Column:
                           states=tuple(self.stored), stats=stats)
 
 
-def _initial_steps(rhs, weights, cols, y, modulus, rtol, atol, norm):
+def _initial_steps(rhs, weights, cols, y, modulus, rtol, atol, coords):
     """First step size of each column of ``cols``, and the derivatives at its start."""
     t0 = np.array([col.t for col in cols])
     f0 = rhs(weights(t0[None])[:, 0], y)
     scale = atol + rtol * modulus
-    d0, d1 = norm.rms(y / scale), norm.rms(f0 / scale)
+    d0, d1 = coords.rms(y / scale), coords.rms(f0 / scale)
     h0 = np.array([1e-6 * col.span if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
                    for col, a, b in zip(cols, d0, d1)])
     f1 = rhs(weights((t0 + h0)[None])[:, 0], y + h0[:, None] * f0)
-    d2 = norm.rms((f1 - f0) / scale) / h0
+    d2 = coords.rms((f1 - f0) / scale) / h0
     for col, a, b, c in zip(cols, h0, d1, d2):
         h1 = max(1e-6 * col.span, a * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
         col.h = float(min(100 * a, h1))
     return f0
 
 
-def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, norm):
+def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, coords):
     """Embedded RK 5(4) driver that steps a batch of columns, one per config,
     each over its own sample grid, all from the state ``y0``.
 
@@ -603,22 +579,22 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, norm):
     takes alone; a column leaves the batch when it reaches its last sample or
     fails.
 
-    The state ``y0`` is real or complex, and the stages and sums take its
-    dtype.  The state is row 0 of the stage array, so each stage input is one
-    ``einsum`` over the rows before it.  ``repair(y)`` returns the accepted
-    states in the rows of ``y``, with any invariant restored, and the trace
-    (|psi|^2 for a pure state) of each; a trace that drifts from 1 by more
-    than ``TRACE_DIVERGENCE_TOL`` fails its column.  A repair that returns
-    ``y`` itself changes nothing, and the modulus of the accepted states
-    carries over to the next attempt.  ``on_sample(t, y)`` converts the state
-    ``y`` at the sample time ``t`` into its stored form, an array, and may raise
-    :class:`IntegrationDivergedError`; a column writes its stored forms into
-    one array.  The error norm is the :class:`_Norm` ``norm`` of the error
-    over the scale atol + rtol max(|y|, |y5|), |.| being ``norm.modulus``;
-    one that is not finite fails its column.  The columns share their
-    tolerances.  Steps are clamped so stops and the last sample time are hit
-    exactly; a sample time inside an accepted step is read from the
-    continuous extension (:data:`_P`) before the step's state and stages are
+    The state ``y0`` is real: the stepped coordinates of the
+    :class:`_RealCoordinates` ``coords``.  It is row 0 of the stage array, so
+    each stage input is one ``einsum`` over the rows before it.  ``repair(y)``
+    returns the accepted states in the rows of ``y``, with any invariant
+    restored, and the trace (|psi|^2 for a pure state) of each; a trace that
+    drifts from 1 by more than ``TRACE_DIVERGENCE_TOL`` fails its column.  A
+    repair that returns ``y`` itself changes nothing, and the modulus of the
+    accepted states carries over to the next attempt.  ``on_sample(t, y)``
+    converts the state ``y`` at the sample time ``t`` into its stored form, an
+    array, and may raise :class:`IntegrationDivergedError`; a column writes its
+    stored forms into one array.  The error norm is ``coords.rms`` of the
+    error over the scale atol + rtol max(|y|, |y5|), |.| being
+    ``coords.modulus``; one that is not finite fails its column.  The columns
+    share their tolerances.  Steps are clamped so stops and the last sample
+    time are hit exactly; a sample time inside an accepted step is read from
+    the continuous extension (:data:`_P`) before the step's state and stages are
     overwritten.  Returns per column its :class:`Trajectory`, carrying the
     :class:`IntegratorStats`, or the integration error that stopped it.
     """
@@ -643,15 +619,14 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, norm):
     if not act:
         return out
     weights = weights_of(act)
-    k = np.empty((8, len(act), y.shape[1]), dtype=y.dtype)  # the state, then the seven stages
+    k = np.empty((8, len(act), y.shape[1]))  # the state, then the seven stages
     k[0] = y[act]
-    y, modulus = k[0], norm.modulus(k[0])
-    k[1] = _initial_steps(rhs, weights, [cols[j] for j in act], y, modulus, rtol, atol, norm)
-    kr = k.view(float)  # stage sums act on real and imaginary parts alike
+    y, modulus = k[0], coords.modulus(k[0])
+    k[1] = _initial_steps(rhs, weights, [cols[j] for j in act], y, modulus, rtol, atol, coords)
 
     def combination(coef, rows=slice(None)):
         """sum_j coef[:, j] k[j] over the first coef.shape[1] rows of k, in one einsum."""
-        return np.einsum("bj,jbk->bk", coef, kr[:coef.shape[1], rows]).view(y.dtype)
+        return np.einsum("bj,jbk->bk", coef, k[:coef.shape[1], rows])
 
     hmin_scale = 16.0 * np.finfo(float).eps
     while act:
@@ -677,12 +652,10 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, norm):
                 k[i + 1] = rhs(w[:, i - 1], combination(ha[:, i, :i + 1]))
             y5 = combination(ha[:, 6])
             k[7] = rhs(w[:, 5], y5)
-            err_vec = np.einsum("bj,jbk->bk", h[:, None] * _E, kr[1:]).view(y.dtype)
-            modulus5 = norm.modulus(y5)
+            err_vec = np.einsum("bj,jbk->bk", h[:, None] * _E, k[1:])
+            modulus5 = coords.modulus(y5)
             scale = atol + rtol * np.maximum(modulus, modulus5)
-            # times the reciprocal: bitwise numpy's complex-by-real quotient, which
-            # warns on a NaN scale where this stays quiet
-            errs = norm.rms(err_vec * (1.0 / scale)).tolist()
+            errs = coords.rms(err_vec * (1.0 / scale)).tolist()
             ok = [pos for pos, err in enumerate(errs) if err <= 1.0]
 
             # the samples strictly inside the accepted steps, read from the
@@ -711,12 +684,12 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, norm):
                 if len(ok) == len(act):
                     repaired, traces = repair(y5)
                     k[0], k[1] = repaired, k[7]  # first-same-as-last
-                    modulus = modulus5 if repaired is y5 else norm.modulus(y)
+                    modulus = modulus5 if repaired is y5 else coords.modulus(y)
                 else:
                     accepted = y5[ok]
                     repaired, traces = repair(accepted)
                     k[0, ok], k[1, ok] = repaired, k[7, ok]
-                    modulus[ok] = modulus5[ok] if repaired is accepted else norm.modulus(repaired)
+                    modulus[ok] = modulus5[ok] if repaired is accepted else coords.modulus(repaired)
                 for pos, drift in zip(ok, np.abs(traces - 1.0).tolist()):
                     drifts[pos] = drift
 
@@ -742,7 +715,7 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, norm):
                     if abs(col.t - col.ends[col.next]) <= tol:
                         col.next += 1
                         if out[j] is None and col.next == len(col.ends):
-                            out[j] = col.trajectory(y.shape[1], norm.size)
+                            out[j] = col.trajectory(y.shape[1], coords.size)
                     factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
                     col.h *= max(_MIN_FACTOR, factor)
                 else:
@@ -752,7 +725,7 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, norm):
         going = [pos for pos, j in enumerate(act) if out[j] is None]
         if len(going) < len(act):  # finished and failed columns leave the batch
             act, k, modulus = [act[pos] for pos in going], k[:, going], modulus[going]
-            weights, kr, y = weights_of(act), k.view(float), k[0]
+            weights, y = weights_of(act), k[0]
     return out
 
 
@@ -763,12 +736,32 @@ def _check_trace(t: float, trace: float, tol: float):
         raise IntegrationDivergedError(t, drift, tol)
 
 
-def _batch(config) -> list:
-    return [config] if isinstance(config, IntegratorConfig) else list(config)
+def _run(space: HilbertSpace, gen: Generator, coords: _RealCoordinates, pieces, v0, config,
+         repair, on_sample, t_start: float):
+    """Step the complex vector ``v0`` under the complex ``pieces`` (const,
+    [K_1, K'_1, ...]) of the generator ``gen`` in the real coordinates
+    ``coords``, and return :func:`evolve`'s outcome.
 
-
-def _outcome(config, runs: list):
-    """The list of a batch's outcomes, or the trajectory of a single run, whose error is raised."""
+    When every coefficient is real the pieces i(K_k - K'_k) are dropped; then
+    only the coordinates that the kept pieces reach from the nonzero ones of
+    ``v0`` are stepped.  ``repair`` and ``on_sample`` are as in
+    :func:`_integrate_dp45`, and ``t_start`` is when the run's setup began.
+    """
+    const, parts = coords.pieces(*pieces)
+    weigh = _hermitian_weights
+    if _real_drive(gen):  # every i(K_k - K'_k) has the weight Im c_k = 0
+        parts, weigh = parts[::2], _real_weights
+    start = coords.coordinates(v0)
+    coords.restrict(_support((const, *parts), start != 0))
+    rhs = _linear_rhs(const, parts, coords.order)
+    configs = [config] if isinstance(config, IntegratorConfig) else list(config)
+    t_setup = time.perf_counter()
+    runs = _integrate_dp45(rhs, _weights_of(gen, len(configs), weigh), start[coords.order],
+                           configs, repair, on_sample, coords)
+    timing = {"setup_s": t_setup - t_start, "integrate_s": time.perf_counter() - t_setup}
+    runs = [run if isinstance(run, Exception) else replace(
+        run, states=tuple(DensityMatrix(space, m, validate=False) for m in run.samples),
+        stats=replace(run.stats, pieces=1 + len(parts)), timing=dict(timing)) for run in runs]
     if not isinstance(config, IntegratorConfig):
         return runs
     if isinstance(runs[0], Exception):
@@ -776,31 +769,19 @@ def _outcome(config, runs: list):
     return runs[0]
 
 
-def _density_runs(space: HilbertSpace, runs: list, pieces: int, setup_s: float,
-                  integrate_s: float) -> list:
-    """``runs`` with each trajectory's states as :class:`DensityMatrix` views of
-    its samples, the batch's piece count and its wall times; integration errors
-    as they are."""
-    timing = {"setup_s": setup_s, "integrate_s": integrate_s}
-    return [run if isinstance(run, Exception) else replace(
-        run, states=tuple(DensityMatrix(space, m, validate=False) for m in run.samples),
-        stats=replace(run.stats, pieces=pieces), timing=dict(timing)) for run in runs]
-
-
 def evolve(model: LindbladModel, rho0: DensityMatrix, config):
     """Integrate the master equation and sample at the configured times.
 
-    Adaptive Dormand-Prince 5(4) on the Hermitian half of the support of the
-    row-major vec(rho0), in real arithmetic, so every state is Hermitian.
-    When every coefficient of every column is real, the pieces
-    i(K_k - K'_k) are dropped, and only the real coordinates that the kept
-    pieces can reach from those of rho0 are stepped.  Steps end on the stops
-    and the last sample time, a sample inside a step is read from the
-    continuous extension, and sampled states are renormalized by their trace
-    (drift beyond 1e-6 at a sample, or 1e-4 anywhere, aborts with an error
-    carrying the time).  Each trajectory's ``timing`` holds the batch's
-    ``setup_s`` (superoperator pieces, supports, real pieces) and
-    ``integrate_s``.
+    Adaptive Dormand-Prince 5(4) on the Hermitian half of the row-major
+    vec(rho0), in real arithmetic, so every state is Hermitian.  When every
+    coefficient of every column is real, the pieces i(K_k - K'_k) are
+    dropped.  Only the real coordinates that the kept pieces can reach from
+    those of rho0 are stepped.  Steps end on the stops and the last sample
+    time, a sample inside a step is read from the continuous extension, and
+    sampled states are renormalized by their trace (drift beyond 1e-6 at a
+    sample, or 1e-4 anywhere, aborts with an error carrying the time).  Each
+    trajectory's ``timing`` holds the batch's ``setup_s`` (superoperator
+    pieces, real pieces, reachable coordinates) and ``integrate_s``.
 
     ``config`` may also be a sequence of configs, one per column of the
     generator's :class:`~omstirap.model.DriveCoefficients`.  The columns are
@@ -812,36 +793,19 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config):
         raise InvalidDimensionError("initial state lives on a different space")
     t_start = time.perf_counter()
     d = model.space.total_dim
-    y0 = rho0.matrix.reshape(-1)
-    l0, parts = _superoperator_pieces(model)
-    transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
-    keep = _support((l0, *parts), y0 != 0, transpose)
-    half = _HermitianHalf(keep, d)
-    const, parts = half.pieces(l0[keep][:, keep], [p[keep][:, keep] for p in parts])
-    weigh = _hermitian_weights
-    if _real_drive(model.hamiltonian):  # every i(K_k - K'_k) has the weight Im c_k = 0
-        parts, weigh = parts[::2], _real_weights
-    start = half.coordinates(y0[keep])
-    half.restrict(_support((const, *parts), start != 0))
-    rhs = _linear_rhs(const, parts, half.order)
+    coords = _hermitian_half(d)
 
     def repair(y):
         """The rows of ``y``, Hermitian by construction, and their traces."""
-        return y, half.trace(y)
+        return y, coords.trace(y)
 
     def on_sample(t, y):
-        trace = half.trace(y)
+        trace = coords.trace(y)
         _check_trace(t, trace, TRACE_SAMPLE_TOL)
-        return half.matrix(y / trace)
+        return coords.vector(y / trace).reshape(d, d)
 
-    configs = _batch(config)
-    t_setup = time.perf_counter()
-    runs = _integrate_dp45(rhs, _weights_of(model.hamiltonian, len(configs), weigh),
-                           start[half.order], configs, repair, on_sample,
-                           _Norm(d * d, half.modulus, half.weight))
-    t_end = time.perf_counter()
-    return _outcome(config, _density_runs(model.space, runs, 1 + len(parts),
-                                          t_setup - t_start, t_end - t_setup))
+    return _run(model.space, model.hamiltonian, coords, _superoperator_pieces(model),
+                rho0.matrix.reshape(-1), config, repair, on_sample, t_start)
 
 
 def evolve_pure(
@@ -853,14 +817,14 @@ def evolve_pure(
     """Schroedinger evolution of a pure state under H(t), no dissipation.
 
     Equivalent to :func:`evolve` with an empty collapse set and a pure
-    initial state, at vector instead of matrix cost; the generator's terms
-    act on the support of psi0 in the Hilbert space and no superoperator is
-    built.  Sampled states are returned as density matrices so downstream
-    analytics are uniform.  The trace |psi|^2 is checked as :func:`evolve`
-    checks Tr rho: against 1e-4 after every step and 1e-6 at every sample,
-    the first included; accepted states are renormalized.  ``config`` may be
-    a sequence of configs for a batch, as in :func:`evolve`, and ``timing``
-    is as there, its ``setup_s`` covering the support.
+    initial state, at vector instead of matrix cost: the pieces are -i H0 and
+    -i A_k, -i A_k^+ in the Hilbert space, stepped on Re psi and Im psi as
+    :func:`evolve` steps rho, and no superoperator is built.  Sampled states
+    are returned as density matrices so downstream analytics are uniform.
+    The trace |psi|^2 is checked as :func:`evolve` checks Tr rho: against
+    1e-4 after every step and 1e-6 at every sample, the first included;
+    accepted states are renormalized.  ``config`` may be a sequence of
+    configs for a batch, and ``timing`` is as in :func:`evolve`.
     """
     amps = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
     d = space.total_dim
@@ -868,14 +832,11 @@ def evolve_pure(
         raise InvalidDimensionError("initial amplitudes do not match the space")
     t_start = time.perf_counter()
     gen = LindbladModel(space, hamiltonian).hamiltonian
-    h0 = -1j * gen.h0
-    parts = [-1j * op for a in gen.ops for op in (a, a.conj().T)]
-    keep = _support((h0, *parts), amps != 0)
-    rhs = _linear_rhs(h0, parts, keep)
+    coords = _RealCoordinates(np.arange(0), np.arange(d))
 
     def squared_norms(y):
-        """|psi|^2 of each row of ``y``: one row sum over the real view, no BLAS."""
-        return np.square(y.view(float)).sum(axis=-1)
+        """|psi|^2 of each row of ``y``: one row sum of squares, no BLAS."""
+        return np.square(y).sum(axis=-1)
 
     def repair(y):
         """The rows of ``y`` normalized, and their squared norms."""
@@ -885,17 +846,11 @@ def evolve_pure(
     def on_sample(t, y):
         sq = squared_norms(y)
         _check_trace(t, sq, TRACE_SAMPLE_TOL)
-        v = np.zeros(d, dtype=complex)
-        v[keep] = y / np.sqrt(sq)
+        v = coords.vector(y / np.sqrt(sq))
         return np.outer(v, v.conj())
 
-    configs = _batch(config)
-    t_setup = time.perf_counter()
-    runs = _integrate_dp45(rhs, _weights_of(gen, len(configs), _complex_weights), amps[keep],
-                           configs, repair, on_sample, _Norm(d))
-    t_end = time.perf_counter()
-    return _outcome(config, _density_runs(space, runs, 1 + len(parts), t_setup - t_start,
-                                          t_end - t_setup))
+    pieces = (-1j * gen.h0, [-1j * op for a in gen.ops for op in (a, a.conj().T)])
+    return _run(space, gen, coords, pieces, amps, config, repair, on_sample, t_start)
 
 
 def liouvillian_matrix(model: LindbladModel, t: float = 0.0) -> np.ndarray:
@@ -904,11 +859,7 @@ def liouvillian_matrix(model: LindbladModel, t: float = 0.0) -> np.ndarray:
     Row-major vectorization: vec(A rho B) = (A kron B^T) vec(rho).  It is
     the integrator's L0 + sum_k (c_k K_k + conj(c_k) K'_k), densified.
     """
-    l0, parts = _superoperator_pieces(model)
-    liou = l0.toarray()
-    for k, c in enumerate(model.hamiltonian.coefficients(t)):
-        liou += (c * parts[2 * k] + c.conjugate() * parts[2 * k + 1]).toarray()
-    return liou
+    return _liouvillian(model, t).toarray()
 
 
 def propagator_oracle(

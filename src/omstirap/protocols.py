@@ -99,6 +99,17 @@ class InitialStateSpec:
             raise InvalidArgumentError(f"unknown initial-state kind {self.kind!r}")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        _check_finite(self, "alpha", "nbar", "signal_rate", "dcr", "weights", "matrix")
+
+
+def _check_finite(recipe, *names):
+    """Raise :class:`InvalidArgumentError` unless each named field of ``recipe``,
+    a number or an array of numbers, is finite or None."""
+    for name in names:
+        value = getattr(recipe, name)
+        if value is not None and not np.isfinite(np.asarray(value, dtype=complex)).all():
+            raise InvalidArgumentError(
+                f"{type(recipe).__name__}.{name} must be finite, not {value!r}")
 
 
 _VACUUM, _PAIR = InitialStateSpec("fock"), ("mech1", "mech2")
@@ -179,6 +190,7 @@ class TargetSpec:
             raise InvalidArgumentError(f"unknown target kind {self.kind!r}")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        _check_finite(self, "alpha", "theta", "weights")
 
     def state(self, dims) -> StateVector | DensityMatrix:
         """The target on the reduction of the 3-mode ``dims``."""
@@ -221,8 +233,11 @@ class Scenario:
     abs_tol: float = 1e-10
 
     def __post_init__(self):
+        _check_finite(self, "horizon", "eval_time")
         if self.horizon[0] >= self.horizon[1]:
             raise InvalidArgumentError("horizon start must precede its end")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise InvalidArgumentError("tolerances must be finite and > 0")
         if self.sample_count < 2:
             raise InvalidArgumentError("sample_count must be >= 2")
         if len(self.dims) != 3 or min(self.dims) < 2:
@@ -256,8 +271,9 @@ BATCH_COLUMNS = 16
 def batch_key(scenario: Scenario) -> tuple:
     """What the scenarios of one batch share: all but their Hamiltonians' coefficients.
 
-    Dims, picture, initial state and tolerances fix the support and the error
-    norm; the lossless flag and the collapse rates fix the constant piece L0.
+    Dims, picture, initial state and tolerances fix the reachable coordinates
+    and the error norm; the lossless flag and the collapse rates fix the
+    constant piece L0.
     The initial recipe enters by value, pickled, as it may hold an array.
     """
     rates = () if scenario.lossless else tuple(thermal_collapse_rates(scenario.params))

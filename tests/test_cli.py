@@ -234,6 +234,11 @@ def _run(tmp_path, command, preset, override):
 
 BAD_INPUT = {
     "dims-not-integers": ("simulate", "bell-lossless", {"dims": ["a", 3, 3]}),
+    # json reads NaN; a NaN start stepped forever
+    "horizon-start-nan": ("simulate", "bell-lossless", {"horizon": {"start_s": math.nan}},
+                          "horizon"),
+    "target-alpha-nan": ("simulate", "bell-lossless",
+                         {"target": {"kind": "product_coherent", "alpha": math.nan}}, "alpha"),
     "fock-above-dim": ("simulate", "bell-lossless",
                        {"dims": [2, 3, 3], "initial": {"kind": "fock", "n": 7}}),
     # a sweep's base checks its initial state against its dims, as a target, before any cell

@@ -12,7 +12,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from omstirap import dynamics, protocols
-from omstirap.analysis import fidelity, negativity, partial_trace
+from omstirap.analysis import partial_trace, partial_transpose
 from omstirap.cli import build_scenario
 from omstirap.dynamics import (
     IntegratorConfig,
@@ -346,6 +346,17 @@ def test_sample_times_validation():
         IntegratorConfig(sample_times=[0.0])
 
 
+@pytest.mark.parametrize("bad", [
+    {"sample_times": [0.0, math.nan]}, {"sample_times": [math.nan, 0.0]},
+    {"sample_times": [0.0, 1.0, math.inf]}, {"sample_times": [-math.inf, 0.0]},
+    {"rel_tol": math.nan}, {"rel_tol": math.inf}, {"rel_tol": 0.0},
+    {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"abs_tol": -1e-10}])
+def test_integrator_config_needs_finite_times_and_tolerances(bad):
+    # a NaN time stepped forever, and an infinite tolerance diverged at the first step
+    with pytest.raises(InvalidArgumentError):
+        IntegratorConfig(**{"sample_times": [0.0, 1.0], **bad})
+
+
 def test_space_mismatch():
     model = LindbladModel(SPACE, None, ())
     other = HilbertSpace((2, 2, 3))
@@ -453,24 +464,39 @@ def test_sparse_rhs_matches_liouvillian_and_dense_formula(picture):
         np.testing.assert_allclose(sparse_rhs, dense, rtol=0, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("picture", ["rwa", "bs", "full"])
-def test_cut_rhs_matches_the_liouvillian_on_the_support(picture):
+def _reach(coords, pieces, v0):
+    """The real pieces of the complex ``pieces``, all kept, with ``coords``
+    cut to the coordinates they reach from the nonzero ones of ``v0``."""
+    const, parts = coords.pieces(*pieces)
+    coords.restrict(dynamics._support((const, *parts), coords.coordinates(v0) != 0))
+    return const, parts
+
+
+def _cut_pieces(picture):
+    """The model of the picture, its Hermitian half cut to what every real piece
+    reaches from |010><010|, and those real pieces."""
     spec = _equivalence_spec(picture)
     sp = spec.space
     model = LindbladModel(sp, hamiltonian_generator(**vars(spec)),
                           thermal_collapse_terms(sp, spec.params))
-    d = sp.total_dim
-    l0, parts = dynamics._superoperator_pieces(model)
-    transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    coords = dynamics._hermitian_half(sp.total_dim)
     rho0 = fock_state(sp, 0, 1, 0).density_matrix().matrix
-    keep = dynamics._support((l0, *parts), rho0.reshape(-1) != 0, transpose)
-    assert 0 < keep.size < d * d
-    rhs = dynamics._linear_rhs(l0, parts, keep)
+    return (model, coords, *_reach(coords, dynamics._superoperator_pieces(model),
+                                   rho0.reshape(-1)))
+
+
+@pytest.mark.parametrize("picture", ["rwa", "bs", "full"])
+def test_cut_rhs_matches_the_liouvillian_on_the_support(picture):
+    model, coords, const, parts = _cut_pieces(picture)
+    d = model.space.total_dim
+    assert 0 < coords.order.size < d * d
+    rhs = dynamics._linear_rhs(const, parts, coords.order)
     rng = np.random.default_rng(11)
     for t in rng.uniform(-1e-3, 2e-3, size=4):
-        v = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
-        ref = liouvillian_matrix(model, t)[np.ix_(keep, keep)] @ v
-        got = rhs(dynamics._complex_weights(model.hamiltonian.coefficients(t)[:, None]), v[None])[0]
+        y = rng.normal(size=coords.order.size)
+        ref = liouvillian_matrix(model, t) @ coords.vector(y)
+        w = dynamics._hermitian_weights(model.hamiltonian.coefficients(t)[:, None])
+        got = coords.vector(rhs(w, y[None])[0])
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -478,73 +504,55 @@ def test_cut_rhs_matches_the_liouvillian_on_the_support(picture):
 def test_cut_pure_rhs_matches_the_hamiltonian_on_the_support(picture):
     spec = _equivalence_spec(picture)
     gen = hamiltonian_generator(**vars(spec))
-    h0 = -1j * gen.h0
-    parts = [-1j * op for a in gen.ops for op in (a, a.conj().T)]
-    psi0 = fock_state(spec.space, 0, 1, 0).amplitudes
-    keep = dynamics._support((h0, *parts), psi0 != 0)
-    assert 0 < keep.size < spec.space.total_dim
-    rhs = dynamics._linear_rhs(h0, parts, keep)
+    d = spec.space.total_dim
+    coords = dynamics._RealCoordinates(np.arange(0), np.arange(d))
+    pieces = (-1j * gen.h0, [-1j * op for a in gen.ops for op in (a, a.conj().T)])
+    const, parts = _reach(coords, pieces, fock_state(spec.space, 0, 1, 0).amplitudes)
+    assert 0 < coords.order.size < 2 * d
+    rhs = dynamics._linear_rhs(const, parts, coords.order)
     rng = np.random.default_rng(12)
     for t in rng.uniform(-1e-3, 2e-3, size=4):
-        v = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
-        ref = (-1j * gen.dense(t))[np.ix_(keep, keep)] @ v
-        got = rhs(dynamics._complex_weights(gen.coefficients(t)[:, None]), v[None])[0]
+        y = rng.normal(size=coords.order.size)
+        ref = -1j * gen.dense(t) @ coords.vector(y)
+        got = coords.vector(rhs(dynamics._hermitian_weights(gen.coefficients(t)[:, None]),
+                                y[None])[0])
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
-
-
-def _cut_pieces(picture):
-    """The model of the picture, its support from |010><010| and its pieces cut to it."""
-    spec = _equivalence_spec(picture)
-    sp = spec.space
-    model = LindbladModel(sp, hamiltonian_generator(**vars(spec)),
-                          thermal_collapse_terms(sp, spec.params))
-    d = sp.total_dim
-    l0, parts = dynamics._superoperator_pieces(model)
-    transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
-    rho0 = fock_state(sp, 0, 1, 0).density_matrix().matrix
-    keep = dynamics._support((l0, *parts), rho0.reshape(-1) != 0, transpose)
-    return model, keep, [p[keep][:, keep] for p in (l0, *parts)]
 
 
 @pytest.mark.parametrize("picture", ["rwa", "bs", "full"])
 def test_hermitian_half_reproduces_the_complex_rhs_and_error_norm(picture):
-    model, keep, cut = _cut_pieces(picture)
+    model, coords, const, parts = _cut_pieces(picture)
     d = model.space.total_dim
-    half = dynamics._HermitianHalf(keep, d)
-    complex_rhs = dynamics._linear_rhs(cut[0], cut[1:])
-    real_rhs = dynamics._linear_rhs(*half.pieces(cut[0], cut[1:]))
-    complex_norm = dynamics._Norm(d * d)
-    real_norm = dynamics._Norm(d * d, half.modulus, half.weight)
+    real_rhs = dynamics._linear_rhs(const, parts, coords.order)
     rng = np.random.default_rng(14)
     for t in rng.uniform(-1e-3, 2e-3, size=4):
-        rho, err = (_random_hermitian(d, rng).reshape(-1)[keep] for _ in range(2))
-        y, e = half.coordinates(rho), half.coordinates(err)
-        assert y.size == keep.size
-        on_support = np.zeros(d * d, dtype=complex)
-        on_support[keep] = rho
-        np.testing.assert_array_equal(half.matrix(y), on_support.reshape(d, d))
+        y, e = (rng.normal(size=coords.order.size) for _ in range(2))
+        rho, err = coords.vector(y), coords.vector(e)
+        # the coordinates are those of a Hermitian matrix, and read back exactly
+        np.testing.assert_array_equal(rho.reshape(d, d), rho.reshape(d, d).conj().T)
+        np.testing.assert_array_equal(coords.coordinates(rho)[coords.order], y)
         # the rhs, real and complex, from the same coefficients
         c = model.hamiltonian.coefficients(t)[:, None]
-        ref = np.zeros(d * d, dtype=complex)
-        ref[keep] = complex_rhs(dynamics._complex_weights(c), rho[None])[0]
-        got = real_rhs(dynamics._hermitian_weights(c), y[None])[0]
-        got = half.matrix(np.ascontiguousarray(got))
-        np.testing.assert_allclose(got.reshape(-1), ref, rtol=0,
-                                   atol=1e-14 * np.max(np.abs(ref)))
-        # the error norm: each pair counts for rho_ij and rho_ji, scaled by |rho_ij|
+        ref = dynamics._liouvillian(model, t) @ rho
+        got = coords.vector(real_rhs(dynamics._hermitian_weights(c), y[None])[0])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+        # the error norm: each pair counts for rho_ij and rho_ji, scaled by |rho_ij|,
+        # as the RMS over all d^2 entries of the complex error
         rtol, atol = 1e-3, 1e-6 * np.max(np.abs(rho))
-        want = complex_norm.rms(err[None] * (1.0 / (atol + rtol * complex_norm.modulus(rho[None]))))
-        have = real_norm.rms(e[None] * (1.0 / (atol + rtol * real_norm.modulus(y[None]))))
-        assert abs(have[0] - want[0]) <= 4 * np.finfo(float).eps * want[0]
+        want = np.sqrt(np.mean(np.abs(err / (atol + rtol * np.abs(rho))) ** 2))
+        have = coords.rms(e * (1.0 / (atol + rtol * coords.modulus(y))))
+        assert abs(have - want) <= 4 * np.finfo(float).eps * want
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("columns", [1, 3])
 def test_csr_kernel_call_is_bitwise_the_sparse_product(dtype, columns):
-    model, keep, cut = _cut_pieces("bs")
-    half = dynamics._HermitianHalf(keep, model.space.total_dim)
-    const, parts = half.pieces(cut[0], cut[1:])
-    pieces = cut if dtype is complex else [const, *parts]
+    model, coords, const, parts = _cut_pieces("bs")
+    if dtype is complex:
+        l0, complex_parts = dynamics._superoperator_pieces(model)
+        pieces = [l0, *complex_parts]
+    else:
+        pieces = [p[coords.order][:, coords.order] for p in (const, *parts)]
     wide = scipy.sparse.hstack(pieces, format="csr")
     assert wide.dtype == dtype
     rng = np.random.default_rng(15)
@@ -568,25 +576,32 @@ def _no_terms(cols):
     return lambda t: np.zeros((0,) + t.shape)
 
 
+#: the coordinates of one real number, and those (Re z, Im z) of one complex number z
+ONE_REAL = dynamics._RealCoordinates(np.arange(1), np.arange(0))
+ONE_COMPLEX = dynamics._RealCoordinates(np.arange(0), np.arange(1))
+
+
 def test_dp45_steps_the_linear_test_equation_by_its_stability_polynomial():
     lam, h, n = -0.8 + 2.5j, 0.02, 50
+    # z' = lam z on (Re z, Im z): a rotation-scaling of the plane
+    m = np.array([[lam.real, -lam.imag], [lam.imag, lam.real]])
     # stops at every spacing and a loose tolerance: each step is clamped to h
     config = IntegratorConfig(sample_times=[0.0, n * h], rel_tol=1e-3, abs_tol=1e-6,
                               stops=h * np.arange(1, n))
-    traj, = dynamics._integrate_dp45(lambda c, y: lam * y, _no_terms, np.ones(1, dtype=complex),
-                                     [config], _unrepaired, _unchanged, dynamics._Norm(1))
+    traj, = dynamics._integrate_dp45(lambda c, y: y @ m.T, _no_terms, np.array([1.0, 0.0]),
+                                     [config], _unrepaired, _unchanged, ONE_COMPLEX)
     assert (traj.stats.accepted, traj.stats.rejected) == (n, 0)
     z = lam * h
     r = sum(z**k / math.factorial(k) for k in range(6)) + z**6 / 600
-    assert abs(traj.states[-1][0] - r**n) <= 1e-13 * abs(r**n)
+    assert abs(complex(*traj.states[-1]) - r**n) <= 1e-13 * abs(r**n)
 
 
 def test_dp45_integrates_a_quadratic_exactly():
     ts = np.linspace(0.0, 2.0, 5)
     # the one coefficient is the time itself: c(t) = t
     traj, = dynamics._integrate_dp45(lambda c, y: 3.0 * c.T * c.T, lambda cols: lambda t: t[None],
-                                     np.zeros(1, dtype=complex), [IntegratorConfig(ts)],
-                                     _unrepaired, _unchanged, dynamics._Norm(1))
+                                     np.zeros(1), [IntegratorConfig(ts)],
+                                     _unrepaired, _unchanged, ONE_REAL)
     # fifth-order quadrature is exact for t^2, and the error estimate is zero but for rounding
     assert traj.stats.rejected == 0
     for t, y in zip(ts, traj.states):
@@ -613,10 +628,10 @@ def test_a_sample_inside_a_step_fails_at_its_own_time():
         return y
 
     run = (lambda c, y: 3.0 * c.T * c.T, lambda cols: lambda t: t[None],
-           np.zeros(1, dtype=complex), [IntegratorConfig(ts)], _unrepaired)
-    traj, = dynamics._integrate_dp45(*run, _unchanged, dynamics._Norm(1))
+           np.zeros(1), [IntegratorConfig(ts)], _unrepaired)
+    traj, = dynamics._integrate_dp45(*run, _unchanged, ONE_REAL)
     assert traj.stats.interpolated == 3  # every inner sample
-    failed, = dynamics._integrate_dp45(*run, on_sample, dynamics._Norm(1))
+    failed, = dynamics._integrate_dp45(*run, on_sample, ONE_REAL)
     assert isinstance(failed, IntegrationDivergedError) and failed.time == 1.0
 
 
@@ -712,7 +727,7 @@ def _support_cases():
 SUPPORT_CASES = _support_cases()
 
 
-def _every_index(pieces, start, mirror=None):
+def _every_index(pieces, start):
     return np.arange(start.size)
 
 
@@ -720,18 +735,20 @@ def _every_index(pieces, start, mirror=None):
 def test_reduced_run_matches_unreduced(monkeypatch, name):
     scenario, sizes = SUPPORT_CASES[name]
     reduced = run_scenario(scenario)
-    # the reference steps every entry with every piece
+    # the reference steps every coordinate with every piece
     monkeypatch.setattr(dynamics, "_support", _every_index)
     monkeypatch.setattr(dynamics, "_real_drive", lambda gen: False)
     full = run_scenario(scenario)
     stats, ref = reduced.summary["integrator"], full.summary["integrator"]
     assert (stats["state_size"], stats["norm_size"]) == sizes
-    assert ref["state_size"] == ref["norm_size"] == sizes[1]
+    # d^2 coordinates for rho, and Re and Im of each of the d amplitudes of psi
+    pure = name == "coherent-507"
+    assert (ref["state_size"], ref["norm_size"]) == ((2 if pure else 1) * sizes[1], sizes[1])
     assert stats["pieces"] <= ref["pieces"]
     for key in ("accepted", "rejected", "rhs_evals"):
         assert stats[key] == ref[key]
     # the pure path's norm sums in another order, which moves psi by rounding
-    tol = 1e-8 if name == "coherent-507" else 1e-12
+    tol = 1e-8 if pure else 1e-12
     for key in ("h_min", "h_max"):
         assert abs(stats[key] - ref[key]) <= tol
     for key, value in reduced.summary.items():
@@ -837,11 +854,26 @@ def test_stacked_observables_match_the_per_sample_functions(name):
     obs, states = result.trajectory.observables, result.trajectory.states
     bm, bp = collective_operators(space, scenario.params, None)
     want = {"n_plus": [expectation(bp.conj().T @ bp, st).real for st in states],
-            "n_minus": [expectation(bm.conj().T @ bm, st).real for st in states],
-            "negativity": [negativity(partial_trace(st, ("mech1", "mech2"))) for st in states]}
+            "n_minus": [expectation(bm.conj().T @ bm, st).real for st in states]}
+    # the negativity as the sum of the negative eigenvalues' magnitudes of the
+    # partial transpose
+    evals = [np.linalg.eigvalsh(partial_transpose(partial_trace(st, ("mech1", "mech2"))))
+             for st in states]
+    want["negativity"] = [-ev[ev < 0].sum() for ev in evals]
     target = scenario.target.state(scenario.dims)
-    keep = TargetSpec.REDUCTIONS[scenario.target.kind]
-    want["fidelity"] = [fidelity(partial_trace(st, keep), target) for st in states]
+    reduced = [partial_trace(st, TargetSpec.REDUCTIONS[scenario.target.kind]).matrix
+               for st in states]
+    if isinstance(target, StateVector):  # <psi|rho|psi>
+        psi = target.amplitudes
+        want["fidelity"] = [(psi.conj() @ r @ psi).real for r in reduced]
+    else:  # a diagonal target, against which the excitation number keeps rho diagonal
+        sigma = np.diag(target.matrix).real
+        assert np.count_nonzero(target.matrix - np.diag(sigma)) == 0
+        for r in reduced:
+            assert np.count_nonzero(r - np.diag(np.diag(r))) == 0
+        # commuting states: F = (sum_n sqrt(p_n sigma_n))^2
+        want["fidelity"] = [np.sum(np.sqrt(np.clip(np.diag(r).real, 0.0, None) * sigma)) ** 2
+                            for r in reduced]
     for n, mode in (("nc", 0), ("n1", 1), ("n2", 2)):
         want[n] = [expectation(number_operator(space, mode), st).real for st in states]
     for key, series in want.items():
@@ -886,8 +918,20 @@ def test_excitation_diagonal_inputs_stay_in_the_k0_sector(picture, seed, levels,
         else:
             x = np.diag(np.abs(np.diag(x)) + 0.1)
         rho[np.ix_(block, block)] = x @ x.conj().T
-    transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
-    l0, parts = dynamics._superoperator_pieces(model)
-    keep = dynamics._support((l0, *parts), rho.reshape(-1) != 0, transpose)
-    np.testing.assert_array_equal(keep, np.flatnonzero(n[:, None] == n[None, :]))
-    assert keep.size == 168
+    sector = np.flatnonzero(n[:, None] == n[None, :])
+    assert sector.size == 168
+
+    def entries(coords):  # of vec(rho), that the stepped coordinates stand for
+        return np.flatnonzero(abs(coords._expand[:, coords.order]).sum(axis=1))
+
+    # every piece reaches all of the sector and nothing else
+    coords = dynamics._hermitian_half(d)
+    const, parts = _reach(coords, dynamics._superoperator_pieces(model), rho.reshape(-1))
+    np.testing.assert_array_equal(entries(coords), sector)
+    # the pieces a run steps, which drop every i(K - K') for real drives, step
+    # every nonzero coordinate of rho and stay in the sector
+    start = coords.coordinates(rho.reshape(-1)) != 0
+    if dynamics._real_drive(h):
+        coords.restrict(dynamics._support((const, *parts[::2]), start))
+    assert np.isin(np.flatnonzero(start), coords.order).all()
+    assert np.isin(entries(coords), sector).all()
