@@ -350,6 +350,9 @@ def cmd_sweep(args) -> int:
         {"cell": list(idx), "error": kind, "message": message, "time_s": time_s}
         for idx, kind, message, time_s in result.failures
     ]
+    payload["integrator"] = result.integrator
+    payload["batch_count"] = len(result.batches)
+    payload["batches"] = list(result.batches)
     if levels and len(axes) == 2:
         contours = extract_contours(result, contour_field, levels)
         payload["contours"] = {

@@ -41,8 +41,11 @@ stage is one call of scipy's CSR kernel on the pieces laid side by side, and
 each stage input, the fifth-order solution, the error vector and each sample
 inside a step is one ``einsum``.  Every operation acts on each row alone in
 the order a one-row batch uses, so a column takes bitwise the steps it takes
-alone; it leaves the batch when it ends or fails.  Nothing calls BLAS, so
-results do not depend on the BLAS thread count.
+alone; it leaves the batch when it ends or fails.  The integrator calls no
+BLAS, and the observables pass that follows it, whose eigenvalues call
+LAPACK, runs with numpy's OpenBLAS pinned to one thread
+(:func:`omstirap.blas.one_blas_thread`), so results do not depend on the BLAS
+thread count.
 
 Only the coordinates that the sparsity graph of the kept pieces can reach
 from the nonzero ones of the initial state are stepped; every other one is
@@ -416,7 +419,8 @@ def _superoperator_pieces(model: LindbladModel):
 
     L0 = M x I + I x conj(M) + sum_k r_k C_k x conj(C_k) with the effective
     M = -i H0 - sum_k r_k C_k^+ C_k / 2, which is rho -> M rho + rho M^+ plus
-    the jumps for a Hermitian H0: 2 + n_c Kronecker products, not 2 + 3 n_c.
+    the jumps for a Hermitian H0: 2 + n_c Kronecker products, not 2 + 3 n_c,
+    and the n_c products C_k^+ C_k in M are one sparse product.
     K_k = -i (A_k x I - I x A_k^T), the superoperator of rho -> -i[A_k, rho],
     and K'_k the same of A_k^+.  Each piece is summed from the COO triples of
     its Kronecker products in one CSR conversion.
@@ -425,8 +429,15 @@ def _superoperator_pieces(model: LindbladModel):
     eye = scipy.sparse.identity(d, dtype=complex, format="csr")
     m = -1j * model.hamiltonian.h0
     jumps = [(c, rate) for c, rate in model.collapse_terms if rate > 0.0]
-    for c, rate in jumps:
-        m = m - 0.5 * rate * (c.conj().T @ c)
+    if jumps:
+        # every C_k^+ C_k as a diagonal block of one product, its r_k / 2 multiple then
+        # subtracted from M in jump order, so each entry rounds as in a per-jump chain
+        blocks = scipy.sparse.block_diag([c for c, _ in jumps], format="csr")
+        p = (blocks.conj().T @ blocks).tocoo()
+        weights = np.array([0.5 * rate for _, rate in jumps])[p.row // d]
+        dense = m.toarray()
+        np.subtract.at(dense, (p.row % d, p.col % d), weights * p.data)
+        m = scipy.sparse.csr_matrix(dense)
     l0 = _from_triples([_kron(m, eye), _kron(eye, m.conj()),
                         *(_kron(c, c.conj(), rate) for c, rate in jumps)], d * d)
     parts = [_from_triples([_kron(op, eye, -1j), _kron(eye, op.T, 1j)], d * d)

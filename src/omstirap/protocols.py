@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import analysis
+from . import analysis, blas
 from .dynamics import (
     IntegratorConfig,
     LindbladModel,
@@ -299,7 +299,12 @@ def run_scenarios(scenarios: Sequence[Scenario]) -> list:
     as :func:`run_scenario` gives it, or the integration error
     (:class:`~omstirap.errors.StiffnessError`,
     :class:`~omstirap.errors.IntegrationDivergedError`) that stopped it; the
-    other columns carry on.  Each summary's ``wall_time_s`` is the batch's.
+    other columns carry on.  The observables of the finished columns are
+    taken in one pass on one LAPACK thread (:func:`_observables`,
+    :func:`~omstirap.blas.one_blas_thread`), so each summary's ``wall_time_s``
+    and ``timing.observables_s`` are the batch's, and ``blas_threads`` is the
+    pass's thread setting, ``{"seen": n, "used": 1}``, or None when it could
+    not be set.
     """
     t_start = time.perf_counter()
     first = scenarios[0]
@@ -321,22 +326,20 @@ def run_scenarios(scenarios: Sequence[Scenario]) -> list:
         collapse = () if first.lossless else tuple(thermal_collapse_terms(space, first.params))
         runs = evolve(LindbladModel(space, h, collapse), rho0, configs)
 
-    results = []
-    for scenario, traj in zip(scenarios, runs):
-        if isinstance(traj, OmstirapError):
-            results.append(traj)
-            continue
-        t_obs = time.perf_counter()
-        obs = _observables(scenario, space, traj)
-        traj = traj.with_observables(obs)
-        summary = _summary(scenario, traj, obs)
+    done = [i for i, traj in enumerate(runs) if not isinstance(traj, OmstirapError)]
+    t_obs = time.perf_counter()
+    with blas.one_blas_thread() as threads:
+        observables = _observables([scenarios[i] for i in done], space, [runs[i] for i in done])
+    t_end = time.perf_counter()
+    results = list(runs)
+    for i, obs in zip(done, observables):
+        traj = runs[i].with_observables(obs)
+        summary = _summary(scenarios[i], traj, obs)
         summary["integrator"] = asdict(traj.stats)
-        summary["timing"] = {**traj.timing, "observables_s": time.perf_counter() - t_obs}
-        results.append(ScenarioResult(trajectory=traj, summary=summary))
-    wall = time.perf_counter() - t_start
-    for result in results:
-        if isinstance(result, ScenarioResult):
-            result.summary["wall_time_s"] = wall
+        summary["timing"] = {**traj.timing, "observables_s": t_end - t_obs}
+        summary["blas_threads"] = None if threads is None else dict(threads)
+        summary["wall_time_s"] = t_end - t_start
+        results[i] = ScenarioResult(trajectory=traj, summary=summary)
     return results
 
 
@@ -354,36 +357,73 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     return result
 
 
-def _observables(scenario: Scenario, space: HilbertSpace, traj: Trajectory) -> dict:
-    """Every series the run's inputs allow; the fidelity needs a target.
+def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
+                 trajs: Sequence[Trajectory]) -> list[dict]:
+    """Per column of one batch, every series its inputs allow; the fidelity
+    needs a target.
 
     Each series is taken on the stack of sampled states at once
     (:attr:`Trajectory.samples`): the mode populations, the population of
     each mode's top Fock level and p1 from its diagonals, the collective
     occupations by one ``einsum`` per number operator over its nonzero
-    entries, and the reduced states, negativity and fidelity by the stacked
-    forms of :mod:`analysis` (:func:`analysis.partial_trace_stack`, ...).
+    entries, and the reduced states by :func:`analysis.partial_trace_stack`.
+    The collective operators are built once per distinct (g1, g2) and each
+    target once per distinct recipe.  The negativity is one
+    :func:`analysis.negativity_stack` call on the reduced stacks of every
+    column laid end to end, and the fidelity one :func:`analysis.fidelity_stack`
+    call per target, each split back by column; every matrix is reduced on
+    its own, so a column's series are those of its run alone.
     """
-    rho = traj.samples
-    out = {f"alpha{j}": total_envelope(scenario.schedule, j, traj.times) for j in (1, 2)}
-    pops = np.einsum("sii->si", rho).real.reshape(-1, *space.dims)
-    for n, name in (("nc", "cavity"), ("n1", "mech1"), ("n2", "mech2")):
-        mode = analysis.MODE_NAMES[name]
-        marginal = pops.sum(axis=tuple(1 + m for m in range(3) if m != mode))
-        out[n] = marginal @ np.arange(space.dims[mode])
-        out[f"top_{name}"] = marginal[:, -1]
-    out["p1"] = pops[:, :, 1, :].sum(axis=(1, 2))
-    bm, bp = collective_operators(space, scenario.params, None)
-    for name, b in (("n_plus", bp), ("n_minus", bm)):
-        op = (b.conj().T @ b).tocoo()  # Tr(op rho) = sum of op_ij rho_ji
-        out[name] = np.einsum("k,sk->s", op.data, rho[:, op.col, op.row]).real
-    pairs = analysis.partial_trace_stack(rho, space.dims, _PAIR)
-    out["negativity"] = analysis.negativity_stack(pairs, space.dims[1:])
-    if scenario.target is not None:
-        keep = TargetSpec.REDUCTIONS[scenario.target.kind]
-        reduced = pairs if keep == _PAIR else analysis.partial_trace_stack(rho, space.dims, keep)
-        out["fidelity"] = analysis.fidelity_stack(reduced, scenario.target.state(space.dims))
-    return out
+    if not trajs:
+        return []
+    outs, occupations, stacked = [], {}, None
+    starts = np.cumsum([0] + [len(traj.samples) for traj in trajs])
+    for scenario, traj, start, stop in zip(scenarios, trajs, starts, starts[1:]):
+        rho = traj.samples
+        out = {f"alpha{j}": total_envelope(scenario.schedule, j, traj.times) for j in (1, 2)}
+        pops = np.einsum("sii->si", rho).real.reshape(-1, *space.dims)
+        for n, name in (("nc", "cavity"), ("n1", "mech1"), ("n2", "mech2")):
+            mode = analysis.MODE_NAMES[name]
+            marginal = pops.sum(axis=tuple(1 + m for m in range(3) if m != mode))
+            out[n] = marginal @ np.arange(space.dims[mode])
+            out[f"top_{name}"] = marginal[:, -1]
+        out["p1"] = pops[:, :, 1, :].sum(axis=(1, 2))
+        g = (scenario.params.g1, scenario.params.g2)
+        if g not in occupations:
+            bm, bp = collective_operators(space, scenario.params, None)
+            # Tr(op rho) = sum of op_ij rho_ji over the nonzero entries of op
+            occupations[g] = [(name, (b.conj().T @ b).tocoo())
+                              for name, b in (("n_plus", bp), ("n_minus", bm))]
+        for name, op in occupations[g]:
+            out[name] = np.einsum("k,sk->s", op.data, rho[:, op.col, op.row]).real
+        pair = analysis.partial_trace_stack(rho, space.dims, _PAIR)
+        if len(trajs) == 1:  # a lone column's stack is already the whole one
+            stacked = pair
+        else:  # every column's reduced states end to end, in one array filled in place
+            if stacked is None:
+                stacked = np.empty((starts[-1],) + pair.shape[1:], dtype=pair.dtype)
+            stacked[start:stop] = pair
+        outs.append(out)
+    pairs = np.split(stacked, starts[1:-1])
+    for out, series in zip(outs, np.split(
+            analysis.negativity_stack(stacked, space.dims[1:]), starts[1:-1])):
+        out["negativity"] = series
+    columns: dict = {}
+    for i, scenario in enumerate(scenarios):
+        if scenario.target is not None:
+            columns.setdefault(scenario.target, []).append(i)
+    for target, cols in columns.items():
+        keep = TargetSpec.REDUCTIONS[target.kind]
+        if keep != _PAIR:
+            reduced = np.concatenate([analysis.partial_trace_stack(trajs[i].samples, space.dims,
+                                                                   keep) for i in cols])
+        else:
+            reduced = stacked if len(cols) == len(outs) else np.concatenate([pairs[i] for i in cols])
+        fidelity = analysis.fidelity_stack(reduced, target.state(space.dims))
+        bounds = np.cumsum([len(pairs[i]) for i in cols])[:-1]
+        for i, series in zip(cols, np.split(fidelity, bounds)):
+            outs[i]["fidelity"] = series
+    return outs
 
 
 #: summary key -> (the observable series it reads, its value from the series and the

@@ -14,6 +14,7 @@ the sweep.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -74,11 +75,18 @@ class SweepResult:
 
     The time is where an integration failed (the ``time`` of a
     ``StiffnessError`` or ``IntegrationDivergedError``), None for any other error.
+    ``integrator`` totals the finished cells' ``summary["integrator"]``: the
+    step, rhs and sample counts summed, the least ``h_min`` and the largest
+    ``h_max`` (None when no cell finished).  ``batches`` holds per batch its
+    cell count, wall time and the ``blas_threads`` setting of its observables
+    pass (None when it could not be set or no cell finished).
     """
 
     axes: tuple[SweepAxis, ...]
     fields: dict
     failures: tuple = ()
+    integrator: dict | None = None
+    batches: tuple = ()
 
 
 _SHORTHAND = {
@@ -165,15 +173,36 @@ def _failure(exc: OmstirapError) -> tuple:
     return type(exc).__name__, str(exc), getattr(exc, "time", None)
 
 
-def _run_batch(args) -> list:
-    """Per scenario of one batch: its metric values, or the failure that stopped it."""
+#: the ``summary["integrator"]`` counts a sweep sums over its cells
+_SUMMED = ("accepted", "rejected", "rhs_evals", "clamped", "interpolated")
+
+
+def _run_batch(args) -> tuple:
+    """Per scenario of one batch its metric values and integrator report, or the
+    failure that stopped it; and the batch's record for ``SweepResult.batches``."""
     scenarios, metrics = args
+    t0 = time.perf_counter()
     try:
         results = run_scenarios(scenarios)
     except OmstirapError as exc:  # a failure before the integration fails every cell
         results = [exc] * len(scenarios)
-    return [_failure(r) if isinstance(r, OmstirapError) else {m: r.summary[m] for m in metrics}
-            for r in results]
+    done = [r.summary for r in results if not isinstance(r, OmstirapError)]
+    record = {"cells": len(scenarios), "wall_time_s": time.perf_counter() - t0,
+              "blas_threads": done[0]["blas_threads"] if done else None}
+    return [_failure(r) if isinstance(r, OmstirapError) else
+            {"values": {m: r.summary[m] for m in metrics}, "integrator": r.summary["integrator"]}
+            for r in results], record
+
+
+def _integrator_totals(reports: list) -> dict | None:
+    """The sweep's integrator work: the counts of :data:`_SUMMED` summed, the
+    least ``h_min`` and the largest ``h_max``; None for no report."""
+    if not reports:
+        return None
+    totals = {key: sum(r[key] for r in reports) for key in _SUMMED}
+    totals["h_min"] = min(r["h_min"] for r in reports)
+    totals["h_max"] = max(r["h_max"] for r in reports)
+    return totals
 
 
 def run_sweep(
@@ -219,15 +248,19 @@ def run_sweep(
     groups = batches([scenario for _, scenario in cells])
     jobs = [([cells[i][1] for i in group], tuple(metrics)) for group in groups]
     grids = {m: np.full(shape, np.nan) for m in metrics}
-    for group, outcomes in zip(groups, parallel_map(_run_batch, jobs, worker_count)):
+    reports, records = [], []
+    for group, (outcomes, record) in zip(groups, parallel_map(_run_batch, jobs, worker_count)):
+        records.append(record)
         for i, outcome in zip(group, outcomes):
             idx = cells[i][0]
             if isinstance(outcome, tuple):
                 failures.append((idx, *outcome))
                 continue
+            reports.append(outcome["integrator"])
             for m in metrics:
-                grids[m][idx] = outcome[m]
-    return SweepResult(axes=axes, fields=grids, failures=tuple(sorted(failures)))
+                grids[m][idx] = outcome["values"][m]
+    return SweepResult(axes=axes, fields=grids, failures=tuple(sorted(failures)),
+                       integrator=_integrator_totals(reports), batches=tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,41 @@ def test_sweep_small_grid(tmp_path):
     assert len(meta["axes"]) == 2
 
 
+def test_sweep_json_reports_the_integrator_work_batches_and_blas_setting(tmp_path):
+    # kappa moves the collapse rates, so each kappa row is a batch of its own
+    axes = [{"path": "kappa", "values": [1e3, 4e3]}, {"path": "alpha0", "values": [1500.0, 2500.0]}]
+    payload = {
+        "system": {"temperature_k": 0.0},
+        "schedule": {"kind": "stirap", "alpha0": 2000.0, "tau_s": 0.15e-3 / 1.43,
+                     "sigma1_s": 0.15e-3, "sigma2_s": 0.15e-3},
+        "dims": [2, 3, 3],
+        "initial": {"kind": "fock", "n": 1},
+        "horizon": {"start_s": -0.6e-3, "end_s": 0.6e-3},
+        "sample_count": 5,
+        "sweep": {"axes": axes, "metrics": ["final_n2"], "workers": 1},
+    }
+    cfg = _write(tmp_path, payload)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    meta = json.loads((tmp_path / "o" / "sweep.json").read_text())
+    base = cli.build_scenario(cli.load_config(None, cfg))
+    kappas, alphas = (cli._axis_from_config(a) for a in axes)
+    stats = []
+    for kappa in kappas.values:
+        for alpha0 in alphas.values:
+            cell = sweep.apply_axis_value(sweep.apply_axis_value(base, kappas, kappa),
+                                          alphas, alpha0)
+            cell = replace(cell, picture=sweep.pick_picture(cell))
+            stats.append(protocols.run_scenario(cell).summary["integrator"])
+    summed = ("accepted", "rejected", "rhs_evals", "clamped", "interpolated")
+    assert meta["integrator"] == {**{k: sum(s[k] for s in stats) for k in summed},
+                                  "h_min": min(s["h_min"] for s in stats),
+                                  "h_max": max(s["h_max"] for s in stats)}
+    assert meta["batch_count"] == len(meta["batches"]) == 2
+    for batch in meta["batches"]:
+        assert batch["cells"] == 2 and batch["wall_time_s"] > 0.0
+        assert batch["blas_threads"] is None or batch["blas_threads"]["used"] == 1
+
+
 def test_axis_units_converted(tmp_path):
     # kappa axis values are ordinary Hz in the config and rad/s internally;
     # the emitted CSV reports the config units
@@ -542,20 +577,24 @@ def test_sweep_json_records_failure_time(tmp_path, monkeypatch):
 
 def test_summary_does_not_depend_on_the_blas_thread_count(tmp_path):
     src = Path(cli.__file__).parents[1]
-    summaries = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"blas{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-c", "import sys; from omstirap.cli import main; "
-                        "sys.exit(main(sys.argv[1:]))", "simulate", "--preset",
-                        "table2-stirap-1K", "--out", str(out)],
-                       env=env, check=True, timeout=300)
-        summary = json.loads((out / "summary.json").read_text())
-        summary["summary"].pop("wall_time_s")
-        summary["summary"].pop("timing")
-        summaries.append(summary)
-    assert summaries[0] == summaries[1]
+    # dims (3,13,13): its 169 x 169 partial transposes are where two threads differed
+    coherent507 = Path(__file__).parents[1] / "bench" / "coherent507.json"
+    for source in (("--preset", "table2-stirap-1K"), ("--config", str(coherent507))):
+        summaries = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{source[0].lstrip('-')}-blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c", "import sys; from omstirap.cli import main; "
+                            "sys.exit(main(sys.argv[1:]))", "simulate", *source,
+                            "--out", str(out)], env=env, check=True, timeout=300)
+            summary = json.loads((out / "summary.json").read_text())
+            summary["summary"].pop("wall_time_s")
+            summary["summary"].pop("timing")
+            # the setting a run finds differs by design; its pass runs on one thread
+            assert summary["summary"].pop("blas_threads") == {"seen": int(threads), "used": 1}
+            summaries.append(summary)
+        assert summaries[0] == summaries[1], source
 
 
 _PURE_RUN = """
@@ -629,3 +668,18 @@ def test_cli_import_leaves_root_finding_and_special_functions_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_does_not_look_up_the_blas_library():
+    # the lookup happens at the first observables pass, outside the timed start-up
+    src = str(Path(omstirap.__file__).resolve().parents[1])
+    code = ("import ctypes; opened = []; cdll = ctypes.CDLL.__init__\n"
+            "def spy(self, name, *a, **k):\n"
+            "    opened.extend([name] if 'openblas' in str(name) else []); cdll(self, name, *a, **k)\n"
+            "ctypes.CDLL.__init__ = spy\n"
+            "import omstirap.cli, omstirap.blas\n"
+            "print(omstirap.blas._openblas.cache_info().currsize, opened)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "0 []"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from omstirap.analysis import fidelity, negativity, partial_trace
-from omstirap import protocols
+from omstirap import blas, protocols
 from omstirap.errors import (
     DomainError,
     IntegrationDivergedError,
@@ -419,10 +419,75 @@ def test_collective_populations_examples():
               DensityMatrix(space, np.outer(phi, phi.conj()))]
     samples = np.array([st.matrix for st in states])
     traj = Trajectory(times=np.zeros(3), samples=samples, states=tuple(states))
-    obs = protocols._observables(scen, space, traj)
+    obs, = protocols._observables([scen], space, [traj])
     np.testing.assert_allclose(obs["n_plus"], [0.5, 0.0, 0.0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(obs["n_minus"], [0.5, 0.0, 1.0], rtol=0, atol=1e-12)
     assert obs["n_plus"][1] == obs["n_minus"][1] == 0.0
+
+
+# ------------------------------------------- observables pass: one per batch, one thread
+
+def test_batched_observables_equal_the_per_column_ones():
+    # one batch key, two distinct (g1, g2), and three targets: two on the mode pair,
+    # one mixed state of mode 2
+    base = _small_scenario(sample_count=5)
+    weights = TargetSpec("weights_mode2", weights=(0.2, 0.8))
+    cells = [replace(base, params=_params(0.01, g1_hz=g1), target=target,
+                     schedule=replace(base.schedule[0], alpha0=alpha0))
+             for g1 in (2.5, 3.5) for alpha0 in (1500.0, 2500.0)
+             for target in (TargetSpec("fock_mode2"), TargetSpec("psi_minus"), weights)]
+    assert len(protocols.batches(cells)) == 1
+    assert len({(c.params.g1, c.params.g2) for c in cells}) == 2
+    results = protocols.run_scenarios(cells)
+    space = HilbertSpace(base.dims)
+    for cell, result in zip(cells, results):
+        alone, = protocols._observables([cell], space, [result.trajectory])
+        batched = result.trajectory.observables
+        assert set(batched) == set(alone)
+        for name, series in alone.items():
+            assert np.max(np.abs(batched[name] - series)) <= 1e-13, name
+    assert len({r.summary["timing"]["observables_s"] for r in results}) == 1  # the batch's
+
+
+def _pinned_library():
+    controls = blas._openblas()
+    if controls is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread control here")
+    return controls
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_observables_pass_runs_on_one_thread_and_restores_the_setting(monkeypatch, fails):
+    get, put = _pinned_library()
+    before, during = get(), []
+    original = protocols.analysis.negativity_stack
+
+    def negativity_stack(pairs, dims):
+        during.append(get())
+        if fails:
+            raise RuntimeError("negativity failed")
+        return original(pairs, dims)
+
+    monkeypatch.setattr(protocols.analysis, "negativity_stack", negativity_stack)
+    put(2)
+    try:
+        if fails:
+            with pytest.raises(RuntimeError, match="negativity failed"):
+                run_scenario(_small_scenario())
+        else:
+            summary = run_scenario(_small_scenario()).summary
+            assert summary["blas_threads"] == {"seen": 2, "used": 1}
+        assert during == [1]
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_a_run_without_thread_control_still_succeeds(monkeypatch):
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    result = run_scenario(_small_scenario())
+    assert result.summary["blas_threads"] is None
+    assert result.summary["fidelity"] > 0.5
 
 
 # ------------------------------------------------------- interferometry
