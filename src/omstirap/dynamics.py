@@ -31,6 +31,12 @@ column is real (``DriveCoefficients.real``: zero phase rates and real drive
 phases, as in the table-2 and fig3 presets), each i(K_k - K'_k) has the
 weight 0 and is dropped.
 
+A sample is kept as the coordinates the run steps, divided by the trace
+(the norm for psi): one row of m reals, where the d x d rho it stands for has
+d^2 complex entries.  The observables are read from these rows
+(``protocols._observables``), and :attr:`Trajectory.states` rebuilds the
+density matrices only when it is read.
+
 Every run is a batch: the integrator steps B columns at once, a single run
 being a batch of one.  The columns share the pieces and the initial state and
 differ in their Hamiltonian coefficients and sample grids (a sweep's cells, a
@@ -64,6 +70,7 @@ step sequence and every result.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -158,21 +165,31 @@ class IntegratorStats:
 class Trajectory:
     """Sampled states with named derived observables.
 
-    ``samples`` stacks the sampled states, one per time, and ``states`` holds
-    views of its rows: :class:`DensityMatrix` views from :func:`evolve` and
-    :func:`evolve_pure`.  ``timing`` holds the wall times of the run's layers.
+    ``samples`` holds one sampled state per time as the coordinates the run
+    stepped, divided by the trace (the norm for a pure state): an
+    (S, ``stats.state_size``) real array in the order of ``coords``, the
+    run's :class:`_RealCoordinates`.  ``states`` rebuilds them as
+    :class:`DensityMatrix` objects on ``space`` the first time it is read.
+    ``timing`` holds the wall times of the run's layers.
     """
 
     times: np.ndarray
     samples: np.ndarray
-    states: tuple
+    coords: _RealCoordinates | None = None
+    space: HilbertSpace | None = None
     observables: dict = field(default_factory=dict)
     stats: IntegratorStats | None = None
     timing: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not len(self.times) == len(self.samples) == len(self.states):
-            raise InvalidArgumentError("times and states length mismatch")
+        if len(self.times) != len(self.samples):
+            raise InvalidArgumentError("times and samples length mismatch")
+
+    @functools.cached_property
+    def states(self) -> tuple:
+        """The sampled states as :class:`DensityMatrix` objects, one per time."""
+        return tuple(DensityMatrix(self.space, self.coords.density(y), validate=False)
+                     for y in self.samples)
 
     def with_observables(self, observables: dict) -> "Trajectory":
         return replace(self, observables={**self.observables, **observables})
@@ -275,7 +292,9 @@ class _RealCoordinates:
     def __init__(self, real: np.ndarray, upper: np.ndarray, lower: np.ndarray | None = None):
         n, p = real.size, upper.size
         m = n + 2 * p
-        self._real, self._pair_weight = n, 1.0 if lower is None else 2.0
+        # a Hermitian half: each pair stands for an entry and its conjugate
+        self.hermitian = lower is not None
+        self._real, self._pair_weight = n, 2.0 if self.hermitian else 1.0
         self.size = n + p * int(self._pair_weight)
         re, one = n + 2 * np.arange(p), np.ones(p)
         rows, cols = [real, upper, upper], [np.arange(n), re, re + 1]
@@ -345,10 +364,27 @@ class _RealCoordinates:
         return y[..., :self._stepped_real].sum(axis=-1)
 
     def vector(self, y: np.ndarray) -> np.ndarray:
-        """The complex vector v of the stepped coordinates ``y``."""
-        full = np.zeros(self._project.shape[0])
-        full[self.order] = y
-        return self._expand @ full
+        """The complex vector v of the stepped coordinates ``y``, or one per row of ``y``."""
+        full = np.zeros(y.shape[:-1] + self._project.shape[:1])
+        full[..., self.order] = y
+        return (self._expand @ full.T).T
+
+    def density(self, y: np.ndarray) -> np.ndarray:
+        """The d x d density matrix of the stepped coordinates ``y``: v as the
+        row-major vec(rho) of a Hermitian half, else |v><v|."""
+        v = self.vector(y)
+        if self.hermitian:
+            d = math.isqrt(self.size)
+            return v.reshape(d, d)
+        return np.outer(v, v.conj())
+
+    def entries(self) -> tuple:
+        """(entries, positions, values) of v as a sum over the stepped coordinates:
+        the coordinate at each position in ``order`` times its value adds to an
+        entry of v, a real one to one entry and a pair's to two (v_i and its
+        conjugate); every coordinate not stepped is exactly zero."""
+        e = self._expand[:, self.order].tocoo()
+        return e.row, e.col, e.data
 
 
 def _hermitian_half(d: int) -> _RealCoordinates:
@@ -551,13 +587,13 @@ class _Column:
         self.stored[self.sampled] = value
         self.sampled += 1
 
-    def trajectory(self, state_size: int, norm_size: int) -> Trajectory:
+    def trajectory(self, coords: _RealCoordinates) -> Trajectory:
         rhs_evals = 2 + 6 * (self.accepted + self.rejected)  # 2 choose the first step
         stats = IntegratorStats(self.accepted, self.rejected, rhs_evals, self.clamped,
-                                self.interpolated, self.h_min, self.h_max, state_size,
-                                norm_size)
-        return Trajectory(times=self.times.copy(), samples=self.stored,
-                          states=tuple(self.stored), stats=stats)
+                                self.interpolated, self.h_min, self.h_max,
+                                len(coords.order), coords.size)
+        return Trajectory(times=self.times.copy(), samples=self.stored, coords=coords,
+                          stats=stats)
 
 
 def _initial_steps(rhs, weights, cols, y, modulus, rtol, atol, coords):
@@ -599,10 +635,11 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, coords):
     repair that returns ``y`` itself changes nothing, and the modulus of the
     accepted states carries over to the next attempt.  ``on_sample(t, y)``
     converts the state ``y`` at the sample time ``t`` into its stored form, an
-    array, and may raise :class:`IntegrationDivergedError`; a column writes its
-    stored forms into one array.  The error norm is ``coords.rms`` of the
-    error over the scale atol + rtol max(|y|, |y5|), |.| being
-    ``coords.modulus``; one that is not finite fails its column.  The columns
+    array (the normalized coordinates, in :func:`evolve`), and may raise
+    :class:`IntegrationDivergedError`; a column writes its stored forms into
+    the rows of one array, its :attr:`Trajectory.samples`.  The error norm is
+    ``coords.rms`` of the error over the scale atol + rtol max(|y|, |y5|),
+    |.| being ``coords.modulus``; one that is not finite fails its column.  The columns
     share their tolerances.  Steps are clamped so stops and the last sample
     time are hit exactly; a sample time inside an accepted step is read from
     the continuous extension (:data:`_P`) before the step's state and stages are
@@ -726,7 +763,7 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, coords):
                     if abs(col.t - col.ends[col.next]) <= tol:
                         col.next += 1
                         if out[j] is None and col.next == len(col.ends):
-                            out[j] = col.trajectory(y.shape[1], coords.size)
+                            out[j] = col.trajectory(coords)
                     factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
                     col.h *= max(_MIN_FACTOR, factor)
                 else:
@@ -771,8 +808,8 @@ def _run(space: HilbertSpace, gen: Generator, coords: _RealCoordinates, pieces, 
                            configs, repair, on_sample, coords)
     timing = {"setup_s": t_setup - t_start, "integrate_s": time.perf_counter() - t_setup}
     runs = [run if isinstance(run, Exception) else replace(
-        run, states=tuple(DensityMatrix(space, m, validate=False) for m in run.samples),
-        stats=replace(run.stats, pieces=1 + len(parts)), timing=dict(timing)) for run in runs]
+        run, space=space, stats=replace(run.stats, pieces=1 + len(parts)),
+        timing=dict(timing)) for run in runs]
     if not isinstance(config, IntegratorConfig):
         return runs
     if isinstance(runs[0], Exception):
@@ -790,7 +827,8 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config):
     those of rho0 are stepped.  Steps end on the stops and the last sample
     time, a sample inside a step is read from the continuous extension, and
     sampled states are renormalized by their trace (drift beyond 1e-6 at a
-    sample, or 1e-4 anywhere, aborts with an error carrying the time).  Each
+    sample, or 1e-4 anywhere, aborts with an error carrying the time) and
+    kept as their stepped coordinates (:attr:`Trajectory.samples`).  Each
     trajectory's ``timing`` holds the batch's ``setup_s`` (superoperator
     pieces, real pieces, reachable coordinates) and ``integrate_s``.
 
@@ -813,7 +851,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config):
     def on_sample(t, y):
         trace = coords.trace(y)
         _check_trace(t, trace, TRACE_SAMPLE_TOL)
-        return coords.vector(y / trace).reshape(d, d)
+        return y / trace
 
     return _run(model.space, model.hamiltonian, coords, _superoperator_pieces(model),
                 rho0.matrix.reshape(-1), config, repair, on_sample, t_start)
@@ -830,8 +868,9 @@ def evolve_pure(
     Equivalent to :func:`evolve` with an empty collapse set and a pure
     initial state, at vector instead of matrix cost: the pieces are -i H0 and
     -i A_k, -i A_k^+ in the Hilbert space, stepped on Re psi and Im psi as
-    :func:`evolve` steps rho, and no superoperator is built.  Sampled states
-    are returned as density matrices so downstream analytics are uniform.
+    :func:`evolve` steps rho, and no superoperator is built.  Samples are
+    kept as their normalized coordinates, and :attr:`Trajectory.states` gives
+    them as density matrices |psi><psi|, as :func:`evolve` gives rho.
     The trace |psi|^2 is checked as :func:`evolve` checks Tr rho: against
     1e-4 after every step and 1e-6 at every sample, the first included;
     accepted states are renormalized.  ``config`` may be a sequence of
@@ -857,8 +896,7 @@ def evolve_pure(
     def on_sample(t, y):
         sq = squared_norms(y)
         _check_trace(t, sq, TRACE_SAMPLE_TOL)
-        v = coords.vector(y / np.sqrt(sq))
-        return np.outer(v, v.conj())
+        return y / np.sqrt(sq)
 
     pieces = (-1j * gen.h0, [-1j * op for a in gen.ops for op in (a, a.conj().T)])
     return _run(space, gen, coords, pieces, amps, config, repair, on_sample, t_start)

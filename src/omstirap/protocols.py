@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 from . import analysis, blas
 from .dynamics import (
@@ -357,31 +358,87 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     return result
 
 
+def _reduction_index(dims, keep) -> np.ndarray:
+    """The (T, D) state indices of the modes ``dims``: row t holds the states whose
+    traced modes read t, in the order of the kept modes ``keep`` (names)."""
+    kept = sorted(analysis.MODE_NAMES[name] for name in keep)
+    traced = [m for m in range(len(dims)) if m not in kept]
+    index = np.arange(math.prod(dims)).reshape(dims).transpose(*traced, *kept)
+    return index.reshape(-1, math.prod(dims[m] for m in kept))
+
+
+def _sample_readers(space: HilbertSpace, coords, samples: np.ndarray) -> tuple:
+    """(populations, reduced) of the sampled states in the rows of ``samples``,
+    the stepped coordinates of ``coords``
+    (:class:`~omstirap.dynamics._RealCoordinates`), with no d x d state formed:
+    the (S, d) diagonals, and keep -> the (S, D, D) reduced states on the modes
+    ``keep``.
+
+    rho is linear in its coordinates (:meth:`~omstirap.dynamics._RealCoordinates.entries`):
+    a population is one of them, and each reduced state is one sparse map from
+    them, where rho_ij adds to the entry (a, b) of the kept modes of i and j
+    when their traced modes agree.  A pure state's amplitudes psi give
+    |psi_i|^2 and Tr_t |psi><psi| = sum_t psi_t psi_t^+, one batched product
+    over the (S, T, D) amplitudes.
+    """
+    d = space.total_dim
+    if coords.hermitian:
+        entries, positions, values = coords.entries()
+        i, j = np.divmod(entries, d)
+        diagonal = i == j
+        populations = np.zeros((len(samples), d))
+        populations[:, i[diagonal]] = samples[:, positions[diagonal]]
+
+        def reduced(keep):
+            index = _reduction_index(space.dims, keep)
+            n = index.shape[1]
+            traced, kept = np.divmod(np.argsort(index.ravel()), n)  # of each state
+            same = traced[i] == traced[j]
+            lin = scipy.sparse.csr_matrix(
+                (values[same], (kept[i[same]] * n + kept[j[same]], positions[same])),
+                shape=(n * n, samples.shape[1]))
+            return (lin @ samples.T).T.reshape(-1, n, n)
+    else:
+        psi = coords.vector(samples)
+        populations = psi.real * psi.real + psi.imag * psi.imag
+
+        def reduced(keep):  # one batched product, which c_einsum's loops take 15 times as long
+            amplitudes = psi[:, _reduction_index(space.dims, keep)]
+            return amplitudes.transpose(0, 2, 1) @ amplitudes.conj()
+    return populations, reduced
+
+
 def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
                  trajs: Sequence[Trajectory]) -> list[dict]:
     """Per column of one batch, every series its inputs allow; the fidelity
     needs a target.
 
-    Each series is taken on the stack of sampled states at once
-    (:attr:`Trajectory.samples`): the mode populations, the population of
-    each mode's top Fock level and p1 from its diagonals, the collective
-    occupations by one ``einsum`` per number operator over its nonzero
-    entries, and the reduced states by :func:`analysis.partial_trace_stack`.
-    The collective operators are built once per distinct (g1, g2) and each
-    target once per distinct recipe.  The negativity is one
-    :func:`analysis.negativity_stack` call on the reduced stacks of every
-    column laid end to end, and the fidelity one :func:`analysis.fidelity_stack`
-    call per target, each split back by column; every matrix is reduced on
-    its own, so a column's series are those of its run alone.
+    The columns share the run's coordinates, so their samples
+    (:attr:`Trajectory.samples`) are read as one stack by
+    :func:`_sample_readers`, built once per batch, and no d x d state is
+    formed: the mode populations, the population of each mode's top Fock
+    level and p1 come from the diagonals, and the reduced states on the mode
+    pair and on each target's modes from the reductions.  The collective
+    operators, built once per distinct (g1, g2), act on the mode pair alone,
+    so each occupation Tr(op rho) is the sum of op_ij rho_ji over the
+    nonzero entries of op's block on the pair.  The negativity is one
+    :func:`analysis.negativity_stack` call on the reduced pairs of every
+    column, and the fidelity one :func:`analysis.fidelity_stack` call per
+    target, built once per distinct recipe, each split back by column; every
+    state is read on its own, so a column's series are those of its run alone.
     """
     if not trajs:
         return []
-    outs, occupations, stacked = [], {}, None
+    samples = trajs[0].samples if len(trajs) == 1 else np.concatenate([t.samples for t in trajs])
+    populations, reduced = _sample_readers(space, trajs[0].coords, samples)
+    populations = populations.reshape(-1, *space.dims)
+    stacks = {_PAIR: reduced(_PAIR)}
+    pair_dim = stacks[_PAIR].shape[1]
+    outs, occupations = [], {}
     starts = np.cumsum([0] + [len(traj.samples) for traj in trajs])
     for scenario, traj, start, stop in zip(scenarios, trajs, starts, starts[1:]):
-        rho = traj.samples
         out = {f"alpha{j}": total_envelope(scenario.schedule, j, traj.times) for j in (1, 2)}
-        pops = np.einsum("sii->si", rho).real.reshape(-1, *space.dims)
+        pops = populations[start:stop]
         for n, name in (("nc", "cavity"), ("n1", "mech1"), ("n2", "mech2")):
             mode = analysis.MODE_NAMES[name]
             marginal = pops.sum(axis=tuple(1 + m for m in range(3) if m != mode))
@@ -391,22 +448,15 @@ def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
         g = (scenario.params.g1, scenario.params.g2)
         if g not in occupations:
             bm, bp = collective_operators(space, scenario.params, None)
-            # Tr(op rho) = sum of op_ij rho_ji over the nonzero entries of op
-            occupations[g] = [(name, (b.conj().T @ b).tocoo())
+            # the block at cavity level 0 is the operator on the pair
+            occupations[g] = [(name, (b.conj().T @ b)[:pair_dim, :pair_dim].tocoo())
                               for name, b in (("n_plus", bp), ("n_minus", bm))]
+        pair = stacks[_PAIR][start:stop]
         for name, op in occupations[g]:
-            out[name] = np.einsum("k,sk->s", op.data, rho[:, op.col, op.row]).real
-        pair = analysis.partial_trace_stack(rho, space.dims, _PAIR)
-        if len(trajs) == 1:  # a lone column's stack is already the whole one
-            stacked = pair
-        else:  # every column's reduced states end to end, in one array filled in place
-            if stacked is None:
-                stacked = np.empty((starts[-1],) + pair.shape[1:], dtype=pair.dtype)
-            stacked[start:stop] = pair
+            out[name] = np.einsum("k,sk->s", op.data, pair[:, op.col, op.row]).real
         outs.append(out)
-    pairs = np.split(stacked, starts[1:-1])
     for out, series in zip(outs, np.split(
-            analysis.negativity_stack(stacked, space.dims[1:]), starts[1:-1])):
+            analysis.negativity_stack(stacks[_PAIR], space.dims[1:]), starts[1:-1])):
         out["negativity"] = series
     columns: dict = {}
     for i, scenario in enumerate(scenarios):
@@ -414,13 +464,12 @@ def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
             columns.setdefault(scenario.target, []).append(i)
     for target, cols in columns.items():
         keep = TargetSpec.REDUCTIONS[target.kind]
-        if keep != _PAIR:
-            reduced = np.concatenate([analysis.partial_trace_stack(trajs[i].samples, space.dims,
-                                                                   keep) for i in cols])
-        else:
-            reduced = stacked if len(cols) == len(outs) else np.concatenate([pairs[i] for i in cols])
-        fidelity = analysis.fidelity_stack(reduced, target.state(space.dims))
-        bounds = np.cumsum([len(pairs[i]) for i in cols])[:-1]
+        if keep not in stacks:
+            stacks[keep] = reduced(keep)
+        states = stacks[keep] if len(cols) == len(outs) else np.concatenate(
+            [stacks[keep][starts[i]:starts[i + 1]] for i in cols])
+        fidelity = analysis.fidelity_stack(states, target.state(space.dims))
+        bounds = np.cumsum([starts[i + 1] - starts[i] for i in cols])[:-1]
         for i, series in zip(cols, np.split(fidelity, bounds)):
             outs[i]["fidelity"] = series
     return outs

@@ -593,7 +593,7 @@ def test_dp45_steps_the_linear_test_equation_by_its_stability_polynomial():
     assert (traj.stats.accepted, traj.stats.rejected) == (n, 0)
     z = lam * h
     r = sum(z**k / math.factorial(k) for k in range(6)) + z**6 / 600
-    assert abs(complex(*traj.states[-1]) - r**n) <= 1e-13 * abs(r**n)
+    assert abs(complex(*traj.samples[-1]) - r**n) <= 1e-13 * abs(r**n)
 
 
 def test_dp45_integrates_a_quadratic_exactly():
@@ -604,7 +604,7 @@ def test_dp45_integrates_a_quadratic_exactly():
                                      _unrepaired, _unchanged, ONE_REAL)
     # fifth-order quadrature is exact for t^2, and the error estimate is zero but for rounding
     assert traj.stats.rejected == 0
-    for t, y in zip(ts, traj.states):
+    for t, y in zip(ts, traj.samples):
         assert abs(y[0] - t**3) <= 1e-14 * max(1.0, t**3)
     # the steps grow fivefold, so the inner samples come from the quartic extension
     assert traj.stats.interpolated > 0

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from omstirap.analysis import fidelity, negativity, partial_trace
-from omstirap import blas, protocols
+from omstirap import analysis, blas, cli, dynamics, protocols
 from omstirap.errors import (
     DomainError,
     IntegrationDivergedError,
@@ -25,7 +27,7 @@ from omstirap.hilbert import (
     thermal_state,
 )
 from omstirap.dynamics import Trajectory
-from omstirap.model import DriveSchedule, SystemParams, dark_state
+from omstirap.model import DriveCoefficients, DriveSchedule, SystemParams, dark_state
 from omstirap.protocols import (
     FringeResult,
     InitialStateSpec,
@@ -417,8 +419,9 @@ def test_collective_populations_examples():
     states = [fock_state(space, 0, 1, 0).density_matrix(),
               fock_state(space, 0, 0, 0).density_matrix(),
               DensityMatrix(space, np.outer(phi, phi.conj()))]
-    samples = np.array([st.matrix for st in states])
-    traj = Trajectory(times=np.zeros(3), samples=samples, states=tuple(states))
+    coords = dynamics._hermitian_half(space.total_dim)  # every coordinate stepped
+    samples = np.array([coords.coordinates(st.matrix.reshape(-1)) for st in states])
+    traj = Trajectory(times=np.zeros(3), samples=samples, coords=coords, space=space)
     obs, = protocols._observables([scen], space, [traj])
     np.testing.assert_allclose(obs["n_plus"], [0.5, 0.0, 0.0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(obs["n_minus"], [0.5, 0.0, 1.0], rtol=0, atol=1e-12)
@@ -426,6 +429,94 @@ def test_collective_populations_examples():
 
 
 # ------------------------------------------- observables pass: one per batch, one thread
+
+def _dense_observables(scenario, traj):
+    """Every series of ``traj`` from its states read as d x d matrices, by the
+    dense rules: diagonals and their marginals, each number operator's
+    sum of op_ij rho_ji, and the partial-trace, negativity and fidelity stacks."""
+    space = HilbertSpace(scenario.dims)
+    rho = np.array([st.matrix for st in traj.states])
+    pops = np.einsum("sii->si", rho).real.reshape(-1, *space.dims)
+    out = {f"alpha{j}": protocols.total_envelope(scenario.schedule, j, traj.times)
+           for j in (1, 2)}
+    for n, name in (("nc", "cavity"), ("n1", "mech1"), ("n2", "mech2")):
+        mode = analysis.MODE_NAMES[name]
+        marginal = pops.sum(axis=tuple(1 + m for m in range(3) if m != mode))
+        out[n] = marginal @ np.arange(space.dims[mode])
+        out[f"top_{name}"] = marginal[:, -1]
+    out["p1"] = pops[:, :, 1, :].sum(axis=(1, 2))
+    bm, bp = protocols.collective_operators(space, scenario.params, None)
+    for name, b in (("n_plus", bp), ("n_minus", bm)):
+        op = (b.conj().T @ b).tocoo()
+        out[name] = np.einsum("k,sk->s", op.data, rho[:, op.col, op.row]).real
+    pair = analysis.partial_trace_stack(rho, space.dims, ("mech1", "mech2"))
+    out["negativity"] = analysis.negativity_stack(pair, space.dims[1:])
+    if scenario.target is not None:
+        keep = TargetSpec.REDUCTIONS[scenario.target.kind]
+        out["fidelity"] = analysis.fidelity_stack(
+            analysis.partial_trace_stack(rho, space.dims, keep), scenario.target.state(space.dims))
+    return out
+
+
+#: case -> the scenarios of one batch
+COORDINATE_CASES = {
+    "lossy-preset": lambda: [cli.build_scenario(cli.load_config("table2-stirap-50mK", None))],
+    # each a^+ b_j term also carries the other pump, which rotates at the 10 kHz split of
+    # the mechanical frequencies: the drive is complex
+    "bs-complex-drive": lambda: [_small_scenario(picture="bs", sample_count=7,
+                                                 params=_params(0.01, omega2_hz=1.21e6))],
+    "pure-coherent": lambda: [_small_scenario(
+        params=_params(0.0), initial=InitialStateSpec("coherent", alpha=0.6), dims=(2, 5, 5),
+        lossless=True, sample_count=6, target=TargetSpec("product_coherent", alpha=0.6))],
+    "two-columns": lambda: [
+        _small_scenario(sample_count=5, params=_params(0.01, g1_hz=g1), target=target)
+        for g1, target in ((2.5, TargetSpec("psi_minus")),
+                           (3.5, TargetSpec("weights_mode2", weights=(0.3, 0.7, 0.0))))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(COORDINATE_CASES))
+def test_coordinate_observables_match_the_dense_rules(case):
+    scenarios = COORDINATE_CASES[case]()
+    results = protocols.run_scenarios(scenarios)
+    traj = results[0].trajectory
+    if case == "lossy-preset":  # a real drive: 190 of the 2,500 coordinates are stepped
+        assert (traj.stats.state_size, traj.stats.norm_size) == (190, 2500)
+    if case == "bs-complex-drive":  # the i(K - K') pieces are kept
+        s = scenarios[0]
+        assert not DriveCoefficients("bs", [(s.params, s.schedule)]).real
+        assert traj.stats.pieces == 1 + 2 * len(
+            protocols.hamiltonian_generator(s.params, s.schedule, HilbertSpace(s.dims), "bs").ops)
+    assert traj.coords.hermitian == (case != "pure-coherent")
+    if case == "two-columns":
+        assert len({(s.params.g1, s.params.g2) for s in scenarios}) == 2
+        assert len(protocols.batches(scenarios)) == 1
+    for scenario, result in zip(scenarios, results):
+        got, want = result.trajectory.observables, _dense_observables(scenario, result.trajectory)
+        assert set(got) == set(want)
+        for name, series in want.items():
+            assert np.max(np.abs(got[name] - series)) <= 1e-12, name
+
+
+def test_a_run_holds_no_d_by_d_sample_stack():
+    config = Path(__file__).resolve().parents[1] / "bench" / "coherent507.json"
+    scenario = cli.build_scenario(cli.load_config(None, str(config)))
+    run_scenario(scenario)  # lazy imports and caches are not the run's
+    tracemalloc.start()
+    try:
+        result = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (507, 507) complex state alone is 4.1 MB
+    assert peak < 4e6
+    traj = result.trajectory
+    assert traj.samples.shape == (scenario.sample_count, traj.stats.state_size)
+    assert traj.stats.state_size < traj.stats.norm_size == 507
+    assert all(isinstance(st, DensityMatrix) and st.space.dims == (3, 13, 13)
+               for st in traj.states)
+    assert abs(np.trace(traj.states[-1].matrix) - 1.0) <= 1e-12
+
 
 def test_batched_observables_equal_the_per_column_ones():
     # one batch key, two distinct (g1, g2), and three targets: two on the mode pair,
