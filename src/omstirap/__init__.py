@@ -36,7 +36,6 @@ from .dynamics import (
     LindbladModel,
     Trajectory,
     evolve,
-    evolve_pure,
     lindblad_rhs,
     propagator_oracle,
     thermal_collapse_terms,

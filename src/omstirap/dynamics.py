@@ -19,17 +19,20 @@ each pulse centre, so no step skips a pulse.  A sample time inside a step is
 read from the pair's quartic continuous extension (Hairer, Norsett & Wanner,
 Solving ODEs I, sec. II.6), so samples cost no steps.
 
-Both paths step a real state, the real coordinates of a complex vector
-(:class:`_RealCoordinates`): rho as its Hermitian half, Re rho_ii and then the
-pair (Re rho_ij, Im rho_ij) for each i < j (the real coherence-vector form,
-Alicki & Lendi, Lect. Notes Phys. 717), and psi as the pair (Re psi_i,
-Im psi_i) of each amplitude.  The k-th drive term c_k K_k + conj(c_k) K'_k
-(K_k = -i A_k on psi) gives the real pieces K_k + K'_k and i(K_k - K'_k), so
-the weights of (L0 or -i H0, ...) are (1, Re c_k, Im c_k) and rho stays
-Hermitian exactly, with no symmetrization.  When every coefficient of every
-column is real (``DriveCoefficients.real``: zero phase rates and real drive
-phases, as in the table-2 and fig3 presets), each i(K_k - K'_k) has the
-weight 0 and is dropped.
+One entry point, :func:`evolve`, takes psi or rho, and the input picks the
+form: a pure state under a model with no collapse term of positive rate is
+stepped as psi, and everything else as rho.  Both forms step a real state,
+the real coordinates of a complex vector (:class:`_RealCoordinates`): rho as
+its Hermitian half, Re rho_ii and then the pair (Re rho_ij, Im rho_ij) for
+each i < j (the real coherence-vector form, Alicki & Lendi, Lect. Notes
+Phys. 717), and psi as the pair (Re psi_i, Im psi_i) of each amplitude.
+The k-th drive term c_k K_k + conj(c_k) K'_k (K_k = -i A_k on psi) gives the
+real pieces K_k + K'_k and i(K_k - K'_k), so the weights of (L0 or -i H0,
+...) are (1, Re c_k, Im c_k) and rho stays Hermitian exactly, with no
+symmetrization.  When every coefficient of every column is real
+(``DriveCoefficients.real``: zero phase rates and real drive phases, as in
+the table-2 and fig3 presets), each i(K_k - K'_k) has the weight 0 and is
+not built.
 
 A sample is kept as the coordinates the run steps, divided by the trace
 (the norm for psi): one row of m reals, where the d x d rho it stands for has
@@ -311,10 +314,11 @@ class _RealCoordinates:
             shape=(m, self.size))
         self.restrict(np.arange(m))
 
-    def pieces(self, const, parts):
+    def pieces(self, const, parts, imaginary: bool = True):
         """The real (const, [K_1 + K'_1, i(K_1 - K'_1), ...]) of the complex
         (const, [K_1, K'_1, ...]), for the weights (1, Re c_k, Im c_k) of
-        c_k K_k + conj(c_k) K'_k.  Each maps y to Re(project a expand y), the
+        c_k K_k + conj(c_k) K'_k, less every i(K_k - K'_k) unless
+        ``imaginary``.  Each maps y to Re(project a expand y), the
         coordinates of a v when a v is again of the coordinates' form: always
         for a pure state, and for rho when a maps Hermitian matrices to
         Hermitian ones, as every piece does."""
@@ -324,7 +328,7 @@ class _RealCoordinates:
             return out
 
         return real(const), [real(x) for k, kd in zip(parts[::2], parts[1::2])
-                             for x in (k + kd, 1j * (k - kd))]
+                             for x in ((k + kd, 1j * (k - kd)) if imaginary else (k + kd,))]
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """All m real coordinates, C-ordered, of the complex vector v."""
@@ -784,53 +788,28 @@ def _check_trace(t: float, trace: float, tol: float):
         raise IntegrationDivergedError(t, drift, tol)
 
 
-def _run(space: HilbertSpace, gen: Generator, coords: _RealCoordinates, pieces, v0, config,
-         repair, on_sample, t_start: float):
-    """Step the complex vector ``v0`` under the complex ``pieces`` (const,
-    [K_1, K'_1, ...]) of the generator ``gen`` in the real coordinates
-    ``coords``, and return :func:`evolve`'s outcome.
+def evolve(model: LindbladModel, state0: StateVector | DensityMatrix, config):
+    """Integrate the master equation from ``state0`` and sample at the configured times.
 
-    When every coefficient is real the pieces i(K_k - K'_k) are dropped; then
-    only the coordinates that the kept pieces reach from the nonzero ones of
-    ``v0`` are stepped.  ``repair`` and ``on_sample`` are as in
-    :func:`_integrate_dp45`, and ``t_start`` is when the run's setup began.
-    """
-    const, parts = coords.pieces(*pieces)
-    weigh = _hermitian_weights
-    if _real_drive(gen):  # every i(K_k - K'_k) has the weight Im c_k = 0
-        parts, weigh = parts[::2], _real_weights
-    start = coords.coordinates(v0)
-    coords.restrict(_support((const, *parts), start != 0))
-    rhs = _linear_rhs(const, parts, coords.order)
-    configs = [config] if isinstance(config, IntegratorConfig) else list(config)
-    t_setup = time.perf_counter()
-    runs = _integrate_dp45(rhs, _weights_of(gen, len(configs), weigh), start[coords.order],
-                           configs, repair, on_sample, coords)
-    timing = {"setup_s": t_setup - t_start, "integrate_s": time.perf_counter() - t_setup}
-    runs = [run if isinstance(run, Exception) else replace(
-        run, space=space, stats=replace(run.stats, pieces=1 + len(parts)),
-        timing=dict(timing)) for run in runs]
-    if not isinstance(config, IntegratorConfig):
-        return runs
-    if isinstance(runs[0], Exception):
-        raise runs[0]
-    return runs[0]
-
-
-def evolve(model: LindbladModel, rho0: DensityMatrix, config):
-    """Integrate the master equation and sample at the configured times.
-
-    Adaptive Dormand-Prince 5(4) on the Hermitian half of the row-major
-    vec(rho0), in real arithmetic, so every state is Hermitian.  When every
-    coefficient of every column is real, the pieces i(K_k - K'_k) are
-    dropped.  Only the real coordinates that the kept pieces can reach from
-    those of rho0 are stepped.  Steps end on the stops and the last sample
-    time, a sample inside a step is read from the continuous extension, and
-    sampled states are renormalized by their trace (drift beyond 1e-6 at a
-    sample, or 1e-4 anywhere, aborts with an error carrying the time) and
-    kept as their stepped coordinates (:attr:`Trajectory.samples`).  Each
-    trajectory's ``timing`` holds the batch's ``setup_s`` (superoperator
-    pieces, real pieces, reachable coordinates) and ``integrate_s``.
+    The input picks the state form.  A :class:`StateVector` under a model
+    with no collapse term of positive rate is stepped as psi, under the
+    Hilbert-space pieces -i H0, -i A_k and -i A_k^+; any other
+    :class:`StateVector` is stepped as its :meth:`~StateVector.density_matrix`,
+    and a :class:`DensityMatrix` always as rho, under the superoperator
+    pieces.  Adaptive Dormand-Prince 5(4) steps either in real arithmetic
+    (rho as its Hermitian half, psi as Re psi and Im psi), on only the
+    coordinates that the kept pieces can reach from the input's; the pieces
+    i(K_k - K'_k) are not built when every coefficient of every column is
+    real.  Steps end on the stops and the last sample time, and a sample
+    inside a step is read from the continuous extension.  The trace
+    (|psi|^2 for psi) is checked against 1e-4 after every step and 1e-6 at
+    every sample, the first included; a drift beyond either aborts with an
+    error carrying the time.  Sampled states are divided by their trace (or
+    norm) and kept as their stepped coordinates (:attr:`Trajectory.samples`),
+    and :attr:`Trajectory.states` gives them as density matrices,
+    |psi><psi| for psi.  Each trajectory's ``timing`` holds the batch's
+    ``setup_s`` (pieces, real pieces, reachable coordinates) and
+    ``integrate_s``.
 
     ``config`` may also be a sequence of configs, one per column of the
     generator's :class:`~omstirap.model.DriveCoefficients`.  The columns are
@@ -838,68 +817,62 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, config):
     is a list of each column's :class:`Trajectory`, or of the integration
     error that stopped it.
     """
-    if rho0.space != model.space:
+    if state0.space != model.space:
         raise InvalidDimensionError("initial state lives on a different space")
     t_start = time.perf_counter()
-    d = model.space.total_dim
-    coords = _hermitian_half(d)
+    gen, d = model.hamiltonian, model.space.total_dim
+    if isinstance(state0, StateVector) and not any(rate > 0.0 for _, rate in model.collapse_terms):
+        coords, v0 = _RealCoordinates(np.arange(0), np.arange(d)), state0.amplitudes
+        pieces = (-1j * gen.h0, [-1j * op for a in gen.ops for op in (a, a.conj().T)])
 
-    def repair(y):
-        """The rows of ``y``, Hermitian by construction, and their traces."""
-        return y, coords.trace(y)
+        def trace(y):
+            """|psi|^2 of each row of ``y``: one row sum of squares, no BLAS."""
+            return np.square(y).sum(axis=-1)
 
-    def on_sample(t, y):
-        trace = coords.trace(y)
-        _check_trace(t, trace, TRACE_SAMPLE_TOL)
-        return y / trace
+        def unit(y, sq):
+            return y / np.sqrt(sq)[..., None]
 
-    return _run(model.space, model.hamiltonian, coords, _superoperator_pieces(model),
-                rho0.matrix.reshape(-1), config, repair, on_sample, t_start)
+        def repair(y):
+            """The rows of ``y`` normalized, and their squared norms: the norm is a
+            quadratic invariant, which RK does not conserve."""
+            sq = trace(y)
+            return unit(y, sq), sq
+    else:
+        rho0 = state0 if isinstance(state0, DensityMatrix) else state0.density_matrix()
+        coords, v0 = _hermitian_half(d), rho0.matrix.reshape(-1)
+        pieces, trace = _superoperator_pieces(model), coords.trace
 
+        def unit(y, tr):
+            return y / tr
 
-def evolve_pure(
-    hamiltonian: Generator | np.ndarray | scipy.sparse.csr_matrix,
-    psi0,
-    space: HilbertSpace,
-    config,
-):
-    """Schroedinger evolution of a pure state under H(t), no dissipation.
-
-    Equivalent to :func:`evolve` with an empty collapse set and a pure
-    initial state, at vector instead of matrix cost: the pieces are -i H0 and
-    -i A_k, -i A_k^+ in the Hilbert space, stepped on Re psi and Im psi as
-    :func:`evolve` steps rho, and no superoperator is built.  Samples are
-    kept as their normalized coordinates, and :attr:`Trajectory.states` gives
-    them as density matrices |psi><psi|, as :func:`evolve` gives rho.
-    The trace |psi|^2 is checked as :func:`evolve` checks Tr rho: against
-    1e-4 after every step and 1e-6 at every sample, the first included;
-    accepted states are renormalized.  ``config`` may be a sequence of
-    configs for a batch, and ``timing`` is as in :func:`evolve`.
-    """
-    amps = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
-    d = space.total_dim
-    if amps.shape != (d,):
-        raise InvalidDimensionError("initial amplitudes do not match the space")
-    t_start = time.perf_counter()
-    gen = LindbladModel(space, hamiltonian).hamiltonian
-    coords = _RealCoordinates(np.arange(0), np.arange(d))
-
-    def squared_norms(y):
-        """|psi|^2 of each row of ``y``: one row sum of squares, no BLAS."""
-        return np.square(y).sum(axis=-1)
-
-    def repair(y):
-        """The rows of ``y`` normalized, and their squared norms."""
-        sq = squared_norms(y)
-        return y / np.sqrt(sq)[:, None], sq
+        def repair(y):
+            """The rows of ``y``, Hermitian by construction, and their traces."""
+            return y, trace(y)
 
     def on_sample(t, y):
-        sq = squared_norms(y)
-        _check_trace(t, sq, TRACE_SAMPLE_TOL)
-        return y / np.sqrt(sq)
+        tr = trace(y)
+        _check_trace(t, tr, TRACE_SAMPLE_TOL)
+        return unit(y, tr)
 
-    pieces = (-1j * gen.h0, [-1j * op for a in gen.ops for op in (a, a.conj().T)])
-    return _run(space, gen, coords, pieces, amps, config, repair, on_sample, t_start)
+    real = _real_drive(gen)  # every i(K_k - K'_k) has the weight Im c_k = 0
+    const, parts = coords.pieces(*pieces, imaginary=not real)
+    start = coords.coordinates(v0)
+    coords.restrict(_support((const, *parts), start != 0))
+    rhs = _linear_rhs(const, parts, coords.order)
+    configs = [config] if isinstance(config, IntegratorConfig) else list(config)
+    t_setup = time.perf_counter()
+    weights_of = _weights_of(gen, len(configs), _real_weights if real else _hermitian_weights)
+    runs = _integrate_dp45(rhs, weights_of, start[coords.order], configs, repair, on_sample,
+                           coords)
+    timing = {"setup_s": t_setup - t_start, "integrate_s": time.perf_counter() - t_setup}
+    runs = [run if isinstance(run, Exception) else replace(
+        run, space=model.space, stats=replace(run.stats, pieces=1 + len(parts)),
+        timing=dict(timing)) for run in runs]
+    if not isinstance(config, IntegratorConfig):
+        return runs
+    if isinstance(runs[0], Exception):
+        raise runs[0]
+    return runs[0]
 
 
 def liouvillian_matrix(model: LindbladModel, t: float = 0.0) -> np.ndarray:

@@ -389,7 +389,9 @@ def collective_operators(
     t: float = 0.0,
     convention: str = "static",
 ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
-    """Collective mechanical annihilation operators (b_minus, b_plus), as CSR.
+    """Collective mechanical annihilation operators (b_minus, b_plus), as CSR,
+    on the (cavity, mech1, mech2) ``space`` or on the (mech1, mech2) pair: the
+    mechanical modes are its last two.
 
     ``static`` uses the drive-independent combinations
 
@@ -404,9 +406,9 @@ def collective_operators(
     whose vacuum excitations are the dark states of the rotating-frame
     Hamiltonian.  Both satisfy [b, b^+] = 1 below the truncation edge.
     """
-    if space.n_modes != 3:
-        raise InvalidDimensionError("collective operators need a 3-mode space")
-    b1, b2 = destroy(space, 1), destroy(space, 2)
+    if space.n_modes not in (2, 3):
+        raise InvalidDimensionError("collective operators need a 2- or 3-mode space")
+    b1, b2 = destroy(space, space.n_modes - 2), destroy(space, space.n_modes - 1)
     if convention == "static":
         g1, g2 = params.g1, params.g2
         norm = math.hypot(g1, g2)

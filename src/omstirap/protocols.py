@@ -35,7 +35,6 @@ from .dynamics import (
     Trajectory,
     distinct_times,
     evolve,
-    evolve_pure,
     thermal_collapse_rates,
     thermal_collapse_terms,
 )
@@ -237,6 +236,10 @@ class Scenario:
         _check_finite(self, "horizon", "eval_time")
         if self.horizon[0] >= self.horizon[1]:
             raise InvalidArgumentError("horizon start must precede its end")
+        # an eval_time outside the horizon would move the integration window
+        if self.eval_time is not None and not self.horizon[0] <= self.eval_time <= self.horizon[1]:
+            raise InvalidArgumentError(
+                f"eval_time {self.eval_time} lies outside the horizon {tuple(self.horizon)}")
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise InvalidArgumentError("tolerances must be finite and > 0")
         if self.sample_count < 2:
@@ -320,12 +323,8 @@ def run_scenarios(scenarios: Sequence[Scenario]) -> list:
     configs = [IntegratorConfig(sample_times=_sample_times(s), rel_tol=s.rel_tol,
                                 abs_tol=s.abs_tol, stops=pulse_centres(s.schedule))
                for s in scenarios]
-    if first.lossless and isinstance(state0, StateVector):
-        runs = evolve_pure(h, state0, space, configs)
-    else:
-        rho0 = state0.density_matrix() if isinstance(state0, StateVector) else state0
-        collapse = () if first.lossless else tuple(thermal_collapse_terms(space, first.params))
-        runs = evolve(LindbladModel(space, h, collapse), rho0, configs)
+    collapse = () if first.lossless else tuple(thermal_collapse_terms(space, first.params))
+    runs = evolve(LindbladModel(space, h, collapse), state0, configs)
 
     done = [i for i, traj in enumerate(runs) if not isinstance(traj, OmstirapError)]
     t_obs = time.perf_counter()
@@ -419,9 +418,9 @@ def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
     formed: the mode populations, the population of each mode's top Fock
     level and p1 come from the diagonals, and the reduced states on the mode
     pair and on each target's modes from the reductions.  The collective
-    operators, built once per distinct (g1, g2), act on the mode pair alone,
-    so each occupation Tr(op rho) is the sum of op_ij rho_ji over the
-    nonzero entries of op's block on the pair.  The negativity is one
+    operators act on the mode pair alone and are built on it, once per
+    distinct (g1, g2), so each occupation Tr(op rho) is the sum of
+    op_ij rho_ji over the nonzero entries of op.  The negativity is one
     :func:`analysis.negativity_stack` call on the reduced pairs of every
     column, and the fidelity one :func:`analysis.fidelity_stack` call per
     target, built once per distinct recipe, each split back by column; every
@@ -433,7 +432,7 @@ def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
     populations, reduced = _sample_readers(space, trajs[0].coords, samples)
     populations = populations.reshape(-1, *space.dims)
     stacks = {_PAIR: reduced(_PAIR)}
-    pair_dim = stacks[_PAIR].shape[1]
+    pair_space = HilbertSpace(space.dims[1:])
     outs, occupations = [], {}
     starts = np.cumsum([0] + [len(traj.samples) for traj in trajs])
     for scenario, traj, start, stop in zip(scenarios, trajs, starts, starts[1:]):
@@ -447,9 +446,8 @@ def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
         out["p1"] = pops[:, :, 1, :].sum(axis=(1, 2))
         g = (scenario.params.g1, scenario.params.g2)
         if g not in occupations:
-            bm, bp = collective_operators(space, scenario.params, None)
-            # the block at cavity level 0 is the operator on the pair
-            occupations[g] = [(name, (b.conj().T @ b)[:pair_dim, :pair_dim].tocoo())
+            bm, bp = collective_operators(pair_space, scenario.params, None)
+            occupations[g] = [(name, (b.conj().T @ b).tocoo())
                               for name, b in (("n_plus", bp), ("n_minus", bm))]
         pair = stacks[_PAIR][start:stop]
         for name, op in occupations[g]:

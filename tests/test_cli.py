@@ -336,6 +336,9 @@ BAD_INPUT = {
                             {"target": {"kind": "weights_mode2", "weights": [0, 0]}},
                             "explicit weights must have positive mass"),
     "eval-time-string": ("simulate", "bell-lossless", {"eval_time_s": "x"}),
+    # an eval_time outside the horizon would start the run before it or read past its end
+    "eval-time-before-horizon": ("simulate", "table2-stirap-10mK", {"eval_time_s": -1.0},
+                                 "outside the horizon"),
     # an explicit state must be Hermitian and positive
     "explicit-negative-weight": ("simulate", "bell-lossless",
                                  {"initial": {"kind": "explicit", "weights": [1, -0.5]},
@@ -406,7 +409,6 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, case):
 
     monkeypatch.setattr(sweep, "parallel_map", no_run)  # run_sweep's own checks still run
     monkeypatch.setattr(protocols, "evolve", no_run)
-    monkeypatch.setattr(protocols, "evolve_pure", no_run)
     command, preset, override, *named = BAD_INPUT[case]
     assert _run(tmp_path, command, preset, override) == 2
     err = capsys.readouterr().err

@@ -18,7 +18,6 @@ from omstirap.dynamics import (
     IntegratorConfig,
     LindbladModel,
     evolve,
-    evolve_pure,
     lindblad_rhs,
     liouvillian_matrix,
     propagator_oracle,
@@ -228,10 +227,41 @@ def test_evolve_pure_matches_density_path():
     h = hamiltonian_generator(p, s, sp, "rwa")
     psi0 = fock_state(sp, 0, 1, 0)
     cfg = IntegratorConfig(sample_times=np.linspace(-2e-3, 2e-3, 9))
-    tp = evolve_pure(h, psi0, sp, cfg)
+    tp = evolve(LindbladModel(sp, h), psi0, cfg)
     td = evolve(LindbladModel(sp, h, ()), psi0.density_matrix(), cfg)
     for a, b in zip(tp.states, td.states):
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7
+
+
+def test_a_state_vector_without_a_positive_rate_is_stepped_as_psi():
+    # no collapse term, or only terms of rate 0: the error norm averages over the d amplitudes
+    h = _random_hermitian(SPACE.total_dim, np.random.default_rng(5))
+    psi0 = fock_state(SPACE, 1, 0, 0)
+    cfg = IntegratorConfig(sample_times=[0.0, 1e-4])
+    for collapse in ((), ((destroy(SPACE, 0), 0.0),)):
+        stats = evolve(LindbladModel(SPACE, h, collapse), psi0, cfg).stats
+        assert (stats.state_size, stats.norm_size) == (2 * SPACE.total_dim, SPACE.total_dim)
+
+
+def test_a_state_vector_under_a_positive_rate_is_stepped_as_its_density_matrix():
+    h = _random_hermitian(SPACE.total_dim, np.random.default_rng(6))
+    model = LindbladModel(SPACE, h, ((destroy(SPACE, 0), KAPPA),))
+    psi0 = fock_state(SPACE, 1, 1, 0)
+    cfg = IntegratorConfig(sample_times=np.linspace(0.0, 1e-4, 5))
+    got, want = evolve(model, psi0, cfg), evolve(model, psi0.density_matrix(), cfg)
+    assert got.stats == want.stats and got.stats.norm_size == SPACE.total_dim ** 2
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.samples, want.samples)
+
+
+def test_a_state_vector_must_live_on_the_model_space():
+    cfg = IntegratorConfig(sample_times=[0.0, 1e-4])
+    other = fock_state(HilbertSpace((2, 2, 3)), 1, 0, 0)
+    decay = ((destroy(SPACE, 0), KAPPA),)
+    for model in (LindbladModel(SPACE, None), LindbladModel(SPACE, None, decay)):
+        assert evolve(model, fock_state(SPACE, 1, 0, 0), cfg).stats.accepted > 0
+        with pytest.raises(InvalidDimensionError, match="different space"):
+            evolve(model, other, cfg)
 
 
 # ------------------------------------------------------ integration failures
@@ -258,7 +288,8 @@ def test_norm_drift_raises_on_the_pure_path():
     psi0 = StateVector(SPACE, 2 * fock_state(SPACE, 1, 0, 0).amplitudes, validate=False)
     with pytest.raises(IntegrationDivergedError,
                        match="trace drift 3.000e[+]00 exceeded 1e-06 at t = 0.0") as info:
-        evolve_pure(np.zeros((8, 8)), psi0, SPACE, IntegratorConfig(sample_times=[0.0, 1e-3]))
+        evolve(LindbladModel(SPACE, np.zeros((8, 8))), psi0,
+               IntegratorConfig(sample_times=[0.0, 1e-3]))
     assert info.value.tolerance == dynamics.TRACE_SAMPLE_TOL
 
 
@@ -267,7 +298,7 @@ def test_pure_path_rejects_the_drift_the_density_path_rejects():
     psi0 = StateVector(SPACE, math.sqrt(1 + 1e-3) * fock_state(SPACE, 1, 0, 0).amplitudes,
                        validate=False)
     config = IntegratorConfig(sample_times=[0.0, 1e-3])
-    for run in (lambda: evolve_pure(np.zeros((8, 8)), psi0, SPACE, config),
+    for run in (lambda: evolve(LindbladModel(SPACE, np.zeros((8, 8))), psi0, config),
                 lambda: evolve(LindbladModel(SPACE, None), psi0.density_matrix(), config)):
         with pytest.raises(IntegrationDivergedError, match="trace drift 1.000e-03 exceeded 1e-06"):
             run()
@@ -285,7 +316,7 @@ def test_non_finite_state_is_divergence_not_step_underflow():
     psi0 = fock_state(SPACE, 0, 1, 0)
     for run in (lambda: evolve(LindbladModel(SPACE, _nan_after(1e-4)), psi0.density_matrix(),
                                config),
-                lambda: evolve_pure(_nan_after(1e-4), psi0, SPACE, config)):
+                lambda: evolve(LindbladModel(SPACE, _nan_after(1e-4)), psi0, config)):
         with pytest.raises(IntegrationDivergedError,
                            match="non-finite state in the step from t = 1.000000e-04 s") as info:
             run()
@@ -657,7 +688,7 @@ def test_constant_dense_inputs_run_through_generator():
     # the pure-state path takes the same constant matrix
     psi0 = fock_state(SPACE, 0, 1, 0)
     cfg = IntegratorConfig(sample_times=np.linspace(0.0, 0.5, 3))
-    tp = evolve_pure(h, psi0, SPACE, cfg)
+    tp = evolve(LindbladModel(SPACE, h), psi0, cfg)
     td = evolve(LindbladModel(SPACE, h, ()), psi0.density_matrix(), cfg)
     for a, b in zip(tp.states, td.states):
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7

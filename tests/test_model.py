@@ -280,6 +280,23 @@ def test_collective_operator_limits(table_params):
     np.testing.assert_allclose(bm2.toarray(), -destroy(sp, 2).toarray(), atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(2, 5, 5), (3, 13, 13), (4, 8, 8)])
+def test_collective_occupations_on_the_pair_are_the_cavity_vacuum_block(table_params, stirap,
+                                                                        dims):
+    # the operators act on the mechanical modes alone, so b^+ b on the pair is
+    # the cavity-level-0 block of b^+ b on the three modes, entry for entry
+    full, pair = HilbertSpace(dims), HilbertSpace(dims[1:])
+    n = pair.total_dim
+    for convention in ("static", "rwa_phased"):
+        for a, b in zip(collective_operators(full, table_params, stirap, 0.1e-3, convention),
+                        collective_operators(pair, table_params, stirap, 0.1e-3, convention)):
+            block, op = (a.conj().T @ a)[:n, :n].tocoo(), (b.conj().T @ b).tocoo()
+            for x, y in ((block.row, op.row), (block.col, op.col), (block.data, op.data)):
+                np.testing.assert_array_equal(x, y)
+    with pytest.raises(InvalidDimensionError, match="2- or 3-mode"):
+        collective_operators(HilbertSpace((3,)), table_params, None)
+
+
 def test_collective_static_symmetric(table_params):
     sp = HilbertSpace((2, 3, 3))
     bm, bp = collective_operators(sp, table_params, None, 0.0, "static")

@@ -106,10 +106,12 @@ def _fock_scenario(**kw):
     {"horizon": (-2e-3, math.inf)}, {"horizon": (-math.inf, 2e-3)},
     {"eval_time": math.nan}, {"eval_time": math.inf},
     {"rel_tol": math.nan}, {"rel_tol": math.inf}, {"rel_tol": 0.0},
-    {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"abs_tol": -1e-10}])
+    {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"abs_tol": -1e-10},
+    {"eval_time": -1.0}, {"eval_time": 10e-3}])
 def test_scenario_needs_finite_times_and_tolerances(bad):
     # at a NaN start the integrator stepped forever; a NaN eval_time reported the
-    # horizon's start, and infinite ends and tolerances failed only in the integrator
+    # horizon's start, and infinite ends and tolerances failed only in the integrator;
+    # an eval_time outside the horizon moved the integration window
     _fock_scenario()
     with pytest.raises(InvalidArgumentError):
         _fock_scenario(**bad)
@@ -234,26 +236,21 @@ def test_build_initial_state_vector_for_pure_recipes(kind, kind2):
     np.testing.assert_allclose(state.matrix, expected, rtol=0, atol=1e-15)
 
 
-def test_lossless_pure_recipe_takes_the_state_vector_path(monkeypatch):
-    import omstirap.protocols as protocols
-
-    def refuse(*args):
-        raise AssertionError("this run took the wrong path")
-
+def test_lossless_pure_recipe_takes_the_state_vector_path():
     scen = Scenario(
         params=_params(0.0), schedule=DriveSchedule("stirap", 2000.0, SIGMA / 1.43, SIGMA, SIGMA),
         initial=InitialStateSpec("coherent", alpha=0.5), dims=(2, 5, 5),
         horizon=(-2.4e-3, 2.4e-3), sample_count=5, lossless=True,
     )
-    with monkeypatch.context() as m:
-        m.setattr(protocols, "evolve", refuse)
-        coherent = run_scenario(scen).summary
-        fock = run_scenario(replace(scen, initial=InitialStateSpec("fock", n=1))).summary
+    coherent = run_scenario(scen).summary
+    fock = run_scenario(replace(scen, initial=InitialStateSpec("fock", n=1))).summary
+    # the error norm averages over the d = 50 amplitudes of psi, or the d^2 entries of rho
+    assert coherent["integrator"]["norm_size"] == fock["integrator"]["norm_size"] == 50
     assert coherent["final_n2"] > 0.249 and coherent["final_n1"] < 1e-4
     # a mixed kind takes the density path, even when it is rank 1, with the same result
     one_hot = replace(scen, initial=InitialStateSpec("explicit", weights=(0.0, 1.0)))
-    monkeypatch.setattr(protocols, "evolve_pure", refuse)
     mixed = run_scenario(one_hot).summary
+    assert mixed["integrator"]["norm_size"] == 2500
     for key in ("final_n1", "final_n2"):
         assert abs(mixed[key] - fock[key]) < 1e-7
 
