@@ -1,17 +1,22 @@
 """Command-line entry point: config parsing, dispatch, data emission.
 
 Commands: ``simulate``, ``sweep``, ``adiabaticity``, ``verify``, ``plan``.
-Config files are JSON.  The ``system``, ``schedule``, ``initial``, ``target``,
-``plan``, ``adiabaticity`` and ``verify`` blocks take the parameters of the
-constructor they feed as keys, with its defaults and annotated scalar types.
-A key names a parameter exactly or, for a float or complex parameter whose
-name carries no unit suffix yet, after one unit suffix: ``_hz`` (f = w/2pi)
-is multiplied by 2pi; ``_rads``, ``_rad``, ``_s`` and ``_k`` pass through.
-Sweep axes on ``delta`` or on a ``params.`` field that the system block sets
-in ``_hz`` are in Hz too.  Unknown and repeated keys, a block that is not a
-JSON object and a boolean key set to anything but ``true``/``false`` are
-rejected.  Exit codes: 0 success, 2 configuration or domain error, 3
-integration failure.
+Config files are JSON, and one key rule reads every value.  The ``system``,
+``schedule``, ``initial``, ``target``, ``plan``, ``adiabaticity`` and
+``verify`` blocks, and the scenario's root keys with its ``horizon`` and
+``integrator`` blocks, take the parameters of the function they feed as
+keys, with its defaults and annotated scalar types; so do the verify phase
+grid and ``adiabaticity.omega0``, whose default 2 g alpha0 applies only when
+no spelling of it is set.  The sweep-axis numbers, ``count`` included, take
+the same scalar types.  A key names a parameter exactly or, for a float or
+complex parameter whose name carries no unit suffix yet, after one unit
+suffix: ``_hz`` (f = w/2pi) is multiplied by 2pi; ``_rads``, ``_rad``,
+``_s`` and ``_k`` pass through.  A boolean parameter takes only
+``true``/``false`` and no other scalar parameter takes a boolean; an integer
+one takes no fraction.  Sweep axes on ``delta`` or on a ``params.`` field
+that the system block sets in ``_hz`` are in Hz too.  Unknown and repeated
+keys and a block that is not a JSON object are rejected.  Exit
+codes: 0 success, 2 configuration or domain error, 3 integration failure.
 """
 
 from __future__ import annotations
@@ -113,28 +118,24 @@ def _schema(fn) -> tuple:
     return types, keys
 
 
-def _flag(value, where: str) -> bool:
-    """A JSON boolean; anything else (the string "false", 0, null) is an error."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, not {value!r}")
-    return value
-
-
-def _integer(value) -> int:
-    """``int(value)``, except that a fractional float raises instead of truncating."""
-    if isinstance(value, float) and not value.is_integer():
+def _scalar(scalar, value, where: str):
+    """``value`` read as ``scalar``: only a bool is a bool, and an int has no fraction."""
+    if isinstance(value, bool) != (scalar is bool):
+        wanted = "true or false" if scalar is bool else scalar.__name__
+        raise ConfigError(f"{where} must be {wanted}, not {value!r}")
+    if scalar is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    return scalar(value)
 
 
-def _build(fn, block: dict, where: str, **fixed):
-    """Call ``fn`` with ``block`` read by the module's key rule, plus ``fixed``.
+def _read(fn, block: dict, where: str, **fixed) -> dict:
+    """The arguments of ``fn``: ``block`` read by the module's key rule, plus ``fixed``.
 
     The parameters in ``fixed`` are set by the caller and are not keys.
     """
     _check_keys(block, None, where)
     types, keys = _schema(fn)
-    kwargs, seen = {}, {}
+    kwargs, seen = dict(fixed), {}
     with _invalid(where):
         for key, value in block.items():
             name, factor = keys.get(key, (None, None))
@@ -147,12 +148,24 @@ def _build(fn, block: dict, where: str, **fixed):
                                   f"{seen[name]!r} already sets {name}")
             seen[name] = key
             scalar, optional = types[name]
-            if scalar is bool:
-                value = _flag(value, f"{where}.{key}")
-            elif scalar is not None and not (optional and value is None):
-                value = _integer(value) if scalar is int else scalar(value)
+            if scalar is not None and not (optional and value is None):
+                value = _scalar(scalar, value, f"{where}.{key}")
             kwargs[name] = value if factor == 1.0 else factor * value
-        return fn(**kwargs, **fixed)
+    return kwargs
+
+
+def _build(fn, block: dict, where: str, **fixed):
+    """``fn`` called with :func:`_read`'s arguments; its TypeError or ValueError
+    is a config error too, as ``fn`` is a constructor or a config helper."""
+    kwargs = _read(fn, block, where, **fixed)
+    with _invalid(where):
+        return fn(**kwargs)
+
+
+def _take(block: dict, fn) -> dict:
+    """Remove from ``block``, and return, the keys that set a parameter of ``fn``."""
+    keys = _schema(fn)[1]
+    return {key: block.pop(key) for key in list(block) if key in keys}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -195,40 +208,33 @@ def build_initial(block: dict, where: str = "initial") -> InitialStateSpec:
                   mode2=build_initial(mode2, f"{where}.mode2") if mode2 else None)
 
 
+def _horizon(start_s: float, end_s: float) -> tuple:
+    """The ``horizon`` block's (start, end)."""
+    return start_s, end_s
+
+
 def build_scenario(cfg: dict) -> Scenario:
-    params = _build(SystemParams.from_ordinary, cfg.get("system", {}), "system")
+    """The :class:`Scenario` of ``cfg``, whose root keys and ``integrator`` keys
+    are the scenario's own; the other blocks build its recipes."""
     if "schedules" in cfg and "schedule" in cfg:
         raise ConfigError("give either 'schedule' or 'schedules', not both")
     blocks = _list(cfg, "schedules", [cfg.get("schedule", {})], "schedules")
     for b in blocks:
         _check_keys(b, None, "schedule")
-    schedules = tuple(
-        _build(DriveSchedule, {"kind": "stirap", "alpha0": 2000.0, **b}, "schedule")
-        for b in blocks
-    )
-    with _invalid("dims"):
-        dims = tuple(_integer(d) for d in cfg.get("dims", [2, 5, 5]))
-    horizon_block = cfg.get("horizon", {"start_s": -2e-3, "end_s": 2e-3})
-    _check_keys(horizon_block, {"start_s", "end_s"}, "horizon")
     integ = cfg.get("integrator", {})
     _check_keys(integ, _INTEGRATOR_KEYS, "integrator")
-    target = _build(TargetSpec, cfg["target"], "target") if "target" in cfg else None
-    initial = build_initial(cfg.get("initial", {"kind": "fock", "n": 1}))
-    with _invalid("scenario"):
-        return Scenario(
-            params=params,
-            schedule=schedules,
-            initial=initial,
-            dims=dims,
-            horizon=(float(horizon_block["start_s"]), float(horizon_block["end_s"])),
-            sample_count=_integer(cfg.get("sample_count", 81)),
-            target=target,
-            eval_time=None if cfg.get("eval_time_s") is None else float(cfg["eval_time_s"]),
-            picture=cfg.get("picture", "rwa"),
-            lossless=_flag(cfg.get("lossless", False), "lossless"),
-            rel_tol=float(integ.get("rel_tol", 1e-8)),
-            abs_tol=float(integ.get("abs_tol", 1e-10)),
-        )
+    fixed = {
+        "params": _build(SystemParams.from_ordinary, cfg.get("system", {}), "system"),
+        "schedule": tuple(_build(DriveSchedule, {"kind": "stirap", "alpha0": 2000.0, **b},
+                                 "schedule") for b in blocks),
+        "initial": build_initial(cfg.get("initial", {"kind": "fock", "n": 1})),
+    }
+    for key, fn in (("target", TargetSpec), ("horizon", _horizon)):
+        if key in cfg:
+            fixed[key] = _build(fn, cfg[key], key)
+    keys = _schema(Scenario)[1]
+    root = {key: value for key, value in cfg.items() if key in keys and key not in fixed}
+    return _build(Scenario, {**root, **integ}, "scenario", **fixed)
 
 
 def _axis_unit(path: str) -> float:
@@ -244,13 +250,12 @@ def _axis_from_config(block: dict) -> SweepAxis:
     with _invalid("sweep axis"):
         path = block["path"]
         if "values" in block:
-            values = [float(v) for v in block["values"]]
+            values = [_scalar(float, v, "sweep axis.values") for v in block["values"]]
         else:
-            start, stop, count = float(block["start"]), float(block["stop"]), int(block["count"])
-            if block.get("scale") == "log":
-                values = list(np.geomspace(start, stop, count))
-            else:
-                values = list(np.linspace(start, stop, count))
+            start, stop = (_scalar(float, block[k], f"sweep axis.{k}") for k in ("start", "stop"))
+            count = _scalar(int, block["count"], "sweep axis.count")
+            spacing = np.geomspace if block.get("scale") == "log" else np.linspace
+            values = list(spacing(start, stop, count))
         unit = _axis_unit(path)
         return SweepAxis(
             path=path,
@@ -264,16 +269,23 @@ def _axis_output_values(axis: SweepAxis) -> np.ndarray:
     return np.asarray(axis.values, dtype=float) / _axis_unit(axis.path)
 
 
-def _json_dump(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write(args, cfg: dict, name: str, payload: dict, table: tuple = ()):
+    """Write the JSON file ``name`` into ``--out``: the provenance and ``payload``.
 
-
-def _provenance(cfg: dict, args) -> dict:
-    return {
-        "engine_version": __version__,
-        "preset": args.preset,
-        "effective_config": cfg,
-    }
+    ``table``, a (file name, header, rows) triple, is written before it as CSV,
+    each number as the repr of its float.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if table:
+        csv_name, header, rows = table
+        with open(out / csv_name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([repr(float(v)) for v in row] for row in rows)
+    provenance = {"engine_version": __version__, "preset": args.preset, "effective_config": cfg}
+    text = json.dumps({**provenance, **payload}, indent=2, sort_keys=True)
+    (out / name).write_text(text + "\n", encoding="utf-8")
 
 
 def cmd_simulate(args) -> int:
@@ -284,23 +296,11 @@ def cmd_simulate(args) -> int:
     if scenario.target is None:
         raise ConfigError("simulate needs a target block (fidelity column)")
     result = run_scenario(scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     traj = result.trajectory
-    with open(out / "trajectory.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "n1", "n2", "nc", "negativity", "fidelity",
-                         "alpha1", "alpha2"])
-        obs = traj.observables
-        for i, t in enumerate(traj.times):
-            writer.writerow(
-                [repr(float(t))]
-                + [repr(float(obs[c][i])) for c in
-                   ("n1", "n2", "nc", "negativity", "fidelity", "alpha1", "alpha2")]
-            )
-    payload = _provenance(cfg, args)
-    payload["summary"] = result.summary
-    _json_dump(out / "summary.json", payload)
+    columns = ("n1", "n2", "nc", "negativity", "fidelity", "alpha1", "alpha2")
+    rows = zip(traj.times, *(traj.observables[c] for c in columns))
+    _write(args, cfg, "summary.json", {"summary": result.summary},
+           ("trajectory.csv", ["t_s", *columns], rows))
     return 0
 
 
@@ -318,7 +318,7 @@ def cmd_sweep(args) -> int:
     if not metrics:
         raise ConfigError("sweep.metrics must name at least one summary key")
     levels = _list(block, "contour_levels", [], "sweep.contour_levels")
-    if not all(isinstance(v, (int, float)) for v in levels):
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in levels):
         raise ConfigError(f"sweep.contour_levels must list numbers, not {levels!r}")
     contour_field = block.get("contour_field", metrics[0])
     if contour_field not in metrics:
@@ -329,30 +329,20 @@ def cmd_sweep(args) -> int:
         check_workers(workers)
     t0 = time.perf_counter()
     result = run_sweep(base, axes, metrics=metrics, worker_count=workers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     axis_vals = [_axis_output_values(a) for a in result.axes]
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [a.path for a in result.axes] + list(metrics)
-        writer.writerow(header)
-        for idx in np.ndindex(*(len(a.values) for a in result.axes)):
-            row = [repr(float(axis_vals[k][i])) for k, i in enumerate(idx)]
-            row += [repr(float(result.fields[m][idx])) for m in metrics]
-            writer.writerow(row)
-    payload = _provenance(cfg, args)
-    payload["axes"] = [
-        {"path": a.path, "scale": a.scale, "values": list(_axis_output_values(a))}
-        for a in result.axes
-    ]
-    payload["metrics"] = list(metrics)
-    payload["failures"] = [
-        {"cell": list(idx), "error": kind, "message": message, "time_s": time_s}
-        for idx, kind, message, time_s in result.failures
-    ]
-    payload["integrator"] = result.integrator
-    payload["batch_count"] = len(result.batches)
-    payload["batches"] = list(result.batches)
+    rows = ([*(axis_vals[k][i] for k, i in enumerate(idx)),
+             *(result.fields[m][idx] for m in metrics)]
+            for idx in np.ndindex(*(len(a.values) for a in result.axes)))
+    payload = {
+        "axes": [{"path": a.path, "scale": a.scale, "values": list(values)}
+                 for a, values in zip(result.axes, axis_vals)],
+        "metrics": list(metrics),
+        "failures": [{"cell": list(idx), "error": kind, "message": message, "time_s": time_s}
+                     for idx, kind, message, time_s in result.failures],
+        "integrator": result.integrator,
+        "batch_count": len(result.batches),
+        "batches": list(result.batches),
+    }
     if levels and len(axes) == 2:
         contours = extract_contours(result, contour_field, levels)
         payload["contours"] = {
@@ -360,8 +350,14 @@ def cmd_sweep(args) -> int:
             for level, lines in contours.items()
         }
     payload["wall_time_s"] = time.perf_counter() - t0
-    _json_dump(out / "sweep.json", payload)
+    _write(args, cfg, "sweep.json", payload,
+           ("sweep.csv", [a.path for a in result.axes] + list(metrics), rows))
     return 0
+
+
+def _peak_rabi(g_hz: float = 2.5, alpha0: float = 2000.0) -> float:
+    """Omega_0 = 2 g alpha0 in rad/s, the ``adiabaticity`` block's default ``omega0``."""
+    return 2.0 * TWO_PI * g_hz * alpha0
 
 
 def cmd_adiabaticity(args) -> int:
@@ -371,16 +367,13 @@ def cmd_adiabaticity(args) -> int:
         raise ConfigError("adiabaticity command needs an 'adiabaticity' block")
     _check_keys(block, None, "adiabaticity")
     block = dict(block)
-    g_hz, alpha0 = block.pop("g_hz", 2.5), block.pop("alpha0", 2000.0)
-    fixed = {}
-    if "omega0_rads" not in block:
-        with _invalid("adiabaticity"):  # peak Rabi rate Omega_0 = 2 g alpha0
-            fixed["omega0"] = 2.0 * TWO_PI * float(g_hz) * float(alpha0)
-    report = _build(adiabaticity_bounds, block, "adiabaticity", **fixed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = _provenance(cfg, args)
-    payload["report"] = {
+    rabi = _take(block, _peak_rabi)
+    kwargs = _read(adiabaticity_bounds, block, "adiabaticity")
+    if "omega0" not in kwargs:  # set under no spelling
+        kwargs["omega0"] = _build(_peak_rabi, rabi, "adiabaticity")
+    with _invalid("adiabaticity"):
+        report = adiabaticity_bounds(**kwargs)
+    _write(args, cfg, "adiabaticity.json", {"report": {
         "theta_dot_max": report.theta_dot_max,
         "omega_at_zero_rads": report.omega_at_zero,
         "t_theta_width_s": report.t_theta_width,
@@ -389,9 +382,17 @@ def cmd_adiabaticity(args) -> int:
         "two_tau_over_sigma_upper": report.upper_bound,
         "tau_over_sigma_window": list(report.tau_over_sigma_window),
         "satisfied": report.satisfied,
-    }
-    _json_dump(out / "adiabaticity.json", payload)
+    }})
     return 0
+
+
+def _phase_grid(phi2_values: list | None = None, phi2_span_rad: float = 4 * math.pi,
+                phi2_count: int = 17) -> np.ndarray:
+    """The verify phase points: ``phi2_values``, or ``phi2_count`` points spread
+    evenly over a span centred on 0."""
+    if phi2_values is not None:
+        return np.asarray([_scalar(float, v, "verify.phi2_values") for v in phi2_values])
+    return np.linspace(-phi2_span_rad / 2, phi2_span_rad / 2, phi2_count)
 
 
 def cmd_verify(args) -> int:
@@ -402,33 +403,17 @@ def cmd_verify(args) -> int:
     base = build_scenario(cfg)
     _check_keys(block, None, "verify")
     block = dict(block)
-    grid = {k: block.pop(k) for k in ("phi2_values", "phi2_span_rad", "phi2_count")
-            if k in block}
-    with _invalid("verify"):
-        if "phi2_values" in grid:
-            phi2 = np.asarray([float(v) for v in grid["phi2_values"]])
-        else:
-            span = float(grid.get("phi2_span_rad", 4 * math.pi))
-            phi2 = np.linspace(-span / 2, span / 2, int(grid.get("phi2_count", 17)))
+    phi2 = _build(_phase_grid, _take(block, _phase_grid), "verify")
     if args.workers is not None:
         block["workers"] = args.workers
     t0 = time.perf_counter()
-    fringe = _build(run_interferometry, block, "verify", base=base, phi2_grid=phi2)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "fringe.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi2_rad", "p1"])
-        for p2, p1 in zip(fringe.phi2_values, fringe.p1_values):
-            writer.writerow([repr(float(p2)), repr(float(p1))])
-    payload = _provenance(cfg, args)
-    payload["fit"] = {
-        "amplitude": fringe.amplitude,
-        "visibility": fringe.visibility,
-        "phase_rad": fringe.phase,
-    }
-    payload["wall_time_s"] = time.perf_counter() - t0
-    _json_dump(out / "fringe.json", payload)
+    # read as config, but run outside it: an error inside the fringe run is no config error
+    fringe = run_interferometry(**_read(run_interferometry, block, "verify",
+                                        base=base, phi2_grid=phi2))
+    fit = {"amplitude": fringe.amplitude, "visibility": fringe.visibility,
+           "phase_rad": fringe.phase}
+    _write(args, cfg, "fringe.json", {"fit": fit, "wall_time_s": time.perf_counter() - t0},
+           ("fringe.csv", ["phi2_rad", "p1"], zip(fringe.phi2_values, fringe.p1_values)))
     return 0
 
 
@@ -443,10 +428,7 @@ def cmd_plan(args) -> int:
     inputs = _build(PlannerInputs, block, "plan")
     gamma_opt, nbar_min, nbar_f = cooling_steady_state(inputs)
     t_herald, p_final, t_readout, readout_success = detection_budget(inputs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = _provenance(cfg, args)
-    payload["plan"] = {
+    _write(args, cfg, "plan.json", {"plan": {
         "gamma_opt_rads": gamma_opt,
         "nbar_min": nbar_min,
         "nbar_f": nbar_f,
@@ -455,8 +437,7 @@ def cmd_plan(args) -> int:
         "t_readout_s": t_readout,
         "readout_success": readout_success,
         "visibility": _build(visibility_model, wait, "plan", inputs=inputs),
-    }
-    _json_dump(out / "plan.json", payload)
+    }})
     return 0
 
 

@@ -244,8 +244,12 @@ class Scenario:
             raise InvalidArgumentError("tolerances must be finite and > 0")
         if self.sample_count < 2:
             raise InvalidArgumentError("sample_count must be >= 2")
-        if len(self.dims) != 3 or min(self.dims) < 2:
-            raise InvalidDimensionError(f"dims must be three mode dims, each >= 2: {self.dims}")
+        # stored as ints, as a hashable batch key needs them
+        if not (len(self.dims) == 3 and all(isinstance(d, numbers.Real) and float(d).is_integer()
+                                            and d >= 2 for d in self.dims)):
+            raise InvalidDimensionError(
+                f"invalid dims {self.dims!r}: three mode dims, each >= 2 and an integer")
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if self.picture not in PICTURES:
             raise InvalidArgumentError(f"unknown picture {self.picture!r}")
         object.__setattr__(self, "schedule", tuple(_as_schedule_list(self.schedule)))

@@ -230,6 +230,8 @@ def run_sweep(
         # unknown parameter paths and metrics are config errors up front; value
         # errors inside a cell are recorded per-cell instead
         resolve_path(axis.path)
+    if not all(isinstance(m, str) for m in metrics):
+        raise InvalidArgumentError(f"metrics must be summary keys, not {list(metrics)!r}")
     missing = sorted(set(metrics) - summary_keys(base))
     if missing:
         raise InvalidArgumentError(f"no run of this sweep reports the metric(s) {missing}; "

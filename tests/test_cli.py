@@ -395,6 +395,23 @@ BAD_INPUT = {
     "tau-sigma-ratio-string": ("sweep", "sweep-tau-sigma",
                                {"sweep": {"axes": [{"path": "sigma", "values": [1e-4, 2e-4],
                                                     "tau_sigma_ratio": "x"}]}}, "'x'"),
+    # only a boolean key takes a boolean: no n = 1 or kappa = 2 pi rad/s from true
+    "target-n-boolean": ("simulate", "bell-lossless",
+                         {"target": {"kind": "fock_mode2", "n": True}}, "target.n", "True"),
+    "kappa-boolean": ("simulate", "table2-stirap-10mK", {"system": {"kappa_hz": True}},
+                      "system.kappa_hz", "True"),
+    "contour-levels-boolean": ("sweep", "sweep-kappa-alpha",
+                               {"sweep": {"contour_levels": [True]}}, "sweep.contour_levels"),
+    # a metric that is no string is named, not sorted against the summary keys
+    "sweep-metric-not-a-string": ("sweep", "sweep-kappa-alpha",
+                                  {"sweep": {"metrics": ["final_n3", 5]}},
+                                  "metrics must be summary keys"),
+    # the axis count and the verify grid are read by the key rule: no truncated integers
+    "axis-count-fraction": ("sweep", "sweep-kappa-alpha",
+                            {"sweep": {"axes": [{"path": "kappa", "start": 1e3, "stop": 2e3,
+                                                 "count": 2.7}]}}, "invalid sweep axis", "2.7"),
+    "verify-phi2-count-fraction": ("verify", "verify-lossless", {"verify": {"phi2_count": 3.9}},
+                                   "invalid verify", "3.9"),
     "tau-sigma-ratio-zero": ("sweep", "sweep-tau-sigma",
                              {"sweep": {"axes": [{"path": "sigma", "values": [1e-4, 2e-4],
                                                   "tau_sigma_ratio": 0}]}},
@@ -426,6 +443,11 @@ UNKNOWN_KEY = {
     "integrator.max_step_s": ("simulate", "bell-lossless", "max_step_s",
                               {"integrator": {"max_step_s": 1e-6}}),
     "horizon": ("simulate", "bell-lossless", "mid_s", {"horizon": {"mid_s": 0.0}}),
+    # the scenario reads these blocks with its root keys, but takes no new spelling there
+    "integrator.sample_count": ("simulate", "bell-lossless", "sample_count",
+                                {"integrator": {"sample_count": 5}}),
+    "horizon.start_hz": ("simulate", "bell-lossless", "start_hz",
+                         {"horizon": {"start_hz": 0.0}}),
     "target": ("simulate", "bell-lossless", "nbar", {"target": {"nbar": 0.1}}),
     "plan": ("plan", "plan-heralding", "gamma_c_hz", {"plan": {"gamma_c_hz": 1.0}}),
     "adiabaticity": ("adiabaticity", "adiabaticity-stirap", "omega1_rads",
@@ -450,6 +472,18 @@ def test_unknown_key_in_each_block_exits_2_and_is_named(tmp_path, capsys, block)
     assert _run(tmp_path, command, preset, override) == 2
     assert repr(key) in capsys.readouterr().err
 
+
+
+def test_adiabaticity_omega0_is_read_under_every_spelling(tmp_path):
+    # 2 pi x 5 kHz, half the default 2 g alpha0 of the preset
+    reports = []
+    for override in ({}, {"omega0": TWO_PI * 5e3}, {"omega0_hz": 5e3},
+                     {"omega0_rads": TWO_PI * 5e3}):
+        assert _run(tmp_path, "adiabaticity", "adiabaticity-stirap",
+                    {"adiabaticity": override}) == 0
+        reports.append(json.loads((tmp_path / "o" / "adiabaticity.json").read_text())["report"])
+    default, *spelled = reports
+    assert spelled[0] == spelled[1] == spelled[2] != default
 
 def test_repeated_parameter_rejected(tmp_path, capsys):
     # the preset already gives gamma_m_rads
@@ -632,6 +666,16 @@ def test_integration_failure_exits_3(tmp_path, capsys, monkeypatch, workers):
                  "--out", str(tmp_path / "o")]) == 3
     assert "integration failed: trace drift 5.000e-01 exceeded 1e-04" in capsys.readouterr().err
 
+
+
+def test_an_error_inside_the_fringe_run_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken fringe point")
+
+    # only reading the verify block reports a ValueError as a config error
+    monkeypatch.setattr(protocols, "run_scenarios", broken)
+    with pytest.raises(ValueError, match="broken fringe point"):
+        main(["verify", "--preset", "verify-lossless", "--out", str(tmp_path / "o")])
 
 def test_simulate_integration_failure_exits_3(tmp_path, capsys, monkeypatch):
     def underflow(*args, **kwargs):

@@ -304,6 +304,15 @@ def test_a_scenario_rebuilt_at_other_dims_scores_its_target_there():
     assert res.summary["fidelity"] > 0.8
 
 
+def test_a_scenario_stores_its_dims_as_a_tuple_of_ints():
+    # a list entered the batch key as it came and made batches() raise TypeError
+    scenario = replace(_small_scenario(), dims=[2, np.int64(3), 3.0])
+    assert scenario.dims == (2, 3, 3) and all(type(d) is int for d in scenario.dims)
+    assert protocols.batches([scenario, _small_scenario()]) == [[0, 1]]
+    with pytest.raises(InvalidDimensionError, match=r"invalid dims \(2, 3.7, 3\)"):
+        replace(_small_scenario(), dims=(2, 3.7, 3))
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"dims": (3, 3)}, "three mode dims"),
     ({"dims": (2, 1, 3)}, "each >= 2"),
