@@ -15,8 +15,11 @@ suffix: ``_hz`` (f = w/2pi) is multiplied by 2pi; ``_rads``, ``_rad``,
 ``true``/``false`` and no other scalar parameter takes a boolean; an integer
 one takes no fraction.  Sweep axes on ``delta`` or on a ``params.`` field
 that the system block sets in ``_hz`` are in Hz too.  Unknown and repeated
-keys and a block that is not a JSON object are rejected.  Exit
-codes: 0 success, 2 configuration or domain error, 3 integration failure.
+keys and a block that is not a JSON object are rejected, and so is a value set
+two ways (``phi2_values`` beside the count or span, ``omega0`` beside ``g_hz``
+or ``alpha0``, a root ``picture`` beside a sweep, whose cells run in the
+picture ``pick_picture`` chooses).  Exit codes: 0 success, 2 configuration or
+domain error, 3 integration failure.
 """
 
 from __future__ import annotations
@@ -168,6 +171,14 @@ def _take(block: dict, fn) -> dict:
     return {key: block.pop(key) for key in list(block) if key in keys}
 
 
+def _one_way(where: str, first: set, second: set):
+    """Reject a block that sets one value two ways: the keys ``first`` would win
+    and the keys ``second`` be dropped without a word."""
+    if first and second:
+        raise ConfigError(f"{where} sets {sorted(first)} and {sorted(second)}, which "
+                          f"set one value two ways; give one of them")
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for k, v in override.items():
@@ -304,12 +315,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _work(result) -> dict:
+    """The ``integrator``, ``batch_count`` and ``batches`` keys of a sweep's or a
+    fringe's JSON: the work of its runs, as :func:`~omstirap.protocols.run_batches`
+    reports it."""
+    return {"integrator": result.integrator, "batch_count": len(result.batches),
+            "batches": list(result.batches)}
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.preset, args.config)
     block = cfg.get("sweep")
     if not block:
         raise ConfigError("sweep command needs a 'sweep' block")
     _check_keys(block, _SWEEP_KEYS, "sweep")
+    if "picture" in cfg:
+        raise ConfigError("a sweep runs each cell in the picture pick_picture chooses, so it "
+                          "takes no root key 'picture' beside its 'sweep' block")
     base = build_scenario(cfg)
     axes = [_axis_from_config(a) for a in _list(block, "axes", [], "sweep.axes")]
     if not axes:
@@ -339,9 +361,7 @@ def cmd_sweep(args) -> int:
         "metrics": list(metrics),
         "failures": [{"cell": list(idx), "error": kind, "message": message, "time_s": time_s}
                      for idx, kind, message, time_s in result.failures],
-        "integrator": result.integrator,
-        "batch_count": len(result.batches),
-        "batches": list(result.batches),
+        **_work(result),
     }
     if levels and len(axes) == 2:
         contours = extract_contours(result, contour_field, levels)
@@ -369,6 +389,8 @@ def cmd_adiabaticity(args) -> int:
     block = dict(block)
     rabi = _take(block, _peak_rabi)
     kwargs = _read(adiabaticity_bounds, block, "adiabaticity")
+    keys = _schema(adiabaticity_bounds)[1]  # _read has rejected any other key
+    _one_way("adiabaticity", {key for key in block if keys[key][0] == "omega0"}, set(rabi))
     if "omega0" not in kwargs:  # set under no spelling
         kwargs["omega0"] = _build(_peak_rabi, rabi, "adiabaticity")
     with _invalid("adiabaticity"):
@@ -403,7 +425,9 @@ def cmd_verify(args) -> int:
     base = build_scenario(cfg)
     _check_keys(block, None, "verify")
     block = dict(block)
-    phi2 = _build(_phase_grid, _take(block, _phase_grid), "verify")
+    grid = _take(block, _phase_grid)
+    _one_way("verify", {"phi2_values"} & set(grid), set(grid) - {"phi2_values"})
+    phi2 = _build(_phase_grid, grid, "verify")
     if args.workers is not None:
         block["workers"] = args.workers
     t0 = time.perf_counter()
@@ -412,7 +436,8 @@ def cmd_verify(args) -> int:
                                         base=base, phi2_grid=phi2))
     fit = {"amplitude": fringe.amplitude, "visibility": fringe.visibility,
            "phase_rad": fringe.phase}
-    _write(args, cfg, "fringe.json", {"fit": fit, "wall_time_s": time.perf_counter() - t0},
+    _write(args, cfg, "fringe.json",
+           {"fit": fit, **_work(fringe), "wall_time_s": time.perf_counter() - t0},
            ("fringe.csv", ["phi2_rad", "p1"], zip(fringe.phi2_values, fringe.p1_values)))
     return 0
 

@@ -12,6 +12,7 @@ against about 500 for the dense commutator.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -38,6 +39,12 @@ TAIL_WARN = 1e-4
 TAIL_ERROR = 1e-2
 
 
+def _whole(value) -> bool:
+    """Whether ``value`` is a real number with no fraction; a bool is none."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and float(value).is_integer())
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
     """Ordered mode dimensions of a truncated tensor-product Fock space."""
@@ -45,6 +52,9 @@ class HilbertSpace:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(_whole(d) for d in self.dims):
+            raise InvalidDimensionError(
+                f"every mode dimension must be an integer, not {self.dims!r}")
         dims = tuple(int(d) for d in self.dims)
         if len(dims) < 1:
             raise InvalidDimensionError("need at least one mode")

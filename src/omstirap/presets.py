@@ -197,13 +197,13 @@ PRESETS["verify-50mK-heralded"] = {
                "wait_s": 4e-3, "workers": 1},
 }
 
+# omega0 is left to its default 2 g alpha0 at g = 2.5 Hz and alpha0 = 2000, so that
+# an override may set it under any spelling
 PRESETS["adiabaticity-stirap"] = {
     "adiabaticity": {
         "theta_rad": math.pi / 2,
         "sigma_s": _SIGMA,
         "tau_s": _SIGMA / 1.43,
-        "alpha0": 2000.0,
-        "g_hz": 2.5,
         "n_o": 5.0,
     }
 }
@@ -213,8 +213,6 @@ PRESETS["adiabaticity-fstirap"] = {
         "theta_rad": math.pi / 4,
         "sigma_s": _SIGMA,
         "tau_s": _SIGMA / 1.25,
-        "alpha0": 2000.0,
-        "g_hz": 2.5,
         "n_o": 5.0,
     }
 }

@@ -7,10 +7,12 @@ the states; :func:`run_scenario` turns a scenario into a sampled trajectory
 carrying every observable series plus a summary.  :func:`run_scenarios` does
 the same for scenarios that share a :func:`batch_key`, stepping them as the
 columns of one DP45 ensemble; a single run is a batch of one.
-The interferometric entanglement check sweeps the relative drive phase of a
-time-reversed fractional sequence and fits the resulting single-phonon
-fringe.  Closed-form planner estimates for optical cooling, heralding and
-readout live at the bottom.
+:func:`run_batches` runs any set of scenarios, a sweep's cells or a fringe's
+phase points, as those batches, one job each on a process pool, and reports
+each batch's work.  The interferometric entanglement check sweeps the
+relative drive phase of a time-reversed fractional sequence and fits the
+resulting single-phonon fringe.  Closed-form planner estimates for optical
+cooling, heralding and readout live at the bottom.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .hilbert import (
     Generator,
     HilbertSpace,
     StateVector,
+    _whole,
     coherent_state,
     fock_state,
     product_density,
@@ -98,8 +101,15 @@ class InitialStateSpec:
         if self.kind not in self.KINDS:
             raise InvalidArgumentError(f"unknown initial-state kind {self.kind!r}")
         if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            object.__setattr__(self, "weights", _floats(self.weights, "explicit weights"))
         _check_finite(self, "alpha", "nbar", "signal_rate", "dcr", "weights", "matrix")
+
+
+def _floats(values, where: str) -> tuple:
+    """``values`` as a tuple of floats; a bool is no number, so it raises."""
+    if any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise InvalidArgumentError(f"{where} must be numbers, not booleans: {values!r}")
+    return tuple(float(v) for v in values)
 
 
 def _check_finite(recipe, *names):
@@ -189,7 +199,7 @@ class TargetSpec:
         if self.kind not in self.REDUCTIONS:
             raise InvalidArgumentError(f"unknown target kind {self.kind!r}")
         if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            object.__setattr__(self, "weights", _floats(self.weights, "target weights"))
         _check_finite(self, "alpha", "theta", "weights")
 
     def state(self, dims) -> StateVector | DensityMatrix:
@@ -245,8 +255,7 @@ class Scenario:
         if self.sample_count < 2:
             raise InvalidArgumentError("sample_count must be >= 2")
         # stored as ints, as a hashable batch key needs them
-        if not (len(self.dims) == 3 and all(isinstance(d, numbers.Real) and float(d).is_integer()
-                                            and d >= 2 for d in self.dims)):
+        if not (len(self.dims) == 3 and all(_whole(d) and d >= 2 for d in self.dims)):
             raise InvalidDimensionError(
                 f"invalid dims {self.dims!r}: three mode dims, each >= 2 and an integer")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -573,13 +582,19 @@ def heralded_initial_state(
 
 @dataclass(frozen=True)
 class FringeResult:
-    """Phase sweep of the reversed-sequence interferometer."""
+    """Phase sweep of the reversed-sequence interferometer.
+
+    ``integrator`` and ``batches`` report the work of its points, as
+    :class:`~omstirap.sweep.SweepResult` does for its cells.
+    """
 
     phi2_values: np.ndarray
     p1_values: np.ndarray
     amplitude: float
     visibility: float
     phase: float
+    integrator: dict | None = None
+    batches: tuple = ()
 
 
 def _fringe_scenario(
@@ -607,26 +622,62 @@ def check_workers(workers) -> int:
     return int(workers)
 
 
-def parallel_map(fn, jobs: list, workers: int) -> list:
-    """``[fn(job) for job in jobs]``, in order, on up to ``workers`` processes.
+#: the ``summary["integrator"]`` counts :func:`_integrator_totals` sums over runs
+_SUMMED = ("accepted", "rejected", "rhs_evals", "clamped", "interpolated")
 
-    ``workers`` must pass :func:`check_workers`, which it meets before any job
-    runs.  The worker count is capped at the CPU count; one worker runs in this
-    process.  Results are returned in job order whatever the scheduling, so
-    they do not depend on the worker count.
+
+def _integrator_totals(summaries: list) -> dict | None:
+    """The work of the finished runs among ``summaries`` (a summary or an error
+    each): the counts of :data:`_SUMMED` summed, the least ``h_min`` and the
+    largest ``h_max``; None when no run finished."""
+    reports = [s["integrator"] for s in summaries if not isinstance(s, OmstirapError)]
+    if not reports:
+        return None
+    totals = {key: sum(r[key] for r in reports) for key in _SUMMED}
+    totals["h_min"] = min(r["h_min"] for r in reports)
+    totals["h_max"] = max(r["h_max"] for r in reports)
+    return totals
+
+
+def _run_batch(scenarios: list) -> tuple:
+    """Per scenario of one batch its summary, or the error that stopped it; and
+    the batch's record for :func:`run_batches`."""
+    t0 = time.perf_counter()
+    try:
+        results = [r if isinstance(r, OmstirapError) else r.summary
+                   for r in run_scenarios(scenarios)]
+    except OmstirapError as exc:  # a failure before the integration fails every scenario
+        results = [exc] * len(scenarios)
+    done = [r for r in results if not isinstance(r, OmstirapError)]
+    record = {"cells": len(scenarios), "wall_time_s": time.perf_counter() - t0,
+              "blas_threads": done[0]["blas_threads"] if done else None}
+    return results, record
+
+
+def run_batches(scenarios: Sequence[Scenario], workers: int) -> tuple[list, list]:
+    """Run ``scenarios`` as the :func:`batches`, one job per batch, on up to
+    ``workers`` processes (checked by :func:`check_workers` before any run,
+    capped at the CPU count; one runs in this process).
+
+    Returns per scenario, in input order, its summary or the
+    :class:`~omstirap.errors.OmstirapError` that stopped it, and per batch its
+    ``cells``, ``wall_time_s`` and the ``blas_threads`` setting of its
+    observables pass (None when it could not be set or no scenario finished).
+    Each scenario steps as it does alone, whatever the worker count.
     """
     workers = min(check_workers(workers), os.cpu_count() or 1)
+    groups = batches(scenarios)
+    jobs = [[scenarios[i] for i in group] for group in groups]
     if workers <= 1:
-        return [fn(job) for job in jobs]
-    chunk = max(1, len(jobs) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunk))
-
-
-def _fringe_batch(scenarios) -> list:
-    """final_p1 of each scenario of one batch, or the error that stopped it."""
-    return [r if isinstance(r, Exception) else r.summary["final_p1"]
-            for r in run_scenarios(scenarios)]
+        outcomes = [_run_batch(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_batch, jobs))
+    results: list = [None] * len(scenarios)
+    for group, (summaries, _) in zip(groups, outcomes):
+        for i, summary in zip(group, summaries):
+            results[i] = summary
+    return results, [record for _, record in outcomes]
 
 
 def run_interferometry(
@@ -644,9 +695,8 @@ def run_interferometry(
     time-reversed sequence at relative phase phi2, recording the final
     single-phonon probability of mode 1.  The fringe is fit by least
     squares to A (1 + V cos(phase - phi2)).  The phase points share a
-    :func:`batch_key`, so they run as batches of at most
-    :data:`BATCH_COLUMNS` (:func:`run_scenarios`), handed whole to the
-    workers; a failed point raises its integration error.
+    :func:`batch_key` and run through :func:`run_batches`; a failed point
+    raises the error that stopped it.
 
     ``include_forward=False`` treats the base initial state as the state
     already present at the hold point and applies only the reversed
@@ -660,16 +710,11 @@ def run_interferometry(
     if phi2s.size < 3:
         raise InvalidArgumentError("need at least 3 phase points to fit a fringe")
     points = [_fringe_scenario(base, phi1, float(p2), wait, include_forward) for p2 in phi2s]
-    groups = batches(points)
-    outcomes: list = [None] * len(points)
-    jobs = [[points[i] for i in group] for group in groups]
-    for group, values in zip(groups, parallel_map(_fringe_batch, jobs, workers)):
-        for i, value in zip(group, values):
-            outcomes[i] = value
-    for value in outcomes:
-        if isinstance(value, Exception):
-            raise value
-    p1 = np.array(outcomes)
+    summaries, records = run_batches(points, workers)
+    for summary in summaries:
+        if isinstance(summary, OmstirapError):
+            raise summary
+    p1 = np.array([summary["final_p1"] for summary in summaries])
     design = np.column_stack([np.ones_like(phi2s), np.cos(phi2s), np.sin(phi2s)])
     c0, cc, cs = np.linalg.lstsq(design, p1, rcond=None)[0]
     amplitude = float(c0)
@@ -682,6 +727,8 @@ def run_interferometry(
         amplitude=amplitude,
         visibility=visibility,
         phase=phase,
+        integrator=_integrator_totals(summaries),
+        batches=tuple(records),
     )
 
 

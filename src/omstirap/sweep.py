@@ -1,20 +1,19 @@
 """Parallel 1-D/2-D parameter sweeps and iso-level contour extraction.
 
-Each grid cell is one scenario.  Cells that share a batch key (the same
-picture, dims, collapse rates, initial state and tolerances) run as the
-columns of one DP45 ensemble, in batches cut in grid order that do not depend
-on the worker count; each column takes exactly the steps it takes alone.
-Results land in preallocated slots keyed by cell index, so the aggregated
-grids are bitwise identical for any worker count.  A cell that fails with one
-of the package's own errors records the error class, message and failure
-time and leaves NaN in the grids; any other exception is a bug and aborts
-the sweep.
+Each grid cell is one scenario, run in the picture :func:`pick_picture`
+chooses.  The cells go through :func:`~omstirap.protocols.run_batches`:
+cells that share a batch key (the same picture, dims, collapse rates, initial
+state and tolerances) run as the columns of one DP45 ensemble, in batches cut
+in grid order that do not depend on the worker count, and each column takes
+exactly the steps it takes alone, so the grids are bitwise identical for any
+worker count.  A cell that fails with one of the package's own errors records
+the error class, message and failure time and leaves NaN in the grids; any
+other exception is a bug and aborts the sweep.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, OmstirapError
 from .model import DriveSchedule, SystemParams, TWO_PI
-from .protocols import Scenario, batches, parallel_map, run_scenarios, summary_keys
+from .protocols import Scenario, _floats, _integrator_totals, run_batches, summary_keys
 from .adiabatic import resonance_check
 
 #: frequency-difference band (rad/s) below which the co-rotating cross
@@ -51,7 +50,7 @@ class SweepAxis:
     tau_sigma_ratio: float | None = None
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = _floats(self.values, "axis values")
         if len(vals) < 2:
             raise InvalidArgumentError("axis needs at least 2 values")
         diffs = np.diff(vals)
@@ -63,7 +62,7 @@ class SweepAxis:
             raise InvalidArgumentError("log axis needs positive values")
         object.__setattr__(self, "values", vals)
         if self.tau_sigma_ratio is not None:
-            ratio = float(self.tau_sigma_ratio)
+            ratio, = _floats((self.tau_sigma_ratio,), "tau_sigma_ratio")
             if not ratio > 0:
                 raise InvalidArgumentError(f"tau_sigma_ratio must be > 0, got {ratio}")
             object.__setattr__(self, "tau_sigma_ratio", ratio)
@@ -173,38 +172,6 @@ def _failure(exc: OmstirapError) -> tuple:
     return type(exc).__name__, str(exc), getattr(exc, "time", None)
 
 
-#: the ``summary["integrator"]`` counts a sweep sums over its cells
-_SUMMED = ("accepted", "rejected", "rhs_evals", "clamped", "interpolated")
-
-
-def _run_batch(args) -> tuple:
-    """Per scenario of one batch its metric values and integrator report, or the
-    failure that stopped it; and the batch's record for ``SweepResult.batches``."""
-    scenarios, metrics = args
-    t0 = time.perf_counter()
-    try:
-        results = run_scenarios(scenarios)
-    except OmstirapError as exc:  # a failure before the integration fails every cell
-        results = [exc] * len(scenarios)
-    done = [r.summary for r in results if not isinstance(r, OmstirapError)]
-    record = {"cells": len(scenarios), "wall_time_s": time.perf_counter() - t0,
-              "blas_threads": done[0]["blas_threads"] if done else None}
-    return [_failure(r) if isinstance(r, OmstirapError) else
-            {"values": {m: r.summary[m] for m in metrics}, "integrator": r.summary["integrator"]}
-            for r in results], record
-
-
-def _integrator_totals(reports: list) -> dict | None:
-    """The sweep's integrator work: the counts of :data:`_SUMMED` summed, the
-    least ``h_min`` and the largest ``h_max``; None for no report."""
-    if not reports:
-        return None
-    totals = {key: sum(r[key] for r in reports) for key in _SUMMED}
-    totals["h_min"] = min(r["h_min"] for r in reports)
-    totals["h_max"] = max(r["h_max"] for r in reports)
-    return totals
-
-
 def run_sweep(
     base: Scenario,
     axes: Sequence[SweepAxis],
@@ -216,11 +183,10 @@ def run_sweep(
     ``metrics`` are summary keys of :func:`run_scenario` (for example
     ``final_n2``, ``fidelity``, ``peak_negativity``); one that the base
     scenario's summary does not carry is rejected before any cell runs.
-    Cells are grouped by :func:`~omstirap.protocols.batch_key` and each
-    group runs, cut in grid order into batches of at most
-    :data:`~omstirap.protocols.BATCH_COLUMNS` cells, as one DP45 ensemble
-    (:func:`~omstirap.protocols.run_scenarios`); the workers take whole
-    batches.  Every cell steps as it does alone, and aggregation order is
+    The cells run through :func:`~omstirap.protocols.run_batches`, whose
+    records become ``batches``: each batch of cells that share a
+    :func:`~omstirap.protocols.batch_key` is one DP45 ensemble and one job.
+    Every cell steps as it does alone, and aggregation order is
     deterministic regardless of worker scheduling.
     """
     axes = tuple(axes)
@@ -247,22 +213,16 @@ def run_sweep(
         except OmstirapError as exc:  # domain and integration failures are per-cell results
             failures.append((idx, *_failure(exc)))
 
-    groups = batches([scenario for _, scenario in cells])
-    jobs = [([cells[i][1] for i in group], tuple(metrics)) for group in groups]
+    summaries, records = run_batches([scenario for _, scenario in cells], worker_count)
     grids = {m: np.full(shape, np.nan) for m in metrics}
-    reports, records = [], []
-    for group, (outcomes, record) in zip(groups, parallel_map(_run_batch, jobs, worker_count)):
-        records.append(record)
-        for i, outcome in zip(group, outcomes):
-            idx = cells[i][0]
-            if isinstance(outcome, tuple):
-                failures.append((idx, *outcome))
-                continue
-            reports.append(outcome["integrator"])
+    for (idx, _), summary in zip(cells, summaries):
+        if isinstance(summary, OmstirapError):
+            failures.append((idx, *_failure(summary)))
+        else:
             for m in metrics:
-                grids[m][idx] = outcome["values"][m]
+                grids[m][idx] = summary[m]
     return SweepResult(axes=axes, fields=grids, failures=tuple(sorted(failures)),
-                       integrator=_integrator_totals(reports), batches=tuple(records))
+                       integrator=_integrator_totals(summaries), batches=tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,27 @@ def test_verify_lossless_fringe(tmp_path):
     assert len(rows) == 10
 
 
+def test_fringe_json_reports_the_work_of_its_points(tmp_path):
+    assert main(["verify", "--preset", "verify-lossless", "--out", str(tmp_path / "o")]) == 0
+    meta = json.loads((tmp_path / "o" / "fringe.json").read_text())
+    cfg = preset_config("verify-lossless")
+    base, block = cli.build_scenario(cfg), cfg["verify"]
+    phi2 = cli._phase_grid(phi2_span_rad=block["phi2_span_rad"], phi2_count=block["phi2_count"])
+    stats = [protocols.run_scenario(protocols._fringe_scenario(
+        base, block["phi1_rad"], float(p2), block["wait_s"], True)).summary["integrator"]
+        for p2 in phi2]
+    summed = ("accepted", "rejected", "rhs_evals", "clamped", "interpolated")
+    assert meta["integrator"] == {**{k: sum(s[k] for s in stats) for k in summed},
+                                  "h_min": min(s["h_min"] for s in stats),
+                                  "h_max": max(s["h_max"] for s in stats)}
+    # 17 points, at most 16 to a batch
+    assert meta["batch_count"] == len(meta["batches"]) == 2
+    assert [b["cells"] for b in meta["batches"]] == [16, 1]
+    for batch in meta["batches"]:
+        assert batch["wall_time_s"] > 0.0
+        assert batch["blas_threads"] is None or batch["blas_threads"]["used"] == 1
+
+
 def test_sweep_small_grid(tmp_path):
     payload = {
         "system": {"temperature_k": 0.0},
@@ -388,7 +409,9 @@ BAD_INPUT = {
     # a sweep metric that no run's summary carries is rejected before the first cell
     "sweep-metric-not-reported": ("sweep", "sweep-kappa-alpha",
                                   {"sweep": {"metrics": ["final_n3"]}}, "'final_n3'"),
-    "sweep-fidelity-without-target": ("sweep", "degenerate-diagnostics",
+    # verify-lossless has no target; degenerate-diagnostics sets a root picture, which no
+    # sweep takes
+    "sweep-fidelity-without-target": ("sweep", "verify-lossless",
                                       {"sweep": {"axes": [{"path": "kappa",
                                                            "values": [1e3, 2e3]}],
                                                  "metrics": ["fidelity"]}}, "'fidelity'"),
@@ -416,6 +439,29 @@ BAD_INPUT = {
                              {"sweep": {"axes": [{"path": "sigma", "values": [1e-4, 2e-4],
                                                   "tau_sigma_ratio": 0}]}},
                              "tau_sigma_ratio must be > 0"),
+    # a bool is no number where a list or an axis number is read: no weight or ratio of 1.0
+    "explicit-weights-boolean": ("simulate", "bell-lossless",
+                                 {"initial": {"kind": "explicit", "weights": [True, False]},
+                                  "dims": [2, 3, 3], "sample_count": 5,
+                                  "target": {"kind": "fock_mode2"}}, "explicit weights",
+                                 "booleans"),
+    "target-weights-boolean": ("simulate", "bell-lossless",
+                               {"target": {"kind": "weights_mode2", "weights": [False, True]}},
+                               "target weights", "booleans"),
+    "tau-sigma-ratio-boolean": ("sweep", "sweep-tau-sigma",
+                                {"sweep": {"axes": [{"path": "sigma", "values": [1e-4, 2e-4],
+                                                     "tau_sigma_ratio": True}]}},
+                                "tau_sigma_ratio", "booleans"),
+    # a block that sets one value two ways names both keys instead of dropping one
+    "verify-phi2-values-and-count": ("verify", "verify-lossless",
+                                     {"verify": {"phi2_values": [0, 1, 2], "phi2_count": 99}},
+                                     "'phi2_values'", "'phi2_count'"),
+    "adiabaticity-omega0-and-g": ("adiabaticity", "adiabaticity-stirap",
+                                  {"adiabaticity": {"omega0_hz": 2e4, "g_hz": 99}},
+                                  "'omega0_hz'", "'g_hz'"),
+    # each sweep cell runs in the picture pick_picture chooses: a root picture was dropped
+    "sweep-root-picture": ("sweep", "sweep-kappa-alpha", {"picture": "full"},
+                           "'picture'", "'sweep'"),
 }
 
 
@@ -424,7 +470,7 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, case):
     def no_run(*args, **kwargs):
         raise AssertionError("bad input must be rejected before any integration")
 
-    monkeypatch.setattr(sweep, "parallel_map", no_run)  # run_sweep's own checks still run
+    monkeypatch.setattr(sweep, "run_batches", no_run)  # run_sweep's own checks still run
     monkeypatch.setattr(protocols, "evolve", no_run)
     command, preset, override, *named = BAD_INPUT[case]
     assert _run(tmp_path, command, preset, override) == 2

@@ -58,6 +58,18 @@ def test_ladder_rejects_dim_1():
         ladder(1, "lower")
 
 
+@pytest.mark.parametrize("dims", [(2, 3.7, 3), (2, True, 3), (2, math.nan, 3), ("3", 2)])
+def test_space_rejects_a_dim_that_is_no_integer(dims):
+    # a fraction was truncated, and a bool read as 1 and reported as "got (2, 1, 3)"
+    with pytest.raises(InvalidDimensionError, match="must be an integer"):
+        HilbertSpace(dims)
+
+
+def test_space_keeps_an_integral_float_dim_as_an_int():
+    assert HilbertSpace((2, 3.0, np.int64(3))).dims == (2, 3, 3)
+    assert all(type(d) is int for d in HilbertSpace((2, 3.0, np.int64(3))).dims)
+
+
 def test_embed_cavity_lower_traceless():
     sp = HilbertSpace((2, 2, 2))
     op = embed(sp, 0, ladder(2, "lower"))

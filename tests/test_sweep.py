@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omstirap import sweep
+from omstirap import protocols
 from omstirap.errors import (
     ConfigError,
     IntegrationDivergedError,
@@ -16,6 +16,8 @@ from omstirap.protocols import (
     InitialStateSpec,
     Scenario,
     batches,
+    run_batches,
+    run_interferometry,
     run_scenario,
     run_scenarios,
 )
@@ -120,10 +122,12 @@ def test_failed_cells_recorded_not_fatal(monkeypatch):
     failing = {0.1e-3: StiffnessError(1.25e-4),
                0.12e-3: IntegrationDivergedError(2.5e-4, 1e-3, 1e-4)}
 
-    def run(scenarios):
-        return [failing.get(s.schedule[0].sigma1) or run_scenario(s) for s in scenarios]
+    original = protocols.run_scenarios  # run_scenario calls it through the patched name
 
-    monkeypatch.setattr(sweep, "run_scenarios", run)
+    def run(scenarios):
+        return [failing.get(s.schedule[0].sigma1) or original([s])[0] for s in scenarios]
+
+    monkeypatch.setattr(protocols, "run_scenarios", run)
     axes = [SweepAxis("schedule.sigma1", (-1e-4, 0.1e-3, 0.12e-3, 0.15e-3))]
     res = run_sweep(scen, axes, metrics=("final_n2",), worker_count=1)
     assert len(res.failures) == 3
@@ -139,12 +143,10 @@ def test_failed_cells_recorded_not_fatal(monkeypatch):
 
 
 def test_programming_error_in_cell_propagates(monkeypatch):
-    import omstirap.sweep as sweep
-
     def broken(scenarios):
         raise TypeError("bug in a cell")
 
-    monkeypatch.setattr(sweep, "run_scenarios", broken)
+    monkeypatch.setattr(protocols, "run_scenarios", broken)
     axes = [SweepAxis("alpha0", (1500.0, 2000.0))]
     with pytest.raises(TypeError, match="bug in a cell"):
         run_sweep(_fast_scenario(), axes, metrics=("final_n2",), worker_count=1)
@@ -280,3 +282,47 @@ def test_mixed_picture_grid_is_identical_at_one_and_two_workers():
     for m in r1.fields:
         assert np.array_equal(r1.fields[m], r2.fields[m], equal_nan=True)
     assert r1.failures == r2.failures == ()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_batches_returns_interleaved_batch_keys_in_input_order(workers):
+    _, _, cells = _delta_alpha_grid()
+    order = [i + row for i in range(4) for row in (0, 4)]  # alpha-major: the keys alternate
+    assert batches([cells[i] for i in order]) == [[0, 2, 4, 6], [1, 3, 5, 7]]
+    summaries, records = run_batches([cells[i] for i in order], workers)
+    assert [r["cells"] for r in records] == [4, 4]
+    for i, batched in zip(order, summaries):
+        solo = run_scenario(cells[i]).summary
+        assert batched["integrator"] == solo["integrator"]
+        for key, value in solo.items():
+            if isinstance(value, float) and key != "wall_time_s":
+                assert abs(batched[key] - value) <= 1e-12, (i, key)
+
+
+def test_a_failure_before_integration_fails_only_its_batch(monkeypatch):
+    original = protocols.run_scenarios
+
+    def bs_fails(scenarios):  # as a state that cannot be built would
+        if scenarios[0].picture == "bs":
+            raise InvalidArgumentError("no bs batch")
+        return original(scenarios)
+
+    monkeypatch.setattr(protocols, "run_scenarios", bs_fails)
+    _, _, cells = _delta_alpha_grid()
+    summaries, records = run_batches(cells, 1)
+    assert all(isinstance(s, InvalidArgumentError) for s in summaries[:4])
+    assert all(isinstance(s, dict) for s in summaries[4:])
+    assert [r["cells"] for r in records] == [4, 4] and records[0]["blas_threads"] is None
+
+    # 17 fringe points are a batch of 16 and one of 1: the second one's failure is raised
+    def last_point_fails(scenarios):
+        if len(scenarios) == 1:
+            raise InvalidArgumentError("no last point")
+        return original(scenarios)
+
+    monkeypatch.setattr(protocols, "run_scenarios", last_point_fails)
+    sigma = 0.15e-3
+    base = _fast_scenario(schedule=DriveSchedule("fractional", 2000.0, sigma / 1.25, sigma,
+                                                 sigma, theta=math.pi / 4))
+    with pytest.raises(InvalidArgumentError, match="no last point"):
+        run_interferometry(base, np.linspace(-math.pi, math.pi, 17), wait=1e-3)
