@@ -420,7 +420,7 @@ def _phase_grid(phi2_values: list | None = None, phi2_span_rad: float = 4 * math
 def cmd_verify(args) -> int:
     cfg = load_config(args.preset, args.config)
     block = cfg.get("verify")
-    if not block:
+    if block is None:  # an empty block takes every default
         raise ConfigError("verify command needs a 'verify' block")
     base = build_scenario(cfg)
     _check_keys(block, None, "verify")

@@ -32,7 +32,11 @@ real pieces K_k + K'_k and i(K_k - K'_k), so the weights of (L0 or -i H0,
 symmetrization.  When every coefficient of every column is real
 (``DriveCoefficients.real``: zero phase rates and real drive phases, as in
 the table-2 and fig3 presets), each i(K_k - K'_k) has the weight 0 and is
-not built.
+not built.  Both forms have one norm rule (:meth:`_RealCoordinates.norm`):
+Tr rho, the sum of the stepped real coordinates, or |psi|^2.  It is checked
+after every step and at every sample, and psi alone is renormalized after
+each step: |psi|^2 is a quadratic invariant, which RK does not conserve,
+while every piece keeps Tr rho.
 
 A sample is kept as the coordinates the run steps, divided by the trace
 (the norm for psi): one row of m reals, where the d x d rho it stands for has
@@ -142,6 +146,8 @@ class IntegratorConfig:
             raise InvalidArgumentError("sample times must be strictly increasing")
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise InvalidArgumentError("tolerances must be finite and > 0")
+        if not np.all(np.isfinite(np.asarray(self.stops, dtype=float))):
+            raise InvalidArgumentError(f"stops must be finite, not {self.stops!r}")
         object.__setattr__(self, "sample_times", ts)
 
 
@@ -286,10 +292,10 @@ class _RealCoordinates:
 
     :meth:`pieces` and :meth:`coordinates` give all m coordinates.  The ones
     stepped are ``order``, all m until :meth:`restrict` cuts them, and
-    ``weight``, :meth:`modulus`, :meth:`rms`, :meth:`trace` and :meth:`vector`
-    read states of those: first each coordinate whose pair partner is not
-    stepped (the real ones leading), then the stepped pairs, which read as one
-    complex array of v_i.
+    ``weight``, :meth:`modulus`, :meth:`rms`, :meth:`norm`, :meth:`unit` and
+    :meth:`vector` read states of those: first each coordinate whose pair
+    partner is not stepped (the real ones leading), then the stepped pairs,
+    which read as one complex array of v_i.
     """
 
     def __init__(self, real: np.ndarray, upper: np.ndarray, lower: np.ndarray | None = None):
@@ -363,9 +369,16 @@ class _RealCoordinates:
         entries, in one ``einsum``: the coordinates not stepped are exactly zero."""
         return np.sqrt(np.einsum("...k,...k,k->...", x, x, self.weight) / self.size)
 
-    def trace(self, y: np.ndarray) -> np.ndarray:
-        """The sum of the real entries of each row of ``y``: Tr rho."""
-        return y[..., :self._stepped_real].sum(axis=-1)
+    def norm(self, y: np.ndarray) -> np.ndarray:
+        """Tr rho of each row of ``y`` for a Hermitian half (the sum of its stepped
+        real coordinates), else |psi|^2 (one row sum of squares, no BLAS)."""
+        if self.hermitian:
+            return y[..., :self._stepped_real].sum(axis=-1)
+        return np.square(y).sum(axis=-1)
+
+    def unit(self, y: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """The rows of ``y`` divided by their norms ``n``: by n for rho, by sqrt(n) for psi."""
+        return y / (n if self.hermitian else np.sqrt(n))[..., None]
 
     def vector(self, y: np.ndarray) -> np.ndarray:
         """The complex vector v of the stepped coordinates ``y``, or one per row of ``y``."""
@@ -459,8 +472,7 @@ def _superoperator_pieces(model: LindbladModel):
 
     L0 = M x I + I x conj(M) + sum_k r_k C_k x conj(C_k) with the effective
     M = -i H0 - sum_k r_k C_k^+ C_k / 2, which is rho -> M rho + rho M^+ plus
-    the jumps for a Hermitian H0: 2 + n_c Kronecker products, not 2 + 3 n_c,
-    and the n_c products C_k^+ C_k in M are one sparse product.
+    the jumps for a Hermitian H0: 2 + n_c Kronecker products, not 2 + 3 n_c.
     K_k = -i (A_k x I - I x A_k^T), the superoperator of rho -> -i[A_k, rho],
     and K'_k the same of A_k^+.  Each piece is summed from the COO triples of
     its Kronecker products in one CSR conversion.
@@ -469,15 +481,8 @@ def _superoperator_pieces(model: LindbladModel):
     eye = scipy.sparse.identity(d, dtype=complex, format="csr")
     m = -1j * model.hamiltonian.h0
     jumps = [(c, rate) for c, rate in model.collapse_terms if rate > 0.0]
-    if jumps:
-        # every C_k^+ C_k as a diagonal block of one product, its r_k / 2 multiple then
-        # subtracted from M in jump order, so each entry rounds as in a per-jump chain
-        blocks = scipy.sparse.block_diag([c for c, _ in jumps], format="csr")
-        p = (blocks.conj().T @ blocks).tocoo()
-        weights = np.array([0.5 * rate for _, rate in jumps])[p.row // d]
-        dense = m.toarray()
-        np.subtract.at(dense, (p.row % d, p.col % d), weights * p.data)
-        m = scipy.sparse.csr_matrix(dense)
+    for c, rate in jumps:
+        m = m - 0.5 * rate * (c.conj().T @ c)
     l0 = _from_triples([_kron(m, eye), _kron(eye, m.conj()),
                         *(_kron(c, c.conj(), rate) for c, rate in jumps)], d * d)
     parts = [_from_triples([_kron(op, eye, -1j), _kron(eye, op.T, 1j)], d * d)
@@ -634,8 +639,8 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, coords):
     :class:`_RealCoordinates` ``coords``.  It is row 0 of the stage array, so
     each stage input is one ``einsum`` over the rows before it.  ``repair(y)``
     returns the accepted states in the rows of ``y``, with any invariant
-    restored, and the trace (|psi|^2 for a pure state) of each; a trace that
-    drifts from 1 by more than ``TRACE_DIVERGENCE_TOL`` fails its column.  A
+    restored, and the norm (``coords.norm``) of each; a norm that drifts
+    from 1 by more than ``TRACE_DIVERGENCE_TOL`` fails its column.  A
     repair that returns ``y`` itself changes nothing, and the modulus of the
     accepted states carries over to the next attempt.  ``on_sample(t, y)``
     converts the state ``y`` at the sample time ``t`` into its stored form, an
@@ -731,18 +736,15 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, coords):
                 np.multiply(h[rows, None], b, out=coef[:, 1:])
                 dense = combination(coef, rows)
 
-            drifts = [0.0] * len(act)  # of the accepted states' traces from 1
+            drifts = [0.0] * len(act)  # of the accepted states' norms from 1
             if ok:
-                if len(ok) == len(act):
-                    repaired, traces = repair(y5)
-                    k[0], k[1] = repaired, k[7]  # first-same-as-last
-                    modulus = modulus5 if repaired is y5 else coords.modulus(y)
-                else:
-                    accepted = y5[ok]
-                    repaired, traces = repair(accepted)
-                    k[0, ok], k[1, ok] = repaired, k[7, ok]
-                    modulus[ok] = modulus5[ok] if repaired is accepted else coords.modulus(repaired)
-                for pos, drift in zip(ok, np.abs(traces - 1.0).tolist()):
+                # a slice when every column accepted: indexing with a list copies
+                took = slice(None) if len(ok) == len(act) else ok
+                accepted = y5[took]
+                repaired, norms = repair(accepted)
+                k[0, took], k[1, took] = repaired, k[7, took]  # first-same-as-last
+                modulus[took] = modulus5[took] if repaired is accepted else coords.modulus(repaired)
+                for pos, drift in zip(ok, np.abs(norms - 1.0).tolist()):
                     drifts[pos] = drift
 
             for pos, j in enumerate(act):
@@ -781,13 +783,6 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, coords):
     return out
 
 
-def _check_trace(t: float, trace: float, tol: float):
-    """Raise when the trace (|psi|^2 for a pure state) has drifted from 1 by more than ``tol``."""
-    drift = abs(trace - 1.0)
-    if drift > tol:
-        raise IntegrationDivergedError(t, drift, tol)
-
-
 def evolve(model: LindbladModel, state0: StateVector | DensityMatrix, config):
     """Integrate the master equation from ``state0`` and sample at the configured times.
 
@@ -801,10 +796,10 @@ def evolve(model: LindbladModel, state0: StateVector | DensityMatrix, config):
     coordinates that the kept pieces can reach from the input's; the pieces
     i(K_k - K'_k) are not built when every coefficient of every column is
     real.  Steps end on the stops and the last sample time, and a sample
-    inside a step is read from the continuous extension.  The trace
-    (|psi|^2 for psi) is checked against 1e-4 after every step and 1e-6 at
-    every sample, the first included; a drift beyond either aborts with an
-    error carrying the time.  Sampled states are divided by their trace (or
+    inside a step is read from the continuous extension.  The norm (the
+    trace, or |psi|^2 for psi) is checked against 1e-4 after every step, psi
+    then renormalized, and 1e-6 at every sample, the first included; a drift
+    beyond either aborts with an error carrying the time.  Sampled states are divided by their trace (or
     norm) and kept as their stepped coordinates (:attr:`Trajectory.samples`),
     and :attr:`Trajectory.states` gives them as density matrices,
     |psi><psi| for psi.  Each trajectory's ``timing`` holds the batch's
@@ -824,35 +819,23 @@ def evolve(model: LindbladModel, state0: StateVector | DensityMatrix, config):
     if isinstance(state0, StateVector) and not any(rate > 0.0 for _, rate in model.collapse_terms):
         coords, v0 = _RealCoordinates(np.arange(0), np.arange(d)), state0.amplitudes
         pieces = (-1j * gen.h0, [-1j * op for a in gen.ops for op in (a, a.conj().T)])
-
-        def trace(y):
-            """|psi|^2 of each row of ``y``: one row sum of squares, no BLAS."""
-            return np.square(y).sum(axis=-1)
-
-        def unit(y, sq):
-            return y / np.sqrt(sq)[..., None]
-
-        def repair(y):
-            """The rows of ``y`` normalized, and their squared norms: the norm is a
-            quadratic invariant, which RK does not conserve."""
-            sq = trace(y)
-            return unit(y, sq), sq
     else:
         rho0 = state0 if isinstance(state0, DensityMatrix) else state0.density_matrix()
         coords, v0 = _hermitian_half(d), rho0.matrix.reshape(-1)
-        pieces, trace = _superoperator_pieces(model), coords.trace
+        pieces = _superoperator_pieces(model)
 
-        def unit(y, tr):
-            return y / tr
-
-        def repair(y):
-            """The rows of ``y``, Hermitian by construction, and their traces."""
-            return y, trace(y)
+    def repair(y):
+        """The rows of ``y``, psi's renormalized (|psi|^2 is a quadratic invariant,
+        which RK does not conserve), and their norms."""
+        n = coords.norm(y)
+        return (y if coords.hermitian else coords.unit(y, n)), n
 
     def on_sample(t, y):
-        tr = trace(y)
-        _check_trace(t, tr, TRACE_SAMPLE_TOL)
-        return unit(y, tr)
+        n = coords.norm(y)
+        drift = abs(n - 1.0)
+        if drift > TRACE_SAMPLE_TOL:
+            raise IntegrationDivergedError(t, drift, TRACE_SAMPLE_TOL)
+        return coords.unit(y, n)
 
     real = _real_drive(gen)  # every i(K_k - K'_k) has the weight Im c_k = 0
     const, parts = coords.pieces(*pieces, imaginary=not real)

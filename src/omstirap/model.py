@@ -182,29 +182,20 @@ def _pulses(t, amplitude, centre, width) -> np.ndarray:
 
 def _components(schedule: DriveSchedule, pump_index: int):
     """(amplitude, center, sigma) Gaussian components of one pump envelope; a
-    constant pump is one component of infinite width."""
+    constant pump is one component of infinite width, and ``reversed_fractional``
+    is ``fractional`` mirrored about t0, its early and late centres swapped."""
     s = schedule
     if s.kind == "constant":
         return [(s.alpha0, 0.0, math.inf)]
+    early, late = s.t0 - s.tau, s.t0 + s.tau
+    if s.kind == "reversed_fractional":
+        early, late = late, early
     if pump_index == 1:
-        sig = s.sigma1
-        if s.kind == "stirap":
-            return [(s.alpha0, s.t0 + s.tau, sig)]
-        if s.kind == "fractional":
-            return [(s.alpha0 * math.sin(s.theta), s.t0 + s.tau, sig)]
-        return [(s.alpha0 * math.sin(s.theta), s.t0 - s.tau, sig)]
-    sig = s.sigma2
+        peak = s.alpha0 if s.kind == "stirap" else s.alpha0 * math.sin(s.theta)
+        return [(peak, late, s.sigma1)]
     if s.kind == "stirap":
-        return [(s.alpha0, s.t0 - s.tau, sig)]
-    if s.kind == "fractional":
-        return [
-            (s.alpha0, s.t0 - s.tau, sig),
-            (s.alpha0 * math.cos(s.theta), s.t0 + s.tau, sig),
-        ]
-    return [
-        (s.alpha0, s.t0 + s.tau, sig),
-        (s.alpha0 * math.cos(s.theta), s.t0 - s.tau, sig),
-    ]
+        return [(s.alpha0, early, s.sigma2)]
+    return [(s.alpha0, early, s.sigma2), (s.alpha0 * math.cos(s.theta), late, s.sigma2)]
 
 
 def envelope(schedule: DriveSchedule, pump_index: int, t):

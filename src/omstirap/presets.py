@@ -165,14 +165,16 @@ PRESETS["degenerate-diagnostics"] = {
     "integrator": {"rel_tol": 1e-6, "abs_tol": 1e-9},
 }
 
+# the verify presets leave phi1 (0), the wait (4 ms), the workers (1) and, but for the
+# thermal one, the phase grid (17 points over 4 pi) to their defaults, so that an override
+# may give phi2_values
 PRESETS["verify-lossless"] = {
     "system": _system(0.0),
     "schedule": _fractional_schedule(_SIGMA),
     "dims": [2, 3, 3],
     "initial": {"kind": "fock", "n": 1},
     "lossless": True,
-    "verify": {"phi1_rad": 0.0, "phi2_count": 17, "phi2_span_rad": 4 * math.pi,
-               "wait_s": 4e-3, "workers": 1},
+    "verify": {},
 }
 
 PRESETS["verify-50mK-thermal"] = {
@@ -184,8 +186,7 @@ PRESETS["verify-50mK-thermal"] = {
         "nbar": 0.5,
         "mode2": {"kind": "thermal", "nbar": 0.5},
     },
-    "verify": {"phi1_rad": 0.0, "phi2_count": 9, "phi2_span_rad": 4 * math.pi,
-               "wait_s": 4e-3, "workers": 1, "include_forward": False},
+    "verify": {"phi2_count": 9, "phi2_span_rad": 4 * math.pi, "include_forward": False},
 }
 
 PRESETS["verify-50mK-heralded"] = {
@@ -193,8 +194,7 @@ PRESETS["verify-50mK-heralded"] = {
     "schedule": _fractional_schedule(_SIGMA),
     "dims": [2, 5, 5],
     "initial": {"kind": "explicit", "weights": HERALDED_WEIGHTS},
-    "verify": {"phi1_rad": 0.0, "phi2_count": 17, "phi2_span_rad": 4 * math.pi,
-               "wait_s": 4e-3, "workers": 1},
+    "verify": {},
 }
 
 # omega0 is left to its default 2 g alpha0 at g = 2.5 Hz and alpha0 = 2000, so that

@@ -243,6 +243,8 @@ class Scenario:
     abs_tol: float = 1e-10
 
     def __post_init__(self):
+        if np.shape(self.horizon) != (2,):
+            raise InvalidArgumentError(f"horizon must be (start, end), not {self.horizon!r}")
         _check_finite(self, "horizon", "eval_time")
         if self.horizon[0] >= self.horizon[1]:
             raise InvalidArgumentError("horizon start must precede its end")
@@ -252,12 +254,14 @@ class Scenario:
                 f"eval_time {self.eval_time} lies outside the horizon {tuple(self.horizon)}")
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise InvalidArgumentError("tolerances must be finite and > 0")
-        if self.sample_count < 2:
-            raise InvalidArgumentError("sample_count must be >= 2")
-        # stored as ints, as a hashable batch key needs them
+        if not (_whole(self.sample_count) and self.sample_count >= 2):
+            raise InvalidArgumentError(
+                f"sample_count must be an integer >= 2, not {self.sample_count!r}")
+        # stored as ints, as np.linspace and a hashable batch key need them
         if not (len(self.dims) == 3 and all(_whole(d) and d >= 2 for d in self.dims)):
             raise InvalidDimensionError(
                 f"invalid dims {self.dims!r}: three mode dims, each >= 2 and an integer")
+        object.__setattr__(self, "sample_count", int(self.sample_count))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if self.picture not in PICTURES:
             raise InvalidArgumentError(f"unknown picture {self.picture!r}")
@@ -441,7 +445,7 @@ def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
     """
     if not trajs:
         return []
-    samples = trajs[0].samples if len(trajs) == 1 else np.concatenate([t.samples for t in trajs])
+    samples = np.concatenate([traj.samples for traj in trajs])
     populations, reduced = _sample_readers(space, trajs[0].coords, samples)
     populations = populations.reshape(-1, *space.dims)
     stacks = {_PAIR: reduced(_PAIR)}
@@ -477,8 +481,7 @@ def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
         keep = TargetSpec.REDUCTIONS[target.kind]
         if keep not in stacks:
             stacks[keep] = reduced(keep)
-        states = stacks[keep] if len(cols) == len(outs) else np.concatenate(
-            [stacks[keep][starts[i]:starts[i + 1]] for i in cols])
+        states = np.concatenate([stacks[keep][starts[i]:starts[i + 1]] for i in cols])
         fidelity = analysis.fidelity_stack(states, target.state(space.dims))
         bounds = np.cumsum([starts[i + 1] - starts[i] for i in cols])[:-1]
         for i, series in zip(cols, np.split(fidelity, bounds)):

@@ -1,5 +1,6 @@
 import csv
 import functools
+import inspect
 import json
 import math
 import os
@@ -172,15 +173,30 @@ def test_verify_lossless_fringe(tmp_path):
     assert len(rows) == 10
 
 
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_verify_preset_takes_phase_values(tmp_path):
+    # the preset leaves the phase grid to its defaults, so an override may give phi2_values
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, {"verify": {"phi2_values": [0, 1, 2]}})
+    assert main(["verify", "--preset", "verify-lossless", "--config", cfg,
+                 "--out", str(out)]) == 0
+    with open(out / "fringe.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["phi2_rad", "p1"]
+    assert [float(row[0]) for row in rows[1:]] == [0.0, 1.0, 2.0]
+
+
 def test_fringe_json_reports_the_work_of_its_points(tmp_path):
     assert main(["verify", "--preset", "verify-lossless", "--out", str(tmp_path / "o")]) == 0
     meta = json.loads((tmp_path / "o" / "fringe.json").read_text())
-    cfg = preset_config("verify-lossless")
-    base, block = cli.build_scenario(cfg), cfg["verify"]
-    phi2 = cli._phase_grid(phi2_span_rad=block["phi2_span_rad"], phi2_count=block["phi2_count"])
+    # the preset takes every default of the phase grid and the fringe
+    base = cli.build_scenario(preset_config("verify-lossless"))
+    phi1, wait = (_default(run_interferometry, name) for name in ("phi1", "wait"))
     stats = [protocols.run_scenario(protocols._fringe_scenario(
-        base, block["phi1_rad"], float(p2), block["wait_s"], True)).summary["integrator"]
-        for p2 in phi2]
+        base, phi1, float(p2), wait, True)).summary["integrator"] for p2 in cli._phase_grid()]
     summed = ("accepted", "rejected", "rhs_evals", "clamped", "interpolated")
     assert meta["integrator"] == {**{k: sum(s[k] for s in stats) for k in summed},
                                   "h_min": min(s["h_min"] for s in stats),
@@ -622,9 +638,11 @@ def test_every_preset_builds_through_its_command(tmp_path, monkeypatch, name):
         (base, phi2, kwargs), = calls
         block = cfg["verify"]
         assert base == cli.build_scenario(cfg)
-        assert len(phi2) == block["phi2_count"]
-        assert kwargs["wait"] == block["wait_s"] and kwargs["workers"] == block["workers"]
-        assert kwargs.get("include_forward", True) == block.get("include_forward", True)
+        assert len(phi2) == block.get("phi2_count", _default(cli._phase_grid, "phi2_count"))
+        for key, name in (("wait_s", "wait"), ("workers", "workers"),
+                          ("include_forward", "include_forward")):
+            default = _default(run_interferometry, name)
+            assert kwargs.get(name, default) == block.get(key, default)
 
 
 def test_initial_matrix_matches_weights():

@@ -381,9 +381,11 @@ def test_sample_times_validation():
     {"sample_times": [0.0, math.nan]}, {"sample_times": [math.nan, 0.0]},
     {"sample_times": [0.0, 1.0, math.inf]}, {"sample_times": [-math.inf, 0.0]},
     {"rel_tol": math.nan}, {"rel_tol": math.inf}, {"rel_tol": 0.0},
-    {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"abs_tol": -1e-10}])
+    {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"abs_tol": -1e-10},
+    {"stops": [math.nan]}, {"stops": [0.5, math.inf]}])
 def test_integrator_config_needs_finite_times_and_tolerances(bad):
-    # a NaN time stepped forever, and an infinite tolerance diverged at the first step
+    # a NaN time stepped forever, an infinite tolerance diverged at the first step,
+    # and a stop that is not finite was dropped without a word
     with pytest.raises(InvalidArgumentError):
         IntegratorConfig(**{"sample_times": [0.0, 1.0], **bad})
 

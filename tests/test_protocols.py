@@ -107,11 +107,14 @@ def _fock_scenario(**kw):
     {"eval_time": math.nan}, {"eval_time": math.inf},
     {"rel_tol": math.nan}, {"rel_tol": math.inf}, {"rel_tol": 0.0},
     {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"abs_tol": -1e-10},
-    {"eval_time": -1.0}, {"eval_time": 10e-3}])
+    {"eval_time": -1.0}, {"eval_time": 10e-3},
+    {"horizon": (0.0,)}, {"horizon": (-1e-3, 1e-3, 5.0)}, {"sample_count": 2.5}])
 def test_scenario_needs_finite_times_and_tolerances(bad):
     # at a NaN start the integrator stepped forever; a NaN eval_time reported the
     # horizon's start, and infinite ends and tolerances failed only in the integrator;
-    # an eval_time outside the horizon moved the integration window
+    # an eval_time outside the horizon moved the integration window; a one-value
+    # horizon raised IndexError, a third value was ignored, and a fractional
+    # sample_count failed in np.linspace with a TypeError, which no sweep records
     _fock_scenario()
     with pytest.raises(InvalidArgumentError):
         _fock_scenario(**bad)
