@@ -20,7 +20,7 @@ from .errors import (
     InvalidArgumentError,
     TruncationError,
 )
-from .hilbert import Generator, HilbertSpace, destroy
+from .hilbert import HilbertSpace, destroy
 from .model import DriveSchedule, SystemParams, envelope
 
 
@@ -171,8 +171,8 @@ def dark_gap_spectrum(
 
 def _resonant_hamiltonian(space, g11, g22) -> np.ndarray:
     a, b1, b2 = (destroy(space, m) for m in range(3))
-    ops = [a.conj().T @ b1, a.conj().T @ b2]
-    return Generator(space, None, ops, lambda t: [g11, g22]).dense(0.0)
+    h = (g11 * (a.conj().T @ b1) + g22 * (a.conj().T @ b2)).toarray()
+    return h + h.conj().T
 
 
 def resonance_check(

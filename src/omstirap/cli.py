@@ -342,6 +342,9 @@ def cmd_sweep(args) -> int:
     levels = _list(block, "contour_levels", [], "sweep.contour_levels")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in levels):
         raise ConfigError(f"sweep.contour_levels must list numbers, not {levels!r}")
+    if levels and len(axes) != 2:
+        raise ConfigError(f"sweep.contour_levels needs two axes, not {len(axes)}; an empty "
+                          f"list drops the levels")
     contour_field = block.get("contour_field", metrics[0])
     if contour_field not in metrics:
         raise ConfigError(f"sweep.contour_field {contour_field!r} is not one of the "
@@ -363,7 +366,7 @@ def cmd_sweep(args) -> int:
                      for idx, kind, message, time_s in result.failures],
         **_work(result),
     }
-    if levels and len(axes) == 2:
+    if levels:
         contours = extract_contours(result, contour_field, levels)
         payload["contours"] = {
             str(level): [line.tolist() for line in lines]
@@ -487,7 +490,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--preset", help=f"one of: {', '.join(preset_names())}")
-        p.add_argument("--workers", type=int, default=None)
+        if name in ("sweep", "verify"):
+            p.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

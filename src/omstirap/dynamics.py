@@ -415,29 +415,19 @@ def _hermitian_half(d: int) -> _RealCoordinates:
 def _weights_of(gen: Generator, columns: int, weigh):
     """cols -> the weight function of the columns ``cols``, which maps their
     (N, len(cols)) times to the (pieces, N, len(cols)) weights that the rule
-    ``weigh`` makes of their coefficients: the columns of the generator's
-    :class:`DriveCoefficients`, which must have ``columns`` of them, or, for
-    any other coefficient function (a single column), its values time by time."""
+    ``weigh`` makes of their coefficients.  The generator's coefficient rule
+    must have ``columns`` columns: a rule with no ``columns`` has one, and
+    only a rule of several is cut to ``cols`` by its ``take``."""
     rule = gen.coefficients
-    if isinstance(rule, DriveCoefficients):
-        if rule.columns != columns:
-            raise InvalidArgumentError(
-                f"{columns} configs for a coefficient rule of {rule.columns} columns")
+    width = getattr(rule, "columns", 1)
+    if width != columns:
+        raise InvalidArgumentError(f"{columns} configs for a coefficient rule of {width} columns")
 
-        def weights_of(cols):
-            coefficients = rule.take(cols)
-            return lambda t: weigh(coefficients(t))
+    def weights_of(cols):
+        part = rule.take(cols) if columns > 1 else rule
+        return lambda t: weigh(part(t))
 
-        return weights_of
-    if columns != 1:
-        raise InvalidArgumentError("a batch needs a DriveCoefficients rule")
-    n = len(gen.ops)
-
-    def weights(t):
-        c = np.array([rule(x) for x in t.ravel()], dtype=complex)
-        return weigh(c.T.reshape((n,) + t.shape))
-
-    return lambda cols: weights
+    return weights_of
 
 
 def _real_drive(gen: Generator) -> bool:
@@ -494,7 +484,7 @@ def _liouvillian(model: LindbladModel, t: float):
     """The CSR superoperator of the generator frozen at time t on the row-major
     vec(rho): L0 + sum_k (c_k K_k + conj(c_k) K'_k) of :func:`_superoperator_pieces`."""
     liou, parts = _superoperator_pieces(model)
-    for c, k, kd in zip(model.hamiltonian.coefficients(t), parts[::2], parts[1::2]):
+    for c, k, kd in zip(model.hamiltonian.at(t), parts[::2], parts[1::2]):
         liou = liou + c * k + np.conj(c) * kd
     return liou
 

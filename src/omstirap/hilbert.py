@@ -108,16 +108,21 @@ def _as_csr(matrix, dim: int, what: str) -> scipy.sparse.csr_matrix:
     return m
 
 
+def _no_terms(t: np.ndarray) -> np.ndarray:
+    """The coefficient rule of a generator with no operators."""
+    return np.zeros((0,) + t.shape)
+
+
 class Generator:
     """Hermitian H(t) = H0 + sum_k (c_k(t) A_k + conj(c_k(t)) A_k^+).
 
     ``h0`` is the constant Hermitian part (``None`` for zero, or a dense or
-    sparse matrix), ``ops`` the operators A_k, and ``coefficients(t)``
-    returns every c_k(t) at once, in the order of ``ops``.  All pieces are
-    stored as CSR matrices.  When ``coefficients`` is a
-    :class:`~omstirap.model.DriveCoefficients` of several columns, the
-    generator stands for one H(t) per column, which the integrator steps as
-    one batch.
+    sparse matrix), ``ops`` the operators A_k, and the rule ``coefficients``
+    maps an (N, columns) array of times to the (len(ops), N, columns) c_k,
+    in the order of ``ops``, as :class:`~omstirap.model.DriveCoefficients`
+    does.  All pieces are stored as CSR matrices.  A rule of several
+    columns stands for one H(t) per column, which the integrator steps as
+    one batch; :meth:`at` reads a one-column rule at one time.
     """
 
     __slots__ = ("space", "h0", "ops", "coefficients")
@@ -129,12 +134,19 @@ class Generator:
         self.ops = tuple(_as_csr(a, d, "generator operator") for a in ops)
         if self.ops and coefficients is None:
             raise InvalidArgumentError("time-dependent operators need a coefficient function")
-        self.coefficients = coefficients or (lambda t: ())
+        self.coefficients = coefficients or _no_terms
+
+    def at(self, t: float) -> np.ndarray:
+        """Every c_k at the one time t, from a one-column rule."""
+        c = self.coefficients(np.full((1, 1), t))
+        if c.shape[1:] != (1, 1):
+            raise InvalidArgumentError("H(t) at one time needs a one-column rule")
+        return c[:, 0, 0]
 
     def dense(self, t: float) -> np.ndarray:
         """H(t) as a dense Hermitian matrix."""
         h = self.h0.toarray()
-        for c, a in zip(self.coefficients(t), self.ops):
+        for c, a in zip(self.at(t), self.ops):
             term = (c * a).toarray()
             h += term + term.conj().T
         return h

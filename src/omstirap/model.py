@@ -233,25 +233,28 @@ def _as_schedule_list(schedules) -> list[DriveSchedule]:
     return out
 
 
-#: the pumps each term of a picture sums, as indices into (pump 1, pump 2)
-_TERM_PUMPS = {"rwa": [[0], [1]], "bs": [[0, 1], [0, 1]], "full": [[0, 1]] * 4}
+#: each term of a picture: the mechanical mode j of its operator a^+ b_j, whether
+#: b_j is raised (a^+ b_j^+), and the pumps it sums, as indices into (pump 1, pump 2)
+_TERMS = {"rwa": [(0, False, (0,)), (1, False, (1,))],
+          "bs": [(0, False, (0, 1)), (1, False, (0, 1))],
+          "full": [(j, raised, (0, 1)) for raised in (False, True) for j in (0, 1)]}
 
 
 class DriveCoefficients:
     """The coefficients c_k(t) of :func:`hamiltonian_generator`'s terms for one
     or more columns, one per ``(params, schedule)`` pair of ``drives``.
 
-    A term of the picture sums, over its pumps i, g_j z_i(t) e^{i r t}: z_i is
-    pump i's summed Gaussian components times their drive phases, and the
-    coupling g_j and phase rate r come from the column's ``params``.  Each
+    A term of the picture's :data:`_TERMS` sums, over its pumps i,
+    g_j z_i(t) e^{i r t}: z_i is pump i's summed Gaussian components times
+    their drive phases, and the coupling g_j and phase rate r (D_i - w_j, or
+    D_i + w_j when b_j is raised) come from the column's ``params``.  Each
     parameter is an array whose last two axes are (time, column); a column
     with fewer schedules or components than another is padded with
     zero-amplitude ones, which add exact zeros.
 
     ``rule(t)`` takes an (N, columns) array of times, one column each, and
-    returns the (n_terms, N, columns) coefficients; a one-column rule also
-    takes a single time and returns the n_terms coefficients, as
-    :class:`~omstirap.hilbert.Generator` expects.
+    returns the (n_terms, N, columns) coefficients, the contract of every
+    coefficient rule of a :class:`~omstirap.hilbert.Generator`.
 
     ``real`` is set when every phase rate is 0 and every drive phase is real,
     so that every c_k(t) of every column is real: the rule then returns real
@@ -263,7 +266,8 @@ class DriveCoefficients:
     def __init__(self, picture: str, drives):
         if picture not in PICTURES:
             raise InvalidArgumentError(f"unknown picture {picture!r}")
-        self.pumps = np.array(_TERM_PUMPS[picture])
+        terms = _TERMS[picture]
+        self.pumps = np.array([pumps for _, _, pumps in terms])
         drives = [(p, _as_schedule_list(s)) for p, s in drives]
         n_sched = max(len(s) for _, s in drives)
         shape = (n_sched, 2, 2, 1, len(drives))  # schedule, pump, component, time, column
@@ -280,12 +284,11 @@ class DriveCoefficients:
                         self.centre[k, i, c, 0, col] = centre
                         self.width[k, i, c, 0, col] = width
             g, deltas, omegas = (p.g1, p.g2), (p.delta1, p.delta2), (p.omega1, p.omega2)
-            for term, pumps in enumerate(self.pumps):
-                # the a^+ b_j terms rotate at D_i - w_j, the a^+ b_j^+ terms of 'full' at D_i + w_j
-                j, sign = term % 2, (-1.0 if term < 2 else 1.0)
+            for term, (j, raised, pumps) in enumerate(terms):
+                w = omegas[j] if raised else -omegas[j]  # a^+ b_j rotates at D_i - w_j
                 for k, i in enumerate(pumps):
                     self.coupling[term, k, 0, col] = g[j]
-                    self.rate[term, k, 0, col] = 1j * (deltas[i] + sign * omegas[j])
+                    self.rate[term, k, 0, col] = 1j * (deltas[i] + w)
         self.real = not (self.rate.any() or self.phase.imag.any())
 
     @property
@@ -311,12 +314,7 @@ class DriveCoefficients:
         (N, columns) times ``t``: shape (2, N, columns)."""
         return functools.reduce(np.add, self._envelopes(t) * self.phase)
 
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            if self.columns != 1:
-                raise InvalidArgumentError("a single time needs a one-column rule")
-            return self(t.reshape(1, 1))[:, 0, 0]
+    def __call__(self, t: np.ndarray) -> np.ndarray:
         if self.real:  # unit phases and e^{0 t} = 1 leave the real parts unchanged
             terms = self.coupling * functools.reduce(np.add, self._envelopes(t))[self.pumps]
         else:
@@ -357,7 +355,8 @@ def hamiltonian_generator(
     picture: str = "rwa",
 ) -> Generator:
     """H(t) on a 3-mode ``space`` as sparse operators A_k with coefficients c_k(t)
-    from a one-column :class:`DriveCoefficients`.
+    from a one-column :class:`DriveCoefficients`, both read from the picture's
+    :data:`_TERMS`.
 
     ``rwa`` and ``bs`` have the two terms a^+ b_j; ``bs`` sums both pumps'
     detuning phases into each c_j.  ``full`` adds the two terms a^+ b_j^+.
@@ -365,11 +364,8 @@ def hamiltonian_generator(
     if space.n_modes != 3:
         raise InvalidDimensionError("Hamiltonian needs a 3-mode space")
     rule = DriveCoefficients(picture, [(params, schedule)])
-    a, b1, b2 = (destroy(space, m) for m in range(3))
-    adag = a.conj().T
-    ops = [adag @ b1, adag @ b2]
-    if picture == "full":
-        ops += [adag @ b1.conj().T, adag @ b2.conj().T]
+    adag, b = destroy(space, 0).conj().T, (destroy(space, 1), destroy(space, 2))
+    ops = [adag @ (b[j].conj().T if raised else b[j]) for j, raised, _ in _TERMS[picture]]
     return Generator(space, None, ops, rule)
 
 

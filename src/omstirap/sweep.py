@@ -40,8 +40,9 @@ class SweepAxis:
 
     Paths: ``params.<field>``, ``schedule.<field>``, or the derived paths
     ``sigma`` (sets both pulse widths, and tau when ``tau_sigma_ratio`` is
-    given), ``delta`` (mechanical frequency difference, moves omega2), and
-    the shorthand ``alpha0``/``tau``/``kappa``/``temperature``.
+    given; no other path takes a ratio), ``delta`` (mechanical frequency
+    difference, moves omega2), and the shorthand
+    ``alpha0``/``tau``/``kappa``/``temperature``.
     """
 
     path: str
@@ -62,6 +63,9 @@ class SweepAxis:
             raise InvalidArgumentError("log axis needs positive values")
         object.__setattr__(self, "values", vals)
         if self.tau_sigma_ratio is not None:
+            if self.path != "sigma":
+                raise InvalidArgumentError(
+                    f"tau_sigma_ratio links tau to a 'sigma' axis, not to {self.path!r}")
             ratio, = _floats((self.tau_sigma_ratio,), "tau_sigma_ratio")
             if not ratio > 0:
                 raise InvalidArgumentError(f"tau_sigma_ratio must be > 0, got {ratio}")

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import functools
 import inspect
@@ -15,7 +16,12 @@ import pytest
 import omstirap
 from omstirap import analysis, cli, protocols, sweep
 from omstirap.cli import main
-from omstirap.errors import ConfigError, IntegrationDivergedError, StiffnessError
+from omstirap.errors import (
+    ConfigError,
+    IntegrationDivergedError,
+    StiffnessError,
+    TruncationWarning,
+)
 from omstirap.hilbert import HilbertSpace
 from omstirap.model import TWO_PI
 from omstirap.presets import ALIASES, PRESETS, preset_config, preset_names
@@ -434,6 +440,16 @@ BAD_INPUT = {
     "tau-sigma-ratio-string": ("sweep", "sweep-tau-sigma",
                                {"sweep": {"axes": [{"path": "sigma", "values": [1e-4, 2e-4],
                                                     "tau_sigma_ratio": "x"}]}}, "'x'"),
+    # the ratio links tau to sigma; on any other axis it was read by no one
+    "tau-sigma-ratio-on-alpha0": ("sweep", "sweep-kappa-alpha",
+                                  {"sweep": {"axes": [{"path": "alpha0", "values": [1e3, 2e3],
+                                                       "tau_sigma_ratio": 1.43}]}},
+                                  "tau_sigma_ratio", "'alpha0'"),
+    # contours need a plane: a one-axis sweep wrote none and said nothing
+    "contour-levels-one-axis": ("sweep", "sweep-delta-sigma",
+                                {"sweep": {"axes": [{"path": "delta",
+                                                     "values": [1e3, 2e3]}]}},
+                                "sweep.contour_levels", "two axes"),
     # only a boolean key takes a boolean: no n = 1 or kappa = 2 pi rad/s from true
     "target-n-boolean": ("simulate", "bell-lossless",
                          {"target": {"kind": "fock_mode2", "n": True}}, "target.n", "True"),
@@ -479,6 +495,16 @@ BAD_INPUT = {
     "sweep-root-picture": ("sweep", "sweep-kappa-alpha", {"picture": "full"},
                            "'picture'", "'sweep'"),
 }
+
+
+@pytest.mark.parametrize("command", ["simulate", "adiabaticity", "plan"])
+def test_workers_flag_only_where_it_acts(tmp_path, command):
+    # only sweep and verify run a pool; the other commands took the flag and ignored it
+    preset = {"simulate": "bell-lossless", "adiabaticity": "adiabaticity-stirap",
+              "plan": "plan-heralding"}[command]
+    with pytest.raises(SystemExit) as info:
+        main([command, "--preset", preset, "--workers", "2", "--out", str(tmp_path / "o")])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
@@ -616,6 +642,14 @@ def test_summary_wall_time_is_the_runs_own(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", preset_names())
 def test_every_preset_builds_through_its_command(tmp_path, monkeypatch, name):
+    # verify-50mK-thermal keeps 5 levels of its nbar = 0.5 thermal mode, a tail of 4.115e-3
+    expected = (pytest.warns(TruncationWarning, match="tail mass 4.115e-03")
+                if name == "verify-50mK-thermal" else contextlib.nullcontext())
+    with expected:
+        _builds_through_its_command(tmp_path, monkeypatch, name)
+
+
+def _builds_through_its_command(tmp_path, monkeypatch, name):
     cfg = preset_config(name)
     for command in ("plan", "adiabaticity"):
         if command in cfg:

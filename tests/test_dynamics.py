@@ -307,7 +307,7 @@ def test_pure_path_rejects_the_drift_the_density_path_rejects():
 def _nan_after(t_nan):
     """A generator whose one coefficient turns NaN after ``t_nan``."""
     op = destroy(SPACE, 0).conj().T @ destroy(SPACE, 1)
-    return Generator(SPACE, None, [op], lambda t: [math.nan if t > t_nan else 2e3])
+    return Generator(SPACE, None, [op], lambda t: np.where(t > t_nan, math.nan, 2e3)[None])
 
 
 def test_non_finite_state_is_divergence_not_step_underflow():
@@ -528,7 +528,7 @@ def test_cut_rhs_matches_the_liouvillian_on_the_support(picture):
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         y = rng.normal(size=coords.order.size)
         ref = liouvillian_matrix(model, t) @ coords.vector(y)
-        w = dynamics._hermitian_weights(model.hamiltonian.coefficients(t)[:, None])
+        w = dynamics._hermitian_weights(model.hamiltonian.at(t)[:, None])
         got = coords.vector(rhs(w, y[None])[0])
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
@@ -547,7 +547,7 @@ def test_cut_pure_rhs_matches_the_hamiltonian_on_the_support(picture):
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         y = rng.normal(size=coords.order.size)
         ref = -1j * gen.dense(t) @ coords.vector(y)
-        got = coords.vector(rhs(dynamics._hermitian_weights(gen.coefficients(t)[:, None]),
+        got = coords.vector(rhs(dynamics._hermitian_weights(gen.at(t)[:, None]),
                                 y[None])[0])
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
@@ -565,7 +565,7 @@ def test_hermitian_half_reproduces_the_complex_rhs_and_error_norm(picture):
         np.testing.assert_array_equal(rho.reshape(d, d), rho.reshape(d, d).conj().T)
         np.testing.assert_array_equal(coords.coordinates(rho)[coords.order], y)
         # the rhs, real and complex, from the same coefficients
-        c = model.hamiltonian.coefficients(t)[:, None]
+        c = model.hamiltonian.at(t)[:, None]
         ref = dynamics._liouvillian(model, t) @ rho
         got = coords.vector(real_rhs(dynamics._hermitian_weights(c), y[None])[0])
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
@@ -641,6 +641,21 @@ def test_dp45_integrates_a_quadratic_exactly():
         assert abs(y[0] - t**3) <= 1e-14 * max(1.0, t**3)
     # the steps grow fivefold, so the inner samples come from the quartic extension
     assert traj.stats.interpolated > 0
+
+
+def test_a_step_whose_norm_drifts_fails_its_column_at_the_step_end():
+    # y' = y from y = 1, with y^2 reported as the norm: the first step, to t ~ 0.01,
+    # is accepted, and its norm e^2t is 2% from 1
+    def repair(y):
+        return y, np.square(y).sum(axis=-1)
+
+    failed, = dynamics._integrate_dp45(lambda c, y: y, _no_terms, np.ones(1),
+                                       [IntegratorConfig([0.0, 1.0])], repair, _unchanged,
+                                       ONE_REAL)
+    assert isinstance(failed, IntegrationDivergedError)
+    assert failed.time == pytest.approx(0.01, rel=1e-2)
+    assert failed.drift == pytest.approx(math.expm1(2 * failed.time), rel=1e-9)
+    assert failed.tolerance == dynamics.TRACE_DIVERGENCE_TOL
 
 
 def test_continuous_extension_is_scipys_and_ends_on_the_fifth_order_solution():

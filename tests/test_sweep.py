@@ -52,6 +52,11 @@ def test_axis_validation():
         SweepAxis("alpha0", (1.0, 3.0, 2.0))
     with pytest.raises(InvalidArgumentError):
         SweepAxis("alpha0", (-1.0, 1.0), scale="log")
+    # apply_axis_value reads the ratio only on 'sigma': elsewhere it would be dropped
+    for path in ("alpha0", "tau", "schedule.sigma1", "delta"):
+        with pytest.raises(InvalidArgumentError, match=f"tau_sigma_ratio .* not to '{path}'"):
+            SweepAxis(path, (1.0, 2.0), tau_sigma_ratio=1.43)
+    assert SweepAxis("sigma", (1.0, 2.0), tau_sigma_ratio=1.43).tau_sigma_ratio == 1.43
 
 
 def test_apply_axis_paths():
