@@ -21,7 +21,7 @@ from .errors import (
     TruncationError,
 )
 from .hilbert import HilbertSpace, destroy
-from .model import DriveSchedule, SystemParams, envelope
+from .model import TWO_PI, DriveSchedule, SystemParams, envelope
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def adiabaticity_bounds(
     theta: float,
     sigma: float,
     tau: float,
-    omega0: float,
+    omega0: float = 2.0 * TWO_PI * 2.5 * 2000.0,
     n_o: float = 5.0,
     exact_pulse_width: bool = False,
 ) -> AdiabaticityReport:
@@ -87,7 +87,8 @@ def adiabaticity_bounds(
 
     ``exact_pulse_width=True`` replaces the 2 tau + 2 sigma sqrt(ln 2)
     approximation of the gap pulse FWHM by a root-find (reported only; the
-    bounds are unaffected).
+    bounds are unaffected).  ``omega0`` defaults to 2 g alpha_0 at g = 2.5 Hz
+    and alpha_0 = 2000, in rad/s.
     """
     if theta <= 0.0 or theta > math.pi / 2:
         raise DegenerateAngleError(f"theta must lie in (0, pi/2], got {theta}")
@@ -126,7 +127,8 @@ def _gap_pulse_fwhm(theta: float, sigma: float, tau: float, omega0: float) -> fl
         return math.hypot(envelope(sched, 1, t), envelope(sched, 2, t))
 
     tgrid = np.linspace(-tau - 4 * sigma, tau + 4 * sigma, 2001)
-    peak_t = float(tgrid[np.argmax([gap(t) for t in tgrid])])
+    on_grid = np.hypot(envelope(sched, 1, tgrid), envelope(sched, 2, tgrid))
+    peak_t = float(tgrid[np.argmax(on_grid)])
     half = gap(peak_t) / 2.0
     from scipy.optimize import brentq  # imported here: a plain run never needs it
 

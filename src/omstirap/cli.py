@@ -5,21 +5,19 @@ Config files are JSON, and one key rule reads every value.  The ``system``,
 ``schedule``, ``initial``, ``target``, ``plan``, ``adiabaticity`` and
 ``verify`` blocks, and the scenario's root keys with its ``horizon`` and
 ``integrator`` blocks, take the parameters of the function they feed as
-keys, with its defaults and annotated scalar types; so do the verify phase
-grid and ``adiabaticity.omega0``, whose default 2 g alpha0 applies only when
-no spelling of it is set.  The sweep-axis numbers, ``count`` included, take
-the same scalar types.  A key names a parameter exactly or, for a float or
-complex parameter whose name carries no unit suffix yet, after one unit
-suffix: ``_hz`` (f = w/2pi) is multiplied by 2pi; ``_rads``, ``_rad``,
-``_s`` and ``_k`` pass through.  A boolean parameter takes only
+keys, with its defaults and annotated scalar types.  The sweep-axis numbers,
+``count`` included, take the same scalar types.  A key names a parameter
+exactly or, for a float or complex parameter whose name carries no unit
+suffix yet, after one unit suffix: ``_hz`` (f = w/2pi) is multiplied by 2pi;
+``_rads``, ``_rad``, ``_s`` and ``_k`` pass through.  A boolean parameter takes only
 ``true``/``false`` and no other scalar parameter takes a boolean; an integer
 one takes no fraction.  Sweep axes on ``delta`` or on a ``params.`` field
 that the system block sets in ``_hz`` are in Hz too.  Unknown and repeated
-keys and a block that is not a JSON object are rejected, and so is a value set
-two ways (``phi2_values`` beside the count or span, ``omega0`` beside ``g_hz``
-or ``alpha0``, a root ``picture`` beside a sweep, whose cells run in the
-picture ``pick_picture`` chooses).  Exit codes: 0 success, 2 configuration or
-domain error, 3 integration failure.
+keys and a block that is not a JSON object are rejected, and so is a key that
+no run would read: a root ``picture`` beside a sweep, whose cells run in the
+picture ``pick_picture`` chooses, and a ``sweep.contour_field`` with no
+contour levels.  Exit codes: 0 success, 2 configuration or domain error, 3
+integration failure.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import csv
 import functools
 import inspect
 import json
-import math
 import sys
 import time
 from contextlib import contextmanager
@@ -163,20 +160,6 @@ def _build(fn, block: dict, where: str, **fixed):
     kwargs = _read(fn, block, where, **fixed)
     with _invalid(where):
         return fn(**kwargs)
-
-
-def _take(block: dict, fn) -> dict:
-    """Remove from ``block``, and return, the keys that set a parameter of ``fn``."""
-    keys = _schema(fn)[1]
-    return {key: block.pop(key) for key in list(block) if key in keys}
-
-
-def _one_way(where: str, first: set, second: set):
-    """Reject a block that sets one value two ways: the keys ``first`` would win
-    and the keys ``second`` be dropped without a word."""
-    if first and second:
-        raise ConfigError(f"{where} sets {sorted(first)} and {sorted(second)}, which "
-                          f"set one value two ways; give one of them")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -345,6 +328,9 @@ def cmd_sweep(args) -> int:
     if levels and len(axes) != 2:
         raise ConfigError(f"sweep.contour_levels needs two axes, not {len(axes)}; an empty "
                           f"list drops the levels")
+    if "contour_field" in block and not levels:
+        raise ConfigError("sweep.contour_field names the field of the contours, but the "
+                          "sweep sets no contour_levels")
     contour_field = block.get("contour_field", metrics[0])
     if contour_field not in metrics:
         raise ConfigError(f"sweep.contour_field {contour_field!r} is not one of the "
@@ -378,26 +364,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _peak_rabi(g_hz: float = 2.5, alpha0: float = 2000.0) -> float:
-    """Omega_0 = 2 g alpha0 in rad/s, the ``adiabaticity`` block's default ``omega0``."""
-    return 2.0 * TWO_PI * g_hz * alpha0
-
-
 def cmd_adiabaticity(args) -> int:
     cfg = load_config(args.preset, args.config)
     block = cfg.get("adiabaticity")
     if not block:
         raise ConfigError("adiabaticity command needs an 'adiabaticity' block")
-    _check_keys(block, None, "adiabaticity")
-    block = dict(block)
-    rabi = _take(block, _peak_rabi)
-    kwargs = _read(adiabaticity_bounds, block, "adiabaticity")
-    keys = _schema(adiabaticity_bounds)[1]  # _read has rejected any other key
-    _one_way("adiabaticity", {key for key in block if keys[key][0] == "omega0"}, set(rabi))
-    if "omega0" not in kwargs:  # set under no spelling
-        kwargs["omega0"] = _build(_peak_rabi, rabi, "adiabaticity")
-    with _invalid("adiabaticity"):
-        report = adiabaticity_bounds(**kwargs)
+    report = _build(adiabaticity_bounds, block, "adiabaticity")
     _write(args, cfg, "adiabaticity.json", {"report": {
         "theta_dot_max": report.theta_dot_max,
         "omega_at_zero_rads": report.omega_at_zero,
@@ -411,15 +383,6 @@ def cmd_adiabaticity(args) -> int:
     return 0
 
 
-def _phase_grid(phi2_values: list | None = None, phi2_span_rad: float = 4 * math.pi,
-                phi2_count: int = 17) -> np.ndarray:
-    """The verify phase points: ``phi2_values``, or ``phi2_count`` points spread
-    evenly over a span centred on 0."""
-    if phi2_values is not None:
-        return np.asarray([_scalar(float, v, "verify.phi2_values") for v in phi2_values])
-    return np.linspace(-phi2_span_rad / 2, phi2_span_rad / 2, phi2_count)
-
-
 def cmd_verify(args) -> int:
     cfg = load_config(args.preset, args.config)
     block = cfg.get("verify")
@@ -427,16 +390,11 @@ def cmd_verify(args) -> int:
         raise ConfigError("verify command needs a 'verify' block")
     base = build_scenario(cfg)
     _check_keys(block, None, "verify")
-    block = dict(block)
-    grid = _take(block, _phase_grid)
-    _one_way("verify", {"phi2_values"} & set(grid), set(grid) - {"phi2_values"})
-    phi2 = _build(_phase_grid, grid, "verify")
     if args.workers is not None:
-        block["workers"] = args.workers
+        block = {**block, "workers": args.workers}
     t0 = time.perf_counter()
     # read as config, but run outside it: an error inside the fringe run is no config error
-    fringe = run_interferometry(**_read(run_interferometry, block, "verify",
-                                        base=base, phi2_grid=phi2))
+    fringe = run_interferometry(**_read(run_interferometry, block, "verify", base=base))
     fit = {"amplitude": fringe.amplitude, "visibility": fringe.visibility,
            "phase_rad": fringe.phase}
     _write(args, cfg, "fringe.json",

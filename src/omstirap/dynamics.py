@@ -601,13 +601,16 @@ def _initial_steps(rhs, weights, cols, y, modulus, rtol, atol, coords):
     f0 = rhs(weights(t0[None])[:, 0], y)
     scale = atol + rtol * modulus
     d0, d1 = coords.rms(y / scale), coords.rms(f0 / scale)
-    h0 = np.array([1e-6 * col.span if (a < 1e-5 or b < 1e-5) else 0.01 * a / b
-                   for col, a, b in zip(cols, d0, d1)])
+    # y is finite, so with a finite f0 a norm that is not has overflowed: no float64 step
+    # meets such tolerances, and the column keeps h = 0, which fails the underflow check
+    over = ~np.isfinite(d0 + d1) & np.isfinite(f0).all(axis=1)
+    h0 = np.array([1e-6 * col.span if (a < 1e-5 or b < 1e-5 or o) else 0.01 * a / b
+                   for col, a, b, o in zip(cols, d0, d1, over)])
     f1 = rhs(weights((t0 + h0)[None])[:, 0], y + h0[:, None] * f0)
     d2 = coords.rms((f1 - f0) / scale) / h0
-    for col, a, b, c in zip(cols, h0, d1, d2):
+    for col, a, b, c, o in zip(cols, h0, d1, d2, over):
         h1 = max(1e-6 * col.span, a * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
-        col.h = float(min(100 * a, h1))
+        col.h = 0.0 if o else float(min(100 * a, h1))
     return f0
 
 

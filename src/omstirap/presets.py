@@ -166,8 +166,7 @@ PRESETS["degenerate-diagnostics"] = {
 }
 
 # the verify presets leave phi1 (0), the wait (4 ms), the workers (1) and, but for the
-# thermal one, the phase grid (17 points over 4 pi) to their defaults, so that an override
-# may give phi2_values
+# thermal one, phi2_values (17 points over [-2 pi, 2 pi]) to run_interferometry's defaults
 PRESETS["verify-lossless"] = {
     "system": _system(0.0),
     "schedule": _fractional_schedule(_SIGMA),
@@ -186,7 +185,8 @@ PRESETS["verify-50mK-thermal"] = {
         "nbar": 0.5,
         "mode2": {"kind": "thermal", "nbar": 0.5},
     },
-    "verify": {"phi2_count": 9, "phi2_span_rad": 4 * math.pi, "include_forward": False},
+    "verify": {"phi2_values": [-2 * math.pi + k * math.pi / 2 for k in range(9)],
+               "include_forward": False},
 }
 
 PRESETS["verify-50mK-heralded"] = {
@@ -197,8 +197,7 @@ PRESETS["verify-50mK-heralded"] = {
     "verify": {},
 }
 
-# omega0 is left to its default 2 g alpha0 at g = 2.5 Hz and alpha0 = 2000, so that
-# an override may set it under any spelling
+# omega0 is left to adiabaticity_bounds' default 2 g alpha0 at g = 2.5 Hz and alpha0 = 2000
 PRESETS["adiabaticity-stirap"] = {
     "adiabaticity": {
         "theta_rad": math.pi / 2,
@@ -291,7 +290,6 @@ PRESETS["sweep-delta-sigma"] = {
         "metrics": ["final_n2"],
         "workers": 4,
         "contour_levels": [0.125],
-        "contour_field": "final_n2",
     },
 }
 

@@ -106,10 +106,16 @@ class InitialStateSpec:
 
 
 def _floats(values, where: str) -> tuple:
-    """``values`` as a tuple of floats; a bool is no number, so it raises."""
+    """``values``, a list of numbers, as a tuple of floats; anything else raises,
+    a bool too, as it is no number."""
+    if isinstance(values, str) or not np.iterable(values):
+        raise InvalidArgumentError(f"{where} must be a list of numbers, not {values!r}")
+    values = tuple(values)
     if any(isinstance(v, (bool, np.bool_)) for v in values):
         raise InvalidArgumentError(f"{where} must be numbers, not booleans: {values!r}")
-    return tuple(float(v) for v in values)
+    if not all(isinstance(v, numbers.Real) for v in values):
+        raise InvalidArgumentError(f"{where} must be a list of numbers, not {values!r}")
+    return tuple(map(float, values))
 
 
 def _check_finite(recipe, *names):
@@ -685,7 +691,7 @@ def run_batches(scenarios: Sequence[Scenario], workers: int) -> tuple[list, list
 
 def run_interferometry(
     base: Scenario,
-    phi2_grid: Sequence[float],
+    phi2_values: Sequence[float] = tuple(np.linspace(-2 * math.pi, 2 * math.pi, 17)),
     phi1: float = 0.0,
     wait: float = 4e-3,
     workers: int = 1,
@@ -709,7 +715,7 @@ def run_interferometry(
     purifies the bright collective mode and manufactures phase contrast
     even from thermal inputs.
     """
-    phi2s = np.asarray(list(phi2_grid), dtype=float)
+    phi2s = np.asarray(_floats(phi2_values, "phi2_values"))
     if phi2s.size < 3:
         raise InvalidArgumentError("need at least 3 phase points to fit a fringe")
     points = [_fringe_scenario(base, phi1, float(p2), wait, include_forward) for p2 in phi2s]

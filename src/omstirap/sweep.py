@@ -299,11 +299,9 @@ def _cell_segments(corners, level):
         return []
     if case in (5, 10):
         center = sum(c[2] for c in corners) / 4.0
-        # center above the level connects the high corners diagonally
-        if (center >= level) == (case == 5):
-            pairs = [(3, 0), (1, 2)] if case == 5 else [(0, 1), (2, 3)]
-        else:
-            pairs = [(0, 1), (2, 3)] if case == 5 else [(3, 0), (1, 2)]
+        # a center at or above the level joins the high corners, so the lines cut off the
+        # low ones; below it they cut off the high ones: [(3, 0), (1, 2)] cuts off 0 and 2
+        pairs = [(3, 0), (1, 2)] if (center >= level) == (case == 10) else [(0, 1), (2, 3)]
     else:
         pairs = _CASES[case]
     segs = []

@@ -84,6 +84,23 @@ def test_bounds_components():
     assert abs(exact.t_omega_width - r.t_omega_width) / r.t_omega_width < 0.01
 
 
+@pytest.mark.parametrize("theta, sigma, ratio, width", [
+    # the widths the search gave when it read its grid one point at a time
+    (math.pi / 2, 0.6e-3, 1.43, 0.001830488399706618),
+    (math.pi / 4, 0.15e-3, 1.25, 0.00047846026648107017),
+    (0.3, 1e-3, 0.7, 0.0045219272249123355),
+])
+def test_exact_pulse_width_reads_its_grid_in_one_call(theta, sigma, ratio, width):
+    r = adiabaticity_bounds(theta, sigma, sigma / ratio, OMEGA0, exact_pulse_width=True)
+    assert r.t_omega_width == width
+
+
+def test_omega0_defaults_to_the_benchmark_drive():
+    # Omega_0 = 2 g alpha_0 at g = 2.5 Hz and alpha_0 = 2000
+    assert adiabaticity_bounds(0.9, SIGMA, SIGMA / 1.43) == adiabaticity_bounds(
+        0.9, SIGMA, SIGMA / 1.43, 2.0 * TWO_PI * 2.5 * 2000.0)
+
+
 def test_lower_bound_independent_of_drive_and_allowance():
     r1 = adiabaticity_bounds(0.9, SIGMA, SIGMA / 1.43, OMEGA0, 5.0)
     r2 = adiabaticity_bounds(0.9, SIGMA, SIGMA / 1.43, 7.0 * OMEGA0, 2.0)

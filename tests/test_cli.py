@@ -168,7 +168,8 @@ def test_plan_reference_values(tmp_path):
 
 def test_verify_lossless_fringe(tmp_path):
     out = tmp_path / "vf"
-    cfg = _write(tmp_path, {"verify": {"phi2_count": 9, "phi2_span_rad": 2 * math.pi}})
+    grid = np.linspace(-math.pi, math.pi, 9).tolist()
+    cfg = _write(tmp_path, {"verify": {"phi2_values": grid}})
     assert main(["verify", "--preset", "verify-lossless", "--config", cfg,
                  "--out", str(out)]) == 0
     fit = json.loads((out / "fringe.json").read_text())["fit"]
@@ -195,6 +196,19 @@ def test_verify_preset_takes_phase_values(tmp_path):
     assert [float(row[0]) for row in rows[1:]] == [0.0, 1.0, 2.0]
 
 
+def test_verify_override_replaces_a_preset_grid(tmp_path):
+    # the grid has one key, so an override replaces the thermal preset's 9 points; a
+    # second spelling in the preset made this a conflict that no override could lift
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, {"verify": {"phi2_values": [0, 1, 2]}})
+    with pytest.warns(TruncationWarning, match="tail mass 4.115e-03"):
+        assert main(["verify", "--preset", "verify-50mK-thermal", "--config", cfg,
+                     "--out", str(out)]) == 0
+    with open(out / "fringe.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [float(row[0]) for row in rows[1:]] == [0.0, 1.0, 2.0]
+
+
 def test_fringe_json_reports_the_work_of_its_points(tmp_path):
     assert main(["verify", "--preset", "verify-lossless", "--out", str(tmp_path / "o")]) == 0
     meta = json.loads((tmp_path / "o" / "fringe.json").read_text())
@@ -202,7 +216,8 @@ def test_fringe_json_reports_the_work_of_its_points(tmp_path):
     base = cli.build_scenario(preset_config("verify-lossless"))
     phi1, wait = (_default(run_interferometry, name) for name in ("phi1", "wait"))
     stats = [protocols.run_scenario(protocols._fringe_scenario(
-        base, phi1, float(p2), wait, True)).summary["integrator"] for p2 in cli._phase_grid()]
+        base, phi1, float(p2), wait, True)).summary["integrator"]
+        for p2 in _default(run_interferometry, "phi2_values")]
     summed = ("accepted", "rejected", "rhs_evals", "clamped", "interpolated")
     assert meta["integrator"] == {**{k: sum(s[k] for s in stats) for k in summed},
                                   "h_min": min(s["h_min"] for s in stats),
@@ -341,7 +356,8 @@ BAD_INPUT = {
                                                 "stop": 2e3}]}}),
     "coherent-truncated": ("simulate", "bell-lossless",
                            {"initial": {"kind": "coherent", "alpha": 3}}),
-    "verify-two-phases": ("verify", "verify-lossless", {"verify": {"phi2_count": 2}}),
+    "verify-two-phases": ("verify", "verify-lossless", {"verify": {"phi2_values": [0, 1]}},
+                          "at least 3 phase points"),
     # boolean keys take only JSON booleans: the string "false" is no flag
     "lossless-string": ("simulate", "bell-lossless", {"lossless": "false"}),
     "lossless-integer": ("simulate", "bell-lossless", {"lossless": 0}),
@@ -461,12 +477,13 @@ BAD_INPUT = {
     "sweep-metric-not-a-string": ("sweep", "sweep-kappa-alpha",
                                   {"sweep": {"metrics": ["final_n3", 5]}},
                                   "metrics must be summary keys"),
-    # the axis count and the verify grid are read by the key rule: no truncated integers
+    # the axis count is read by the key rule: no truncated integers
     "axis-count-fraction": ("sweep", "sweep-kappa-alpha",
                             {"sweep": {"axes": [{"path": "kappa", "start": 1e3, "stop": 2e3,
                                                  "count": 2.7}]}}, "invalid sweep axis", "2.7"),
+    # the phase grid is phi2_values alone: a count is no key, fractional or not
     "verify-phi2-count-fraction": ("verify", "verify-lossless", {"verify": {"phi2_count": 3.9}},
-                                   "invalid verify", "3.9"),
+                                   "unknown key 'phi2_count' in verify"),
     "tau-sigma-ratio-zero": ("sweep", "sweep-tau-sigma",
                              {"sweep": {"axes": [{"path": "sigma", "values": [1e-4, 2e-4],
                                                   "tau_sigma_ratio": 0}]}},
@@ -484,13 +501,34 @@ BAD_INPUT = {
                                 {"sweep": {"axes": [{"path": "sigma", "values": [1e-4, 2e-4],
                                                      "tau_sigma_ratio": True}]}},
                                 "tau_sigma_ratio", "booleans"),
-    # a block that sets one value two ways names both keys instead of dropping one
+    # each value has one spelling: the grid's count and Omega_0's g are no keys beside them
     "verify-phi2-values-and-count": ("verify", "verify-lossless",
                                      {"verify": {"phi2_values": [0, 1, 2], "phi2_count": 99}},
-                                     "'phi2_values'", "'phi2_count'"),
+                                     "unknown key 'phi2_count' in verify"),
     "adiabaticity-omega0-and-g": ("adiabaticity", "adiabaticity-stirap",
                                   {"adiabaticity": {"omega0_hz": 2e4, "g_hz": 99}},
-                                  "'omega0_hz'", "'g_hz'"),
+                                  "unknown key 'g_hz' in adiabaticity"),
+    # a null grid is no list of numbers: the default grid is the one with the key left out
+    "verify-phi2-values-null": ("verify", "verify-lossless", {"verify": {"phi2_values": None}},
+                                "phi2_values must be a list of numbers"),
+    # the grid is checked before the first fringe point runs
+    "verify-phi2-values-scalar": ("verify", "verify-lossless", {"verify": {"phi2_values": 5}},
+                                  "phi2_values must be a list of numbers", "5"),
+    "verify-phi2-values-string": ("verify", "verify-lossless",
+                                  {"verify": {"phi2_values": "abc"}},
+                                  "phi2_values must be a list of numbers", "'abc'"),
+    "verify-phi2-values-not-numbers": ("verify", "verify-lossless",
+                                       {"verify": {"phi2_values": [0, "1", 2]}},
+                                       "phi2_values must be a list of numbers"),
+    "verify-phi2-values-boolean": ("verify", "verify-lossless",
+                                   {"verify": {"phi2_values": [True, 0, 1]}},
+                                   "phi2_values", "booleans"),
+    # a contour field with no levels drew nothing and was dropped without a word
+    "contour-field-without-levels": ("sweep", "sweep-kappa-alpha",
+                                     {"sweep": {"axes": [{"path": "alpha0",
+                                                          "values": [1e3, 2e3]}],
+                                                "contour_field": "fidelity"}},
+                                     "sweep.contour_field", "contour_levels"),
     # each sweep cell runs in the picture pick_picture chooses: a root picture was dropped
     "sweep-root-picture": ("sweep", "sweep-kappa-alpha", {"picture": "full"},
                            "'picture'", "'sweep'"),
@@ -541,6 +579,15 @@ UNKNOWN_KEY = {
     "adiabaticity": ("adiabaticity", "adiabaticity-stirap", "omega1_rads",
                      {"adiabaticity": {"omega1_rads": 1.0}}),
     "verify": ("verify", "verify-lossless", "base", {"verify": {"base": 1}}),
+    # phi2_values is the one spelling of the phase grid, and omega0 of Omega_0
+    "verify.phi2_count": ("verify", "verify-lossless", "phi2_count",
+                          {"verify": {"phi2_count": 9}}),
+    "verify.phi2_span_rad": ("verify", "verify-lossless", "phi2_span_rad",
+                             {"verify": {"phi2_span_rad": 6.0}}),
+    "adiabaticity.g_hz": ("adiabaticity", "adiabaticity-stirap", "g_hz",
+                          {"adiabaticity": {"g_hz": 2.5}}),
+    "adiabaticity.alpha0": ("adiabaticity", "adiabaticity-stirap", "alpha0",
+                            {"adiabaticity": {"alpha0": 2000.0}}),
     "sweep": ("sweep", "sweep-kappa-alpha", "cells", {"sweep": {"cells": 4}}),
     "sweep.auto_picture": ("sweep", "sweep-kappa-alpha", "auto_picture",
                            {"sweep": {"auto_picture": False}}),
@@ -662,17 +709,18 @@ def _builds_through_its_command(tmp_path, monkeypatch, name):
         calls = []
 
         @functools.wraps(run_interferometry)
-        def fake(base, phi2_grid, **kwargs):
-            calls.append((base, phi2_grid, kwargs))
-            zeros = np.zeros(len(phi2_grid))
-            return FringeResult(np.asarray(phi2_grid), zeros, 0.0, 0.0, 0.0)
+        def fake(base, phi2_values=_default(run_interferometry, "phi2_values"), **kwargs):
+            calls.append((base, phi2_values, kwargs))
+            zeros = np.zeros(len(phi2_values))
+            return FringeResult(np.asarray(phi2_values), zeros, 0.0, 0.0, 0.0)
 
         monkeypatch.setattr(cli, "run_interferometry", fake)
         assert main(["verify", "--preset", name, "--out", str(tmp_path)]) == 0
         (base, phi2, kwargs), = calls
         block = cfg["verify"]
         assert base == cli.build_scenario(cfg)
-        assert len(phi2) == block.get("phi2_count", _default(cli._phase_grid, "phi2_count"))
+        assert list(phi2) == block.get("phi2_values", list(_default(run_interferometry,
+                                                                    "phi2_values")))
         for key, name in (("wait_s", "wait"), ("workers", "workers"),
                           ("include_forward", "include_forward")):
             default = _default(run_interferometry, name)
@@ -782,6 +830,42 @@ def test_simulate_integration_failure_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(protocols, "evolve", underflow)
     assert _run(tmp_path, "simulate", "table2-stirap-10mK", {}) == 3
     assert "step size underflow at t = -1.250000e-03 s" in capsys.readouterr().err
+
+
+_TINY_TOLS = [{"abs_tol": 1e-300}, {"abs_tol": 1e-160}, {"abs_tol": 1e-300, "rel_tol": 1e-300}]
+
+
+@pytest.mark.parametrize("preset", ["table2-stirap-50mK", "bell-lossless"])
+@pytest.mark.parametrize("tols", _TINY_TOLS)
+def test_a_tolerance_below_float64_exits_3(tmp_path, capsys, preset, tols):
+    # the run fails at its start, where its first step size underflows
+    start = cli.build_scenario(preset_config(preset)).horizon[0]
+    assert _run(tmp_path, "simulate", preset, {"integrator": tols}) == 3
+    assert f"step size underflow at t = {start:.6e} s" in capsys.readouterr().err
+
+
+def test_a_sweep_records_cells_that_no_tolerance_can_run(tmp_path):
+    override = {"integrator": _TINY_TOLS[0],
+                "sweep": {"axes": [{"path": "alpha0", "values": [1000.0, 2000.0]}],
+                          "workers": 1}}
+    assert _run(tmp_path, "sweep", "sweep-kappa-alpha", override) == 0
+    meta = json.loads((tmp_path / "o" / "sweep.json").read_text())
+    start = cli.build_scenario(preset_config("sweep-kappa-alpha")).horizon[0]
+    assert meta["failures"] == [{"cell": [i], "error": "StiffnessError",
+                                 "message": f"step size underflow at t = {start:.6e} s",
+                                 "time_s": start} for i in range(2)]
+    assert meta["integrator"] is None  # no cell finished
+
+
+def test_empty_contour_levels_drop_a_presets_contours(tmp_path, monkeypatch):
+    # sweep-delta-sigma draws the contours of its first metric, so it needs no contour_field
+    def stub_sweep(base, axes, metrics, worker_count):
+        shape = tuple(len(a.values) for a in axes)
+        return SweepResult(axes=tuple(axes), fields={m: np.zeros(shape) for m in metrics})
+
+    monkeypatch.setattr(cli, "run_sweep", stub_sweep)
+    assert _run(tmp_path, "sweep", "sweep-delta-sigma", {"sweep": {"contour_levels": []}}) == 0
+    assert "contours" not in json.loads((tmp_path / "o" / "sweep.json").read_text())
 
 
 def test_sweep_json_records_contours(tmp_path, monkeypatch):

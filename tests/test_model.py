@@ -187,6 +187,17 @@ def test_mixing_angle_values(table_params, stirap):
     assert np.isclose(mixing_angle(f, table_params, 1.0), math.pi / 4)
 
 
+def test_mixing_angle_outside_the_pulse_support(table_params, stirap):
+    # both couplings vanish: the angle is the limit on the side of the sequence it lies on
+    r = DriveSchedule("reversed_fractional", 2000.0, stirap.tau, stirap.sigma1, stirap.sigma2,
+                      theta=0.6)
+    assert mixing_angle(r, table_params, -1.0) == 0.6
+    assert mixing_angle(r, table_params, 1.0) == 0.0
+    # a constant pump at alpha0 = 0 never turns on: equal couplings, on either side
+    off = DriveSchedule("constant", 0.0, stirap.tau, stirap.sigma1, stirap.sigma2)
+    assert [mixing_angle(off, table_params, t) for t in (-1.0, 1.0)] == [math.pi / 4] * 2
+
+
 @given(
     t=st.floats(min_value=-5e-3, max_value=5e-3),
     picture=st.sampled_from(["rwa", "bs", "full"]),

@@ -120,6 +120,24 @@ def test_scenario_needs_finite_times_and_tolerances(bad):
         _fock_scenario(**bad)
 
 
+@pytest.mark.parametrize("lossless", [False, True])
+@pytest.mark.parametrize("tols", [{"abs_tol": 1e-300}, {"abs_tol": 1e-160},
+                                  {"abs_tol": 1e-300, "rel_tol": 1e-300}])
+def test_a_tolerance_below_float64_fails_as_step_underflow(lossless, tols):
+    # the scaled norms of the first step's estimate overflowed: h0 = 0 warned in a
+    # division, and with both tolerances tiny the run then failed as a non-finite state
+    scenario = _fock_scenario(lossless=lossless, **tols)
+    with pytest.raises(StiffnessError) as info:
+        run_scenario(scenario)
+    assert info.value.time == scenario.horizon[0]
+
+
+@pytest.mark.parametrize("horizon", [(1e-3, -1e-3), (1e-3, 1e-3)])
+def test_scenario_horizon_runs_forward(horizon):
+    with pytest.raises(InvalidArgumentError, match="horizon start must precede its end"):
+        _fock_scenario(horizon=horizon)
+
+
 @pytest.mark.parametrize("recipe", [
     lambda: InitialStateSpec("coherent", alpha=math.nan),
     lambda: InitialStateSpec("coherent", alpha=complex(1.0, math.inf)),

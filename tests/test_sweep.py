@@ -233,6 +233,71 @@ def test_contours_log_axis_interpolation():
     np.testing.assert_allclose(lines[0][:, 0], 10.0, rtol=1e-9)
 
 
+# the two ways to cut a saddle on the unit square, each line joining the points where the
+# level crosses the two edges next to the corner it cuts off
+_CUT_10_01 = {((0.625, 0.0), (1.0, 0.375)), ((0.0, 0.625), (0.375, 1.0))}
+_CUT_00_11 = {((0.0, 0.375), (0.375, 0.0)), ((0.625, 1.0), (1.0, 0.625))}
+
+
+@pytest.mark.parametrize("corners, level, expected", [
+    # f(0,0) = f(1,1) = 1 and f(1,0) = f(0,1) = 0.2, so the center is 0.6: at level 0.5 it
+    # joins the high corners and the lines cut off the low ones, at 0.7 the high ones
+    ((1.0, 0.2, 1.0, 0.2), 0.5, _CUT_10_01),
+    ((1.0, 0.2, 1.0, 0.2), 0.7, _CUT_00_11),
+    # f(1,0) = f(0,1) = 1 and f(0,0) = f(1,1) = 0.2
+    ((0.2, 1.0, 0.2, 1.0), 0.5, _CUT_00_11),
+    ((0.2, 1.0, 0.2, 1.0), 0.7, _CUT_10_01),
+])
+def test_contours_resolve_a_saddle_by_its_center(corners, level, expected):
+    f00, f10, f11, f01 = corners
+    axes = (SweepAxis("alpha0", (0.0, 1.0)), SweepAxis("tau", (0.0, 1.0)))
+    res = SweepResult(axes=axes, fields={"f": np.array([[f00, f01], [f10, f11]])})
+    lines = extract_contours(res, "f", [level])[level]
+    assert {tuple(sorted(map(tuple, np.round(line, 12).tolist()))) for line in lines} == expected
+
+
+def test_contours_skip_the_cells_that_touch_a_nan():
+    # f = x on x, y in {0, 1, 2}: the 0.5 line is x = 0.5, but the cell x, y in [0, 1] x [1, 2]
+    # has a NaN corner, so the line stops at y = 1
+    ax = SweepAxis("alpha0", (0.0, 1.0, 2.0))
+    ay = SweepAxis("tau", (0.0, 1.0, 2.0))
+    f = np.array([[0.0, 0.0, np.nan], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    (line,) = extract_contours(SweepResult(axes=(ax, ay), fields={"f": f}), "f", [0.5])[0.5]
+    assert sorted(line.tolist()) == [[0.5, 0.0], [0.5, 1.0]]
+
+
+def test_contours_log_y_axis_interpolation():
+    # f = log y on a log y axis: the level log 10 is the line y = 10 across the x range
+    ax = SweepAxis("alpha0", (0.0, 1.0, 2.0))
+    ay = SweepAxis("kappa", tuple(np.geomspace(1.0, 100.0, 5)), scale="log")
+    grid = np.log(np.meshgrid(ax.values, ay.values, indexing="ij")[1])
+    level = math.log(10.0)
+    (line,) = extract_contours(SweepResult(axes=(ax, ay), fields={"f": grid}), "f",
+                               [level])[level]
+    np.testing.assert_allclose(line[:, 1], 10.0, rtol=1e-12)
+    assert sorted(line[:, 0]) == [0.0, 1.0, 2.0]
+
+
+def test_contours_chain_segments_joined_at_either_end():
+    # a 4 x 3 field with both saddle kinds; each line's segments meet end to start,
+    # end to end and start to start.  Each point is the level's place on a grid edge,
+    # a + (0.5 - f_a) / (f_b - f_a) from the corner a towards the corner b
+    f = np.array([[0.15, 0.96, 0.4], [0.3, 0.85, 0.12], [0.73, 0.19, 0.39],
+                  [0.23, 0.84, 0.39]])
+    axes = (SweepAxis("alpha0", (1.0, 2.0, 3.0, 4.0)), SweepAxis("tau", (1.0, 2.0, 3.0)))
+    lines = extract_contours(SweepResult(axes=axes, fields={"f": f}), "f", [0.5])[0.5]
+    expected = [
+        [(2 + 20 / 43, 1), (2, 1 + 4 / 11), (1, 2 - 46 / 81)],
+        [(1, 3 - 5 / 28), (2, 3 - 38 / 73), (3 - 31 / 66, 2), (3, 1 + 23 / 54), (3.46, 1)],
+        # the saddle at x in [3, 4], y in [1, 2] has its center 0.4975 below the level,
+        # so its high corners (3, 1) and (4, 2) stay apart
+        [(4, 1 + 27 / 61), (4 - 34 / 65, 2), (4, 2 + 34 / 45)],
+    ]
+    assert len(lines) == len(expected)
+    for line, points in zip(lines, expected):
+        np.testing.assert_allclose(line, points, rtol=1e-12)
+
+
 def test_contours_require_2d():
     ax = SweepAxis("alpha0", (0.0, 1.0))
     res = SweepResult(axes=(ax,), fields={"f": np.array([0.0, 1.0])})
