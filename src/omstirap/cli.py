@@ -286,12 +286,11 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.preset, args.config)
     for key in ("sweep", "verify", "plan", "adiabaticity"):
         cfg.pop(key, None)
-    scenario = build_scenario(cfg)
-    if scenario.target is None:
-        raise ConfigError("simulate needs a target block (fidelity column)")
-    result = run_scenario(scenario)
+    result = run_scenario(build_scenario(cfg))
     traj = result.trajectory
-    columns = ("n1", "n2", "nc", "negativity", "fidelity", "alpha1", "alpha2")
+    # the fidelity column, like the summary's fidelity keys, needs a target
+    columns = [c for c in ("n1", "n2", "nc", "negativity", "fidelity", "alpha1", "alpha2")
+               if c in traj.observables]
     rows = zip(traj.times, *(traj.observables[c] for c in columns))
     _write(args, cfg, "summary.json", {"summary": result.summary},
            ("trajectory.csv", ["t_s", *columns], rows))

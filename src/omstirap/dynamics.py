@@ -47,16 +47,17 @@ density matrices only when it is read.
 Every run is a batch: the integrator steps B columns at once, a single run
 being a batch of one.  The columns share the pieces and the initial state and
 differ in their Hamiltonian coefficients and sample grids (a sweep's cells, a
-fringe's phase points).  The state is a row-major (B, m) array, held as row 0
-of one (8, B, m) array with the seven stages.  Each attempt evaluates the
-piece weights of every active column at its six stage times in one call, each
-stage is one call of scipy's CSR kernel on the pieces laid side by side, and
-each stage input, the fifth-order solution, the error vector and each sample
-inside a step is one ``einsum``.  Every operation acts on each row alone in
-the order a one-row batch uses, so a column takes bitwise the steps it takes
-alone; it leaves the batch when it ends or fails.  The integrator calls no
-BLAS, and the observables pass that follows it, whose eigenvalues call
-LAPACK, runs with numpy's OpenBLAS pinned to one thread
+fringe's phase points).  The state is a row-major (B, m) array, row 0 of one
+C-contiguous (8, B, m) array with the seven stages.  An attempt is a fixed
+sequence of direct kernel calls and in-place ufuncs on buffers built once per
+batch width: one call for the piece weights of every column at its six stage
+times, one of scipy's CSC kernel for each stage input, the fifth-order
+solution and the error vector, and one of its CSR kernel on the pieces laid
+side by side for each stage, written into its row.  Every operation acts on
+each row alone in the order a one-row batch uses, so a column takes bitwise
+the steps it takes alone; it leaves the batch when it ends or fails.  The
+integrator calls no BLAS, and the observables pass that follows it, whose
+eigenvalues call LAPACK, runs with numpy's OpenBLAS pinned to one thread
 (:func:`omstirap.blas.one_blas_thread`), so results do not depend on the BLAS
 thread count.
 
@@ -222,45 +223,69 @@ def _support(pieces, start: np.ndarray) -> np.ndarray:
         reached = grown
 
 
-def _csr_product(a):
-    """x -> a @ x for the CSR matrix ``a`` and a C-ordered (columns of ``a``, b)
-    array ``x`` of its dtype: the call of scipy's CSR kernel into a zeroed
-    output that ``a @ x`` makes, without its Python dispatch."""
-    rows, cols = a.shape
-    arrays = (a.indptr, a.indices, a.data)
+def _csr_product(a, x: np.ndarray):
+    """out -> out = (a @ x).T for the CSR ``a``, its C-ordered (columns, width)
+    operand ``x``, read through a flat view, and a C-ordered (width, rows)
+    ``out``: the call of scipy's CSR kernel into a zeroed output that ``a @ x``
+    makes, without its dispatch.  The kernel writes a @ x row-major, the layout
+    of ``out`` at width 1; at width > 1 it writes a buffer copied into ``out``."""
+    (rows, cols), width = a.shape, x.shape[1]
+    args, ax = (a.indptr, a.indices, a.data, x.reshape(-1)), np.empty((rows, width), a.dtype)
 
-    def product(x: np.ndarray) -> np.ndarray:
-        b = x.shape[1]
-        out = np.zeros((rows, b), dtype=a.dtype)
-        if b == 1:
-            _sparsetools.csr_matvec(rows, cols, *arrays, x.ravel(), out.ravel())
+    def product(out: np.ndarray):
+        if width == 1:
+            out.fill(0)
+            _sparsetools.csr_matvec(rows, cols, *args, out)
         else:
-            _sparsetools.csr_matvecs(rows, cols, b, *arrays, x.ravel(), out.ravel())
-        return out
+            ax.fill(0)
+            _sparsetools.csr_matvecs(rows, cols, width, *args, ax)
+            np.copyto(out, ax.T)
 
     return product
 
 
 def _linear_rhs(const, parts, keep):
-    """(w, y) -> the rows of w_0 const y + sum_p w_{p+1} parts[p] y.
-
-    ``y`` holds one state per row and ``w`` the (1 + len(parts), rows)
-    weights of each row, w_0 = 1, from a weight rule (:func:`_hermitian_weights`
-    or :func:`_real_weights`).  Every piece is cut to the rows and columns
-    ``keep``, and the pieces are laid side by side, once, as one wide CSR
-    matrix [const | parts[0] | ...].  A call stacks each row's weighted copies
-    w y as the columns of one dense operand and makes one call of the CSR
-    kernel (:func:`_csr_product`): no per-term or per-row sums, and nothing
-    calls BLAS.
-    """
+    """width -> the rhs (w, y, out) of ``width`` rows, which writes the rows of
+    w_0 const y + sum_p w_{p+1} parts[p] y into ``out`` from the
+    (1 + len(parts), width) weights ``w`` of the C-ordered rows of ``y`` (w_0 =
+    1, from :func:`_hermitian_weights` or :func:`_real_weights`).  The pieces,
+    cut to the rows and columns ``keep``, are laid side by side once as one
+    wide CSR matrix [const | parts[0] | ...]; a call writes each row's weighted
+    copies w y into the columns of the width's dense operand and makes one call
+    of the CSR kernel (:func:`_csr_product`): no new array, and no BLAS."""
     pieces = [p[keep][:, keep] for p in (const, *parts)]
-    product = _csr_product(scipy.sparse.hstack(pieces, format="csr"))
+    wide = scipy.sparse.hstack(pieces, format="csr")
 
-    def rhs(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.multiply(w[:, None, :], y.T, order="C")  # x[p, :, b] = w[p, b] y[b]
-        return product(x.reshape(-1, len(y))).T
+    def rhs_of(width: int):
+        x = np.empty((len(pieces), wide.shape[0], width))  # x[p, :, b] = w[p, b] y[b]
+        product = _csr_product(wide, x.reshape(wide.shape[1], width))
 
-    return rhs
+        def rhs(w: np.ndarray, y: np.ndarray, out: np.ndarray):
+            np.multiply(w[:, None, :], y.T, out=x)
+            product(out)
+
+        return rhs
+
+    return rhs_of
+
+
+def _stage_sum(coef: np.ndarray, stages: np.ndarray, out: np.ndarray):
+    """() -> out[b] = sum_j coef[j, b] stages[j, b] for the (J, B) ``coef``, the
+    (J, B, n) ``stages`` and the (B, n) ``out``, by one call of scipy's CSC kernel
+    on flat views of the three, which must be C-contiguous and written in place:
+    the (B, J B) matrix with coef[j, b] in row b of column j B + b times the
+    (J B, n) rows of ``stages``, into ``out`` zeroed.  It adds in j order, each
+    product rounded before its sum, as ``np.einsum("jb,jbk->bk", ...)`` does."""
+    j, b = coef.shape
+    args = (b, j * b, out.shape[1], np.arange(j * b + 1, dtype=np.intc),
+            np.tile(np.arange(b, dtype=np.intc), j), coef.reshape(-1), stages.reshape(-1),
+            out.reshape(-1))
+
+    def stage_sum():
+        out.fill(0.0)
+        _sparsetools.csc_matvecs(*args)
+
+    return stage_sum
 
 
 def _hermitian_weights(c: np.ndarray) -> np.ndarray:
@@ -355,13 +380,12 @@ class _RealCoordinates:
         # each real coordinate stands for one entry, a pair's for one or two
         self.weight = np.where(self.order < n, 1.0, self._pair_weight)
 
-    def modulus(self, y: np.ndarray) -> np.ndarray:
-        """For each stepped coordinate in the rows of ``y``, |v_i| of its entry."""
+    def modulus(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """For each stepped coordinate in the rows of ``y``, |v_i| of its entry (into ``out``)."""
         s = self._unpaired
-        out = np.abs(y)
-        pairs = np.abs(y[..., s:].view(complex))
-        out[..., s::2] = pairs
-        out[..., s + 1::2] = pairs
+        out = np.abs(y, out=out)
+        if s < y.shape[-1]:  # some pair is stepped: both its coordinates get |v_i|
+            out[..., s::2] = out[..., s + 1::2] = np.abs(y[..., s:].view(complex))
         return out
 
     def rms(self, x: np.ndarray) -> np.ndarray:
@@ -373,8 +397,8 @@ class _RealCoordinates:
         """Tr rho of each row of ``y`` for a Hermitian half (the sum of its stepped
         real coordinates), else |psi|^2 (one row sum of squares, no BLAS)."""
         if self.hermitian:
-            return y[..., :self._stepped_real].sum(axis=-1)
-        return np.square(y).sum(axis=-1)
+            return np.add.reduce(y[..., :self._stepped_real], axis=-1)
+        return np.add.reduce(np.square(y), axis=-1)
 
     def unit(self, y: np.ndarray, n: np.ndarray) -> np.ndarray:
         """The rows of ``y`` divided by their norms ``n``: by n for rho, by sqrt(n) for psi."""
@@ -502,10 +526,10 @@ def lindblad_rhs(model: LindbladModel, t: float, rho) -> np.ndarray:
     return (_liouvillian(model, t) @ mat.reshape(-1)).reshape(d, d)
 
 
-# Dormand-Prince 5(4) tableau; row i of _A weights the first i stages (zero-padded),
-# and its last row weights the fifth-order solution, which is also the input of the
-# last stage (first-same-as-last)
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau; _C holds the times of stages 2 to 7 as a column, row i
+# of _A weights the first i stages (zero-padded), and its last row weights the
+# fifth-order solution, which is also the input of the last stage (first-same-as-last)
+_C = np.array([[1 / 5], [3 / 10], [4 / 5], [8 / 9], [1.0], [1.0]])
 _A = np.array([
     [0.0] * 6,
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -595,10 +619,10 @@ class _Column:
                           stats=stats)
 
 
-def _initial_steps(rhs, weights, cols, y, modulus, rtol, atol, coords):
-    """First step size of each column of ``cols``, and the derivatives at its start."""
+def _initial_steps(rhs, weights, cols, y, f0, modulus, rtol, atol, coords):
+    """First step size of each column of ``cols``; its start's derivatives go into ``f0``."""
     t0 = np.array([col.t for col in cols])
-    f0 = rhs(weights(t0[None])[:, 0], y)
+    rhs(weights(t0[None])[:, 0], y, f0)
     scale = atol + rtol * modulus
     d0, d1 = coords.rms(y / scale), coords.rms(f0 / scale)
     # y is finite, so with a finite f0 a norm that is not has overflowed: no float64 step
@@ -606,47 +630,50 @@ def _initial_steps(rhs, weights, cols, y, modulus, rtol, atol, coords):
     over = ~np.isfinite(d0 + d1) & np.isfinite(f0).all(axis=1)
     h0 = np.array([1e-6 * col.span if (a < 1e-5 or b < 1e-5 or o) else 0.01 * a / b
                    for col, a, b, o in zip(cols, d0, d1, over)])
-    f1 = rhs(weights((t0 + h0)[None])[:, 0], y + h0[:, None] * f0)
+    f1 = np.empty_like(f0)
+    rhs(weights((t0 + h0)[None])[:, 0], y + h0[:, None] * f0, f1)
     d2 = coords.rms((f1 - f0) / scale) / h0
     for col, a, b, c, o in zip(cols, h0, d1, d2, over):
         h1 = max(1e-6 * col.span, a * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
         col.h = 0.0 if o else float(min(100 * a, h1))
-    return f0
 
 
-def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, coords):
+def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
     """Embedded RK 5(4) driver that steps a batch of columns, one per config,
     each over its own sample grid, all from the state ``y0``.
 
-    ``rhs(w, y)`` gives the derivatives of the states in the rows of ``y``
-    from their (n_weights, rows) weights ``w``, and ``weights_of(cols)``
-    gives the function that maps the (N, len(cols)) times of the columns
-    ``cols`` to those weights.  Each attempt evaluates the weights once, at
-    the six stage times of every active column, and makes one ``rhs`` call
-    per stage.  Each column has its own time, step size, place in its grid,
-    accept/reject decision and counters, so it takes exactly the steps it
-    takes alone; a column leaves the batch when it reaches its last sample or
-    fails.
+    ``rhs_of(width)`` gives the rhs of ``width`` columns, ``rhs(w, y, out)``,
+    which writes the derivatives of the states in the rows of ``y`` into
+    ``out`` from their (n_weights, width) weights ``w``, and
+    ``weights_of(cols)`` the function that maps the (N, len(cols)) times of
+    the columns ``cols`` to those weights.  Each attempt evaluates the weights
+    once, at the six stage times of every active column, and makes one ``rhs``
+    call per stage.  Each column has its own time, step size, place in its
+    grid, accept/reject decision and counters, so it takes exactly the steps
+    it takes alone; a column leaves the batch when it reaches its last sample
+    or fails.
 
     The state ``y0`` is real: the stepped coordinates of the
-    :class:`_RealCoordinates` ``coords``.  It is row 0 of the stage array, so
-    each stage input is one ``einsum`` over the rows before it.  ``repair(y)``
-    returns the accepted states in the rows of ``y``, with any invariant
-    restored, and the norm (``coords.norm``) of each; a norm that drifts
-    from 1 by more than ``TRACE_DIVERGENCE_TOL`` fails its column.  A
-    repair that returns ``y`` itself changes nothing, and the modulus of the
-    accepted states carries over to the next attempt.  ``on_sample(t, y)``
-    converts the state ``y`` at the sample time ``t`` into its stored form, an
-    array (the normalized coordinates, in :func:`evolve`), and may raise
+    :class:`_RealCoordinates` ``coords``.  It is row 0 of the C-contiguous
+    stage array ``k``, whose rows the rhs write in place, and each stage input,
+    y5 and the error vector is one :func:`_stage_sum` over its rows.  These
+    buffers, their kernel calls and the rhs are built once per width, and
+    again, ``k`` copied contiguous, when a column leaves.  ``repair(y)`` returns
+    the accepted states in the rows of ``y``, with any invariant restored, and
+    the norm (``coords.norm``) of each; a norm that drifts from 1 by more than
+    ``TRACE_DIVERGENCE_TOL`` fails its column.  ``on_sample(t, y)`` converts
+    the state ``y`` at the sample time ``t`` into its stored form, an array
+    (the normalized coordinates, in :func:`evolve`), and may raise
     :class:`IntegrationDivergedError`; a column writes its stored forms into
     the rows of one array, its :attr:`Trajectory.samples`.  The error norm is
-    ``coords.rms`` of the error over the scale atol + rtol max(|y|, |y5|),
-    |.| being ``coords.modulus``; one that is not finite fails its column.  The columns
-    share their tolerances.  Steps are clamped so stops and the last sample
-    time are hit exactly; a sample time inside an accepted step is read from
-    the continuous extension (:data:`_P`) before the step's state and stages are
-    overwritten.  Returns per column its :class:`Trajectory`, carrying the
-    :class:`IntegratorStats`, or the integration error that stopped it.
+    ``coords.rms`` of the error over the scale atol + rtol max(|y|, |y5|), |.|
+    being ``coords.modulus``; one that is not finite fails its column.  The
+    columns share their tolerances.  Steps are clamped so stops and the last
+    sample time are hit exactly; a sample time inside an accepted step is read
+    from the continuous extension (:data:`_P`) before the step's state and
+    stages are overwritten.  Returns per column its :class:`Trajectory`,
+    carrying the :class:`IntegratorStats`, or the integration error that
+    stopped it.
     """
     rtol, atol = configs[0].rel_tol, configs[0].abs_tol
     if any((c.rel_tol, c.abs_tol) != (rtol, atol) for c in configs):
@@ -668,15 +695,23 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, coords):
     act = [j for j in range(len(cols)) if out[j] is None]  # the active columns
     if not act:
         return out
-    weights = weights_of(act)
+
+    def batch(k):
+        """The weights, rhs and buffers of the columns ``act`` beside their stages
+        ``k``: coefficients (row i for stage i + 1's input, 6 for y5, 7 for the
+        error), y5 (first each stage's input), the error, its scale, each stage's
+        (sum, row of ``k``) and the error's sum."""
+        y5, error, scale = np.empty((3,) + k.shape[1:])
+        coef = np.ones((8, 7, k.shape[1]))  # each attempt writes all but the ones
+        stages = [(_stage_sum(coef[i, :i + 1], k[:i + 1], y5), k[i + 1]) for i in range(1, 7)]
+        return (weights_of(act), rhs_of(len(act)), coef, y5, error, scale, stages,
+                _stage_sum(coef[7], k[1:], error))
+
     k = np.empty((8, len(act), y.shape[1]))  # the state, then the seven stages
     k[0] = y[act]
+    weights, rhs, coef, y5, error, scale, stages, error_sum = batch(k)
     y, modulus = k[0], coords.modulus(k[0])
-    k[1] = _initial_steps(rhs, weights, [cols[j] for j in act], y, modulus, rtol, atol, coords)
-
-    def combination(coef, rows=slice(None)):
-        """sum_j coef[:, j] k[j] over the first coef.shape[1] rows of k, in one einsum."""
-        return np.einsum("bj,jbk->bk", coef, k[:coef.shape[1], rows])
+    _initial_steps(rhs, weights, [cols[j] for j in act], y, k[1], modulus, rtol, atol, coords)
 
     hmin_scale = 16.0 * np.finfo(float).eps
     while act:
@@ -694,18 +729,19 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, coords):
 
         if all(out[j] is None for j in act):
             t, h = np.array(t), np.array(h)
-            w = weights(t + _C[1:, None] * h)  # at the six stage times
-            ha = np.empty((len(h), 7, 7))  # per column: 1 for the state, then h times the tableau
-            ha[:, :, 0] = 1.0
-            np.multiply(h[:, None, None], _A, out=ha[:, :, 1:])
-            for i in range(1, 6):
-                k[i + 1] = rhs(w[:, i - 1], combination(ha[:, i, :i + 1]))
-            y5 = combination(ha[:, 6])
-            k[7] = rhs(w[:, 5], y5)
-            err_vec = np.einsum("bj,jbk->bk", h[:, None] * _E, k[1:])
-            modulus5 = coords.modulus(y5)
-            scale = atol + rtol * np.maximum(modulus, modulus5)
-            errs = coords.rms(err_vec * (1.0 / scale)).tolist()
+            w = weights(t + _C * h)  # at the six stage times
+            np.multiply(_A[1:, :, None], h, out=coef[1:7, 1:])
+            np.multiply(_E[:, None], h, out=coef[7])
+            for (stage_sum, row), w_i in zip(stages, w.swapaxes(0, 1)):
+                stage_sum()
+                rhs(w_i, y5, row)
+            error_sum()
+            # err / (atol + rtol max(|y|, |y5|)), in place
+            np.maximum(modulus, coords.modulus(y5, scale), out=scale)
+            scale *= rtol
+            scale += atol
+            error *= np.divide(1.0, scale, out=scale)
+            errs = coords.rms(error).tolist()
             ok = [pos for pos, err in enumerate(errs) if err <= 1.0]
 
             # the samples strictly inside the accepted steps, read from the
@@ -724,21 +760,20 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, coords):
                 b = _P[:, 3] * theta  # b_j(theta) by Horner's rule, row by row
                 for p in (2, 1, 0):
                     b = (b + _P[:, p]) * theta
-                coef = np.empty((len(rows), 8))
-                coef[:, 0] = 1.0
-                np.multiply(h[rows, None], b, out=coef[:, 1:])
-                dense = combination(coef, rows)
+                hb = np.empty((len(rows), 8))
+                hb[:, 0] = 1.0
+                np.multiply(h[rows, None], b, out=hb[:, 1:])
+                dense = np.einsum("rj,jrk->rk", hb, k[:, rows])
 
             drifts = [0.0] * len(act)  # of the accepted states' norms from 1
             if ok:
                 # a slice when every column accepted: indexing with a list copies
                 took = slice(None) if len(ok) == len(act) else ok
-                accepted = y5[took]
-                repaired, norms = repair(accepted)
+                repaired, norms = repair(y5[took])
                 k[0, took], k[1, took] = repaired, k[7, took]  # first-same-as-last
-                modulus[took] = modulus5[took] if repaired is accepted else coords.modulus(repaired)
-                for pos, drift in zip(ok, np.abs(norms - 1.0).tolist()):
-                    drifts[pos] = drift
+                coords.modulus(y, modulus)
+                for pos, drift in zip(ok, (norms - 1.0).tolist()):
+                    drifts[pos] = abs(drift)
 
             for pos, j in enumerate(act):
                 col, err = cols[j], errs[pos]
@@ -771,8 +806,10 @@ def _integrate_dp45(rhs, weights_of, y0, configs, repair, on_sample, coords):
 
         going = [pos for pos, j in enumerate(act) if out[j] is None]
         if len(going) < len(act):  # finished and failed columns leave the batch
-            act, k, modulus = [act[pos] for pos in going], k[:, going], modulus[going]
-            weights, y = weights_of(act), k[0]
+            # a copy, since k[:, going] is not contiguous and the stage sums read flat views
+            k, modulus = np.ascontiguousarray(k[:, going]), modulus[going]
+            act, y = [act[pos] for pos in going], k[0]
+            weights, rhs, coef, y5, error, scale, stages, error_sum = batch(k)
     return out
 
 
@@ -834,11 +871,11 @@ def evolve(model: LindbladModel, state0: StateVector | DensityMatrix, config):
     const, parts = coords.pieces(*pieces, imaginary=not real)
     start = coords.coordinates(v0)
     coords.restrict(_support((const, *parts), start != 0))
-    rhs = _linear_rhs(const, parts, coords.order)
+    rhs_of = _linear_rhs(const, parts, coords.order)
     configs = [config] if isinstance(config, IntegratorConfig) else list(config)
     t_setup = time.perf_counter()
     weights_of = _weights_of(gen, len(configs), _real_weights if real else _hermitian_weights)
-    runs = _integrate_dp45(rhs, weights_of, start[coords.order], configs, repair, on_sample,
+    runs = _integrate_dp45(rhs_of, weights_of, start[coords.order], configs, repair, on_sample,
                            coords)
     timing = {"setup_s": t_setup - t_start, "integrate_s": time.perf_counter() - t_setup}
     runs = [run if isinstance(run, Exception) else replace(

@@ -176,8 +176,12 @@ class DriveSchedule:
 def _pulses(t, amplitude, centre, width) -> np.ndarray:
     """Gaussians amplitude exp(-((t - centre)/width)^2), elementwise, cut to zero
     beyond ``ENVELOPE_CUTOFF_SIGMAS`` widths: the one pulse rule of the package."""
-    u = (t - centre) / width
-    return np.where(np.abs(u) > ENVELOPE_CUTOFF_SIGMAS, 0.0, amplitude * np.exp(-(u * u)))
+    u = np.asarray(t - centre)  # an array also at one time, so that it is written in place
+    u /= width
+    out = np.multiply(u, u, out=np.empty_like(u))  # then exp(-u^2) times the amplitude
+    np.multiply(np.exp(np.negative(out, out=out), out=out), amplitude, out=out)
+    out[np.abs(u, out=u) > ENVELOPE_CUTOFF_SIGMAS] = 0.0
+    return out
 
 
 def _components(schedule: DriveSchedule, pump_index: int):
@@ -305,9 +309,9 @@ class DriveCoefficients:
         return rule
 
     def _envelopes(self, t) -> np.ndarray:
-        """Each schedule's summed pulses per pump: shape (schedules, 2, N, columns)."""
-        pulses = _pulses(t, self.amplitude, self.centre, self.width)
-        return pulses[:, :, 0] + pulses[:, :, 1]
+        """Each schedule's summed pulses per pump: shape (schedules, 2, N, columns);
+        no pulse is -0, so the sum is bitwise the first component plus the second."""
+        return np.add.reduce(_pulses(t, self.amplitude, self.centre, self.width), axis=2)
 
     def amplitudes(self, t) -> np.ndarray:
         """(z_1, z_2), each pump's summed envelope times its drive phases, at the

@@ -132,13 +132,24 @@ def test_unknown_preset_exits_2(tmp_path):
     assert main(["simulate", "--preset", "nope", "--out", str(tmp_path / "o")]) == 2
 
 
-def test_missing_target_rejected(tmp_path):
+def test_simulate_runs_a_config_with_no_target(tmp_path):
+    # as degenerate-diagnostics ships: no target block, so no fidelity column or keys
     payload = dict(FAST_SIM)
     payload["schedule"] = {"kind": "stirap", "alpha0": 2000.0, "tau_s": 1e-4,
                            "sigma1_s": 1.5e-4, "sigma2_s": 1.5e-4}
     payload["initial"] = {"kind": "fock", "n": 1}
-    cfg = _write(tmp_path, payload)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, payload), "--out", str(out)]) == 0
+    with open(out / "trajectory.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t_s", "n1", "n2", "nc", "negativity", "alpha1", "alpha2"]
+    assert len(rows) == 1 + 9
+    written = json.loads((out / "summary.json").read_text())
+    scenario = cli.build_scenario(written["effective_config"])
+    assert scenario.target is None
+    floats = {key for key, value in written["summary"].items() if isinstance(value, float)}
+    assert floats == protocols.summary_keys(scenario)
+    assert not any("fidelity" in key for key in written["summary"])
 
 
 def test_adiabaticity_reference_values(tmp_path):

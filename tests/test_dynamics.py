@@ -505,6 +505,14 @@ def _reach(coords, pieces, v0):
     return const, parts
 
 
+def _one_row(rhs_of, w, y):
+    """The rhs of the one state ``y`` from its weights ``w``, written by the
+    in-place rhs of a batch of one into a row of NaN."""
+    out = np.full((1, y.size), np.nan)
+    rhs_of(1)(w, y[None], out)
+    return out[0]
+
+
 def _cut_pieces(picture):
     """The model of the picture, its Hermitian half cut to what every real piece
     reaches from |010><010|, and those real pieces."""
@@ -523,13 +531,13 @@ def test_cut_rhs_matches_the_liouvillian_on_the_support(picture):
     model, coords, const, parts = _cut_pieces(picture)
     d = model.space.total_dim
     assert 0 < coords.order.size < d * d
-    rhs = dynamics._linear_rhs(const, parts, coords.order)
+    rhs_of = dynamics._linear_rhs(const, parts, coords.order)
     rng = np.random.default_rng(11)
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         y = rng.normal(size=coords.order.size)
         ref = liouvillian_matrix(model, t) @ coords.vector(y)
         w = dynamics._hermitian_weights(model.hamiltonian.at(t)[:, None])
-        got = coords.vector(rhs(w, y[None])[0])
+        got = coords.vector(_one_row(rhs_of, w, y))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -542,13 +550,13 @@ def test_cut_pure_rhs_matches_the_hamiltonian_on_the_support(picture):
     pieces = (-1j * gen.h0, [-1j * op for a in gen.ops for op in (a, a.conj().T)])
     const, parts = _reach(coords, pieces, fock_state(spec.space, 0, 1, 0).amplitudes)
     assert 0 < coords.order.size < 2 * d
-    rhs = dynamics._linear_rhs(const, parts, coords.order)
+    rhs_of = dynamics._linear_rhs(const, parts, coords.order)
     rng = np.random.default_rng(12)
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         y = rng.normal(size=coords.order.size)
         ref = -1j * gen.dense(t) @ coords.vector(y)
-        got = coords.vector(rhs(dynamics._hermitian_weights(gen.at(t)[:, None]),
-                                y[None])[0])
+        got = coords.vector(_one_row(rhs_of, dynamics._hermitian_weights(gen.at(t)[:, None]),
+                                     y))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -556,7 +564,7 @@ def test_cut_pure_rhs_matches_the_hamiltonian_on_the_support(picture):
 def test_hermitian_half_reproduces_the_complex_rhs_and_error_norm(picture):
     model, coords, const, parts = _cut_pieces(picture)
     d = model.space.total_dim
-    real_rhs = dynamics._linear_rhs(const, parts, coords.order)
+    real_rhs_of = dynamics._linear_rhs(const, parts, coords.order)
     rng = np.random.default_rng(14)
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         y, e = (rng.normal(size=coords.order.size) for _ in range(2))
@@ -567,7 +575,7 @@ def test_hermitian_half_reproduces_the_complex_rhs_and_error_norm(picture):
         # the rhs, real and complex, from the same coefficients
         c = model.hamiltonian.at(t)[:, None]
         ref = dynamics._liouvillian(model, t) @ rho
-        got = coords.vector(real_rhs(dynamics._hermitian_weights(c), y[None])[0])
+        got = coords.vector(_one_row(real_rhs_of, dynamics._hermitian_weights(c), y))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
         # the error norm: each pair counts for rho_ij and rho_ji, scaled by |rho_ij|,
         # as the RMS over all d^2 entries of the complex error
@@ -592,13 +600,52 @@ def test_csr_kernel_call_is_bitwise_the_sparse_product(dtype, columns):
     x = rng.normal(size=(wide.shape[1], columns))
     if dtype is complex:
         x = x + 1j * rng.normal(size=x.shape)
-    got, want = dynamics._csr_product(wide)(x), wide @ x
+    out = np.full((columns, wide.shape[0]), np.nan, dtype=dtype)  # the kernel must zero it
+    dynamics._csr_product(wide, x)(out)
+    got, want = out.T, wide @ x
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("terms", range(2, 8))
+@pytest.mark.parametrize("columns", [1, 3])
+def test_stage_sum_is_bitwise_the_einsum(columns, terms):
+    rng = np.random.default_rng(16)
+    coef = rng.normal(size=(terms, columns))
+    coef[1] = 0.0  # a zero weight, as the tableau has, still adds its term
+    stages = rng.normal(size=(terms, columns, 190)) * 10.0 ** rng.integers(-12, 3, (terms, 1, 1))
+    out = np.full((columns, 190), np.nan)  # the kernel must zero it
+    stage_sum = dynamics._stage_sum(coef, stages, out)
+    stage_sum()
+    assert out.tobytes() == np.einsum("bj,jbk->bk", coef.T, stages).tobytes()
+    coef *= -0.5  # written in place, read again through the views the call holds
+    stages[0] += 1.0
+    stage_sum()
+    assert out.tobytes() == np.einsum("bj,jbk->bk", coef.T, stages).tobytes()
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_in_place_rhs_is_bitwise_the_wide_product(columns):
+    _, coords, const, parts = _cut_pieces("bs")
+    pieces = [p[coords.order][:, coords.order] for p in (const, *parts)]
+    wide = scipy.sparse.hstack(pieces, format="csr")
+    rhs = dynamics._linear_rhs(const, parts, coords.order)(columns)
+    rng = np.random.default_rng(17)
+    for _ in range(2):  # a second call into a written output starts from zero as well
+        w, y = rng.normal(size=(len(pieces), columns)), rng.normal(size=(columns, wide.shape[0]))
+        x = np.multiply(w[:, None, :], y.T, order="C").reshape(-1, columns)
+        out = np.full((columns, wide.shape[0]), np.nan)
+        rhs(w, y, out)
+        assert out.tobytes() == np.ascontiguousarray((wide @ x).T).tobytes()
+
+
 def _unchanged(t, y):
     return y
+
+
+def _in_place(f):
+    """The rhs of every batch width that writes f(w, y) into its output."""
+    return lambda width: lambda w, y, out: np.copyto(out, f(w, y))
 
 
 def _unrepaired(y):
@@ -621,8 +668,9 @@ def test_dp45_steps_the_linear_test_equation_by_its_stability_polynomial():
     # stops at every spacing and a loose tolerance: each step is clamped to h
     config = IntegratorConfig(sample_times=[0.0, n * h], rel_tol=1e-3, abs_tol=1e-6,
                               stops=h * np.arange(1, n))
-    traj, = dynamics._integrate_dp45(lambda c, y: y @ m.T, _no_terms, np.array([1.0, 0.0]),
-                                     [config], _unrepaired, _unchanged, ONE_COMPLEX)
+    traj, = dynamics._integrate_dp45(_in_place(lambda c, y: y @ m.T), _no_terms,
+                                     np.array([1.0, 0.0]), [config], _unrepaired, _unchanged,
+                                     ONE_COMPLEX)
     assert (traj.stats.accepted, traj.stats.rejected) == (n, 0)
     z = lam * h
     r = sum(z**k / math.factorial(k) for k in range(6)) + z**6 / 600
@@ -632,7 +680,8 @@ def test_dp45_steps_the_linear_test_equation_by_its_stability_polynomial():
 def test_dp45_integrates_a_quadratic_exactly():
     ts = np.linspace(0.0, 2.0, 5)
     # the one coefficient is the time itself: c(t) = t
-    traj, = dynamics._integrate_dp45(lambda c, y: 3.0 * c.T * c.T, lambda cols: lambda t: t[None],
+    traj, = dynamics._integrate_dp45(_in_place(lambda c, y: 3.0 * c.T * c.T),
+                                     lambda cols: lambda t: t[None],
                                      np.zeros(1), [IntegratorConfig(ts)],
                                      _unrepaired, _unchanged, ONE_REAL)
     # fifth-order quadrature is exact for t^2, and the error estimate is zero but for rounding
@@ -649,13 +698,32 @@ def test_a_step_whose_norm_drifts_fails_its_column_at_the_step_end():
     def repair(y):
         return y, np.square(y).sum(axis=-1)
 
-    failed, = dynamics._integrate_dp45(lambda c, y: y, _no_terms, np.ones(1),
+    failed, = dynamics._integrate_dp45(_in_place(lambda c, y: y), _no_terms, np.ones(1),
                                        [IntegratorConfig([0.0, 1.0])], repair, _unchanged,
                                        ONE_REAL)
     assert isinstance(failed, IntegrationDivergedError)
     assert failed.time == pytest.approx(0.01, rel=1e-2)
     assert failed.drift == pytest.approx(math.expm1(2 * failed.time), rel=1e-9)
     assert failed.tolerance == dynamics.TRACE_DIVERGENCE_TOL
+
+
+def test_lossless_coherent_transfer_takes_its_recorded_step_sequence():
+    # criterion 1 at dims (3,13,13), the config of bench/coherent507.json: a change to
+    # the order or rounding of the stage sums, the error norm or the controller moves
+    # these counts
+    cfg = {"system": {"omega1_hz": 1.2e6, "omega2_hz": 1.8e6, "kappa_hz": 2e3, "g1_hz": 2.5,
+                      "g2_hz": 2.5, "q1": 1e9, "q2": 1e9, "temperature_k": 0.0},
+           "schedule": {"kind": "fractional", "alpha0": 8000.0, "tau_s": 4.8e-4,
+                        "sigma1_s": 6e-4, "sigma2_s": 6e-4, "theta_rad": math.pi / 4},
+           "dims": [3, 13, 13], "initial": {"kind": "coherent", "alpha": 1.0},
+           "horizon": {"start_s": -2.4e-3, "end_s": 2.4e-3}, "sample_count": 2,
+           "lossless": True, "eval_time_s": 2.4e-3,
+           "target": {"kind": "product_coherent", "alpha": 1.0, "theta_rad": math.pi / 4}}
+    stats = run_scenario(build_scenario(cfg)).summary["integrator"]
+    assert {key: stats[key] for key in ("accepted", "rejected", "rhs_evals", "clamped",
+                                        "interpolated", "state_size")} == {
+        "accepted": 683, "rejected": 36, "rhs_evals": 4316, "clamped": 3, "interpolated": 0,
+        "state_size": 235}
 
 
 def test_continuous_extension_is_scipys_and_ends_on_the_fifth_order_solution():
@@ -675,7 +743,7 @@ def test_a_sample_inside_a_step_fails_at_its_own_time():
             raise IntegrationDivergedError(t, 1.0, dynamics.TRACE_SAMPLE_TOL)
         return y
 
-    run = (lambda c, y: 3.0 * c.T * c.T, lambda cols: lambda t: t[None],
+    run = (_in_place(lambda c, y: 3.0 * c.T * c.T), lambda cols: lambda t: t[None],
            np.zeros(1), [IntegratorConfig(ts)], _unrepaired)
     traj, = dynamics._integrate_dp45(*run, _unchanged, ONE_REAL)
     assert traj.stats.interpolated == 3  # every inner sample
