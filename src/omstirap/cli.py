@@ -243,6 +243,10 @@ def _axis_from_config(block: dict) -> SweepAxis:
     _check_keys(block, _AXIS_KEYS, "sweep axis")
     with _invalid("sweep axis"):
         path = block["path"]
+        grid = sorted({"start", "stop", "count"} & set(block))
+        if "values" in block and grid:
+            raise ConfigError(f"sweep axis gives 'values' and the grid key(s) {grid}; "
+                              f"give 'values' or 'start', 'stop' and 'count'")
         if "values" in block:
             values = [_scalar(float, v, "sweep axis.values") for v in block["values"]]
         else:
@@ -338,7 +342,7 @@ def cmd_sweep(args) -> int:
     with _invalid("sweep"):
         check_workers(workers)
     t0 = time.perf_counter()
-    result = run_sweep(base, axes, metrics=metrics, worker_count=workers)
+    result = run_sweep(base, axes, metrics=metrics, workers=workers)
     axis_vals = [_axis_output_values(a) for a in result.axes]
     rows = ([*(axis_vals[k][i] for k, i in enumerate(idx)),
              *(result.fields[m][idx] for m in metrics)]

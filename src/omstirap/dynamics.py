@@ -26,17 +26,19 @@ the real coordinates of a complex vector (:class:`_RealCoordinates`): rho as
 its Hermitian half, Re rho_ii and then the pair (Re rho_ij, Im rho_ij) for
 each i < j (the real coherence-vector form, Alicki & Lendi, Lect. Notes
 Phys. 717), and psi as the pair (Re psi_i, Im psi_i) of each amplitude.
-The k-th drive term c_k K_k + conj(c_k) K'_k (K_k = -i A_k on psi) gives the
-real pieces K_k + K'_k and i(K_k - K'_k), so the weights of (L0 or -i H0,
-...) are (1, Re c_k, Im c_k) and rho stays Hermitian exactly, with no
-symmetrization.  When every coefficient of every column is real
-(``DriveCoefficients.real``: zero phase rates and real drive phases, as in
-the table-2 and fig3 presets), each i(K_k - K'_k) has the weight 0 and is
-not built.  Both forms have one norm rule (:meth:`_RealCoordinates.norm`):
-Tr rho, the sum of the stepped real coordinates, or |psi|^2.  It is checked
-after every step and at every sample, and psi alone is renormalized after
-each step: |psi|^2 is a quadratic invariant, which RK does not conserve,
-while every piece keeps Tr rho.
+Their pieces come from one list of generators (:func:`_generators`): G_0,
+then -i X_k and -i Y_k for the Hermitian quadratures of each drive term
+c_k A_k + h.c. = Re c_k X_k + Im c_k Y_k, weighed by (1, Re c_k, Im c_k)
+(:func:`_weights`).  psi steps them as they are, and rho as S(G) = G x I +
+I x conj(G), the map rho -> G rho + rho G^+, which keeps rho Hermitian.  When every
+coefficient of every column is real (``DriveCoefficients.real``: zero phase
+rates and real drive phases, as in the table-2 and fig3 presets), each Y_k
+has the weight 0 and is not built.  Both forms have one norm rule
+(:meth:`_RealCoordinates.norm`): Tr rho, the sum of the stepped real
+coordinates, or |psi|^2.  It is checked after every step and at every
+sample, and psi alone is renormalized after each step: |psi|^2 is a
+quadratic invariant, which RK does not conserve, while every piece keeps
+Tr rho.
 
 A sample is kept as the coordinates the run steps, divided by the trace
 (the norm for psi): one row of m reals, where the d x d rho it stands for has
@@ -248,7 +250,7 @@ def _linear_rhs(const, parts, keep):
     """width -> the rhs (w, y, out) of ``width`` rows, which writes the rows of
     w_0 const y + sum_p w_{p+1} parts[p] y into ``out`` from the
     (1 + len(parts), width) weights ``w`` of the C-ordered rows of ``y`` (w_0 =
-    1, from :func:`_hermitian_weights` or :func:`_real_weights`).  The pieces,
+    1, from :func:`_weights`).  The pieces,
     cut to the rows and columns ``keep``, are laid side by side once as one
     wide CSR matrix [const | parts[0] | ...]; a call writes each row's weighted
     copies w y into the columns of the width's dense operand and makes one call
@@ -288,21 +290,14 @@ def _stage_sum(coef: np.ndarray, stages: np.ndarray, out: np.ndarray):
     return stage_sum
 
 
-def _hermitian_weights(c: np.ndarray) -> np.ndarray:
-    """(1, Re c_1, Im c_1, ...): the weights of the real pieces
-    (L0, K_1 + K'_1, i(K_1 - K'_1), ...) of :meth:`_RealCoordinates.pieces`."""
-    w = np.empty((1 + 2 * len(c),) + c.shape[1:])
-    w[0] = 1.0
-    w[1::2], w[2::2] = c.real, c.imag
-    return w
-
-
-def _real_weights(c: np.ndarray) -> np.ndarray:
-    """(1, Re c_1, Re c_2, ...): the weights of the real pieces less every
-    i(K_k - K'_k), for coefficients whose imaginary parts are all zero."""
-    w = np.empty((1 + len(c),) + c.shape[1:])
-    w[0] = 1.0
-    w[1:] = c.real
+def _weights(c: np.ndarray, imaginary: bool = True) -> np.ndarray:
+    """(1, Re c_1, Im c_1, ...), the weights of the pieces (G_0, -i X_1, -i Y_1,
+    ...) of :func:`_generators`, or (1, Re c_1, Re c_2, ...) unless ``imaginary``."""
+    step = 1 + imaginary  # the pieces of each c_k
+    w = np.empty((1 + step * len(c),) + c.shape[1:])
+    w[0], w[1::step] = 1.0, c.real
+    if imaginary:
+        w[2::2] = c.imag
     return w
 
 
@@ -345,21 +340,17 @@ class _RealCoordinates:
             shape=(m, self.size))
         self.restrict(np.arange(m))
 
-    def pieces(self, const, parts, imaginary: bool = True):
-        """The real (const, [K_1 + K'_1, i(K_1 - K'_1), ...]) of the complex
-        (const, [K_1, K'_1, ...]), for the weights (1, Re c_k, Im c_k) of
-        c_k K_k + conj(c_k) K'_k, less every i(K_k - K'_k) unless
-        ``imaginary``.  Each maps y to Re(project a expand y), the
-        coordinates of a v when a v is again of the coordinates' form: always
-        for a pure state, and for rho when a maps Hermitian matrices to
-        Hermitian ones, as every piece does."""
+    def pieces(self, const, parts):
+        """The real form of each complex piece a, which maps y to Re(project a
+        expand y), the coordinates of a v when a v is again of the coordinates'
+        form: always for psi, and for rho when a maps Hermitian matrices to
+        Hermitian ones, as every S(G) does."""
         def real(a):
             out = (self._project @ a @ self._expand).real.tocsr()
             out.eliminate_zeros()
             return out
 
-        return real(const), [real(x) for k, kd in zip(parts[::2], parts[1::2])
-                             for x in ((k + kd, 1j * (k - kd)) if imaginary else (k + kd,))]
+        return real(const), [real(a) for a in parts]
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """All m real coordinates, C-ordered, of the complex vector v."""
@@ -436,10 +427,10 @@ def _hermitian_half(d: int) -> _RealCoordinates:
     return _RealCoordinates(np.flatnonzero(i == j), upper, j[upper] * d + i[upper])
 
 
-def _weights_of(gen: Generator, columns: int, weigh):
+def _weights_of(gen: Generator, columns: int, imaginary: bool):
     """cols -> the weight function of the columns ``cols``, which maps their
-    (N, len(cols)) times to the (pieces, N, len(cols)) weights that the rule
-    ``weigh`` makes of their coefficients.  The generator's coefficient rule
+    (N, len(cols)) times to the (pieces, N, len(cols)) weights that
+    :func:`_weights` makes of their coefficients.  The generator's coefficient rule
     must have ``columns`` columns: a rule with no ``columns`` has one, and
     only a rule of several is cut to ``cols`` by its ``take``."""
     rule = gen.coefficients
@@ -449,14 +440,14 @@ def _weights_of(gen: Generator, columns: int, weigh):
 
     def weights_of(cols):
         part = rule.take(cols) if columns > 1 else rule
-        return lambda t: weigh(part(t))
+        return lambda t: _weights(part(t), imaginary)
 
     return weights_of
 
 
 def _real_drive(gen: Generator) -> bool:
     """Whether every coefficient of every column is real at all times, so that
-    every real piece i(K_k - K'_k) has the weight Im c_k = 0."""
+    every piece -i Y_k has the weight Im c_k = 0."""
     return isinstance(gen.coefficients, DriveCoefficients) and gen.coefficients.real
 
 
@@ -481,35 +472,44 @@ def _from_triples(triples, n: int):
                                    shape=(n, n))
 
 
-def _superoperator_pieces(model: LindbladModel):
-    """(L0, [K_1, K'_1, K_2, K'_2, ...]) as CSR matrices on vec(rho).
+def _jumps(model: LindbladModel) -> list:
+    """The collapse terms (C_k, r_k) of positive rate."""
+    return [(c, rate) for c, rate in model.collapse_terms if rate > 0.0]
 
-    L0 = M x I + I x conj(M) + sum_k r_k C_k x conj(C_k) with the effective
-    M = -i H0 - sum_k r_k C_k^+ C_k / 2, which is rho -> M rho + rho M^+ plus
-    the jumps for a Hermitian H0: 2 + n_c Kronecker products, not 2 + 3 n_c.
-    K_k = -i (A_k x I - I x A_k^T), the superoperator of rho -> -i[A_k, rho],
-    and K'_k the same of A_k^+.  Each piece is summed from the COO triples of
-    its Kronecker products in one CSR conversion.
-    """
+
+def _generators(model: LindbladModel, imaginary: bool = True) -> list:
+    """[G_0, -i X_1, -i Y_1, -i X_2, ...] on the Hilbert space: G_0 = -i H0 -
+    sum_k r_k C_k^+ C_k / 2 over the jumps of positive rate, and the Hermitian
+    quadratures X_k = A_k + A_k^+ and Y_k = i(A_k - A_k^+) of each drive
+    operator A_k, with no Y_k unless ``imaginary``."""
+    g0 = -1j * model.hamiltonian.h0
+    for c, rate in _jumps(model):
+        g0 = g0 - 0.5 * rate * (c.conj().T @ c)
+    gens = [g0]
+    for a in model.hamiltonian.ops:
+        x = -1j * (a + a.conj().T)
+        gens += [x, a - a.conj().T] if imaginary else [x]  # -i Y_k = A_k - A_k^+
+    return gens
+
+
+def _superoperator_pieces(model: LindbladModel, imaginary: bool = True):
+    """(L0, [S(-i X_1), S(-i Y_1), ...]) as CSR matrices on vec(rho), each
+    generator G of :func:`_generators` as S(G) = G x I + I x conj(G), the map
+    rho -> G rho + rho G^+, and L0 = S(G_0) + sum_k r_k C_k x conj(C_k), each
+    summed from the COO triples of its Kronecker products in one conversion."""
     d = model.space.total_dim
     eye = scipy.sparse.identity(d, dtype=complex, format="csr")
-    m = -1j * model.hamiltonian.h0
-    jumps = [(c, rate) for c, rate in model.collapse_terms if rate > 0.0]
-    for c, rate in jumps:
-        m = m - 0.5 * rate * (c.conj().T @ c)
-    l0 = _from_triples([_kron(m, eye), _kron(eye, m.conj()),
-                        *(_kron(c, c.conj(), rate) for c, rate in jumps)], d * d)
-    parts = [_from_triples([_kron(op, eye, -1j), _kron(eye, op.T, 1j)], d * d)
-             for a in model.hamiltonian.ops for op in (a, a.conj().T)]
-    return l0, parts
+    s0, *parts = ([_kron(g, eye), _kron(eye, g.conj())] for g in _generators(model, imaginary))
+    jumps = [_kron(c, c.conj(), rate) for c, rate in _jumps(model)]
+    return _from_triples(s0 + jumps, d * d), [_from_triples(s, d * d) for s in parts]
 
 
 def _liouvillian(model: LindbladModel, t: float):
     """The CSR superoperator of the generator frozen at time t on the row-major
-    vec(rho): L0 + sum_k (c_k K_k + conj(c_k) K'_k) of :func:`_superoperator_pieces`."""
+    vec(rho): the pieces of :func:`_superoperator_pieces` weighed by :func:`_weights`."""
     liou, parts = _superoperator_pieces(model)
-    for c, k, kd in zip(model.hamiltonian.at(t), parts[::2], parts[1::2]):
-        liou = liou + c * k + np.conj(c) * kd
+    for w, part in zip(_weights(model.hamiltonian.at(t))[1:], parts):
+        liou = liou + w * part
     return liou
 
 
@@ -816,25 +816,25 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
 def evolve(model: LindbladModel, state0: StateVector | DensityMatrix, config):
     """Integrate the master equation from ``state0`` and sample at the configured times.
 
-    The input picks the state form.  A :class:`StateVector` under a model
-    with no collapse term of positive rate is stepped as psi, under the
-    Hilbert-space pieces -i H0, -i A_k and -i A_k^+; any other
-    :class:`StateVector` is stepped as its :meth:`~StateVector.density_matrix`,
-    and a :class:`DensityMatrix` always as rho, under the superoperator
-    pieces.  Adaptive Dormand-Prince 5(4) steps either in real arithmetic
-    (rho as its Hermitian half, psi as Re psi and Im psi), on only the
-    coordinates that the kept pieces can reach from the input's; the pieces
-    i(K_k - K'_k) are not built when every coefficient of every column is
-    real.  Steps end on the stops and the last sample time, and a sample
-    inside a step is read from the continuous extension.  The norm (the
-    trace, or |psi|^2 for psi) is checked against 1e-4 after every step, psi
-    then renormalized, and 1e-6 at every sample, the first included; a drift
-    beyond either aborts with an error carrying the time.  Sampled states are divided by their trace (or
-    norm) and kept as their stepped coordinates (:attr:`Trajectory.samples`),
-    and :attr:`Trajectory.states` gives them as density matrices,
-    |psi><psi| for psi.  Each trajectory's ``timing`` holds the batch's
-    ``setup_s`` (pieces, real pieces, reachable coordinates) and
-    ``integrate_s``.
+    The input picks the state form.  A :class:`StateVector` under a model with
+    no collapse term of positive rate is stepped as psi, under the generators
+    G_0 = -i H0, -i X_k and -i Y_k of :func:`_generators`; any other
+    :class:`StateVector` is stepped as its
+    :meth:`~StateVector.density_matrix`, and a :class:`DensityMatrix` always
+    as rho, under their superoperators S(G) (:func:`_superoperator_pieces`).
+    Adaptive Dormand-Prince 5(4) steps either in real arithmetic (rho as its
+    Hermitian half, psi as Re psi and Im psi), on only the coordinates that
+    the kept pieces can reach from the input's; the Y_k pieces are not built
+    when every coefficient of every column is real.  Steps end on the stops
+    and the last sample time, and a sample inside a step is read from the
+    continuous extension.  The norm (the trace, or |psi|^2 for psi) is checked
+    against 1e-4 after every step, psi then renormalized, and 1e-6 at every
+    sample, the first included; a drift beyond either aborts with an error
+    carrying the time.  Sampled states are divided by their trace (or norm)
+    and kept as their stepped coordinates (:attr:`Trajectory.samples`), and
+    :attr:`Trajectory.states` gives them as density matrices, |psi><psi| for
+    psi.  Each trajectory's ``timing`` holds the batch's ``setup_s`` (pieces,
+    real pieces, reachable coordinates) and ``integrate_s``.
 
     ``config`` may also be a sequence of configs, one per column of the
     generator's :class:`~omstirap.model.DriveCoefficients`.  The columns are
@@ -846,13 +846,14 @@ def evolve(model: LindbladModel, state0: StateVector | DensityMatrix, config):
         raise InvalidDimensionError("initial state lives on a different space")
     t_start = time.perf_counter()
     gen, d = model.hamiltonian, model.space.total_dim
-    if isinstance(state0, StateVector) and not any(rate > 0.0 for _, rate in model.collapse_terms):
+    imaginary = not _real_drive(gen)  # else every Y_k has the weight Im c_k = 0
+    if isinstance(state0, StateVector) and not _jumps(model):
         coords, v0 = _RealCoordinates(np.arange(0), np.arange(d)), state0.amplitudes
-        pieces = (-1j * gen.h0, [-1j * op for a in gen.ops for op in (a, a.conj().T)])
+        const, *parts = _generators(model, imaginary)
     else:
         rho0 = state0 if isinstance(state0, DensityMatrix) else state0.density_matrix()
         coords, v0 = _hermitian_half(d), rho0.matrix.reshape(-1)
-        pieces = _superoperator_pieces(model)
+        const, parts = _superoperator_pieces(model, imaginary)
 
     def repair(y):
         """The rows of ``y``, psi's renormalized (|psi|^2 is a quadratic invariant,
@@ -867,14 +868,13 @@ def evolve(model: LindbladModel, state0: StateVector | DensityMatrix, config):
             raise IntegrationDivergedError(t, drift, TRACE_SAMPLE_TOL)
         return coords.unit(y, n)
 
-    real = _real_drive(gen)  # every i(K_k - K'_k) has the weight Im c_k = 0
-    const, parts = coords.pieces(*pieces, imaginary=not real)
+    const, parts = coords.pieces(const, parts)
     start = coords.coordinates(v0)
     coords.restrict(_support((const, *parts), start != 0))
     rhs_of = _linear_rhs(const, parts, coords.order)
     configs = [config] if isinstance(config, IntegratorConfig) else list(config)
     t_setup = time.perf_counter()
-    weights_of = _weights_of(gen, len(configs), _real_weights if real else _hermitian_weights)
+    weights_of = _weights_of(gen, len(configs), imaginary)
     runs = _integrate_dp45(rhs_of, weights_of, start[coords.order], configs, repair, on_sample,
                            coords)
     timing = {"setup_s": t_setup - t_start, "integrate_s": time.perf_counter() - t_setup}
@@ -892,7 +892,7 @@ def liouvillian_matrix(model: LindbladModel, t: float = 0.0) -> np.ndarray:
     """Dense superoperator of the generator frozen at time t.
 
     Row-major vectorization: vec(A rho B) = (A kron B^T) vec(rho).  It is
-    the integrator's L0 + sum_k (c_k K_k + conj(c_k) K'_k), densified.
+    the integrator's L0 + sum_k (Re c_k S(-i X_k) + Im c_k S(-i Y_k)), densified.
     """
     return _liouvillian(model, t).toarray()
 

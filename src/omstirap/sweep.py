@@ -121,9 +121,11 @@ _PATH_BLOCKS = {"params": SystemParams, "schedule": DriveSchedule}
 def resolve_path(path: str) -> tuple[str, str | None]:
     """An axis path as (``'sigma'``/``'delta'``, None) or (``'params'``/``'schedule'``, field).
 
-    Shorthands are expanded; a path that names nothing sweepable is a
-    ConfigError.
+    Shorthands are expanded; a path that is not a string or names nothing
+    sweepable is a ConfigError.
     """
+    if not isinstance(path, str):
+        raise ConfigError(f"a parameter path is a string, not {path!r}")
     resolved = _SHORTHAND.get(path, path)
     if resolved in ("sigma", "delta"):
         return resolved, None
@@ -180,13 +182,14 @@ def run_sweep(
     base: Scenario,
     axes: Sequence[SweepAxis],
     metrics: Sequence[str] = ("final_n2",),
-    worker_count: int = 1,
+    workers: int = 1,
 ) -> SweepResult:
     """Run a scenario grid over one or two axes.
 
-    ``metrics`` are summary keys of :func:`run_scenario` (for example
-    ``final_n2``, ``fidelity``, ``peak_negativity``); one that the base
-    scenario's summary does not carry is rejected before any cell runs.
+    ``metrics`` is a nonempty sequence of summary keys of :func:`run_scenario`
+    (for example ``final_n2``, ``fidelity``, ``peak_negativity``); a bare
+    string, an empty sequence and a key that the base scenario's summary does
+    not carry are rejected before any cell runs.
     The cells run through :func:`~omstirap.protocols.run_batches`, whose
     records become ``batches``: each batch of cells that share a
     :func:`~omstirap.protocols.batch_key` is one DP45 ensemble and one job.
@@ -200,8 +203,9 @@ def run_sweep(
         # unknown parameter paths and metrics are config errors up front; value
         # errors inside a cell are recorded per-cell instead
         resolve_path(axis.path)
-    if not all(isinstance(m, str) for m in metrics):
-        raise InvalidArgumentError(f"metrics must be summary keys, not {list(metrics)!r}")
+    if isinstance(metrics, str) or not metrics or not all(isinstance(m, str) for m in metrics):
+        raise InvalidArgumentError(f"metrics must be summary keys, one or more in a "
+                                   f"sequence, not {metrics!r}")
     missing = sorted(set(metrics) - summary_keys(base))
     if missing:
         raise InvalidArgumentError(f"no run of this sweep reports the metric(s) {missing}; "
@@ -217,7 +221,7 @@ def run_sweep(
         except OmstirapError as exc:  # domain and integration failures are per-cell results
             failures.append((idx, *_failure(exc)))
 
-    summaries, records = run_batches([scenario for _, scenario in cells], worker_count)
+    summaries, records = run_batches([scenario for _, scenario in cells], workers)
     grids = {m: np.full(shape, np.nan) for m in metrics}
     for (idx, _), summary in zip(cells, summaries):
         if isinstance(summary, OmstirapError):

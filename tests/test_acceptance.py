@@ -467,8 +467,8 @@ def test_criterion_12_sweeps():
         SweepAxis("delta", tuple(TWO_PI * v for v in (0.4e3, 1.2e3))),
         SweepAxis("sigma", (0.45e-3, 0.6e-3), tau_sigma_ratio=1.43),
     ]
-    r1 = run_sweep(base, small_axes, metrics=("final_n2",), worker_count=1)
-    r2 = run_sweep(base, small_axes, metrics=("final_n2",), worker_count=3)
+    r1 = run_sweep(base, small_axes, metrics=("final_n2",), workers=1)
+    r2 = run_sweep(base, small_axes, metrics=("final_n2",), workers=3)
     deterministic = np.array_equal(r1.fields["final_n2"], r2.fields["final_n2"])
     details.append(f"bitwise deterministic={deterministic}")
     # hyperbolic frequency-difference contours.  The stated 0.80 level does
@@ -481,7 +481,7 @@ def test_criterion_12_sweeps():
         SweepAxis("sigma", tuple(np.linspace(0.4e-3, 1.0e-3, 7)),
                   tau_sigma_ratio=1.43),
     ]
-    result = run_sweep(base, axes, metrics=("final_n2",), worker_count=3)
+    result = run_sweep(base, axes, metrics=("final_n2",), workers=3)
     level = 0.125
     contours = extract_contours(result, "final_n2", [level])[level]
     points = np.vstack(contours) if contours else np.empty((0, 2))

@@ -489,6 +489,15 @@ BAD_INPUT = {
                                   {"sweep": {"metrics": ["final_n3", 5]}},
                                   "metrics must be summary keys"),
     # the axis count is read by the key rule: no truncated integers
+    # an axis path is a string: a number reached str.partition and a traceback
+    "axis-path-not-a-string": ("sweep", "sweep-kappa-alpha",
+                               {"sweep": {"axes": [{"path": 5, "values": [1.0, 2.0]}]}},
+                               "parameter path", "5"),
+    # values and a grid: the grid keys were dropped without a word
+    "axis-values-and-grid": ("sweep", "sweep-kappa-alpha",
+                             {"sweep": {"axes": [{"path": "alpha0", "values": [1000, 2000],
+                                                  "start": 1, "stop": 9, "count": 7}]}},
+                             "'values'", "['count', 'start', 'stop']"),
     "axis-count-fraction": ("sweep", "sweep-kappa-alpha",
                             {"sweep": {"axes": [{"path": "kappa", "start": 1e3, "stop": 2e3,
                                                  "count": 2.7}]}}, "invalid sweep axis", "2.7"),
@@ -753,7 +762,7 @@ def test_sweep_json_records_failure_time(tmp_path, monkeypatch):
     failures = (((0,), "StiffnessError", "step size underflow", 1.25e-4),
                 ((1,), "InvalidArgumentError", "pulse widths must be > 0", None))
 
-    def failed_sweep(base, axes, metrics, worker_count):
+    def failed_sweep(base, axes, metrics, workers):
         fields = {m: np.full(len(axes[0].values), np.nan) for m in metrics}
         return SweepResult(axes=tuple(axes), fields=fields, failures=failures)
 
@@ -870,7 +879,7 @@ def test_a_sweep_records_cells_that_no_tolerance_can_run(tmp_path):
 
 def test_empty_contour_levels_drop_a_presets_contours(tmp_path, monkeypatch):
     # sweep-delta-sigma draws the contours of its first metric, so it needs no contour_field
-    def stub_sweep(base, axes, metrics, worker_count):
+    def stub_sweep(base, axes, metrics, workers):
         shape = tuple(len(a.values) for a in axes)
         return SweepResult(axes=tuple(axes), fields={m: np.zeros(shape) for m in metrics})
 
@@ -880,7 +889,7 @@ def test_empty_contour_levels_drop_a_presets_contours(tmp_path, monkeypatch):
 
 
 def test_sweep_json_records_contours(tmp_path, monkeypatch):
-    def stub_sweep(base, axes, metrics, worker_count):
+    def stub_sweep(base, axes, metrics, workers):
         # final_n2 rises along the first axis only: the 0.5 contour is one vertical line
         field = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         return SweepResult(axes=tuple(axes), fields={m: field for m in metrics})

@@ -536,7 +536,7 @@ def test_cut_rhs_matches_the_liouvillian_on_the_support(picture):
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         y = rng.normal(size=coords.order.size)
         ref = liouvillian_matrix(model, t) @ coords.vector(y)
-        w = dynamics._hermitian_weights(model.hamiltonian.at(t)[:, None])
+        w = dynamics._weights(model.hamiltonian.at(t)[:, None])
         got = coords.vector(_one_row(rhs_of, w, y))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
@@ -547,15 +547,15 @@ def test_cut_pure_rhs_matches_the_hamiltonian_on_the_support(picture):
     gen = hamiltonian_generator(**vars(spec))
     d = spec.space.total_dim
     coords = dynamics._RealCoordinates(np.arange(0), np.arange(d))
-    pieces = (-1j * gen.h0, [-1j * op for a in gen.ops for op in (a, a.conj().T)])
-    const, parts = _reach(coords, pieces, fock_state(spec.space, 0, 1, 0).amplitudes)
+    g0, *parts = dynamics._generators(LindbladModel(spec.space, gen))
+    const, parts = _reach(coords, (g0, parts), fock_state(spec.space, 0, 1, 0).amplitudes)
     assert 0 < coords.order.size < 2 * d
     rhs_of = dynamics._linear_rhs(const, parts, coords.order)
     rng = np.random.default_rng(12)
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         y = rng.normal(size=coords.order.size)
         ref = -1j * gen.dense(t) @ coords.vector(y)
-        got = coords.vector(_one_row(rhs_of, dynamics._hermitian_weights(gen.at(t)[:, None]),
+        got = coords.vector(_one_row(rhs_of, dynamics._weights(gen.at(t)[:, None]),
                                      y))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
@@ -575,7 +575,7 @@ def test_hermitian_half_reproduces_the_complex_rhs_and_error_norm(picture):
         # the rhs, real and complex, from the same coefficients
         c = model.hamiltonian.at(t)[:, None]
         ref = dynamics._liouvillian(model, t) @ rho
-        got = coords.vector(_one_row(real_rhs_of, dynamics._hermitian_weights(c), y))
+        got = coords.vector(_one_row(real_rhs_of, dynamics._weights(c), y))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
         # the error norm: each pair counts for rho_ij and rho_ji, scaled by |rho_ij|,
         # as the RMS over all d^2 entries of the complex error
@@ -878,7 +878,7 @@ def test_reduced_run_matches_unreduced(monkeypatch, name):
 
 def test_a_batch_of_a_real_and_a_complex_column_matches_their_solo_runs():
     # the second column's drive phase makes its coefficients complex, so the
-    # batch keeps every piece; the first column alone drops the i(K - K') ones
+    # batch keeps every piece; the first column alone drops the -i Y_k ones
     real = SUPPORT_CASES["table2-stirap-50mK"][0]
     complex_ = replace(real, schedule=tuple(replace(s, phase2=0.7) for s in real.schedule))
     batch = protocols.run_scenarios([real, complex_])
@@ -897,29 +897,86 @@ def test_a_batch_of_a_real_and_a_complex_column_matches_their_solo_runs():
             assert np.max(np.abs(got.trajectory.observables[key] - series)) <= 1e-12, key
 
 
-def test_superoperator_pieces_are_the_kron_formula():
+def _kron_model():
+    """The full-picture model with a random H0 and the thermal jumps."""
     rng = np.random.default_rng(22)
     spec = _equivalence_spec("full")
     sp = spec.space
-    d = sp.total_dim
     gen = hamiltonian_generator(**vars(spec))
-    h0 = KAPPA * _random_hermitian(d, rng)
-    model = LindbladModel(sp, Generator(sp, h0, gen.ops, gen.coefficients),
-                          tuple(thermal_collapse_terms(sp, spec.params)))
+    h0 = KAPPA * _random_hermitian(sp.total_dim, rng)
+    return LindbladModel(sp, Generator(sp, h0, gen.ops, gen.coefficients),
+                         tuple(thermal_collapse_terms(sp, spec.params)))
+
+
+def test_superoperator_pieces_are_the_kron_formula():
+    model = _kron_model()
+    d = model.space.total_dim
     kron, eye = scipy.sparse.kron, scipy.sparse.identity(d, dtype=complex, format="csr")
     m = -1j * model.hamiltonian.h0
     for c, rate in model.collapse_terms:
         m = m - 0.5 * rate * (c.conj().T @ c)
     want = [kron(m, eye) + kron(eye, m.conj())
             + sum(rate * kron(c, c.conj()) for c, rate in model.collapse_terms)]
-    want += [-1j * (kron(op, eye) - kron(eye, op.T))
-             for a in model.hamiltonian.ops for op in (a, a.conj().T)]
+    # S(G) = G x I + I x conj(G) of G = -i X_k and -i Y_k, the quadratures of A_k
+    for a in model.hamiltonian.ops:
+        x, y = a + a.conj().T, 1j * (a - a.conj().T)
+        want += [kron(g, eye) + kron(eye, g.conj()) for g in (-1j * x, -1j * y)]
     l0, parts = dynamics._superoperator_pieces(model)
     assert len(parts) == 8
     for got, ref in zip((l0, *parts), want):
         assert got.format == "csr" and got.dtype == complex
         ref = ref.toarray()
         assert np.max(np.abs(got.toarray() - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_first_generator_is_the_effective_hamiltonian():
+    model = _kron_model()
+    h0 = model.hamiltonian.h0.toarray()
+    want = -1j * h0
+    for c, rate in model.collapse_terms:
+        c = c.toarray()
+        want = want - 0.5 * rate * c.conj().T @ c
+    got = dynamics._generators(model)[0].toarray()
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_each_superoperator_piece_maps_rho_to_g_rho_plus_rho_g_dagger():
+    model = _kron_model()
+    d = model.space.total_dim
+    rho = _random_density(model.space, 23).matrix
+    l0, parts = dynamics._superoperator_pieces(model)
+    gens = dynamics._generators(model)
+    assert len(gens) == 1 + len(parts)
+    jumps = sum(rate * (c @ rho @ c.conj().T) for c, rate in model.collapse_terms)
+    for g, piece, extra in zip(gens, (l0, *parts), (jumps, *[0.0] * len(parts))):
+        g = g.toarray()
+        want = g @ rho + rho @ g.conj().T + extra
+        got = (piece @ rho.reshape(-1)).reshape(d, d)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_a_real_drive_builds_no_y_piece():
+    sp = HilbertSpace((2, 3, 3))
+    params = SystemParams.from_ordinary(temperature_k=0.01)
+    sched = DriveSchedule("stirap", 2000.0, 0.15e-3 / 1.43, 0.15e-3, 0.15e-3)
+    gen = hamiltonian_generator(params, (sched,), sp, "rwa")
+    assert dynamics._real_drive(gen)
+    n = len(gen.ops)
+    lossless, lossy = (LindbladModel(sp, gen, terms)
+                       for terms in ((), tuple(thermal_collapse_terms(sp, params))))
+    for model in (lossless, lossy):
+        gens = dynamics._generators(model)
+        real = dynamics._generators(model, imaginary=False)
+        assert len(real) == 1 + n and len(gens) == 1 + 2 * n
+        for got, want in zip(real, [gens[0], *gens[1::2]]):  # G_0 and every -i X_k
+            assert (got != want).nnz == 0
+        assert len(dynamics._superoperator_pieces(model, imaginary=False)[1]) == n
+    # a run steps G_0 and the n pieces -i X_k: psi as they are, rho as their S(G)
+    config = IntegratorConfig(np.linspace(-0.2e-3, -0.19e-3, 3))
+    psi0 = fock_state(sp, 0, 1, 0)
+    for model, state in ((lossless, psi0), (lossless, psi0.density_matrix()),
+                         (lossy, psi0)):
+        assert evolve(model, state, config).stats.pieces == 1 + n
 
 
 # ------------------------------------------------------------- dense output
@@ -1044,7 +1101,7 @@ def test_excitation_diagonal_inputs_stay_in_the_k0_sector(picture, seed, levels,
     coords = dynamics._hermitian_half(d)
     const, parts = _reach(coords, dynamics._superoperator_pieces(model), rho.reshape(-1))
     np.testing.assert_array_equal(entries(coords), sector)
-    # the pieces a run steps, which drop every i(K - K') for real drives, step
+    # the pieces a run steps, which drop every -i Y_k for real drives, step
     # every nonzero coordinate of rho and stay in the sector
     start = coords.coordinates(rho.reshape(-1)) != 0
     if dynamics._real_drive(h):

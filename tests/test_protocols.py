@@ -509,7 +509,7 @@ def test_coordinate_observables_match_the_dense_rules(case):
     traj = results[0].trajectory
     if case == "lossy-preset":  # a real drive: 190 of the 2,500 coordinates are stepped
         assert (traj.stats.state_size, traj.stats.norm_size) == (190, 2500)
-    if case == "bs-complex-drive":  # the i(K - K') pieces are kept
+    if case == "bs-complex-drive":  # the -i Y_k pieces are kept
         s = scenarios[0]
         assert not DriveCoefficients("bs", [(s.params, s.schedule)]).real
         assert traj.stats.pieces == 1 + 2 * len(

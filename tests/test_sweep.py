@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omstirap import protocols
+from omstirap import protocols, sweep
 from omstirap.errors import (
     ConfigError,
     IntegrationDivergedError,
@@ -89,6 +89,20 @@ def test_resolve_path_expands_shorthands_and_rejects_unknown_paths():
             resolve_path(bad)
 
 
+def test_run_sweep_checks_its_axes_and_metrics_before_any_cell(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("bad input must be rejected before any cell runs")
+
+    monkeypatch.setattr(sweep, "run_batches", no_run)
+    scen, alpha = _fast_scenario(), SweepAxis("alpha0", (1500.0, 2000.0))
+    with pytest.raises(ConfigError, match="parameter path is a string, not 5"):
+        run_sweep(scen, [SweepAxis(5, (1.0, 2.0))])
+    # a bare string is one key, not a sequence of one-letter keys
+    for metrics in ((), [], "final_n2", ("final_n2", 5)):
+        with pytest.raises(InvalidArgumentError, match="metrics must be summary keys"):
+            run_sweep(scen, [alpha], metrics=metrics, workers=1)
+
+
 def test_picture_selection_rules():
     scen = _fast_scenario()
     assert pick_picture(scen) == "rwa"
@@ -113,8 +127,8 @@ def test_sweep_determinism_across_worker_counts():
         SweepAxis("alpha0", (1500.0, 2000.0, 2500.0)),
         SweepAxis("sigma", (0.12e-3, 0.18e-3), tau_sigma_ratio=1.43),
     ]
-    r1 = run_sweep(scen, axes, metrics=("final_n2", "final_n1"), worker_count=1)
-    r2 = run_sweep(scen, axes, metrics=("final_n2", "final_n1"), worker_count=3)
+    r1 = run_sweep(scen, axes, metrics=("final_n2", "final_n1"), workers=1)
+    r2 = run_sweep(scen, axes, metrics=("final_n2", "final_n1"), workers=3)
     for m in ("final_n2", "final_n1"):
         assert np.array_equal(r1.fields[m], r2.fields[m])
     assert r1.failures == r2.failures == ()
@@ -134,7 +148,7 @@ def test_failed_cells_recorded_not_fatal(monkeypatch):
 
     monkeypatch.setattr(protocols, "run_scenarios", run)
     axes = [SweepAxis("schedule.sigma1", (-1e-4, 0.1e-3, 0.12e-3, 0.15e-3))]
-    res = run_sweep(scen, axes, metrics=("final_n2",), worker_count=1)
+    res = run_sweep(scen, axes, metrics=("final_n2",), workers=1)
     assert len(res.failures) == 3
     assert res.failures[0][0] == (0,)
     assert res.failures[0][1] == "InvalidArgumentError"
@@ -154,7 +168,7 @@ def test_programming_error_in_cell_propagates(monkeypatch):
     monkeypatch.setattr(protocols, "run_scenarios", broken)
     axes = [SweepAxis("alpha0", (1500.0, 2000.0))]
     with pytest.raises(TypeError, match="bug in a cell"):
-        run_sweep(_fast_scenario(), axes, metrics=("final_n2",), worker_count=1)
+        run_sweep(_fast_scenario(), axes, metrics=("final_n2",), workers=1)
 
 
 def test_omega_swap_symmetry():
@@ -196,7 +210,7 @@ def test_kappa_alpha_corners():
         SweepAxis("kappa", (TWO_PI * 2e2, TWO_PI * 2e4), scale="log"),
         SweepAxis("alpha0", (250.0, 4000.0)),
     ]
-    res = run_sweep(scen, axes, metrics=("final_n2",), worker_count=1)
+    res = run_sweep(scen, axes, metrics=("final_n2",), workers=1)
     grid = res.fields["final_n2"]
     assert grid[0, 1] > 0.99  # low kappa, high drive
     assert grid[1, 0] < 0.5  # high kappa, weak drive
@@ -347,8 +361,8 @@ def test_a_batch_needs_one_batch_key():
 def test_mixed_picture_grid_is_identical_at_one_and_two_workers():
     base, axes, cells = _delta_alpha_grid()
     assert {c.picture for c in cells} == {"bs", "rwa"}
-    r1 = run_sweep(base, axes, metrics=("final_n2", "final_n1"), worker_count=1)
-    r2 = run_sweep(base, axes, metrics=("final_n2", "final_n1"), worker_count=2)
+    r1 = run_sweep(base, axes, metrics=("final_n2", "final_n1"), workers=1)
+    r2 = run_sweep(base, axes, metrics=("final_n2", "final_n1"), workers=2)
     for m in r1.fields:
         assert np.array_equal(r1.fields[m], r2.fields[m], equal_nan=True)
     assert r1.failures == r2.failures == ()
