@@ -50,18 +50,25 @@ Every run is a batch: the integrator steps B columns at once, a single run
 being a batch of one.  The columns share the pieces and the initial state and
 differ in their Hamiltonian coefficients and sample grids (a sweep's cells, a
 fringe's phase points).  The state is a row-major (B, m) array, row 0 of one
-C-contiguous (8, B, m) array with the seven stages.  An attempt is a fixed
-sequence of direct kernel calls and in-place ufuncs on buffers built once per
-batch width: one call for the piece weights of every column at its six stage
-times, one of scipy's CSC kernel for each stage input, the fifth-order
-solution and the error vector, and one of its CSR kernel on the pieces laid
-side by side for each stage, written into its row.  Every operation acts on
+C-contiguous (15, B, m) array with the seven stages, the six stage inputs
+and the error vector.  An attempt is planned once per batch width: every
+array operation is one direct call, bound in a list to buffers built with the
+batch and made in order, about 40 calls at width 1.  The plan writes each
+column's six stage times, its piece weights at them in about ten ufunc calls
+(:meth:`~omstirap.model.DriveCoefficients.weigh`), the stage coefficients,
+then zeroes the stages and inputs in one fill; per stage it makes one call
+of scipy's CSC kernel for the stage input, one ufunc call for the weighted
+operand and one call of its CSR kernel on the pieces laid side by side,
+written into the stage's row; then one CSC call for the error vector and the
+scaled error norm, formed once per stepped entry.  An accepted batch runs a
+second plan: psi renormalized into row 0, the last stage copied into row 1.
+A sample inside a step costs one more CSC call.  Every operation acts on
 each row alone in the order a one-row batch uses, so a column takes bitwise
-the steps it takes alone; it leaves the batch when it ends or fails.  The
-integrator calls no BLAS, and the observables pass that follows it, whose
-eigenvalues call LAPACK, runs with numpy's OpenBLAS pinned to one thread
-(:func:`omstirap.blas.one_blas_thread`), so results do not depend on the BLAS
-thread count.
+the steps it takes alone; it leaves the batch when it ends or fails, and the
+plan is built again.  The integrator calls no BLAS, and the observables pass
+that follows it, whose eigenvalues call LAPACK, runs with numpy's OpenBLAS
+pinned to one thread (:func:`omstirap.blas.one_blas_thread`), so results do
+not depend on the BLAS thread count.
 
 Only the coordinates that the sparsity graph of the kept pieces can reach
 from the nonzero ones of the initial state are stepped; every other one is
@@ -98,7 +105,7 @@ from .errors import (
     StiffnessError,
 )
 from .hilbert import DensityMatrix, Generator, HilbertSpace, StateVector, _as_csr, destroy
-from .model import DriveCoefficients, bose_occupancy
+from .model import DriveCoefficients, _run, bose_occupancy
 
 TRACE_SAMPLE_TOL = 1e-6
 TRACE_DIVERGENCE_TOL = 1e-4
@@ -225,69 +232,63 @@ def _support(pieces, start: np.ndarray) -> np.ndarray:
         reached = grown
 
 
-def _csr_product(a, x: np.ndarray):
-    """out -> out = (a @ x).T for the CSR ``a``, its C-ordered (columns, width)
-    operand ``x``, read through a flat view, and a C-ordered (width, rows)
-    ``out``: the call of scipy's CSR kernel into a zeroed output that ``a @ x``
-    makes, without its dispatch.  The kernel writes a @ x row-major, the layout
-    of ``out`` at width 1; at width > 1 it writes a buffer copied into ``out``."""
-    (rows, cols), width = a.shape, x.shape[1]
-    args, ax = (a.indptr, a.indices, a.data, x.reshape(-1)), np.empty((rows, width), a.dtype)
-
-    def product(out: np.ndarray):
-        if width == 1:
-            out.fill(0)
-            _sparsetools.csr_matvec(rows, cols, *args, out)
-        else:
-            ax.fill(0)
-            _sparsetools.csr_matvecs(rows, cols, width, *args, ax)
-            np.copyto(out, ax.T)
-
-    return product
+def _csr_product(a, x: np.ndarray, out: np.ndarray) -> list:
+    """The calls, (function, arguments) pairs, that write (a @ x).T into the
+    C-ordered (width, rows) ``out``, which holds zeros when they are made, for
+    the CSR ``a`` and its (columns, width) operand, the C-ordered ``x`` read
+    through a flat view: the call of scipy's CSR kernel that ``a @ x`` makes,
+    without its dispatch.  The kernel adds a @ x row-major into its output,
+    the layout of ``out`` at width 1; at width > 1 it writes a zeroed buffer
+    copied into ``out``."""
+    (rows, cols), width = a.shape, out.shape[0]
+    args = (a.indptr, a.indices, a.data, x.reshape(-1))
+    if width == 1:
+        return [(_sparsetools.csr_matvec, (rows, cols, *args, out.reshape(-1)))]
+    ax = np.empty((rows, width), a.dtype)
+    return [(ax.fill, (0,)), (_sparsetools.csr_matvecs, (rows, cols, width, *args, ax.reshape(-1))),
+            (np.copyto, (out, ax.T))]
 
 
 def _linear_rhs(const, parts, keep):
-    """width -> the rhs (w, y, out) of ``width`` rows, which writes the rows of
-    w_0 const y + sum_p w_{p+1} parts[p] y into ``out`` from the
-    (1 + len(parts), width) weights ``w`` of the C-ordered rows of ``y`` (w_0 =
-    1, from :func:`_weights`).  The pieces,
-    cut to the rows and columns ``keep``, are laid side by side once as one
-    wide CSR matrix [const | parts[0] | ...]; a call writes each row's weighted
-    copies w y into the columns of the width's dense operand and makes one call
-    of the CSR kernel (:func:`_csr_product`): no new array, and no BLAS."""
+    """width -> bind(w, y, out), which gives the calls that write the rows of
+    w_0 const y + sum_p w_{p+1} parts[p] y into ``out``, which holds zeros
+    when they are made, from the (1 + len(parts), width) weights ``w`` of the
+    C-ordered rows of ``y`` (w_0 = 1, from :func:`_weights`): the weights
+    and rows those buffers hold then.  The pieces, cut to the rows and
+    columns ``keep``, are laid side by side once as one wide CSR matrix
+    [const | parts[0] | ...].  The calls write each row's weighted copies
+    w y into the columns of the width's dense operand, one ufunc call (at
+    width 1 the (pieces, rows) product of w and y), and make one call of the
+    CSR kernel (:func:`_csr_product`): no new array, and no BLAS."""
     pieces = [p[keep][:, keep] for p in (const, *parts)]
     wide = scipy.sparse.hstack(pieces, format="csr")
 
     def rhs_of(width: int):
-        x = np.empty((len(pieces), wide.shape[0], width))  # x[p, :, b] = w[p, b] y[b]
-        product = _csr_product(wide, x.reshape(wide.shape[1], width))
+        # x[p, :, b] = w[p, b] y[b], one operand for every binding of the width
+        x = np.empty((len(pieces), wide.shape[0]) + ((width,) if width > 1 else ()))
 
-        def rhs(w: np.ndarray, y: np.ndarray, out: np.ndarray):
-            np.multiply(w[:, None, :], y.T, out=x)
-            product(out)
+        def bind(w: np.ndarray, y: np.ndarray, out: np.ndarray) -> list:
+            product = (w, y, x) if width == 1 else (w[:, None, :], y.T, x)
+            return [(np.multiply, product), *_csr_product(wide, x, out)]
 
-        return rhs
+        return bind
 
     return rhs_of
 
 
-def _stage_sum(coef: np.ndarray, stages: np.ndarray, out: np.ndarray):
-    """() -> out[b] = sum_j coef[j, b] stages[j, b] for the (J, B) ``coef``, the
-    (J, B, n) ``stages`` and the (B, n) ``out``, by one call of scipy's CSC kernel
-    on flat views of the three, which must be C-contiguous and written in place:
-    the (B, J B) matrix with coef[j, b] in row b of column j B + b times the
-    (J B, n) rows of ``stages``, into ``out`` zeroed.  It adds in j order, each
-    product rounded before its sum, as ``np.einsum("jb,jbk->bk", ...)`` does."""
+def _stage_sum(coef: np.ndarray, stages: np.ndarray, out: np.ndarray) -> list:
+    """The call that writes out[b] = sum_j coef[j, b] stages[j, b] for the
+    (J, B) ``coef``, the (J, B, n) ``stages`` and the (B, n) ``out``, which
+    holds zeros when it is made: one call of scipy's CSC kernel on flat views
+    of the three, which must be C-contiguous and written in place, the (B, J B)
+    matrix with coef[j, b] in row b of column j B + b times the (J B, n) rows
+    of ``stages``.  It adds in j order, each product rounded before its sum,
+    as ``np.einsum("jb,jbk->bk", ...)`` does."""
     j, b = coef.shape
-    args = (b, j * b, out.shape[1], np.arange(j * b + 1, dtype=np.intc),
-            np.tile(np.arange(b, dtype=np.intc), j), coef.reshape(-1), stages.reshape(-1),
-            out.reshape(-1))
-
-    def stage_sum():
-        out.fill(0.0)
-        _sparsetools.csc_matvecs(*args)
-
-    return stage_sum
+    return [(_sparsetools.csc_matvecs, (
+        b, j * b, out.shape[1], np.arange(j * b + 1, dtype=np.intc),
+        np.tile(np.arange(b, dtype=np.intc), j), coef.reshape(-1), stages.reshape(-1),
+        out.reshape(-1)))]
 
 
 def _weights(c: np.ndarray, imaginary: bool = True) -> np.ndarray:
@@ -312,10 +313,12 @@ class _RealCoordinates:
 
     :meth:`pieces` and :meth:`coordinates` give all m coordinates.  The ones
     stepped are ``order``, all m until :meth:`restrict` cuts them, and
-    ``weight``, :meth:`modulus`, :meth:`rms`, :meth:`norm`, :meth:`unit` and
-    :meth:`vector` read states of those: first each coordinate whose pair
-    partner is not stepped (the real ones leading), then the stepped pairs,
-    which read as one complex array of v_i.
+    ``weight``, :meth:`magnitudes`, :meth:`modulus`, :meth:`rms`,
+    :meth:`error_norm`, :meth:`norm`, :meth:`unit` and :meth:`vector` read
+    states of those: first each coordinate whose pair partner is not stepped
+    (the real ones leading), then the stepped pairs, which read as one
+    complex array of v_i.  A stepped entry is one of those coordinates or
+    one pair.
     """
 
     def __init__(self, real: np.ndarray, upper: np.ndarray, lower: np.ndarray | None = None):
@@ -368,32 +371,95 @@ class _RealCoordinates:
         unpaired = np.flatnonzero(stepped & ~paired)
         self.order = np.concatenate([unpaired, np.flatnonzero(paired)])
         self._unpaired, self._stepped_real = unpaired.size, np.count_nonzero(stepped[:n])
+        self._entries = unpaired.size + np.count_nonzero(paired) // 2
         # each real coordinate stands for one entry, a pair's for one or two
         self.weight = np.where(self.order < n, 1.0, self._pair_weight)
 
-    def modulus(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """For each stepped coordinate in the rows of ``y``, |v_i| of its entry (into ``out``)."""
+    def magnitude_calls(self, y: np.ndarray, out: np.ndarray) -> list:
+        """The calls that write :meth:`magnitudes` of the rows of ``y`` into ``out``."""
         s = self._unpaired
-        out = np.abs(y, out=out)
-        if s < y.shape[-1]:  # some pair is stepped: both its coordinates get |v_i|
-            out[..., s::2] = out[..., s + 1::2] = np.abs(y[..., s:].view(complex))
+        calls = [(np.abs, (y[..., :s], out[..., :s]))] if s else []
+        if s < y.shape[-1]:  # some pair is stepped
+            calls.append((np.abs, (y[..., s:].view(complex), out[..., s:])))
+        return calls
+
+    def magnitudes(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """|v_i| of each stepped entry in the rows of ``y`` (into ``out``): the
+        unpaired coordinates' absolute values, then the modulus of each pair."""
+        if out is None:
+            out = np.empty(y.shape[:-1] + (self._entries,))
+        _run(self.magnitude_calls(y, out))
         return out
 
+    def modulus(self, y: np.ndarray) -> np.ndarray:
+        """For each stepped coordinate in the rows of ``y``, |v_i| of its entry."""
+        e, s = self.magnitudes(y), self._unpaired
+        return np.concatenate([e[..., :s], np.repeat(e[..., s:], 2, axis=-1)], axis=-1)
+
+    def _square_sum_calls(self, x: np.ndarray, out: np.ndarray) -> list:
+        """The call that writes into ``out`` the squares of each row of ``x``
+        summed as the complex vector of all ``size`` entries, in one
+        ``einsum``: the coordinates not stepped are exactly zero, and a pair's
+        weight counts it for each entry it stands for."""
+        return [(functools.partial(np.einsum, "...k,...k,k->...", out=out), (x, x, self.weight))]
+
     def rms(self, x: np.ndarray) -> np.ndarray:
-        """RMS of each row of ``x`` as the complex vector of all ``size``
-        entries, in one ``einsum``: the coordinates not stepped are exactly zero."""
-        return np.sqrt(np.einsum("...k,...k,k->...", x, x, self.weight) / self.size)
+        """RMS of each row of ``x`` as the complex vector of all ``size`` entries."""
+        sums = np.empty(x.shape[:-1])
+        _run(self._square_sum_calls(x, sums))
+        return np.sqrt(sums / self.size)
+
+    def error_norm(self, modulus, y, error, rtol: float, atol: float) -> tuple:
+        """(norms, calls): the calls scale ``error`` in place by its scale
+        atol + rtol max(modulus, |y|), |.| being :meth:`magnitudes`, and
+        ``norms()`` then gives the :meth:`rms` of each scaled row as a list of
+        floats; ``modulus`` holds the magnitudes of the rows of the steps'
+        start.  The scale and its inverse are formed once per stepped entry,
+        and a pair's inverse multiplies both its coordinates."""
+        s, scale, sums = self._unpaired, np.empty_like(modulus), np.empty(len(error))
+        rtol, atol, one = np.array(rtol), np.array(atol), np.array(1.0)  # no scalar conversions
+        calls = [*self.magnitude_calls(y, scale),
+                 (functools.partial(np.maximum, out=scale), (modulus, scale)),
+                 (np.multiply, (scale, rtol, scale)), (np.add, (scale, atol, scale)),
+                 (np.divide, (one, scale, scale))]
+        if s:
+            calls.append((np.multiply, (error[:, :s], scale[:, :s], error[:, :s])))
+        if s < error.shape[1]:
+            pairs = error[:, s:].reshape(len(error), -1, 2)
+            calls.append((np.multiply, (pairs, scale[:, s:, None], pairs)))
+
+        def norms() -> list:
+            # sqrt(sum / size) in floats, which round as numpy's sqrt and divide do
+            return [math.sqrt(x / self.size) for x in sums.tolist()]
+
+        return norms, calls + self._square_sum_calls(error, sums)
+
+    def norm_calls(self, y: np.ndarray, out: np.ndarray) -> list:
+        """The calls that write :meth:`norm` of the rows of ``y`` into ``out``."""
+        if self.hermitian:
+            return [(np.add.reduce, (y[..., :self._stepped_real], -1, None, out))]
+        square = np.empty_like(y)
+        return [(np.square, (y, square)), (np.add.reduce, (square, -1, None, out))]
 
     def norm(self, y: np.ndarray) -> np.ndarray:
         """Tr rho of each row of ``y`` for a Hermitian half (the sum of its stepped
         real coordinates), else |psi|^2 (one row sum of squares, no BLAS)."""
-        if self.hermitian:
-            return np.add.reduce(y[..., :self._stepped_real], axis=-1)
-        return np.add.reduce(np.square(y), axis=-1)
+        out = np.empty(y.shape[:-1])
+        _run(self.norm_calls(y, out))
+        return out[()]
 
-    def unit(self, y: np.ndarray, n: np.ndarray) -> np.ndarray:
+    def unit_calls(self, y: np.ndarray, n: np.ndarray, out: np.ndarray) -> list:
+        """The calls that write :meth:`unit` of the rows of ``y`` into ``out``."""
+        if self.hermitian:
+            return [(np.divide, (y, n[..., None], out))]
+        root = np.empty_like(n)
+        return [(np.sqrt, (n, root)), (np.divide, (y, root[..., None], out))]
+
+    def unit(self, y: np.ndarray, n) -> np.ndarray:
         """The rows of ``y`` divided by their norms ``n``: by n for rho, by sqrt(n) for psi."""
-        return y / (n if self.hermitian else np.sqrt(n))[..., None]
+        out = np.empty_like(y)
+        _run(self.unit_calls(y, np.asarray(n), out))
+        return out
 
     def vector(self, y: np.ndarray) -> np.ndarray:
         """The complex vector v of the stepped coordinates ``y``, or one per row of ``y``."""
@@ -428,19 +494,31 @@ def _hermitian_half(d: int) -> _RealCoordinates:
 
 
 def _weights_of(gen: Generator, columns: int, imaginary: bool):
-    """cols -> the weight function of the columns ``cols``, which maps their
-    (N, len(cols)) times to the (pieces, N, len(cols)) weights that
-    :func:`_weights` makes of their coefficients.  The generator's coefficient rule
-    must have ``columns`` columns: a rule with no ``columns`` has one, and
-    only a rule of several is cut to ``cols`` by its ``take``."""
+    """cols -> the weights of the columns ``cols``: a function that binds a
+    buffer ``t`` of (N, len(cols)) times to ``(w, calls)``, whose calls write
+    into the (pieces, N, len(cols)) ``w`` the weights that :func:`_weights`
+    makes of the coefficients at the times ``t`` holds when they are made.  A
+    :class:`DriveCoefficients` writes them itself
+    (:meth:`DriveCoefficients.weigh`); any other rule is one call of
+    ``_weights(rule(t))``.  The generator's coefficient rule must have
+    ``columns`` columns: a rule with no ``columns`` has one, and only a rule
+    of several is cut to ``cols`` by its ``take``."""
     rule = gen.coefficients
     width = getattr(rule, "columns", 1)
     if width != columns:
         raise InvalidArgumentError(f"{columns} configs for a coefficient rule of {width} columns")
+    pieces = 1 + (1 + imaginary) * len(gen.ops)
 
     def weights_of(cols):
         part = rule.take(cols) if columns > 1 else rule
-        return lambda t: _weights(part(t), imaginary)
+        if isinstance(part, DriveCoefficients):
+            return lambda t: part.weigh(t, imaginary)
+
+        def bind(t: np.ndarray) -> tuple:
+            w = np.empty((pieces,) + t.shape)
+            return w, [(lambda: np.copyto(w, _weights(part(t), imaginary)), ())]
+
+        return bind
 
     return weights_of
 
@@ -566,6 +644,8 @@ _P = np.array([
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
+_P_ROWS = _P.tolist()
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -581,15 +661,17 @@ def distinct_times(grid, extra) -> list[float]:
 
 
 class _Column:
-    """One column of a batch: its sample grid, the times its steps end on, and
-    its place in its own step sequence.  Its samples fill one array."""
+    """One column of a batch: its sample grid (``times``, and ``grid`` as
+    floats), the times its steps end on, and its place in its own step
+    sequence.  Its samples fill one array."""
 
-    __slots__ = ("times", "ends", "span", "t", "h", "next", "sampled", "stored",
+    __slots__ = ("times", "grid", "ends", "span", "t", "h", "next", "sampled", "stored",
                  "accepted", "rejected", "clamped", "interpolated", "h_min", "h_max")
 
     def __init__(self, config: IntegratorConfig):
         ts = self.times = np.asarray(config.sample_times, dtype=float)
-        t0, t_end = float(ts[0]), float(ts[-1])
+        self.grid = ts.tolist()
+        t0, t_end = self.grid[0], self.grid[-1]
         self.span = t_end - t0
         # steps end on each stop inside the span, on the inner sample a stop is a
         # float twin of, and on the last sample
@@ -619,19 +701,26 @@ class _Column:
                           stats=stats)
 
 
-def _initial_steps(rhs, weights, cols, y, f0, modulus, rtol, atol, coords):
-    """First step size of each column of ``cols``; its start's derivatives go into ``f0``."""
-    t0 = np.array([col.t for col in cols])
-    rhs(weights(t0[None])[:, 0], y, f0)
-    scale = atol + rtol * modulus
+def _initial_steps(rhs_of, weights, cols, y, f0, rtol, atol, coords):
+    """First step size of each column of ``cols``; its start's derivatives go
+    into ``f0``.  ``rhs_of(len(cols))`` and ``weights`` bind the rhs and the
+    weights of the columns to buffers (:func:`_integrate_dp45`)."""
+    bind, t = rhs_of(len(cols)), np.array([[col.t for col in cols]])
+    w, weigh = weights(t)
+    _run(weigh)
+    f0.fill(0.0)
+    _run(bind(w[:, 0], y, f0))
+    scale = atol + rtol * coords.modulus(y)
     d0, d1 = coords.rms(y / scale), coords.rms(f0 / scale)
     # y is finite, so with a finite f0 a norm that is not has overflowed: no float64 step
     # meets such tolerances, and the column keeps h = 0, which fails the underflow check
     over = ~np.isfinite(d0 + d1) & np.isfinite(f0).all(axis=1)
     h0 = np.array([1e-6 * col.span if (a < 1e-5 or b < 1e-5 or o) else 0.01 * a / b
                    for col, a, b, o in zip(cols, d0, d1, over)])
-    f1 = np.empty_like(f0)
-    rhs(weights((t0 + h0)[None])[:, 0], y + h0[:, None] * f0, f1)
+    f1 = np.zeros_like(f0)
+    t += h0
+    _run(weigh)
+    _run(bind(w[:, 0], y + h0[:, None] * f0, f1))
     d2 = coords.rms((f1 - f0) / scale) / h0
     for col, a, b, c, o in zip(cols, h0, d1, d2, over):
         h1 = max(1e-6 * col.span, a * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
@@ -642,38 +731,46 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
     """Embedded RK 5(4) driver that steps a batch of columns, one per config,
     each over its own sample grid, all from the state ``y0``.
 
-    ``rhs_of(width)`` gives the rhs of ``width`` columns, ``rhs(w, y, out)``,
-    which writes the derivatives of the states in the rows of ``y`` into
-    ``out`` from their (n_weights, width) weights ``w``, and
-    ``weights_of(cols)`` the function that maps the (N, len(cols)) times of
-    the columns ``cols`` to those weights.  Each attempt evaluates the weights
-    once, at the six stage times of every active column, and makes one ``rhs``
-    call per stage.  Each column has its own time, step size, place in its
-    grid, accept/reject decision and counters, so it takes exactly the steps
-    it takes alone; a column leaves the batch when it reaches its last sample
-    or fails.
+    Every array operation of an attempt is one call of a list, the
+    attempt's plan, of (function, arguments) pairs bound to buffers that are
+    built once per batch width and again, ``k`` copied contiguous, when a
+    column leaves: the stage times t + c_i h of every column, its piece
+    weights at them, the stage coefficients h a_ij and h e_j, one zero fill,
+    then per stage its input and its rhs, the error vector and its scaled
+    norm.  ``rhs_of(width)`` gives ``bind(w, y, out)``, the calls that write
+    into ``out``, zero when they are made, the derivatives of the states in
+    the rows of ``y`` from their (n_weights, width) weights ``w``
+    (:func:`_linear_rhs`).  ``weights_of(cols)`` gives the function that
+    binds a buffer of (N, len(cols)) times of the columns ``cols`` to their
+    weights and the calls that write them (:func:`_weights_of`).  Each
+    column has its own time, step size, place in its grid, accept/reject
+    decision and counters, so it takes exactly the steps it takes alone; a
+    column leaves the batch when it reaches its last sample or fails.
 
     The state ``y0`` is real: the stepped coordinates of the
     :class:`_RealCoordinates` ``coords``.  It is row 0 of the C-contiguous
-    stage array ``k``, whose rows the rhs write in place, and each stage input,
-    y5 and the error vector is one :func:`_stage_sum` over its rows.  These
-    buffers, their kernel calls and the rhs are built once per width, and
-    again, ``k`` copied contiguous, when a column leaves.  ``repair(y)`` returns
-    the accepted states in the rows of ``y``, with any invariant restored, and
-    the norm (``coords.norm``) of each; a norm that drifts from 1 by more than
+    array ``k``; rows 1 to 7 hold the stages, which the rhs write in place,
+    rows 8 to 13 the inputs of stages 2 to 7, the last of which is the
+    fifth-order solution y5, and row 14 the error vector, each one
+    :func:`_stage_sum` over the rows before it.  One fill zeroes ``k[2:]``
+    per attempt.  ``repair(y, out)`` gives (norms, calls), whose calls write
+    the accepted states in the rows of ``y`` into ``out``, with any
+    invariant restored, and the norm (``coords.norm``) of each into
+    ``norms``; a norm that drifts from 1 by more than
     ``TRACE_DIVERGENCE_TOL`` fails its column.  ``on_sample(t, y)`` converts
     the state ``y`` at the sample time ``t`` into its stored form, an array
     (the normalized coordinates, in :func:`evolve`), and may raise
     :class:`IntegrationDivergedError`; a column writes its stored forms into
     the rows of one array, its :attr:`Trajectory.samples`.  The error norm is
-    ``coords.rms`` of the error over the scale atol + rtol max(|y|, |y5|), |.|
-    being ``coords.modulus``; one that is not finite fails its column.  The
-    columns share their tolerances.  Steps are clamped so stops and the last
-    sample time are hit exactly; a sample time inside an accepted step is read
-    from the continuous extension (:data:`_P`) before the step's state and
-    stages are overwritten.  Returns per column its :class:`Trajectory`,
-    carrying the :class:`IntegratorStats`, or the integration error that
-    stopped it.
+    ``coords.error_norm``, the RMS of the error over the scale atol + rtol
+    max(|y|, |y5|); one that is not finite fails its column.  The columns
+    share their tolerances.  Steps are clamped so stops and the last sample
+    time are hit exactly.  A sample time inside an accepted step is read from
+    the continuous extension (:data:`_P`), one CSC kernel call per sample,
+    before the step's state and stages are overwritten; each accepted column
+    compares its next sample time with the step's end once.  Returns per
+    column its :class:`Trajectory`, carrying the :class:`IntegratorStats`, or
+    the integration error that stopped it.
     """
     rtol, atol = configs[0].rel_tol, configs[0].abs_tol
     if any((c.rel_tol, c.abs_tol) != (rtol, atol) for c in configs):
@@ -685,7 +782,7 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
         """Store column j's state at its next sample time, or record the error that stops it."""
         col = cols[j]
         try:
-            col.store(on_sample(float(col.times[col.sampled]), state))
+            col.store(on_sample(col.grid[col.sampled], state))
         except IntegrationDivergedError as exc:
             out[j] = exc
 
@@ -696,26 +793,52 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
     if not act:
         return out
 
-    def batch(k):
-        """The weights, rhs and buffers of the columns ``act`` beside their stages
-        ``k``: coefficients (row i for stage i + 1's input, 6 for y5, 7 for the
-        error), y5 (first each stage's input), the error, its scale, each stage's
-        (sum, row of ``k``) and the error's sum."""
-        y5, error, scale = np.empty((3,) + k.shape[1:])
-        coef = np.ones((8, 7, k.shape[1]))  # each attempt writes all but the ones
-        stages = [(_stage_sum(coef[i, :i + 1], k[:i + 1], y5), k[i + 1]) for i in range(1, 7)]
-        return (weights_of(act), rhs_of(len(act)), coef, y5, error, scale, stages,
-                _stage_sum(coef[7], k[1:], error))
+    def plan_of(k, modulus):
+        """The plans of the columns ``act`` beside their stages ``k`` and the
+        magnitudes ``modulus`` of their states: (th, plan, errors, accept,
+        norms, (reads, stages)).  ``plan`` writes, from each column's step
+        start and size in the rows of ``th``, its stages, y5 and the scaled
+        error whose norms ``errors()`` reads; ``accept`` writes the repaired
+        y5 into k[0], the last stage into k[1], their norms into ``norms`` and
+        their magnitudes into ``modulus``, for a batch whose columns all
+        accept.  ``reads`` and ``stages`` are the arguments of the dense
+        output's kernel calls."""
+        width = k.shape[1]
+        th, times = np.empty((2, width)), np.empty((6, width))  # (t, h); t + c_i h
+        w, weigh = weights_of(act)(times)
+        coef = np.ones((8, 7, width))  # the plan writes all but the ones
+        bind = rhs_of(width)
+        plan = [(np.multiply, (_C, th[1], times)), (np.add, (th[0], times, times)), *weigh,
+                (np.multiply, (_A[1:, :, None], th[1], coef[1:7, 1:])),
+                (np.multiply, (_E[:, None], th[1], coef[7])), (k[2:].fill, (0.0,))]
+        for i in range(1, 7):
+            plan += _stage_sum(coef[i, :i + 1], k[:i + 1], k[7 + i])
+            plan += bind(w[:, i - 1], k[7 + i], k[i + 1])
+        plan += _stage_sum(coef[7], k[1:8], k[14])
+        errors, error_norm = coords.error_norm(modulus, k[13], k[14], rtol, atol)
+        norms, repaired = repair(k[13], k[0])
+        accept = [*repaired, (np.copyto, (k[1], k[7])),  # first-same-as-last
+                  *coords.magnitude_calls(k[0], modulus)]
+        # per column b, the leading arguments of the CSC kernel call that reads a
+        # sample inside its step as sum_j c_j k[j, b] over the state and the seven
+        # stages, adding in j order as the stage sums do: the (1, 8 width) matrix with
+        # c_j in column j width + b; the call appends c, the flat k[:8] and the output
+        columns = np.arange(8 * width + 1, dtype=np.intc)
+        reads = [(1, 8 * width, k.shape[2], (columns + (width - 1 - b)) // width,
+                  np.zeros(8, dtype=np.intc)) for b in range(width)]
+        return th, plan + error_norm, errors, accept, norms, (reads, k[:8].reshape(-1))
 
-    k = np.empty((8, len(act), y.shape[1]))  # the state, then the seven stages
+    # the state, the seven stages, the inputs of stages 2 to 7 (the last, k[13], is
+    # y5) and the error vector
+    k = np.empty((15, len(act), y.shape[1]))
     k[0] = y[act]
-    weights, rhs, coef, y5, error, scale, stages, error_sum = batch(k)
-    y, modulus = k[0], coords.modulus(k[0])
-    _initial_steps(rhs, weights, [cols[j] for j in act], y, k[1], modulus, rtol, atol, coords)
+    y, modulus = k[0], coords.magnitudes(k[0])
+    th, plan, errors, accept, norms, (reads, stages) = plan_of(k, modulus)
+    _initial_steps(rhs_of, weights_of(act), [cols[j] for j in act], y, k[1], rtol, atol, coords)
 
     hmin_scale = 16.0 * np.finfo(float).eps
     while act:
-        clamped, t, h = [], [], []
+        clamped, t, h, stiff = [], [], [], False
         for j in act:
             col = cols[j]
             target = col.ends[col.next]
@@ -723,57 +846,52 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
             if clamped[-1]:
                 col.h = target - col.t
             if col.h < hmin_scale * max(abs(col.t), col.span):
-                out[j] = StiffnessError(col.t)
+                out[j], stiff = StiffnessError(col.t), True
             t.append(col.t)
             h.append(col.h)
 
-        if all(out[j] is None for j in act):
-            t, h = np.array(t), np.array(h)
-            w = weights(t + _C * h)  # at the six stage times
-            np.multiply(_A[1:, :, None], h, out=coef[1:7, 1:])
-            np.multiply(_E[:, None], h, out=coef[7])
-            for (stage_sum, row), w_i in zip(stages, w.swapaxes(0, 1)):
-                stage_sum()
-                rhs(w_i, y5, row)
-            error_sum()
-            # err / (atol + rtol max(|y|, |y5|)), in place
-            np.maximum(modulus, coords.modulus(y5, scale), out=scale)
-            scale *= rtol
-            scale += atol
-            error *= np.divide(1.0, scale, out=scale)
-            errs = coords.rms(error).tolist()
+        if not stiff:
+            th[0], th[1] = t, h
+            for f, args in plan:
+                f(*args)
+            errs = errors()
             ok = [pos for pos, err in enumerate(errs) if err <= 1.0]
 
             # the samples strictly inside the accepted steps, read from the
-            # continuous extension while k[0] and k[1] still hold the steps' start
+            # continuous extension while k[0] and k[1] still hold the steps' start;
+            # the last sample ends a step, so it is never inside one
             inside, rows, theta = {}, [], []
             for pos in ok:
-                col = cols[act[pos]]
-                end, s = t[pos] + h[pos], col.sampled
-                while s < len(col.times) and col.times[s] < end - 1e-12 * max(abs(end), col.span):
+                col, end = cols[act[pos]], t[pos] + h[pos]
+                before, s = end - 1e-12 * max(abs(end), col.span), col.sampled
+                while col.grid[s] < before:
                     inside.setdefault(pos, []).append(len(rows))
                     rows.append(pos)
-                    theta.append((col.times[s] - t[pos]) / h[pos])
+                    theta.append((col.grid[s] - t[pos]) / h[pos])
                     s += 1
             if rows:
-                theta = np.array(theta)[:, None]
-                b = _P[:, 3] * theta  # b_j(theta) by Horner's rule, row by row
-                for p in (2, 1, 0):
-                    b = (b + _P[:, p]) * theta
-                hb = np.empty((len(rows), 8))
-                hb[:, 0] = 1.0
-                np.multiply(h[rows, None], b, out=hb[:, 1:])
-                dense = np.einsum("rj,jrk->rk", hb, k[:, rows])
+                # each sample's weights of k[:8], 1 and h b_j(theta), b_j by Horner's
+                # rule in floats, which round as numpy's arrays do
+                hb = np.array([[1.0] + [h[pos] * ((((p3 * a + p2) * a + p1) * a + p0) * a)
+                                        for p0, p1, p2, p3 in _P_ROWS]
+                               for pos, a in zip(rows, theta)])
+                dense = np.zeros((len(rows), y.shape[1]))
+                for r, pos in enumerate(rows):
+                    _sparsetools.csc_matvecs(*reads[pos], hb[r], stages, dense[r])
 
             drifts = [0.0] * len(act)  # of the accepted states' norms from 1
-            if ok:
-                # a slice when every column accepted: indexing with a list copies
-                took = slice(None) if len(ok) == len(act) else ok
-                repaired, norms = repair(y5[took])
-                k[0, took], k[1, took] = repaired, k[7, took]  # first-same-as-last
-                coords.modulus(y, modulus)
-                for pos, drift in zip(ok, (norms - 1.0).tolist()):
-                    drifts[pos] = abs(drift)
+            if len(ok) == len(act):
+                for f, args in accept:
+                    f(*args)
+                drifts = [abs(n - 1.0) for n in norms.tolist()]
+            elif ok:  # a list index copies: the rows are repaired in the copy
+                took = k[13, ok]
+                took_norms, repaired = repair(took, took)
+                _run(repaired)
+                k[0, ok], k[1, ok] = took, k[7, ok]
+                coords.magnitudes(y, modulus)
+                for pos, n in zip(ok, took_norms.tolist()):
+                    drifts[pos] = abs(n - 1.0)
 
             for pos, j in enumerate(act):
                 col, err = cols[j], errs[pos]
@@ -792,7 +910,7 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
                             sample(j, dense[r])
                             col.interpolated += 1
                     tol = 1e-12 * max(abs(col.t), col.span)
-                    if out[j] is None and abs(col.times[col.sampled] - col.t) <= tol:
+                    if out[j] is None and abs(col.grid[col.sampled] - col.t) <= tol:
                         sample(j, y[pos])
                     if abs(col.t - col.ends[col.next]) <= tol:
                         col.next += 1
@@ -806,10 +924,11 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
 
         going = [pos for pos, j in enumerate(act) if out[j] is None]
         if len(going) < len(act):  # finished and failed columns leave the batch
-            # a copy, since k[:, going] is not contiguous and the stage sums read flat views
+            # a copy, since k[:, going] is not contiguous and the plan reads flat views
             k, modulus = np.ascontiguousarray(k[:, going]), modulus[going]
             act, y = [act[pos] for pos in going], k[0]
-            weights, rhs, coef, y5, error, scale, stages, error_sum = batch(k)
+            if act:
+                th, plan, errors, accept, norms, (reads, stages) = plan_of(k, modulus)
     return out
 
 
@@ -855,11 +974,15 @@ def evolve(model: LindbladModel, state0: StateVector | DensityMatrix, config):
         coords, v0 = _hermitian_half(d), rho0.matrix.reshape(-1)
         const, parts = _superoperator_pieces(model, imaginary)
 
-    def repair(y):
-        """The rows of ``y``, psi's renormalized (|psi|^2 is a quadratic invariant,
-        which RK does not conserve), and their norms."""
-        n = coords.norm(y)
-        return (y if coords.hermitian else coords.unit(y, n)), n
+    def repair(y, out):
+        """(norms, calls): the calls write the norms of the rows of ``y`` into
+        ``norms`` and the rows into ``out``, psi's renormalized (|psi|^2 is a
+        quadratic invariant, which RK does not conserve)."""
+        norms = np.empty(len(y))
+        calls = coords.norm_calls(y, norms)
+        if coords.hermitian:
+            return norms, calls + [(np.copyto, (out, y))]
+        return norms, calls + coords.unit_calls(y, norms, out)
 
     def on_sample(t, y):
         n = coords.norm(y)

@@ -29,7 +29,6 @@ ordinary frequencies (cycles/s) and convert once.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -173,14 +172,21 @@ class DriveSchedule:
                 raise InvalidArgumentError(f"{name} must be finite")
 
 
-def _pulses(t, amplitude, centre, width) -> np.ndarray:
+def _pulses(t, amplitude, centre, width, out=None, cut=None) -> np.ndarray:
     """Gaussians amplitude exp(-((t - centre)/width)^2), elementwise, cut to zero
-    beyond ``ENVELOPE_CUTOFF_SIGMAS`` widths: the one pulse rule of the package."""
-    u = np.asarray(t - centre)  # an array also at one time, so that it is written in place
+    beyond ``ENVELOPE_CUTOFF_SIGMAS`` widths: the one pulse rule of the package.
+    Written into ``out``, with the boolean buffer ``cut`` of its shape, when given;
+    |u| > cutoff is tested as u^2 > cutoff^2, which holds for the same u."""
+    if out is None:
+        shape = np.broadcast_shapes(*map(np.shape, (t, amplitude, centre, width)))
+        out, cut = np.empty(shape), np.empty(shape, dtype=bool)
+    u = np.subtract(t, centre, out=out)
     u /= width
-    out = np.multiply(u, u, out=np.empty_like(u))  # then exp(-u^2) times the amplitude
-    np.multiply(np.exp(np.negative(out, out=out), out=out), amplitude, out=out)
-    out[np.abs(u, out=u) > ENVELOPE_CUTOFF_SIGMAS] = 0.0
+    np.multiply(u, u, out=out)  # then exp(-u^2) times the amplitude
+    np.greater(out, ENVELOPE_CUTOFF_SIGMAS ** 2, out=cut)
+    np.exp(np.negative(out, out=out), out=out)
+    out *= amplitude
+    np.putmask(out, cut, 0.0)
     return out
 
 
@@ -244,6 +250,12 @@ _TERMS = {"rwa": [(0, False, (0,)), (1, False, (1,))],
           "full": [(j, raised, (0, 1)) for raised in (False, True) for j in (0, 1)]}
 
 
+def _run(calls):
+    """Make the ``calls``, (function, arguments) pairs, in order."""
+    for f, args in calls:
+        f(*args)
+
+
 class DriveCoefficients:
     """The coefficients c_k(t) of :func:`hamiltonian_generator`'s terms for one
     or more columns, one per ``(params, schedule)`` pair of ``drives``.
@@ -256,28 +268,34 @@ class DriveCoefficients:
     with fewer schedules or components than another is padded with
     zero-amplitude ones, which add exact zeros.
 
-    ``rule(t)`` takes an (N, columns) array of times, one column each, and
-    returns the (n_terms, N, columns) coefficients, the contract of every
-    coefficient rule of a :class:`~omstirap.hilbert.Generator`.
+    :meth:`weigh` is the one evaluator: it binds a buffer of times to the
+    ufunc calls that write the weights of the generator's pieces into a
+    buffer of its own.  ``rule(t)`` reads it with new buffers: it takes an
+    (N, columns) array of times, one column each, and returns the
+    (n_terms, N, columns) coefficients, the contract of every coefficient
+    rule of a :class:`~omstirap.hilbert.Generator`.
 
     ``real`` is set when every phase rate is 0 and every drive phase is real,
     so that every c_k(t) of every column is real: the rule then returns real
     arrays, whose values are bitwise those of the complex path.
     """
 
-    __slots__ = ("pumps", "amplitude", "centre", "width", "phase", "coupling", "rate", "real")
+    __slots__ = ("select", "amplitude", "centre", "width", "phase", "coupling", "rate", "real")
 
     def __init__(self, picture: str, drives):
         if picture not in PICTURES:
             raise InvalidArgumentError(f"unknown picture {picture!r}")
         terms = _TERMS[picture]
-        self.pumps = np.array([pumps for _, _, pumps in terms])
+        pumps = [pumps for _, _, pumps in terms]
+        # each term's pumps as a view of the (2, N, columns) pump amplitudes: an rwa
+        # term j reads pump j alone, the terms of the other pictures both pumps
+        self.select = (slice(None), None) if pumps == [(0,), (1,)] else (None,)
         drives = [(p, _as_schedule_list(s)) for p, s in drives]
         n_sched = max(len(s) for _, s in drives)
         shape = (n_sched, 2, 2, 1, len(drives))  # schedule, pump, component, time, column
         self.amplitude, self.centre, self.width = np.zeros(shape), np.zeros(shape), np.ones(shape)
         self.phase = np.ones((n_sched, 2, 1, len(drives)), dtype=complex)
-        self.coupling = np.empty(self.pumps.shape + (1, len(drives)))
+        self.coupling = np.empty((len(terms), len(pumps[0]), 1, len(drives)))
         self.rate = np.empty_like(self.coupling, dtype=complex)  # i times the phase rate
         for col, (p, schedules) in enumerate(drives):
             for k, s in enumerate(schedules):
@@ -288,9 +306,9 @@ class DriveCoefficients:
                         self.centre[k, i, c, 0, col] = centre
                         self.width[k, i, c, 0, col] = width
             g, deltas, omegas = (p.g1, p.g2), (p.delta1, p.delta2), (p.omega1, p.omega2)
-            for term, (j, raised, pumps) in enumerate(terms):
+            for term, (j, raised, term_pumps) in enumerate(terms):
                 w = omegas[j] if raised else -omegas[j]  # a^+ b_j rotates at D_i - w_j
-                for k, i in enumerate(pumps):
+                for k, i in enumerate(term_pumps):
                     self.coupling[term, k, 0, col] = g[j]
                     self.rate[term, k, 0, col] = 1j * (deltas[i] + w)
         self.real = not (self.rate.any() or self.phase.imag.any())
@@ -302,28 +320,74 @@ class DriveCoefficients:
     def take(self, cols) -> "DriveCoefficients":
         """The rule of the columns ``cols``."""
         rule = object.__new__(DriveCoefficients)
-        rule.pumps = self.pumps
+        rule.select = self.select
         for name in self.__slots__[1:-1]:
             setattr(rule, name, getattr(self, name)[..., cols])
         rule.real = not (rule.rate.any() or rule.phase.imag.any())
         return rule
 
-    def _envelopes(self, t) -> np.ndarray:
-        """Each schedule's summed pulses per pump: shape (schedules, 2, N, columns);
-        no pulse is -0, so the sum is bitwise the first component plus the second."""
-        return np.add.reduce(_pulses(t, self.amplitude, self.centre, self.width), axis=2)
+    def _amplitude_calls(self, t: np.ndarray, phased: bool) -> tuple:
+        """(z, calls): the calls write each pump's summed envelope at the
+        (N, columns) times ``t`` into z, shape (2, N, columns), times its drive
+        phases if ``phased``.  No pulse is -0, so a pump's two components add
+        bitwise as the first plus the second."""
+        shape = self.amplitude.shape[:3] + np.broadcast_shapes(t.shape, self.amplitude.shape[3:])
+        pulses, cut = np.empty(shape), np.empty(shape, dtype=bool)
+        env = pulses[:, :, 0]  # (schedules, 2, N, columns)
+        calls = [(_pulses, (t, self.amplitude, self.centre, self.width, pulses, cut)),
+                 (np.add, (env, pulses[:, :, 1], env))]
+        if phased:
+            env = np.empty(env.shape, dtype=complex)
+            calls.append((np.multiply, (pulses[:, :, 0], self.phase, env)))
+        calls += [(np.add, (env[0], e, env[0])) for e in env[1:]]  # over the schedules
+        return env[0], calls
 
     def amplitudes(self, t) -> np.ndarray:
         """(z_1, z_2), each pump's summed envelope times its drive phases, at the
         (N, columns) times ``t``: shape (2, N, columns)."""
-        return functools.reduce(np.add, self._envelopes(t) * self.phase)
+        z, calls = self._amplitude_calls(np.asarray(t, dtype=float), phased=True)
+        _run(calls)
+        return z
+
+    def weigh(self, t: np.ndarray, imaginary: bool) -> tuple:
+        """(w, calls) for the buffer ``t`` of (N, columns) times: the calls,
+        (function, arguments) pairs, write the coefficients at the times ``t``
+        holds when they are made into the new (pieces, N, columns) array ``w``
+        as the weights of the generator's pieces, (1, Re c_1, Im c_1, Re c_2,
+        ...), or (1, c_1, c_2, ...) unless ``imaginary``.  Row 0 and the zero
+        imaginary parts of a real rule are written here, once.  A real rule
+        writes each c_k straight into its row of ``w``; a complex one forms
+        c_k as the complex product, with the operands in the same order, and
+        copies its parts."""
+        z, calls = self._amplitude_calls(t, phased=not self.real)
+        step = 1 + imaginary
+        w = np.zeros((1 + step * len(self.coupling),) + z.shape[1:])
+        w[0] = 1.0
+        c = w[1::step] if self.real else np.empty(w[1::step].shape, dtype=complex)
+        # coupling times amplitude, for each (term, pump), then e^{i r t}, then the pump sum
+        one_pump = self.coupling.shape[1] == 1
+        terms = c[:, None] if one_pump else np.empty(self.coupling.shape[:2] + c.shape[1:], c.dtype)
+        calls.append((np.multiply, (self.coupling, z[self.select], terms)))
+        if not self.real:
+            turn = np.empty(terms.shape, dtype=complex)
+            calls += [(np.multiply, (self.rate, t, turn)), (np.exp, (turn, turn)),
+                      (np.multiply, (terms, turn, terms))]
+        if not one_pump:
+            calls.append((np.add, (terms[:, 0], terms[:, 1], c)))
+        if not self.real:
+            calls.append((np.copyto, (w[1::step], c.real)))
+            if imaginary:
+                calls.append((np.copyto, (w[2::2], c.imag)))
+        return w, calls
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
+        w, calls = self.weigh(np.asarray(t, dtype=float), imaginary=not self.real)
+        _run(calls)
         if self.real:  # unit phases and e^{0 t} = 1 leave the real parts unchanged
-            terms = self.coupling * functools.reduce(np.add, self._envelopes(t))[self.pumps]
-        else:
-            terms = self.coupling * self.amplitudes(t)[self.pumps] * np.exp(self.rate * t)
-        return functools.reduce(np.add, terms.swapaxes(0, 1))
+            return w[1:]
+        c = np.empty(w[1::2].shape, dtype=complex)
+        c.real, c.imag = w[1::2], w[2::2]
+        return c
 
 
 def mixing_angle(schedule: DriveSchedule, params: SystemParams, t: float) -> float:

@@ -666,7 +666,8 @@ def _run_batch(scenarios: list) -> tuple:
 def run_batches(scenarios: Sequence[Scenario], workers: int) -> tuple[list, list]:
     """Run ``scenarios`` as the :func:`batches`, one job per batch, on up to
     ``workers`` processes (checked by :func:`check_workers` before any run,
-    capped at the CPU count; one runs in this process).
+    capped at the CPU count and at the job count; one runs in this process,
+    so a single batch never starts a pool).
 
     Returns per scenario, in input order, its summary or the
     :class:`~omstirap.errors.OmstirapError` that stopped it, and per batch its
@@ -674,9 +675,10 @@ def run_batches(scenarios: Sequence[Scenario], workers: int) -> tuple[list, list
     observables pass (None when it could not be set or no scenario finished).
     Each scenario steps as it does alone, whatever the worker count.
     """
-    workers = min(check_workers(workers), os.cpu_count() or 1)
+    workers = check_workers(workers)
     groups = batches(scenarios)
     jobs = [[scenarios[i] for i in group] for group in groups]
+    workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers <= 1:
         outcomes = [_run_batch(job) for job in jobs]
     else:

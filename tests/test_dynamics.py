@@ -1,9 +1,11 @@
+import collections
 import functools
 import json
 from dataclasses import replace
 import math
 import pickle
 from pathlib import Path
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from omstirap import dynamics, protocols
+from omstirap import dynamics, model, protocols
 from omstirap.analysis import partial_trace, partial_transpose
 from omstirap.cli import build_scenario
 from omstirap.dynamics import (
@@ -44,6 +46,7 @@ from omstirap.model import (
     DriveCoefficients,
     DriveSchedule,
     SystemParams,
+    _run,
     collective_operators,
     hamiltonian_generator,
 )
@@ -507,9 +510,9 @@ def _reach(coords, pieces, v0):
 
 def _one_row(rhs_of, w, y):
     """The rhs of the one state ``y`` from its weights ``w``, written by the
-    in-place rhs of a batch of one into a row of NaN."""
-    out = np.full((1, y.size), np.nan)
-    rhs_of(1)(w, y[None], out)
+    calls of a batch of one into a row of zeros."""
+    out = np.zeros((1, y.size))
+    _run(rhs_of(1)(w, y[None], out))
     return out[0]
 
 
@@ -600,11 +603,16 @@ def test_csr_kernel_call_is_bitwise_the_sparse_product(dtype, columns):
     x = rng.normal(size=(wide.shape[1], columns))
     if dtype is complex:
         x = x + 1j * rng.normal(size=x.shape)
-    out = np.full((columns, wide.shape[0]), np.nan, dtype=dtype)  # the kernel must zero it
-    dynamics._csr_product(wide, x)(out)
+    out = np.zeros((columns, wide.shape[0]), dtype=dtype)  # the calls add into zeros
+    calls = dynamics._csr_product(wide, x, out)
+    _run(calls)
     got, want = out.T, wide @ x
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+    x *= -0.5  # written in place, read again through the views the calls hold
+    out.fill(0)
+    _run(calls)
+    assert out.T.tobytes() == (wide @ x).tobytes()
 
 
 @pytest.mark.parametrize("terms", range(2, 8))
@@ -614,13 +622,14 @@ def test_stage_sum_is_bitwise_the_einsum(columns, terms):
     coef = rng.normal(size=(terms, columns))
     coef[1] = 0.0  # a zero weight, as the tableau has, still adds its term
     stages = rng.normal(size=(terms, columns, 190)) * 10.0 ** rng.integers(-12, 3, (terms, 1, 1))
-    out = np.full((columns, 190), np.nan)  # the kernel must zero it
+    out = np.zeros((columns, 190))  # the kernel adds into zeros
     stage_sum = dynamics._stage_sum(coef, stages, out)
-    stage_sum()
+    _run(stage_sum)
     assert out.tobytes() == np.einsum("bj,jbk->bk", coef.T, stages).tobytes()
     coef *= -0.5  # written in place, read again through the views the call holds
     stages[0] += 1.0
-    stage_sum()
+    out.fill(0.0)
+    _run(stage_sum)
     assert out.tobytes() == np.einsum("bj,jbk->bk", coef.T, stages).tobytes()
 
 
@@ -629,14 +638,139 @@ def test_in_place_rhs_is_bitwise_the_wide_product(columns):
     _, coords, const, parts = _cut_pieces("bs")
     pieces = [p[coords.order][:, coords.order] for p in (const, *parts)]
     wide = scipy.sparse.hstack(pieces, format="csr")
-    rhs = dynamics._linear_rhs(const, parts, coords.order)(columns)
+    bind = dynamics._linear_rhs(const, parts, coords.order)(columns)
+    w, y = np.empty((len(pieces), columns)), np.empty((columns, wide.shape[0]))
+    out = np.empty((columns, wide.shape[0]))
+    calls = bind(w, y, out)
     rng = np.random.default_rng(17)
-    for _ in range(2):  # a second call into a written output starts from zero as well
-        w, y = rng.normal(size=(len(pieces), columns)), rng.normal(size=(columns, wide.shape[0]))
+    for _ in range(2):  # the calls read the buffers they are bound to as those hold them then
+        w[:], y[:] = rng.normal(size=w.shape), rng.normal(size=y.shape)
         x = np.multiply(w[:, None, :], y.T, order="C").reshape(-1, columns)
-        out = np.full((columns, wide.shape[0]), np.nan)
-        rhs(w, y, out)
+        out.fill(0.0)
+        _run(calls)
         assert out.tobytes() == np.ascontiguousarray((wide @ x).T).tobytes()
+
+
+def _plain_coefficients(rule, picture, t):
+    """c_k at the times ``t`` by the broadcast formula of the rule's parameters,
+    one whole-array expression per step, always complex: each Gaussian cut
+    beyond 8 widths, the components and the schedules' phased envelopes
+    summed, then coupling times amplitude times e^{i r t}, summed over the
+    term's pumps."""
+    u = (t - rule.centre) / rule.width
+    pulses = np.where(np.abs(u) > 8.0, 0.0, np.exp(-(u * u)) * rule.amplitude)
+    z = functools.reduce(np.add, (pulses[:, :, 0] + pulses[:, :, 1]) * rule.phase)
+    pumps = np.array([pumps for _, _, pumps in model._TERMS[picture]])
+    terms = rule.coupling * z[pumps] * np.exp(rule.rate * t)
+    return functools.reduce(np.add, terms.swapaxes(0, 1))
+
+
+def _drive(picture, drives, cols=None):
+    """The picture's generator on a small space with the rule of ``drives``,
+    and the columns ``cols`` of it to weigh (all of them by default)."""
+    rule = DriveCoefficients(picture, drives)
+    ops = hamiltonian_generator(*drives[0], HilbertSpace((2, 2, 2)), picture).ops
+    return Generator(HilbertSpace((2, 2, 2)), None, ops, rule), cols or list(range(len(drives)))
+
+
+_PARAMS = SystemParams.from_ordinary(temperature_k=0.01)
+_DETUNED = SystemParams.from_ordinary(temperature_k=0.01, delta1_hz=1.2e6 + 300.0,
+                                      delta2_hz=1.8e6 - 40.0)
+_FRAC = DriveSchedule("fractional", 2000.0, 0.42e-3, 0.6e-3, 0.5e-3, theta=1.0)
+_TRAIN = [replace(_FRAC, phase2=0.3),
+          DriveSchedule("reversed_fractional", 1500.0, 0.42e-3, 0.6e-3, 0.5e-3, theta=1.0,
+                        t0=2e-3, phase2=-1.2)]
+_CONSTANT = DriveSchedule("constant", 900.0, 0.42e-3, 0.6e-3, 0.5e-3)
+DRIVES = {
+    "rwa-real": ("rwa", [(_PARAMS, _FRAC)]),
+    "bs-phase2": ("bs", [(_PARAMS, replace(_FRAC, phase2=0.7))]),
+    "full": ("full", [(_PARAMS, _FRAC)]),
+    "fringe-train": ("rwa", [(_PARAMS, _TRAIN)]),
+    "take-3-of-4": ("bs", [(_PARAMS, _FRAC), (_DETUNED, _TRAIN), (_DETUNED, _CONSTANT),
+                           (_PARAMS, replace(_FRAC, kind="stirap"))], [0, 2, 3]),
+    "constant": ("rwa", [(_PARAMS, _CONSTANT)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIVES))
+def test_stage_weights_are_bitwise_the_weights_of_the_rule(case):
+    picture, drives, *cols = DRIVES[case]
+    gen, cols = _drive(picture, drives, *cols)
+    rule = gen.coefficients.take(cols)
+    assert rule.real == (case in ("rwa-real", "constant"))
+    # step starts across every pulse, and steps whose stage times straddle the 8-width
+    # cuts of pump 2's early pulse (-4.42e-3, 3.58e-3) and pump 1's late one (-4.38e-3)
+    starts = [-6e-3, -4.43e-3, -4.39e-3, -1e-3, -1e-4, 0.0, 7e-4, 2.1e-3, 3.57e-3, 5e-3]
+    for t0 in starts:
+        t = t0 + 1e-5 * np.arange(len(cols))
+        h = 2e-5 * (1.0 + np.arange(len(cols)))
+        times = t + dynamics._C * h  # the six stage times of each column
+        for imaginary in (True, False):
+            buffer = np.empty_like(times)
+            w, calls = dynamics._weights_of(gen, len(drives), imaginary)(cols)(buffer)
+            buffer[:] = times  # the calls read the buffer as it holds then
+            _run(calls)
+            assert w.shape == (1 + (1 + imaginary) * len(gen.ops),) + times.shape
+            want = dynamics._weights(rule(times), imaginary)
+            assert w.tobytes() == want.tobytes(), (t0, imaginary)
+            plain = dynamics._weights(_plain_coefficients(rule, picture, times), imaginary)
+            assert w.tobytes() == plain.tobytes(), (t0, imaginary)
+
+
+def _scipy_calls_in_attempts(run):
+    """Every call into scipy.sparse that ``run()`` makes from the attempt loop of
+    ``dynamics._integrate_dp45``, by name: the calls made with that function on
+    the stack but neither the first step's :func:`dynamics._initial_steps` nor
+    the ``plan_of`` that binds a batch's calls.  A call made by a function that
+    the loop calls, not by the loop itself, is named with that function's."""
+    loop = dynamics._integrate_dp45.__code__
+    once = {dynamics._initial_steps.__code__,
+            *(c for c in loop.co_consts if getattr(c, "co_name", None) == "plan_of")}
+    assert len(once) == 2
+    found = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call":  # a builtin, called from ``frame``
+            module, name = getattr(arg, "__module__", None) or "", arg.__name__
+            if frame.f_code is not loop:
+                name = f"{name} in {frame.f_code.co_name}"
+        elif event == "call":  # a Python function, whose frame is ``frame``
+            module, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name
+            frame = frame.f_back
+        else:
+            return
+        if not module.startswith("scipy.sparse"):
+            return
+        codes = set()
+        while frame is not None:
+            codes.add(frame.f_code)
+            frame = frame.f_back
+        if loop in codes and not once & codes:
+            found[name] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, found
+
+
+@pytest.mark.parametrize("state", ["rho", "psi"])
+def test_an_attempt_calls_scipy_only_in_its_thirteen_kernel_calls(state):
+    # the attempt plan: 6 CSR calls, one per stage, and 7 CSC calls, 5 stage inputs,
+    # y5 and the error, plus one CSC call per sample read inside a step; a change
+    # that brings back per-stage dispatch through scipy.sparse fails this
+    spec = _equivalence_spec("bs")
+    jumps = thermal_collapse_terms(spec.space, spec.params) if state == "rho" else []
+    lindblad = LindbladModel(spec.space, hamiltonian_generator(**vars(spec)), jumps)
+    config = IntegratorConfig(np.linspace(-3e-3, 4e-3, 9), rel_tol=1e-6, abs_tol=1e-8)
+    traj, found = _scipy_calls_in_attempts(
+        lambda: evolve(lindblad, fock_state(spec.space, 0, 1, 0), config))
+    attempts = traj.stats.accepted + traj.stats.rejected
+    assert attempts > 20 and traj.stats.interpolated > 0
+    assert dict(found) == {"csr_matvec": 6 * attempts,
+                           "csc_matvecs": 7 * attempts + traj.stats.interpolated}
 
 
 def _unchanged(t, y):
@@ -644,16 +778,22 @@ def _unchanged(t, y):
 
 
 def _in_place(f):
-    """The rhs of every batch width that writes f(w, y) into its output."""
-    return lambda width: lambda w, y, out: np.copyto(out, f(w, y))
+    """The rhs of every batch width whose one call writes f(w, y) of the buffers
+    it is bound to into its output."""
+    return lambda width: lambda w, y, out: [(lambda: np.copyto(out, f(w, y)), ())]
 
 
-def _unrepaired(y):
-    return y, np.ones(len(y))
+def _unrepaired(y, out):
+    return np.ones(len(y)), [(np.copyto, (out, y))]
 
 
 def _no_terms(cols):
-    return lambda t: np.zeros((0,) + t.shape)
+    return lambda t: (np.zeros((0,) + t.shape), [])
+
+
+def _times(cols):
+    """The one weight c(t) = t: the buffer of times itself."""
+    return lambda t: (t[None], [])
 
 
 #: the coordinates of one real number, and those (Re z, Im z) of one complex number z
@@ -680,8 +820,7 @@ def test_dp45_steps_the_linear_test_equation_by_its_stability_polynomial():
 def test_dp45_integrates_a_quadratic_exactly():
     ts = np.linspace(0.0, 2.0, 5)
     # the one coefficient is the time itself: c(t) = t
-    traj, = dynamics._integrate_dp45(_in_place(lambda c, y: 3.0 * c.T * c.T),
-                                     lambda cols: lambda t: t[None],
+    traj, = dynamics._integrate_dp45(_in_place(lambda c, y: 3.0 * c.T * c.T), _times,
                                      np.zeros(1), [IntegratorConfig(ts)],
                                      _unrepaired, _unchanged, ONE_REAL)
     # fifth-order quadrature is exact for t^2, and the error estimate is zero but for rounding
@@ -695,8 +834,9 @@ def test_dp45_integrates_a_quadratic_exactly():
 def test_a_step_whose_norm_drifts_fails_its_column_at_the_step_end():
     # y' = y from y = 1, with y^2 reported as the norm: the first step, to t ~ 0.01,
     # is accepted, and its norm e^2t is 2% from 1
-    def repair(y):
-        return y, np.square(y).sum(axis=-1)
+    def repair(y, out):
+        norms = np.empty(len(y))
+        return norms, [(np.copyto, (out, y)), (lambda: np.square(y).sum(axis=-1, out=norms), ())]
 
     failed, = dynamics._integrate_dp45(_in_place(lambda c, y: y), _no_terms, np.ones(1),
                                        [IntegratorConfig([0.0, 1.0])], repair, _unchanged,
@@ -726,6 +866,20 @@ def test_lossless_coherent_transfer_takes_its_recorded_step_sequence():
         "state_size": 235}
 
 
+@pytest.mark.parametrize("preset, counts", [
+    ("fig3", (473, 21, 2966, 5, 159, 190)),
+    ("table2-stirap-10mK", (238, 12, 1502, 3, 79, 503)),
+])
+def test_presets_take_their_recorded_step_sequences(preset, counts):
+    # fig3 reads 159 samples from the continuous extension over 473 accepted steps,
+    # and table2-stirap-10mK steps 503 coordinates of rho's Hermitian half: a change
+    # to the order or rounding of the piece weights, the stage sums, the error norm,
+    # the dense output or the controller moves these counts
+    stats = run_scenario(build_scenario(preset_config(preset))).summary["integrator"]
+    assert tuple(stats[key] for key in ("accepted", "rejected", "rhs_evals", "clamped",
+                                        "interpolated", "state_size")) == counts
+
+
 def test_continuous_extension_is_scipys_and_ends_on_the_fifth_order_solution():
     from scipy.integrate._ivp.rk import RK45
 
@@ -743,8 +897,8 @@ def test_a_sample_inside_a_step_fails_at_its_own_time():
             raise IntegrationDivergedError(t, 1.0, dynamics.TRACE_SAMPLE_TOL)
         return y
 
-    run = (_in_place(lambda c, y: 3.0 * c.T * c.T), lambda cols: lambda t: t[None],
-           np.zeros(1), [IntegratorConfig(ts)], _unrepaired)
+    run = (_in_place(lambda c, y: 3.0 * c.T * c.T), _times, np.zeros(1), [IntegratorConfig(ts)],
+           _unrepaired)
     traj, = dynamics._integrate_dp45(*run, _unchanged, ONE_REAL)
     assert traj.stats.interpolated == 3  # every inner sample
     failed, = dynamics._integrate_dp45(*run, on_sample, ONE_REAL)

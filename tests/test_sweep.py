@@ -383,6 +383,27 @@ def test_run_batches_returns_interleaved_batch_keys_in_input_order(workers):
                 assert abs(batched[key] - value) <= 1e-12, (i, key)
 
 
+def test_one_batch_runs_in_this_process_at_any_worker_count(monkeypatch):
+    # a pool for a single job would add only its start-up: the worker count is
+    # capped at the job count, and one job runs here
+    _, _, cells = _delta_alpha_grid()
+    one_batch = [c for c in cells if c.picture == "rwa"]
+    assert len(one_batch) == 4 and len(batches(one_batch)) == 1
+    alone, _ = run_batches(one_batch, 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for one job")
+
+    monkeypatch.setattr(protocols, "ProcessPoolExecutor", no_pool)
+    summaries, records = run_batches(one_batch, 2)
+    assert [r["cells"] for r in records] == [4]
+
+    def timeless(summary):
+        return {k: v for k, v in summary.items() if k not in ("timing", "wall_time_s")}
+
+    assert [timeless(s) for s in summaries] == [timeless(s) for s in alone]
+
+
 def test_a_failure_before_integration_fails_only_its_batch(monkeypatch):
     original = protocols.run_scenarios
 
