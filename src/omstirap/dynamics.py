@@ -13,11 +13,12 @@ Every path derives from one :class:`~omstirap.hilbert.Generator`: the
 row-major vec(rho) evolves under sparse superoperators (pure states under the
 Hilbert-space terms), integrated with an embedded Dormand-Prince 5(4) pair
 that monitors the trace; the same pieces, densified, feed a matrix-exponential
-oracle.  The error controller sets each step size, and a step is cut short
-only to end on a stop or on the last sample time: ``run_scenario`` stops at
-each pulse centre, so no step skips a pulse.  A sample time inside a step is
-read from the pair's quartic continuous extension (Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.6), so samples cost no steps.
+oracle.  The error controller sets each step size, the first one's estimate
+by the same scaled RMS norm as the error's (Hairer, Norsett & Wanner, Solving
+ODEs I, sec. II.4), and a step is cut short only to end on a stop or on the
+last sample time: ``run_scenario`` stops at each pulse centre, so no step
+skips a pulse.  A sample time inside a step is read from the pair's quartic
+continuous extension (sec. II.6), so samples cost no steps.
 
 One entry point, :func:`evolve`, takes psi or rho, and the input picks the
 form: a pure state under a model with no collapse term of positive rate is
@@ -80,7 +81,7 @@ levels reaches at most one coordinate of each pair, since the gauge
 U = i^{n_c} maps the generator to a real one and such a rho0 to itself: the
 (2,5,5) presets step 190 of the 330 coordinates of the k = 0 sector.  The
 error norm still divides by the full length (d^2, or d for psi) and scales
-each pair by the modulus of its entry, counted for rho_ij and rho_ji, so it
+each pair by |v_i| of its entry, counted for rho_ij and rho_ji, so it
 is the norm of the unreduced complex integration to rounding, and so are the
 step sequence and every result.
 """
@@ -95,6 +96,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse
+from numpy._core.multiarray import c_einsum
 from scipy.sparse import _sparsetools
 
 from .errors import (
@@ -313,12 +315,11 @@ class _RealCoordinates:
 
     :meth:`pieces` and :meth:`coordinates` give all m coordinates.  The ones
     stepped are ``order``, all m until :meth:`restrict` cuts them, and
-    ``weight``, :meth:`magnitudes`, :meth:`modulus`, :meth:`rms`,
-    :meth:`error_norm`, :meth:`norm`, :meth:`unit` and :meth:`vector` read
-    states of those: first each coordinate whose pair partner is not stepped
-    (the real ones leading), then the stepped pairs, which read as one
-    complex array of v_i.  A stepped entry is one of those coordinates or
-    one pair.
+    ``weight``, :meth:`magnitude_calls`, :meth:`error_norm`, :meth:`norm`,
+    :meth:`unit` and :meth:`vector` read states of those: first each
+    coordinate whose pair partner is not stepped (the real ones leading), then
+    the stepped pairs, which read as one complex array of v_i.  A stepped
+    entry is one of those coordinates or one pair.
     """
 
     def __init__(self, real: np.ndarray, upper: np.ndarray, lower: np.ndarray | None = None):
@@ -376,50 +377,27 @@ class _RealCoordinates:
         self.weight = np.where(self.order < n, 1.0, self._pair_weight)
 
     def magnitude_calls(self, y: np.ndarray, out: np.ndarray) -> list:
-        """The calls that write :meth:`magnitudes` of the rows of ``y`` into ``out``."""
+        """The calls that write |v_i| of each stepped entry in the rows of ``y`` into
+        ``out``: each unpaired coordinate's absolute value, then each pair's modulus."""
         s = self._unpaired
         calls = [(np.abs, (y[..., :s], out[..., :s]))] if s else []
         if s < y.shape[-1]:  # some pair is stepped
             calls.append((np.abs, (y[..., s:].view(complex), out[..., s:])))
         return calls
 
-    def magnitudes(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """|v_i| of each stepped entry in the rows of ``y`` (into ``out``): the
-        unpaired coordinates' absolute values, then the modulus of each pair."""
-        if out is None:
-            out = np.empty(y.shape[:-1] + (self._entries,))
-        _run(self.magnitude_calls(y, out))
-        return out
-
-    def modulus(self, y: np.ndarray) -> np.ndarray:
-        """For each stepped coordinate in the rows of ``y``, |v_i| of its entry."""
-        e, s = self.magnitudes(y), self._unpaired
-        return np.concatenate([e[..., :s], np.repeat(e[..., s:], 2, axis=-1)], axis=-1)
-
-    def _square_sum_calls(self, x: np.ndarray, out: np.ndarray) -> list:
-        """The call that writes into ``out`` the squares of each row of ``x``
-        summed as the complex vector of all ``size`` entries, in one
-        ``einsum``: the coordinates not stepped are exactly zero, and a pair's
-        weight counts it for each entry it stands for."""
-        return [(functools.partial(np.einsum, "...k,...k,k->...", out=out), (x, x, self.weight))]
-
-    def rms(self, x: np.ndarray) -> np.ndarray:
-        """RMS of each row of ``x`` as the complex vector of all ``size`` entries."""
-        sums = np.empty(x.shape[:-1])
-        _run(self._square_sum_calls(x, sums))
-        return np.sqrt(sums / self.size)
-
-    def error_norm(self, modulus, y, error, rtol: float, atol: float) -> tuple:
+    def error_norm(self, start, y, error, rtol: float, atol: float) -> tuple:
         """(norms, calls): the calls scale ``error`` in place by its scale
-        atol + rtol max(modulus, |y|), |.| being :meth:`magnitudes`, and
-        ``norms()`` then gives the :meth:`rms` of each scaled row as a list of
-        floats; ``modulus`` holds the magnitudes of the rows of the steps'
-        start.  The scale and its inverse are formed once per stepped entry,
-        and a pair's inverse multiplies both its coordinates."""
-        s, scale, sums = self._unpaired, np.empty_like(modulus), np.empty(len(error))
+        atol + rtol max(|start|, |y|), |.| from :meth:`magnitude_calls`, and
+        ``norms()`` then gives the RMS of each scaled row, as the complex vector
+        of all ``size`` entries, as a list of floats.  The scale and its inverse
+        are formed once per stepped entry, a pair's inverse multiplies both its
+        coordinates, and the squares are summed in one call of ``np.einsum``'s
+        C function: a pair's weight counts it for each entry it stands for."""
+        s, sums = self._unpaired, np.empty(len(error))
+        scale, other = np.empty((2, len(error), self._entries))
         rtol, atol, one = np.array(rtol), np.array(atol), np.array(1.0)  # no scalar conversions
-        calls = [*self.magnitude_calls(y, scale),
-                 (functools.partial(np.maximum, out=scale), (modulus, scale)),
+        calls = [*self.magnitude_calls(start, scale), *self.magnitude_calls(y, other),
+                 (functools.partial(np.maximum, out=scale), (scale, other)),
                  (np.multiply, (scale, rtol, scale)), (np.add, (scale, atol, scale)),
                  (np.divide, (one, scale, scale))]
         if s:
@@ -427,12 +405,14 @@ class _RealCoordinates:
         if s < error.shape[1]:
             pairs = error[:, s:].reshape(len(error), -1, 2)
             calls.append((np.multiply, (pairs, scale[:, s:, None], pairs)))
+        calls.append((functools.partial(c_einsum, "...k,...k,k->...", out=sums),
+                      (error, error, self.weight)))
 
         def norms() -> list:
             # sqrt(sum / size) in floats, which round as numpy's sqrt and divide do
             return [math.sqrt(x / self.size) for x in sums.tolist()]
 
-        return norms, calls + self._square_sum_calls(error, sums)
+        return norms, calls
 
     def norm_calls(self, y: np.ndarray, out: np.ndarray) -> list:
         """The calls that write :meth:`norm` of the rows of ``y`` into ``out``."""
@@ -651,6 +631,12 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
+def _step_factor(err: float) -> float:
+    """The factor of the next step size after an attempt of error norm ``err``:
+    0.9 err^(-1/5) within [0.2, 5], and 5 at err = 0."""
+    return _MAX_FACTOR if err == 0.0 else max(_MIN_FACTOR, min(_MAX_FACTOR, _SAFETY * err ** -0.2))
+
+
 def distinct_times(grid, extra) -> list[float]:
     """Sorted ``extra`` less float twins of ``grid`` or each other, which a step cannot resolve."""
     tol, kept = 1e-9 * (grid[-1] - grid[0]), []
@@ -710,8 +696,13 @@ def _initial_steps(rhs_of, weights, cols, y, f0, rtol, atol, coords):
     _run(weigh)
     f0.fill(0.0)
     _run(bind(w[:, 0], y, f0))
-    scale = atol + rtol * coords.modulus(y)
-    d0, d1 = coords.rms(y / scale), coords.rms(f0 / scale)
+
+    def norm(x):  # of each row of x, scaled in place, as the error of a step from y
+        norms, calls = coords.error_norm(y, y, x, rtol, atol)
+        _run(calls)
+        return np.array(norms())
+
+    d0, d1 = norm(y.copy()), norm(f0.copy())
     # y is finite, so with a finite f0 a norm that is not has overflowed: no float64 step
     # meets such tolerances, and the column keeps h = 0, which fails the underflow check
     over = ~np.isfinite(d0 + d1) & np.isfinite(f0).all(axis=1)
@@ -721,7 +712,7 @@ def _initial_steps(rhs_of, weights, cols, y, f0, rtol, atol, coords):
     t += h0
     _run(weigh)
     _run(bind(w[:, 0], y + h0[:, None] * f0, f1))
-    d2 = coords.rms((f1 - f0) / scale) / h0
+    d2 = norm(f1 - f0) / h0
     for col, a, b, c, o in zip(cols, h0, d1, d2, over):
         h1 = max(1e-6 * col.span, a * 1e-3) if max(b, c) <= 1e-15 else (0.01 / max(b, c)) ** 0.2
         col.h = 0.0 if o else float(min(100 * a, h1))
@@ -793,16 +784,14 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
     if not act:
         return out
 
-    def plan_of(k, modulus):
-        """The plans of the columns ``act`` beside their stages ``k`` and the
-        magnitudes ``modulus`` of their states: (th, plan, errors, accept,
-        norms, (reads, stages)).  ``plan`` writes, from each column's step
-        start and size in the rows of ``th``, its stages, y5 and the scaled
-        error whose norms ``errors()`` reads; ``accept`` writes the repaired
-        y5 into k[0], the last stage into k[1], their norms into ``norms`` and
-        their magnitudes into ``modulus``, for a batch whose columns all
-        accept.  ``reads`` and ``stages`` are the arguments of the dense
-        output's kernel calls."""
+    def plan_of(k):
+        """The plans of the columns ``act`` beside their stages ``k``: (th,
+        plan, errors, accept, norms, (reads, stages)).  ``plan`` writes, from
+        each column's step start and size in the rows of ``th``, its stages, y5
+        and the scaled error whose norms ``errors()`` reads; ``accept`` writes
+        the repaired y5 into k[0], the last stage into k[1] and their norms
+        into ``norms``, for a batch whose columns all accept.  ``reads`` and
+        ``stages`` are the arguments of the dense output's kernel calls."""
         width = k.shape[1]
         th, times = np.empty((2, width)), np.empty((6, width))  # (t, h); t + c_i h
         w, weigh = weights_of(act)(times)
@@ -815,10 +804,9 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
             plan += _stage_sum(coef[i, :i + 1], k[:i + 1], k[7 + i])
             plan += bind(w[:, i - 1], k[7 + i], k[i + 1])
         plan += _stage_sum(coef[7], k[1:8], k[14])
-        errors, error_norm = coords.error_norm(modulus, k[13], k[14], rtol, atol)
+        errors, error_norm = coords.error_norm(k[0], k[13], k[14], rtol, atol)
         norms, repaired = repair(k[13], k[0])
-        accept = [*repaired, (np.copyto, (k[1], k[7])),  # first-same-as-last
-                  *coords.magnitude_calls(k[0], modulus)]
+        accept = [*repaired, (np.copyto, (k[1], k[7]))]  # first-same-as-last
         # per column b, the leading arguments of the CSC kernel call that reads a
         # sample inside its step as sum_j c_j k[j, b] over the state and the seven
         # stages, adding in j order as the stage sums do: the (1, 8 width) matrix with
@@ -832,8 +820,8 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
     # y5) and the error vector
     k = np.empty((15, len(act), y.shape[1]))
     k[0] = y[act]
-    y, modulus = k[0], coords.magnitudes(k[0])
-    th, plan, errors, accept, norms, (reads, stages) = plan_of(k, modulus)
+    y = k[0]
+    th, plan, errors, accept, norms, (reads, stages) = plan_of(k)
     _initial_steps(rhs_of, weights_of(act), [cols[j] for j in act], y, k[1], rtol, atol, coords)
 
     hmin_scale = 16.0 * np.finfo(float).eps
@@ -889,7 +877,6 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
                 took_norms, repaired = repair(took, took)
                 _run(repaired)
                 k[0, ok], k[1, ok] = took, k[7, ok]
-                coords.magnitudes(y, modulus)
                 for pos, n in zip(ok, took_norms.tolist()):
                     drifts[pos] = abs(n - 1.0)
 
@@ -916,19 +903,17 @@ def _integrate_dp45(rhs_of, weights_of, y0, configs, repair, on_sample, coords):
                         col.next += 1
                         if out[j] is None and col.next == len(col.ends):
                             out[j] = col.trajectory(coords)
-                    factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
-                    col.h *= max(_MIN_FACTOR, factor)
                 else:
                     col.rejected += 1
-                    col.h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+                col.h *= _step_factor(err)  # unread once the column has failed
 
         going = [pos for pos, j in enumerate(act) if out[j] is None]
         if len(going) < len(act):  # finished and failed columns leave the batch
             # a copy, since k[:, going] is not contiguous and the plan reads flat views
-            k, modulus = np.ascontiguousarray(k[:, going]), modulus[going]
+            k = np.ascontiguousarray(k[:, going])
             act, y = [act[pos] for pos in going], k[0]
             if act:
-                th, plan, errors, accept, norms, (reads, stages) = plan_of(k, modulus)
+                th, plan, errors, accept, norms, (reads, stages) = plan_of(k)
     return out
 
 

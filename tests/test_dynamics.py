@@ -571,7 +571,7 @@ def test_hermitian_half_reproduces_the_complex_rhs_and_error_norm(picture):
     rng = np.random.default_rng(14)
     for t in rng.uniform(-1e-3, 2e-3, size=4):
         y, e = (rng.normal(size=coords.order.size) for _ in range(2))
-        rho, err = coords.vector(y), coords.vector(e)
+        rho = coords.vector(y)
         # the coordinates are those of a Hermitian matrix, and read back exactly
         np.testing.assert_array_equal(rho.reshape(d, d), rho.reshape(d, d).conj().T)
         np.testing.assert_array_equal(coords.coordinates(rho)[coords.order], y)
@@ -580,12 +580,43 @@ def test_hermitian_half_reproduces_the_complex_rhs_and_error_norm(picture):
         ref = dynamics._liouvillian(model, t) @ rho
         got = coords.vector(_one_row(real_rhs_of, dynamics._weights(c), y))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
-        # the error norm: each pair counts for rho_ij and rho_ji, scaled by |rho_ij|,
-        # as the RMS over all d^2 entries of the complex error
-        rtol, atol = 1e-3, 1e-6 * np.max(np.abs(rho))
-        want = np.sqrt(np.mean(np.abs(err / (atol + rtol * np.abs(rho))) ** 2))
-        have = coords.rms(e * (1.0 / (atol + rtol * coords.modulus(y))))
-        assert abs(have - want) <= 4 * np.finfo(float).eps * want
+        _assert_error_norm_is_the_complex_rms(coords, y, e)
+    # psi's coordinates, and both forms cut as a real drive cuts them, where a
+    # stepped coordinate's pair partner is not stepped
+    sp, psi0 = model.space, fock_state(model.space, 0, 1, 0)
+    lossless = LindbladModel(sp, model.hamiltonian)
+    cuts = []
+    for imaginary in (True, False):
+        psi = dynamics._RealCoordinates(np.arange(0), np.arange(d))
+        g0, *gens = dynamics._generators(lossless, imaginary)
+        _reach(psi, (g0, gens), psi0.amplitudes)
+        cuts.append(psi)
+    rho = dynamics._hermitian_half(d)
+    _reach(rho, dynamics._superoperator_pieces(model, imaginary=False),
+           psi0.density_matrix().matrix.reshape(-1))
+    cuts.append(rho)
+    # every amplitude of psi is a pair; the real cut steps one coordinate of each,
+    # and of some off-diagonal pairs of rho
+    assert cuts[0]._unpaired == 0 and cuts[1]._unpaired == cuts[1].order.size
+    assert rho._unpaired > rho._stepped_real
+    for coords in cuts:
+        for _ in range(4):
+            _assert_error_norm_is_the_complex_rms(
+                coords, *(rng.normal(size=coords.order.size) for _ in range(2)))
+
+
+def _assert_error_norm_is_the_complex_rms(coords, y, e):
+    """The error norm of the error ``e`` of a step from ``y`` is the RMS over
+    all ``size`` entries of the complex error scaled by atol + rtol |v|: each
+    pair counts for each entry it stands for (rho_ij and rho_ji, or one psi_i),
+    scaled by the modulus of its entry."""
+    v, err = coords.vector(y), coords.vector(e)
+    rtol, atol = 1e-3, 1e-6 * np.max(np.abs(v))
+    want = np.sqrt(np.mean(np.abs(err / (atol + rtol * np.abs(v))) ** 2))
+    norms, calls = coords.error_norm(y[None], y[None], e[None].copy(), rtol, atol)
+    _run(calls)
+    have, = norms()
+    assert abs(have - want) <= 4 * np.finfo(float).eps * want
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -613,6 +644,19 @@ def test_csr_kernel_call_is_bitwise_the_sparse_product(dtype, columns):
     out.fill(0)
     _run(calls)
     assert out.T.tobytes() == (wide @ x).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 5, 16])
+def test_error_norm_sums_its_squares_bitwise_as_the_einsum(rows):
+    # the error norm calls numpy's c_einsum, which np.einsum wraps, to skip the
+    # wrapper's dispatch: a numpy release that changes either fails this
+    coords = dynamics._RealCoordinates(np.arange(5), np.arange(5, 120))  # 235 coordinates
+    rng = np.random.default_rng(rows)
+    y, error = rng.normal(size=(2, rows, 235)) * 10.0 ** rng.integers(-9, 3, (2, rows, 1))
+    norms, calls = coords.error_norm(y, y, error, 1e-6, 1e-8)
+    _run(calls)  # error now holds the scaled error
+    sums = np.einsum("...k,...k,k->...", error, error, coords.weight)
+    assert np.array(norms()).tobytes() == np.sqrt(sums / coords.size).tobytes()
 
 
 @pytest.mark.parametrize("terms", range(2, 8))
@@ -829,6 +873,16 @@ def test_dp45_integrates_a_quadratic_exactly():
         assert abs(y[0] - t**3) <= 1e-14 * max(1.0, t**3)
     # the steps grow fivefold, so the inner samples come from the quartic extension
     assert traj.stats.interpolated > 0
+
+
+def test_the_step_factor_is_the_rule_of_accepted_and_rejected_steps():
+    # an accepted step's factor was max(0.2, min(5, 0.9 err^-1/5)), 5 at err = 0, and a
+    # rejected one's max(0.2, 0.9 err^-1/5): there err > 1, so the min returns its argument
+    for err in (0.0, 1e-300, 1e-5, 0.5, 1.0):
+        accepted = max(0.2, 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2))
+        assert dynamics._step_factor(err).hex() == accepted.hex()
+    for err in (1.0 + 2.0 ** -52, 3.2, 1e300):
+        assert dynamics._step_factor(err).hex() == max(0.2, 0.9 * err ** -0.2).hex()
 
 
 def test_a_step_whose_norm_drifts_fails_its_column_at_the_step_end():
@@ -1049,6 +1103,29 @@ def test_a_batch_of_a_real_and_a_complex_column_matches_their_solo_runs():
                 assert abs(got.summary[key] - value) <= 1e-12, key
         for key, series in want.trajectory.observables.items():
             assert np.max(np.abs(got.trajectory.observables[key] - series)) <= 1e-12, key
+
+
+def test_a_psi_batch_with_partial_accepts_matches_its_solo_runs():
+    # three lossless coherent transfers, stepped as psi: their rejections differ, so
+    # some attempts accept some columns only, which renormalizes those rows in a copy
+    def scenario(theta):
+        return build_scenario({
+            "schedule": {"kind": "fractional", "alpha0": 8000.0, "tau_s": 4.8e-4,
+                         "sigma1_s": 6e-4, "sigma2_s": 6e-4, "theta_rad": theta},
+            "system": {"omega1_hz": 1.2e6, "omega2_hz": 1.8e6, "g1_hz": 2.5, "g2_hz": 2.5},
+            "dims": [2, 5, 5], "initial": {"kind": "coherent", "alpha": 0.5},
+            "horizon": {"start_s": -2.4e-3, "end_s": 2.4e-3}, "sample_count": 9,
+            "lossless": True})
+
+    scenarios = [scenario(theta) for theta in (math.pi / 6, math.pi / 4, math.pi / 3)]
+    assert protocols.batches(scenarios) == [[0, 1, 2]]
+    batch = protocols.run_scenarios(scenarios)
+    assert len({got.trajectory.stats.rejected for got in batch}) == 3
+    for got, scenario in zip(batch, scenarios):
+        want = run_scenario(scenario).trajectory
+        assert not want.coords.hermitian
+        assert got.trajectory.stats == want.stats
+        assert got.trajectory.samples.tobytes() == want.samples.tobytes()
 
 
 def _kron_model():
