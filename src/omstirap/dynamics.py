@@ -96,7 +96,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse
-from numpy._core.multiarray import c_einsum
 from scipy.sparse import _sparsetools
 
 from .errors import (
@@ -391,8 +390,8 @@ class _RealCoordinates:
         ``norms()`` then gives the RMS of each scaled row, as the complex vector
         of all ``size`` entries, as a list of floats.  The scale and its inverse
         are formed once per stepped entry, a pair's inverse multiplies both its
-        coordinates, and the squares are summed in one call of ``np.einsum``'s
-        C function: a pair's weight counts it for each entry it stands for."""
+        coordinates, and the squares are summed in one ``np.einsum``: a pair's
+        weight counts it for each entry it stands for."""
         s, sums = self._unpaired, np.empty(len(error))
         scale, other = np.empty((2, len(error), self._entries))
         rtol, atol, one = np.array(rtol), np.array(atol), np.array(1.0)  # no scalar conversions
@@ -405,7 +404,7 @@ class _RealCoordinates:
         if s < error.shape[1]:
             pairs = error[:, s:].reshape(len(error), -1, 2)
             calls.append((np.multiply, (pairs, scale[:, s:, None], pairs)))
-        calls.append((functools.partial(c_einsum, "...k,...k,k->...", out=sums),
+        calls.append((functools.partial(np.einsum, "...k,...k,k->...", out=sums),
                       (error, error, self.weight)))
 
         def norms() -> list:

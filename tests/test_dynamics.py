@@ -646,19 +646,6 @@ def test_csr_kernel_call_is_bitwise_the_sparse_product(dtype, columns):
     assert out.T.tobytes() == (wide @ x).tobytes()
 
 
-@pytest.mark.parametrize("rows", [1, 5, 16])
-def test_error_norm_sums_its_squares_bitwise_as_the_einsum(rows):
-    # the error norm calls numpy's c_einsum, which np.einsum wraps, to skip the
-    # wrapper's dispatch: a numpy release that changes either fails this
-    coords = dynamics._RealCoordinates(np.arange(5), np.arange(5, 120))  # 235 coordinates
-    rng = np.random.default_rng(rows)
-    y, error = rng.normal(size=(2, rows, 235)) * 10.0 ** rng.integers(-9, 3, (2, rows, 1))
-    norms, calls = coords.error_norm(y, y, error, 1e-6, 1e-8)
-    _run(calls)  # error now holds the scaled error
-    sums = np.einsum("...k,...k,k->...", error, error, coords.weight)
-    assert np.array(norms()).tobytes() == np.sqrt(sums / coords.size).tobytes()
-
-
 @pytest.mark.parametrize("terms", range(2, 8))
 @pytest.mark.parametrize("columns", [1, 3])
 def test_stage_sum_is_bitwise_the_einsum(columns, terms):

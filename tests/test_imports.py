@@ -42,12 +42,11 @@ def test_only_protocols_starts_worker_processes():
 
 
 def test_only_dynamics_imports_a_private_numpy_or_scipy_module():
-    # _csr_product calls scipy.sparse._sparsetools to skip scipy's dispatch, and the
-    # error norm numpy's c_einsum to skip np.einsum's: a release that moves either
-    # should break this one known place
+    # _csr_product calls scipy.sparse._sparsetools to skip scipy's dispatch: a scipy
+    # release that moves it should break this one known place
     private = {name: sorted(dotted for dotted in names
                             if dotted.partition(".")[0] in {"numpy", "scipy"}
                             and any(part.startswith("_") for part in dotted.split(".")))
                for name, names in _imports().items()}
     assert {name: found for name, found in private.items() if found} == {
-        "dynamics.py": ["numpy._core.multiarray.c_einsum", "scipy.sparse._sparsetools"]}
+        "dynamics.py": ["scipy.sparse._sparsetools"]}
