@@ -105,7 +105,8 @@ from .errors import (
     OracleTooLargeError,
     StiffnessError,
 )
-from .hilbert import DensityMatrix, Generator, HilbertSpace, StateVector, _as_csr, destroy
+from .hilbert import (DensityMatrix, Generator, HilbertSpace, StateVector, _as_csr, destroy, embed,
+                      ladder)
 from .model import DriveCoefficients, _run, bose_occupancy
 
 TRACE_SAMPLE_TOL = 1e-6
@@ -250,6 +251,33 @@ def _csr_product(a, x: np.ndarray, out: np.ndarray) -> list:
             (np.copyto, (out, ax.T))]
 
 
+def _side_by_side(pieces, keep):
+    """[p_0 | p_1 | ...] of the square CSR ``pieces``, each cut to the rows and
+    columns ``keep`` in that order, as one CSR matrix: a row holds the kept
+    entries of each piece's row in turn, in their stored order, as
+    ``p[keep][:, keep]`` and ``scipy.sparse.hstack`` place them."""
+    m = len(keep)
+    new = np.full(pieces[0].shape[1], -1)
+    new[keep] = np.arange(m)
+    rows, cols, values = [], [], []
+    for k, p in enumerate(pieces):
+        counts = np.diff(p.indptr)[keep]
+        row = np.repeat(np.arange(m), counts)
+        # the position in p of each entry of the kept rows, row by row
+        at = np.arange(row.size) + np.repeat(p.indptr[keep] - np.cumsum(counts) + counts, counts)
+        col = new[p.indices[at]]
+        kept = col >= 0
+        rows.append(row[kept])
+        cols.append(col[kept] + k * m)
+        values.append(p.data[at[kept]])
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(m + 1, np.intc)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return _csr((indptr, np.concatenate(cols)[order].astype(np.intc),
+                 np.concatenate(values)[order]), (m, len(pieces) * m))
+
+
 def _linear_rhs(const, parts, keep):
     """width -> bind(w, y, out), which gives the calls that write the rows of
     w_0 const y + sum_p w_{p+1} parts[p] y into ``out``, which holds zeros
@@ -261,8 +289,8 @@ def _linear_rhs(const, parts, keep):
     w y into the columns of the width's dense operand, one ufunc call (at
     width 1 the (pieces, rows) product of w and y), and make one call of the
     CSR kernel (:func:`_csr_product`): no new array, and no BLAS."""
-    pieces = [p[keep][:, keep] for p in (const, *parts)]
-    wide = scipy.sparse.hstack(pieces, format="csr")
+    pieces = (const, *parts)
+    wide = _side_by_side(pieces, keep)
 
     def rhs_of(width: int):
         # x[p, :, b] = w[p, b] y[b], one operand for every binding of the width
@@ -348,10 +376,14 @@ class _RealCoordinates:
         expand y), the coordinates of a v when a v is again of the coordinates'
         form: always for psi, and for rho when a maps Hermitian matrices to
         Hermitian ones, as every S(G) does."""
-        def real(a):
-            out = (self._project @ a @ self._expand).real.tocsr()
-            out.eliminate_zeros()
-            return out
+        (m, size), project, expand = self._project.shape, self._project, self._expand
+
+        def real(a):  # Re(project @ a @ expand), its zeros dropped in place
+            ip, ix, x = _matmat(_matmat(_arrays(project), _arrays(a), m, size), _arrays(expand),
+                                m, m)
+            x = x.real.copy()
+            _sparsetools.csr_eliminate_zeros(m, m, ip, ix, x)
+            return _csr((ip, ix[:ip[-1]], x[:ip[-1]]), (m, m))
 
         return real(const), [real(a) for a in parts]
 
@@ -514,11 +546,18 @@ def _entries(a) -> tuple:
     return (major, a.indices, a.data) if a.format == "csr" else (a.indices, major, a.data)
 
 
-def _kron(a, b, scale=1.0) -> tuple:
-    """The COO triples (rows, cols, values) of scale (A x B) for CSR or CSC A and B."""
-    (ra, ca, va), (rb, cb, vb) = _entries(a), _entries(b)
-    rows = np.add.outer(ra * b.shape[0], rb).ravel()
-    cols = np.add.outer(ca * b.shape[1], cb).ravel()
+def _conjugate(arrays: tuple) -> tuple:
+    """COO triples or CSR arrays with their values conjugated: the complex conjugate."""
+    *index, values = arrays
+    return (*index, values.conj())
+
+
+def _kron(a: tuple, b: tuple, n: int, scale=1.0) -> tuple:
+    """The COO triples (rows, cols, values) of scale (A x B) for the triples of A and of
+    the n x n B."""
+    (ra, ca, va), (rb, cb, vb) = a, b
+    rows = np.add.outer(ra * n, rb).ravel()
+    cols = np.add.outer(ca * n, cb).ravel()
     return rows, cols, scale * np.multiply.outer(va, vb).ravel()
 
 
@@ -534,18 +573,72 @@ def _jumps(model: LindbladModel) -> list:
     return [(c, rate) for c, rate in model.collapse_terms if rate > 0.0]
 
 
+def _arrays(a) -> tuple:
+    """(indptr, indices, data) of the CSR matrix ``a``."""
+    return a.indptr, a.indices, a.data
+
+
+def _transposed(a: tuple, rows: int, cols: int) -> tuple:
+    """The CSR arrays of the transpose of the rows x cols CSR arrays ``a``, its
+    columns sorted: the kernel of scipy's CSR-CSC conversions."""
+    out = (np.empty(cols + 1, np.intc), np.empty(len(a[1]), np.intc), np.empty_like(a[2]))
+    _sparsetools.csr_tocsc(rows, cols, *a, *out)
+    return out
+
+
+def _matmat(a: tuple, b: tuple, rows: int, cols: int) -> tuple:
+    """The CSR arrays of the product of the CSR arrays ``a`` (rows x k) and
+    ``b`` (k x cols), as ``a @ b`` makes them: each row's entries in the order
+    of scipy's kernel, exact zeros dropped."""
+    nnz = _sparsetools.csr_matmat_maxnnz(rows, cols, a[0], a[1], b[0], b[1])
+    out = (np.empty(rows + 1, np.intc), np.empty(nnz, np.intc),
+           np.empty(nnz, np.result_type(a[2], b[2])))
+    _sparsetools.csr_matmat(rows, cols, *a, *b, *out)
+    return out[0], out[1][:out[0][-1]], out[2][:out[0][-1]]
+
+
+def _binop(kernel, a: tuple, b: tuple, n: int) -> tuple:
+    """The CSR arrays of a + b or a - b (``kernel`` csr_plus_csr or
+    csr_minus_csr) of the n x n CSR arrays ``a`` and ``b``, as scipy's sum or
+    difference makes them: exact zeros dropped."""
+    size = len(a[2]) + len(b[2])
+    out = (np.empty(n + 1, np.intc), np.empty(size, np.intc), np.empty(size, complex))
+    kernel(n, n, *a, *b, *out)
+    return out[0], out[1][:out[0][-1]], out[2][:out[0][-1]]
+
+
+def _csr(a: tuple, shape: tuple) -> scipy.sparse.csr_matrix:
+    """The CSR matrix of the arrays ``a``, the one sparse construction of each operator."""
+    indptr, indices, data = a
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+
 def _generators(model: LindbladModel, imaginary: bool = True) -> list:
     """[G_0, -i X_1, -i Y_1, -i X_2, ...] on the Hilbert space: G_0 = -i H0 -
     sum_k r_k C_k^+ C_k / 2 over the jumps of positive rate, and the Hermitian
     quadratures X_k = A_k + A_k^+ and Y_k = i(A_k - A_k^+) of each drive
-    operator A_k, with no Y_k unless ``imaginary``."""
-    g0 = -1j * model.hamiltonian.h0
+    operator A_k, with no Y_k unless ``imaginary``.
+
+    Each is built from the arrays of its operands by the kernels that scipy's
+    sparse arithmetic calls, in the order it calls them, and made a matrix
+    once: G_0 is bitwise ``g0 - 0.5 * rate * (c.conj().T @ c)`` over the jumps
+    in turn from g0 = -1j H0, and -i X_k and -i Y_k bitwise
+    ``-1j * (a + a.conj().T)`` and ``a - a.conj().T``."""
+    d = model.space.total_dim
+    h0 = model.hamiltonian.h0
+    g0 = (h0.indptr, h0.indices, h0.data * -1j)
     for c, rate in _jumps(model):
-        g0 = g0 - 0.5 * rate * (c.conj().T @ c)
-    gens = [g0]
+        # c^+ c comes as its CSC arrays, the product of the CSC arrays of c and of c^+
+        ip, ix, x = _matmat(_transposed(_arrays(c), d, d), _conjugate(_arrays(c)), d, d)
+        jump = _transposed((ip, ix, x * (0.5 * rate)), d, d)
+        g0 = _binop(_sparsetools.csr_minus_csr, g0, jump, d)
+    gens = [_csr(g0, (d, d))]
     for a in model.hamiltonian.ops:
-        x = -1j * (a + a.conj().T)
-        gens += [x, a - a.conj().T] if imaginary else [x]  # -i Y_k = A_k - A_k^+
+        adjoint = _transposed(_conjugate(_arrays(a)), d, d)
+        ip, ix, x = _binop(_sparsetools.csr_plus_csr, _arrays(a), adjoint, d)
+        gens.append(_csr((ip, ix, x * -1j), (d, d)))
+        if imaginary:  # -i Y_k = A_k - A_k^+
+            gens.append(_csr(_binop(_sparsetools.csr_minus_csr, _arrays(a), adjoint, d), (d, d)))
     return gens
 
 
@@ -555,9 +648,14 @@ def _superoperator_pieces(model: LindbladModel, imaginary: bool = True):
     rho -> G rho + rho G^+, and L0 = S(G_0) + sum_k r_k C_k x conj(C_k), each
     summed from the COO triples of its Kronecker products in one conversion."""
     d = model.space.total_dim
-    eye = scipy.sparse.identity(d, dtype=complex, format="csr")
-    s0, *parts = ([_kron(g, eye), _kron(eye, g.conj())] for g in _generators(model, imaginary))
-    jumps = [_kron(c, c.conj(), rate) for c, rate in _jumps(model)]
+    diagonal = np.arange(d, dtype=np.intc)
+    eye = (diagonal, diagonal, np.ones(d, complex))
+    s0, *parts = ([_kron(g, eye, d), _kron(eye, _conjugate(g), d)]
+                  for g in map(_entries, _generators(model, imaginary)))
+    jumps = []
+    for c, rate in _jumps(model):
+        c = _entries(c)
+        jumps.append(_kron(c, _conjugate(c), d, rate))
     return _from_triples(s0 + jumps, d * d), [_from_triples(s, d * d) for s in parts]
 
 
@@ -1044,6 +1142,5 @@ def thermal_collapse_terms(space: HilbertSpace, params) -> list:
     """Standard collapse set: cavity decay plus two thermal mechanical baths."""
     ops = [destroy(space, 0)]
     for mode in (1, 2):
-        b = destroy(space, mode)
-        ops += [b, b.conj().T]
+        ops += [destroy(space, mode), embed(space, mode, ladder(space.dims[mode], "raise"))]
     return list(zip(ops, thermal_collapse_rates(params)))

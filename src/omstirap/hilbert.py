@@ -102,7 +102,10 @@ def _as_square_complex(matrix, dim: int, what: str) -> np.ndarray:
 
 
 def _as_csr(matrix, dim: int, what: str) -> scipy.sparse.csr_matrix:
-    m = scipy.sparse.csr_matrix(matrix, dtype=complex)
+    """``matrix`` as a complex CSR matrix: kept as it is when it is one already."""
+    m = matrix
+    if not (isinstance(m, scipy.sparse.csr_matrix) and m.dtype == complex):
+        m = scipy.sparse.csr_matrix(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise InvalidDimensionError(f"{what} must be {dim}x{dim}, got {m.shape}")
     return m
@@ -230,17 +233,36 @@ def embed(space: HilbertSpace, mode_index: int, local) -> scipy.sparse.csr_matri
         raise InvalidDimensionError(
             f"local operator is {loc.shape}, mode {mode_index} has dim {d}"
         )
-    left = math.prod(space.dims[:mode_index])
-    right = math.prod(space.dims[mode_index + 1:])
-    # entry (i, j) of A lands at row (l, i, r) and column (l, j, r) for every outer
-    # index l and inner index r; built from indices, as the Python overhead of
-    # scipy.sparse.kron outweighs the arithmetic at these sizes
-    i, j = np.nonzero(loc)
-    outer = np.arange(left)[:, None, None] * d
-    rows, cols = (((outer + k[:, None]) * right + np.arange(right)).ravel() for k in (i, j))
-    vals = np.broadcast_to(loc[i, j][:, None], (left, i.size, right)).ravel()
+    return _local_product(space, {mode_index: loc})
+
+
+def _local_product(space: HilbertSpace, factors: dict) -> scipy.sparse.csr_matrix:
+    """The product of single-mode operators on distinct modes, ``factors`` mode ->
+    its d x d matrix, with the identity on every other mode: one CSR matrix built
+    from indices, as the Python overhead of scipy.sparse.kron and of sparse
+    products outweighs the arithmetic at these sizes.  Each entry is the
+    product of one entry of each factor, in mode order; the entries of a row
+    are sorted by column."""
+    rows = cols = np.zeros(1, dtype=np.intp)
+    values = None  # of the entries so far; None while every mode so far is the identity
+    for mode, d in enumerate(space.dims):
+        if mode in factors:
+            i, j = np.nonzero(factors[mode])
+            v = factors[mode][i, j]
+            values = (np.broadcast_to(v, (rows.size, v.size)) if values is None
+                      else np.multiply.outer(values, v)).ravel()
+        else:
+            i = j = np.arange(d)
+            values = None if values is None else np.repeat(values, d)
+        rows, cols = np.add.outer(rows * d, i).ravel(), np.add.outer(cols * d, j).ravel()
     n = space.total_dim
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    # entries come in the order of each mode's (row, column) in turn: sorting them
+    # stably by row leaves each row's columns ascending
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return scipy.sparse.csr_matrix(
+        (values[order], cols[order].astype(np.intc), indptr), shape=(n, n), dtype=complex)
 
 
 def destroy(space: HilbertSpace, mode_index: int) -> scipy.sparse.csr_matrix:

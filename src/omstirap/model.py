@@ -44,7 +44,7 @@ from .errors import (
     SidebandResolutionWarning,
     UndefinedModeError,
 )
-from .hilbert import Generator, HilbertSpace, destroy
+from .hilbert import Generator, HilbertSpace, _local_product, destroy, ladder
 
 TWO_PI = 2.0 * math.pi
 
@@ -432,8 +432,10 @@ def hamiltonian_generator(
     if space.n_modes != 3:
         raise InvalidDimensionError("Hamiltonian needs a 3-mode space")
     rule = DriveCoefficients(picture, [(params, schedule)])
-    adag, b = destroy(space, 0).conj().T, (destroy(space, 1), destroy(space, 2))
-    ops = [adag @ (b[j].conj().T if raised else b[j]) for j, raised, _ in _TERMS[picture]]
+    # the ladders are real, so each entry of a^+ b_j or a^+ b_j^+ is one real product
+    adag, b = ladder(space.dims[0]).real.T, [ladder(d).real for d in space.dims[1:]]
+    ops = [_local_product(space, {0: adag, 1 + j: b[j].T if raised else b[j]})
+           for j, raised, _ in _TERMS[picture]]
     return Generator(space, None, ops, rule)
 
 

@@ -430,6 +430,14 @@ def _sample_readers(space: HilbertSpace, coords, samples: np.ndarray) -> tuple:
     return populations, reduced
 
 
+def _number_terms(b) -> tuple:
+    """(weights, j, k) of Tr(b^+ b rho) = sum weights rho_jk for the CSR ``b``: one
+    term conj(b_ik) b_ij for each two entries of a row i of b, with no product formed."""
+    rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+    p, q = np.nonzero(rows[:, None] == rows)
+    return b.data[p] * b.data[q].conj(), b.indices[p], b.indices[q]
+
+
 def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
                  trajs: Sequence[Trajectory]) -> list[dict]:
     """Per column of one batch, every series its inputs allow; the fidelity
@@ -442,8 +450,8 @@ def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
     level and p1 come from the diagonals, and the reduced states on the mode
     pair and on each target's modes from the reductions.  The collective
     operators act on the mode pair alone and are built on it, once per
-    distinct (g1, g2), so each occupation Tr(op rho) is the sum of
-    op_ij rho_ji over the nonzero entries of op.  The negativity is one
+    distinct (g1, g2), and each occupation Tr(b^+ b rho) is read from the
+    entries of b (:func:`_number_terms`).  The negativity is one
     :func:`analysis.negativity_stack` call on the reduced pairs of every
     column, and the fidelity one :func:`analysis.fidelity_stack` call per
     target, built once per distinct recipe, each split back by column; every
@@ -470,11 +478,11 @@ def _observables(scenarios: Sequence[Scenario], space: HilbertSpace,
         g = (scenario.params.g1, scenario.params.g2)
         if g not in occupations:
             bm, bp = collective_operators(pair_space, scenario.params, None)
-            occupations[g] = [(name, (b.conj().T @ b).tocoo())
+            occupations[g] = [(name, _number_terms(b))
                               for name, b in (("n_plus", bp), ("n_minus", bm))]
         pair = stacks[_PAIR][start:stop]
-        for name, op in occupations[g]:
-            out[name] = np.einsum("k,sk->s", op.data, pair[:, op.col, op.row]).real
+        for name, (weights, j, k) in occupations[g]:
+            out[name] = np.einsum("k,sk->s", weights, pair[:, j, k]).real
         outs.append(out)
     for out, series in zip(outs, np.split(
             analysis.negativity_stack(stacks[_PAIR], space.dims[1:]), starts[1:-1])):

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from omstirap import analysis
 from omstirap.analysis import (
     MODE_NAMES,
     antisymmetric_mode_state,
@@ -258,6 +259,44 @@ def test_stacked_forms_match_the_per_state_functions():
         for value, pair in zip(fidelity_stack(pairs, target), pair_states):
             assert abs(value - _fidelity_ref(pair.matrix, target)) <= 1e-13
             assert abs(fidelity(pair, target) - value) <= 1e-15
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_negativity_takes_planted_blocks_one_by_one(real):
+    # random Hermitian blocks of sizes 5, 3, 1 and 3 on a random permutation of the 12
+    # states of (3, 4), planted in the partial transposes of a stack of 6
+    rng = np.random.default_rng(17 + real)
+    dims, s = (3, 4), 6
+    n = math.prod(dims)
+    members = np.split(rng.permutation(n), np.cumsum([5, 3, 1]))
+    flipped = np.zeros((s, n, n), dtype=complex)
+    for index in members:
+        k = len(index)
+        a = rng.normal(size=(s, k, k)) + (0 if real else 1j) * rng.normal(size=(s, k, k))
+        flipped[:, index[:, None], index] = a + a.conj().transpose(0, 2, 1)
+    # the partial transpose is its own inverse
+    pairs = flipped.reshape(s, *dims, *dims).transpose(0, 1, 4, 3, 2).reshape(s, n, n)
+    pattern = (flipped != 0).any(axis=0)
+    blocks = analysis._blocks(pattern)
+    assert [b.shape for b in blocks] == [(1, 1), (2, 3), (1, 5)]
+    found = sorted(tuple(block) for group in blocks for block in group)
+    assert found == sorted(tuple(sorted(index)) for index in members)
+    evals = np.linalg.eigvalsh(flipped)
+    want = np.where(evals < 0, -evals, 0.0).sum(axis=1)
+    got = negativity_stack(pairs, dims)
+    assert np.all(want > 0)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_a_dense_state_is_one_block():
+    # its one block is the whole partial transpose, in order, so the blockwise
+    # negativity is bitwise the whole matrix's
+    dims = (3, 4)
+    stack = np.array([_random_density(HilbertSpace(dims), seed).matrix for seed in (3, 4)])
+    evals = np.linalg.eigvalsh(np.array([partial_transpose(DensityMatrix(HilbertSpace(dims), m))
+                                         for m in stack]))
+    want = np.where(evals < 0, -evals, 0.0).sum(axis=1)
+    assert negativity_stack(stack, dims).tobytes() == want.tobytes()
 
 
 def test_stacked_forms_check_their_inputs():

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from omstirap import dynamics, model, protocols
+from omstirap import analysis, dynamics, model, protocols
 from omstirap.analysis import partial_trace, partial_transpose
 from omstirap.cli import build_scenario
 from omstirap.dynamics import (
@@ -1158,6 +1158,54 @@ def test_first_generator_is_the_effective_hamiltonian():
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def _sparse_chain(model):
+    """The generators as chains of scipy.sparse arithmetic: G_0 = -1j H0 less
+    0.5 r_k C_k^+ C_k jump by jump, then -1j (A + A^+) and A - A^+ of each A."""
+    g0 = -1j * model.hamiltonian.h0
+    for c, rate in model.collapse_terms:
+        if rate > 0.0:
+            g0 = g0 - 0.5 * rate * (c.conj().T @ c)
+    gens = [g0]
+    for a in model.hamiltonian.ops:
+        gens += [-1j * (a + a.conj().T), a - a.conj().T]
+    return gens
+
+
+def _no_coefficients(t):
+    return np.zeros((2,) + t.shape)
+
+
+def _random_sparse(d, rng, density):
+    """A complex sparse d x d matrix, as CSR."""
+    return scipy.sparse.random(d, d, density=density, format="csr", dtype=complex,
+                               random_state=rng,
+                               data_rvs=lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
+
+
+def test_generators_are_bitwise_the_sparse_chain():
+    # the thermal jumps and the full picture's drive operators over a dense H0, and
+    # random complex jumps and drives with several entries in a column, so that
+    # C_k^+ C_k has entries that sum several products; a jump of rate 0 is left out
+    rng = np.random.default_rng(31)
+    thermal = _kron_model()
+    sp = HilbertSpace((2, 3, 2))
+    d = sp.total_dim
+    jumps = tuple((_random_sparse(d, rng, 0.4), rate) for rate in (0.7, 0.0, 2.5, 1.3))
+    assert all(np.diff(c.tocsc().indptr).max() >= 3 for c, _ in jumps)
+    drives = [_random_sparse(d, rng, 0.3) for _ in range(2)]
+    h0 = _random_sparse(d, rng, 0.3)
+    random = LindbladModel(sp, Generator(sp, h0 + h0.conj().T, drives, _no_coefficients), jumps)
+    for model in (thermal, random):
+        want = _sparse_chain(model)
+        got = dynamics._generators(model)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            w = w.tocsr()
+            assert g.shape == w.shape and g.dtype == w.dtype == complex
+            for name in ("indptr", "indices", "data"):
+                assert getattr(g, name).tobytes() == getattr(w, name).tobytes(), name
+
+
 def test_each_superoperator_piece_maps_rho_to_g_rho_plus_rho_g_dagger():
     model = _kron_model()
     d = model.space.total_dim
@@ -1269,6 +1317,56 @@ def test_stacked_observables_match_the_per_sample_functions(name):
         want[n] = [expectation(number_operator(space, mode), st).real for st in states]
     for key, series in want.items():
         assert np.max(np.abs(obs[key] - np.array(series))) <= 1e-13, key
+
+
+def _whole_negativity(pairs, dims):
+    """The negativity of each state of the stack by one complex ``eigvalsh`` of its
+    whole partial transpose."""
+    s, (da, db) = len(pairs), dims
+    flipped = pairs.reshape(s, da, db, da, db).transpose(0, 1, 4, 3, 2).reshape(s, da * db, -1)
+    evals = np.linalg.eigvalsh(flipped.astype(complex))
+    return np.where(evals < 0, -evals, 0.0).sum(axis=1)
+
+
+def _phased_case():
+    """table2-stirap-50mK with a drive phase of 0.7 rad on pump 2: a complex drive."""
+    cfg = preset_config("table2-stirap-50mK")
+    cfg["schedule"] = {**cfg["schedule"], "phase2": 0.7}
+    return build_scenario(cfg)
+
+
+#: the blocks of the partial-transposed pair stack, as (count, size) per size: at
+#: (5, 5), where the pair's rho conserves n1 + n2, its partial transpose splits into
+#: the 9 charge-imbalance sectors, of sizes 1, 2, 3, 4, 5, 4, 3, 2, 1
+SECTORS = [(2, 1), (2, 2), (2, 3), (2, 4), (1, 5)]
+#: case -> (whether its pair stack is complex, its blocks); a real drive gives a real
+#: stack, and the superposition input of table2-stirap-10mK and the coherent input
+#: mix excitation numbers into one block
+NEGATIVITY_BLOCKS = {**{name: (False, SECTORS) for name in DENSE_RHS_EVALS},
+                     "table2-stirap-10mK": (False, [(1, 25)]),
+                     "criterion-10-full": (True, [(2, 8)]),
+                     "coherent-507": (False, [(1, 169)]),
+                     "phase2-0.7": (True, SECTORS)}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVITY_BLOCKS))
+def test_blockwise_negativity_matches_the_whole_spectrum(name):
+    if name == "phase2-0.7":
+        scenario = _phased_case()
+        result = run_scenario(scenario)
+    else:
+        scenario, result = SUPPORT_CASES[name][0], _run_case(name)
+    traj = result.trajectory
+    space = HilbertSpace(scenario.dims)
+    pairs = protocols._sample_readers(space, traj.coords, traj.samples)[1](("mech1", "mech2"))
+    got = traj.observables["negativity"]
+    assert np.max(got) > 0.0
+    assert np.max(np.abs(got - _whole_negativity(pairs, space.dims[1:]))) <= 1e-12
+    d = math.prod(space.dims[1:])
+    source = np.arange(d * d).reshape(*space.dims[1:], *space.dims[1:]).transpose(0, 3, 2, 1)
+    pattern = (pairs != 0).any(axis=0).ravel()[source.reshape(d, d)]
+    blocks = [b.shape for b in analysis._blocks(pattern | pattern.T)]
+    assert (bool(pairs.imag.any()), blocks) == NEGATIVITY_BLOCKS[name]
 
 
 def test_effective_l0_is_the_term_by_term_formula():
