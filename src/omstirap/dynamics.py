@@ -52,16 +52,20 @@ being a batch of one.  The columns share the pieces and the initial state and
 differ in their Hamiltonian coefficients and sample grids (a sweep's cells, a
 fringe's phase points).  The state is a row-major (B, m) array, row 0 of one
 C-contiguous (15, B, m) array with the seven stages, the six stage inputs
-and the error vector.  An attempt is planned once per batch width: every
-array operation is one direct call, bound in a list to buffers built with the
-batch and made in order, about 40 calls at width 1.  The plan writes each
-column's six stage times, its piece weights at them in about ten ufunc calls
+and the error vector: every array of an attempt holds one row per column,
+the coordinates innermost.  An attempt is planned once per batch width:
+every array operation is one direct call, bound in a list to buffers built
+with the batch and made in order, 35 calls for a preset at width 1 and 46
+for a `bs` batch of five sweep cells.  The plan writes each column's six
+stage times, its piece weights at them in about ten ufunc calls
 (:meth:`~omstirap.model.DriveCoefficients.weigh`), the stage coefficients,
 then zeroes the stages and inputs in one fill; per stage it makes one call
-of scipy's CSC kernel for the stage input, one ufunc call for the weighted
-operand and one call of its CSR kernel on the pieces laid side by side,
-written into the stage's row; then one CSC call for the error vector and the
-scaled error norm, formed once per stepped entry.  An accepted batch runs a
+of scipy's CSC kernel for the stage input, one ufunc call for the (B,
+pieces, m) weighted operand and one call of its CSR kernel on the
+block-diagonal matrix of B copies of the pieces laid side by side, which
+writes each column's derivative into its row of the stage; then one CSC
+call for the error vector and the scaled error norm, whose scale is formed
+once per stepped coordinate.  An accepted batch runs a
 second plan: psi renormalized into row 0, the last stage copied into row 1.
 A sample inside a step costs one more CSC call.  Every operation acts on
 each row alone in the order a one-row batch uses, so a column takes bitwise
@@ -234,21 +238,28 @@ def _support(pieces, start: np.ndarray) -> np.ndarray:
         reached = grown
 
 
-def _csr_product(a, x: np.ndarray, out: np.ndarray) -> list:
-    """The calls, (function, arguments) pairs, that write (a @ x).T into the
-    C-ordered (width, rows) ``out``, which holds zeros when they are made, for
-    the CSR ``a`` and its (columns, width) operand, the C-ordered ``x`` read
-    through a flat view: the call of scipy's CSR kernel that ``a @ x`` makes,
-    without its dispatch.  The kernel adds a @ x row-major into its output,
-    the layout of ``out`` at width 1; at width > 1 it writes a zeroed buffer
-    copied into ``out``."""
-    (rows, cols), width = a.shape, out.shape[0]
-    args = (a.indptr, a.indices, a.data, x.reshape(-1))
-    if width == 1:
-        return [(_sparsetools.csr_matvec, (rows, cols, *args, out.reshape(-1)))]
-    ax = np.empty((rows, width), a.dtype)
-    return [(ax.fill, (0,)), (_sparsetools.csr_matvecs, (rows, cols, width, *args, ax.reshape(-1))),
-            (np.copyto, (out, ax.T))]
+def _csr_product(a, width: int):
+    """bind(x, out) for the CSR ``a``: it gives the call that writes a @ x[b]
+    into each row of the C-ordered (width, rows) ``out``, which holds zeros
+    when it is made, for the C-ordered (width, columns) operand ``x``, both
+    read through flat views.  It is one call of scipy's CSR kernel, the one
+    ``a @ x[b]`` makes, without its dispatch, on the block-diagonal matrix of
+    ``width`` copies of ``a``, built once here (``a`` itself at width 1): row
+    b rows + i holds the entries of row i of ``a`` in their stored order, each
+    column moved to the b-th block, so each row is the kernel's sum of a
+    one-row product, in its order."""
+    (rows, cols), arrays = a.shape, _arrays(a)
+    if width > 1:
+        copies = np.arange(width, dtype=np.intc)[:, None]
+        indptr = np.zeros(width * rows + 1, np.intc)
+        indptr[1:] = (a.indptr[1:] + a.nnz * copies).ravel()
+        arrays = indptr, (a.indices + cols * copies).ravel(), np.tile(a.data, width)
+
+    def bind(x: np.ndarray, out: np.ndarray) -> list:
+        return [(_sparsetools.csr_matvec,
+                 (width * rows, width * cols, *arrays, x.reshape(-1), out.reshape(-1)))]
+
+    return bind
 
 
 def _side_by_side(pieces, keep):
@@ -286,19 +297,23 @@ def _linear_rhs(const, parts, keep):
     and rows those buffers hold then.  The pieces, cut to the rows and
     columns ``keep``, are laid side by side once as one wide CSR matrix
     [const | parts[0] | ...].  The calls write each row's weighted copies
-    w y into the columns of the width's dense operand, one ufunc call (at
-    width 1 the (pieces, rows) product of w and y), and make one call of the
-    CSR kernel (:func:`_csr_product`): no new array, and no BLAS."""
+    w_p y_b into row b of the width's dense (width, pieces, rows) operand,
+    one ufunc call (at width 1 on its one (pieces, rows) row, which numpy
+    multiplies faster), and make one call of the CSR kernel on the block-diagonal
+    matrix of ``width`` copies of the wide one (:func:`_csr_product`), built
+    once per width: no new array, and no BLAS.  Each row of ``out`` is then
+    the sum a one-row batch of that row makes."""
     pieces = (const, *parts)
     wide = _side_by_side(pieces, keep)
 
     def rhs_of(width: int):
-        # x[p, :, b] = w[p, b] y[b], one operand for every binding of the width
-        x = np.empty((len(pieces), wide.shape[0]) + ((width,) if width > 1 else ()))
+        # x[b, p] = w[p, b] y[b], one operand for every binding of the width
+        x = np.empty((width, len(pieces), wide.shape[0]))
+        product = _csr_product(wide, width)
 
         def bind(w: np.ndarray, y: np.ndarray, out: np.ndarray) -> list:
-            product = (w, y, x) if width == 1 else (w[:, None, :], y.T, x)
-            return [(np.multiply, product), *_csr_product(wide, x, out)]
+            operand = (w, y, x[0]) if width == 1 else (w.T[:, :, None], y[:, None, :], x)
+            return [(np.multiply, operand), *product(x, out)]
 
         return bind
 
@@ -403,17 +418,19 @@ class _RealCoordinates:
         unpaired = np.flatnonzero(stepped & ~paired)
         self.order = np.concatenate([unpaired, np.flatnonzero(paired)])
         self._unpaired, self._stepped_real = unpaired.size, np.count_nonzero(stepped[:n])
-        self._entries = unpaired.size + np.count_nonzero(paired) // 2
         # each real coordinate stands for one entry, a pair's for one or two
         self.weight = np.where(self.order < n, 1.0, self._pair_weight)
 
     def magnitude_calls(self, y: np.ndarray, out: np.ndarray) -> list:
-        """The calls that write |v_i| of each stepped entry in the rows of ``y`` into
-        ``out``: each unpaired coordinate's absolute value, then each pair's modulus."""
+        """The calls that write |v_i| of the entry of each stepped coordinate in
+        the rows of ``y`` into the same place of ``out``: each unpaired
+        coordinate's absolute value, and each stepped pair's modulus into both
+        of its coordinates."""
         s = self._unpaired
         calls = [(np.abs, (y[..., :s], out[..., :s]))] if s else []
         if s < y.shape[-1]:  # some pair is stepped
-            calls.append((np.abs, (y[..., s:].view(complex), out[..., s:])))
+            calls += [(np.abs, (y[..., s:].view(complex), out[..., s::2])),
+                      (np.copyto, (out[..., s + 1::2], out[..., s::2]))]
         return calls
 
     def error_norm(self, start, y, error, rtol: float, atol: float) -> tuple:
@@ -421,23 +438,19 @@ class _RealCoordinates:
         atol + rtol max(|start|, |y|), |.| from :meth:`magnitude_calls`, and
         ``norms()`` then gives the RMS of each scaled row, as the complex vector
         of all ``size`` entries, as a list of floats.  The scale and its inverse
-        are formed once per stepped entry, a pair's inverse multiplies both its
-        coordinates, and the squares are summed in one ``np.einsum``: a pair's
+        are formed once per stepped coordinate, a pair's from its entry's
+        modulus in both its coordinates, so one ufunc call scales every
+        coordinate, and the squares are summed in one ``np.einsum``: a pair's
         weight counts it for each entry it stands for."""
-        s, sums = self._unpaired, np.empty(len(error))
-        scale, other = np.empty((2, len(error), self._entries))
+        sums = np.empty(len(error))
+        scale, other = np.empty((2,) + error.shape)
         rtol, atol, one = np.array(rtol), np.array(atol), np.array(1.0)  # no scalar conversions
         calls = [*self.magnitude_calls(start, scale), *self.magnitude_calls(y, other),
                  (functools.partial(np.maximum, out=scale), (scale, other)),
                  (np.multiply, (scale, rtol, scale)), (np.add, (scale, atol, scale)),
-                 (np.divide, (one, scale, scale))]
-        if s:
-            calls.append((np.multiply, (error[:, :s], scale[:, :s], error[:, :s])))
-        if s < error.shape[1]:
-            pairs = error[:, s:].reshape(len(error), -1, 2)
-            calls.append((np.multiply, (pairs, scale[:, s:, None], pairs)))
-        calls.append((functools.partial(np.einsum, "...k,...k,k->...", out=sums),
-                      (error, error, self.weight)))
+                 (np.divide, (one, scale, scale)), (np.multiply, (error, scale, error)),
+                 (functools.partial(np.einsum, "...k,...k,k->...", out=sums),
+                  (error, error, self.weight))]
 
         def norms() -> list:
             # sqrt(sum / size) in floats, which round as numpy's sqrt and divide do

@@ -461,7 +461,10 @@ def collective_operators(
         b_minus = (G22 b1 e^{i phi1} - G11 b2 e^{i phi2}) / sqrt(G11^2+G22^2),
 
     whose vacuum excitations are the dark states of the rotating-frame
-    Hamiltonian.  Both satisfy [b, b^+] = 1 below the truncation edge.
+    Hamiltonian.  Both satisfy [b, b^+] = 1 below the truncation edge.  b1
+    and b2 have disjoint patterns, so each of b_minus and b_plus is one CSR
+    construction (:func:`_disjoint_sum`), bitwise the sparse arithmetic of
+    these formulas.
     """
     if space.n_modes not in (2, 3):
         raise InvalidDimensionError("collective operators need a 2- or 3-mode space")
@@ -471,8 +474,8 @@ def collective_operators(
         norm = math.hypot(g1, g2)
         if norm == 0.0:
             raise UndefinedModeError("g1 = g2 = 0 leaves the collective modes undefined")
-        bp = (g1 * b1 + g2 * b2) / norm
-        bm = (g2 * b1 - g1 * b2) / norm
+        bp = _disjoint_sum(np.add, b1, b1.data * g1, b2, b2.data * g2, norm)
+        bm = _disjoint_sum(np.subtract, b1, b1.data * g2, b2, b2.data * g1, norm)
         return bm, bp
     if convention != "rwa_phased":
         raise InvalidArgumentError(f"unknown convention {convention!r}")
@@ -486,9 +489,28 @@ def collective_operators(
         raise UndefinedModeError("both couplings vanish at this time")
     ph1 = np.exp(1j * ((params.delta1 - params.omega1) * t + np.angle(z1)))
     ph2 = np.exp(1j * ((params.delta2 - params.omega2) * t + np.angle(z2)))
-    bm = (g22 * b1 * ph1 - g11 * b2 * ph2) / norm
-    bp = (g11 * b1 * ph1 + g22 * b2 * ph2) / norm
+    bm = _disjoint_sum(np.subtract, b1, b1.data * g22 * ph1, b2, b2.data * g11 * ph2, norm)
+    bp = _disjoint_sum(np.add, b1, b1.data * g11 * ph1, b2, b2.data * g22 * ph2, norm)
     return bm, bp
+
+
+def _disjoint_sum(op, a, x, b, y, norm: float) -> scipy.sparse.csr_matrix:
+    """op(a', b') / norm as one CSR matrix, for the CSR ``a`` and ``b`` of
+    disjoint patterns and a' and b' their patterns holding the values ``x``
+    and ``y``: bitwise the sparse chain, whose sum or difference gives an entry
+    that one operand holds op(x, 0) or op(0, y), drops exact zeros and sorts
+    each row by column, and whose division multiplies by 1 / norm."""
+    n = a.shape[0]
+    rows = np.concatenate([np.repeat(np.arange(n), np.diff(m.indptr)) for m in (a, b)])
+    cols = np.concatenate([a.indices, b.indices])
+    values = np.concatenate([op(x, 0.0), op(0.0, y)])
+    kept = values != 0
+    rows, cols, values = rows[kept], cols[kept], values[kept]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, np.intc)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return scipy.sparse.csr_matrix((values[order] * (1 / norm), cols[order], indptr),
+                                   shape=a.shape)
 
 
 def dark_state(

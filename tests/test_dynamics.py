@@ -603,25 +603,76 @@ def test_hermitian_half_reproduces_the_complex_rhs_and_error_norm(picture):
         for _ in range(4):
             _assert_error_norm_is_the_complex_rms(
                 coords, *(rng.normal(size=coords.order.size) for _ in range(2)))
+        # five rows at once, each scaled by its own moduli
+        _assert_error_norm_is_the_complex_rms(
+            coords, *(rng.normal(size=(5, coords.order.size)) for _ in range(2)))
 
 
 def _assert_error_norm_is_the_complex_rms(coords, y, e):
-    """The error norm of the error ``e`` of a step from ``y`` is the RMS over
-    all ``size`` entries of the complex error scaled by atol + rtol |v|: each
-    pair counts for each entry it stands for (rho_ij and rho_ji, or one psi_i),
-    scaled by the modulus of its entry."""
+    """The error norm of the error ``e`` of a step from ``y``, one row or a
+    batch of rows, is the RMS over all ``size`` entries of each row's complex
+    error scaled by atol + rtol |v|: each pair counts for each entry it stands
+    for (rho_ij and rho_ji, or one psi_i), scaled by the modulus of its entry."""
+    y, e = np.atleast_2d(y), np.atleast_2d(e)
     v, err = coords.vector(y), coords.vector(e)
     rtol, atol = 1e-3, 1e-6 * np.max(np.abs(v))
-    want = np.sqrt(np.mean(np.abs(err / (atol + rtol * np.abs(v))) ** 2))
-    norms, calls = coords.error_norm(y[None], y[None], e[None].copy(), rtol, atol)
+    want = np.sqrt(np.mean(np.abs(err / (atol + rtol * np.abs(v))) ** 2, axis=-1))
+    norms, calls = coords.error_norm(y, y, e.copy(), rtol, atol)
     _run(calls)
-    have, = norms()
-    assert abs(have - want) <= 4 * np.finfo(float).eps * want
+    have = norms()
+    assert len(have) == len(want)
+    for h, w in zip(have, want):
+        assert abs(h - w) <= 4 * np.finfo(float).eps * w
+
+
+def _pair_broadcast_error_norm(coords, start, y, error, rtol, atol):
+    """The error norm formed once per stepped entry: the scale of a pair's
+    modulus multiplies both its coordinates through a trailing axis of 2."""
+    s = coords._unpaired
+
+    def magnitudes(x):
+        return np.concatenate([np.abs(x[:, :s]), np.abs(x[:, s:].view(complex))], axis=1)
+
+    scale = np.maximum(magnitudes(start), magnitudes(y))
+    scale = 1.0 / (atol + rtol * scale)
+    error = error.copy()
+    error[:, :s] *= scale[:, :s]
+    pairs = error[:, s:].reshape(len(error), -1, 2)
+    pairs *= scale[:, s:, None]
+    sums = np.einsum("...k,...k,k->...", error, error, coords.weight)
+    return [math.sqrt(x / coords.size) for x in sums.tolist()]
+
+
+@pytest.mark.parametrize("width", [1, 5, 16])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_error_norm_is_bitwise_the_pair_broadcast_formula(width, hermitian):
+    # 4 real coordinates and 7 pairs, of which the reach steps both coordinates of
+    # 4 pairs, one coordinate of 2 and none of 1: unpaired coordinates and pairs
+    real, upper = np.arange(4), np.arange(4, 11)
+    coords = dynamics._RealCoordinates(real, upper, upper + 7 if hermitian else None)
+    coords.restrict(np.array([0, 1, 3, 4, 5, 6, 7, 9, 12, 13, 14, 15, 17]))
+    assert (coords._unpaired, coords.order.size) == (5, 13)
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        start, y, error = (rng.normal(size=(width, 13)) * 10.0 ** rng.integers(-9, 2, (width, 13))
+                           for _ in range(3))
+        start[:, 2] = y[:, 2] = 0.0  # a zero magnitude scales by 1/atol
+        want = _pair_broadcast_error_norm(coords, start, y, error, 1e-6, 1e-8)
+        scaled = error.copy()
+        norms, calls = coords.error_norm(start, y, scaled, 1e-6, 1e-8)
+        _run(calls)
+        assert [x.hex() for x in norms()] == [x.hex() for x in want]
+        # the coordinates are scaled in place, each by its entry's scale
+        s = coords._unpaired
+        inverse = 1.0 / (1e-8 + 1e-6 * np.maximum(np.abs(start[:, s:].view(complex)),
+                                                  np.abs(y[:, s:].view(complex))))
+        assert scaled[:, s:].tobytes() == (error[:, s:].reshape(width, -1, 2)
+                                           * inverse[:, :, None]).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("columns", [1, 3])
-def test_csr_kernel_call_is_bitwise_the_sparse_product(dtype, columns):
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_csr_kernel_call_is_bitwise_the_sparse_product(dtype, width):
     model, coords, const, parts = _cut_pieces("bs")
     if dtype is complex:
         l0, complex_parts = dynamics._superoperator_pieces(model)
@@ -631,19 +682,22 @@ def test_csr_kernel_call_is_bitwise_the_sparse_product(dtype, columns):
     wide = scipy.sparse.hstack(pieces, format="csr")
     assert wide.dtype == dtype
     rng = np.random.default_rng(15)
-    x = rng.normal(size=(wide.shape[1], columns))
+    x = rng.normal(size=(width, wide.shape[1]))  # one row of the operand per column
     if dtype is complex:
         x = x + 1j * rng.normal(size=x.shape)
-    out = np.zeros((columns, wide.shape[0]), dtype=dtype)  # the calls add into zeros
-    calls = dynamics._csr_product(wide, x, out)
+    out = np.zeros((width, wide.shape[0]), dtype=dtype)  # the call adds into zeros
+    calls = dynamics._csr_product(wide, width)(x, out)
+    assert len(calls) == 1
     _run(calls)
-    got, want = out.T, wide @ x
+    got, want = out.T, wide @ x.T
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+    # and each row is the product of its row alone
+    assert out.tobytes() == np.stack([wide @ row for row in x]).tobytes()
     x *= -0.5  # written in place, read again through the views the calls hold
     out.fill(0)
     _run(calls)
-    assert out.T.tobytes() == (wide @ x).tobytes()
+    assert out.T.tobytes() == (wide @ x.T).tobytes()
 
 
 @pytest.mark.parametrize("terms", range(2, 8))
@@ -802,6 +856,18 @@ def test_an_attempt_calls_scipy_only_in_its_thirteen_kernel_calls(state):
     assert attempts > 20 and traj.stats.interpolated > 0
     assert dict(found) == {"csr_matvec": 6 * attempts,
                            "csc_matvecs": 7 * attempts + traj.stats.interpolated}
+    # a batch of three columns makes the same calls per attempt, one CSR call per stage
+    # at every width: each column takes one attempt of every attempt the batch makes
+    # until it leaves, so the batch makes as many as its longest column
+    drives = [(spec.params, tuple(replace(s, phase2=s.phase2 + shift) for s in spec.schedule))
+              for shift in (0.0, 0.4, -0.9)]
+    batch = Generator(spec.space, None, lindblad.hamiltonian.ops, DriveCoefficients("bs", drives))
+    runs, found = _scipy_calls_in_attempts(lambda: evolve(
+        replace(lindblad, hamiltonian=batch), fock_state(spec.space, 0, 1, 0), [config] * 3))
+    counts = [run.stats.accepted + run.stats.rejected for run in runs]
+    assert len(set(counts)) > 1  # a column leaves early, and the batch narrows
+    assert dict(found) == {"csr_matvec": 6 * max(counts),
+                           "csc_matvecs": 7 * max(counts) + sum(r.stats.interpolated for r in runs)}
 
 
 def _unchanged(t, y):

@@ -328,6 +328,38 @@ def test_collective_static_symmetric(table_params):
     )
 
 
+def _same_csr(a, b) -> bool:
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and all(getattr(a, k).tobytes() == getattr(b, k).tobytes()
+                    for k in ("indptr", "indices", "data")))
+
+
+@pytest.mark.parametrize("dims", [(5, 5), (2, 5, 5), (3, 4, 6)])
+def test_collective_operators_are_bitwise_the_sparse_chain(dims, stirap):
+    from omstirap.hilbert import destroy
+
+    sp = HilbertSpace(dims)
+    b1, b2 = destroy(sp, sp.n_modes - 2), destroy(sp, sp.n_modes - 1)
+    for g1_hz, g2_hz in ((2.5, 2.5), (1.3, 0.7), (0.01, 3.0)):
+        p = SystemParams.from_ordinary(temperature_k=0.01, g1_hz=g1_hz, g2_hz=g2_hz)
+        g1, g2, norm = p.g1, p.g2, math.hypot(p.g1, p.g2)
+        bm, bp = collective_operators(sp, p, None)
+        assert _same_csr(bp, (g1 * b1 + g2 * b2) / norm)
+        assert _same_csr(bm, (g2 * b1 - g1 * b2) / norm)
+        # rwa_phased, also where one pulse is cut to zero and its entries drop out
+        for t in (-3e-3, 0.0, 1e-4, 4.4e-3):
+            bm, bp = collective_operators(sp, p, stirap, t, "rwa_phased")
+            z1, z2 = DriveCoefficients("rwa", [(p, stirap)]).amplitudes(
+                np.full((1, 1), t))[:, 0, 0]
+            g11, g22 = g1 * abs(z1), g2 * abs(z2)
+            ph1 = np.exp(1j * ((p.delta1 - p.omega1) * t + np.angle(z1)))
+            ph2 = np.exp(1j * ((p.delta2 - p.omega2) * t + np.angle(z2)))
+            norm = math.hypot(g11, g22)
+            assert _same_csr(bm, (g22 * b1 * ph1 - g11 * b2 * ph2) / norm)
+            assert _same_csr(bp, (g11 * b1 * ph1 + g22 * b2 * ph2) / norm)
+    assert bm.nnz < b1.nnz + b2.nnz  # at t = 4.4e-3 one amplitude is zero
+
+
 def test_collective_undefined():
     sp = HilbertSpace((2, 3, 3))
     p = SystemParams.from_ordinary()

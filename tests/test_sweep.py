@@ -11,7 +11,7 @@ from omstirap.errors import (
     InvalidArgumentError,
     StiffnessError,
 )
-from omstirap.model import DriveSchedule, SystemParams, TWO_PI
+from omstirap.model import DriveCoefficients, DriveSchedule, SystemParams, TWO_PI
 from omstirap.protocols import (
     InitialStateSpec,
     Scenario,
@@ -350,6 +350,27 @@ def test_batched_cells_match_their_solo_runs():
                     assert abs(batched.summary[key] - value) <= 1e-12, key
             for key, series in solo.trajectory.observables.items():
                 assert np.max(np.abs(batched.trajectory.observables[key] - series)) <= 1e-12
+
+
+def test_a_bs_batch_is_bitwise_its_solo_runs():
+    # each row of a batch is stepped alone: its stage products, error scale and
+    # samples are those of its solo run, bit for bit
+    _, _, cells = _delta_alpha_grid()
+    group = batches(cells)[0]
+    assert len(group) == 4 and cells[group[0]].picture == "bs"
+    results = run_scenarios([cells[i] for i in group])
+    for i, batched in zip(group, results):
+        cell = cells[i]
+        assert not DriveCoefficients(cell.picture, [(cell.params, cell.schedule)]).real
+        solo = run_scenario(cell)
+        # alone, the cell keeps the same pieces and steps the same coordinates
+        assert batched.summary["integrator"] == solo.summary["integrator"]
+        assert batched.trajectory.samples.tobytes() == solo.trajectory.samples.tobytes()
+        floats = [key for key, value in solo.summary.items()
+                  if isinstance(value, float) and key != "wall_time_s"]
+        assert floats
+        for key in floats:
+            assert batched.summary[key].hex() == solo.summary[key].hex(), key
 
 
 def test_a_batch_needs_one_batch_key():
